@@ -8,30 +8,15 @@ which is sandwiched between (m/2)||x-y||^2 and (M/2)||x-y||^2 for
 m = min q, M = max q.  A schedule assigns a generator and a step size eps_k
 to every iteration and declares uniform bounds the solver relies on:
 0 < eps_lo <= eps_k <= eps_hi < min(m/L, m/rho_max).
-
-Non-diagonal kernels are accepted only through the
-:class:`CoordinateSubproblemSolver` hook; no such solver ships here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
 from .model import ProblemInstance
-
-
-class CoordinateSubproblemSolver(Protocol):
-    """Extension point for non-quadratic kernels.
-
-    Implementations must solve the one-block linearized subproblem exactly.
-    Declared for forward compatibility; the shipped solver only handles
-    diagonal quadratic kernels.
-    """
-
-    def solve_block(self, p: ProblemInstance, eps: float, x: np.ndarray, i: int) -> np.ndarray:
-        ...
 
 
 @dataclass(frozen=True)
@@ -55,9 +40,6 @@ class BregmanGenerator:
     @property
     def M(self) -> float:
         return float(self.weights.max())
-
-    def grad_kernel(self, x: np.ndarray) -> np.ndarray:
-        return self.weights * x
 
     @staticmethod
     def uniform(n: int, q: float) -> "BregmanGenerator":

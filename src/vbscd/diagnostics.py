@@ -65,13 +65,14 @@ def write_report_csv(rows, path) -> None:
 
 
 def enumerate_expectation(p: ProblemInstance, gen, eps: float, x, fn):
-    """mean_i fn(T_i(x)) by exact enumeration of the N one-block targets."""
+    """mean_i fn(T_i(x)) by exact enumeration of the N one-block targets.
+
+    ``fn`` is applied once to the (N, n) stack of targets and must map it
+    row by row (``p.objective_rows``, for instance); the result is averaged
+    over the rows.
+    """
     targets = coordinate_prox_all(p, gen, eps, x)
-    acc = None
-    for t in targets:
-        v = np.asarray(fn(t), dtype=float)
-        acc = v if acc is None else acc + v
-    return acc / p.n_blocks
+    return np.asarray(fn(targets), dtype=float).mean(axis=0)
 
 
 def expectation_identities(p: ProblemInstance, gen, eps: float, x) -> dict:
@@ -81,17 +82,17 @@ def expectation_identities(p: ProblemInstance, gen, eps: float, x) -> dict:
     targets = coordinate_prox_all(p, gen, eps, x)
     t_full = full_prox(p, gen, eps, x)
 
-    mean_pt = sum(targets) / n_blocks
+    mean_pt = targets.mean(axis=0)
     dev_point = float(
         np.max(np.abs(mean_pt - (t_full / n_blocks + (1.0 - 1.0 / n_blocks) * x)))
     )
 
-    g_mean = sum(p.penalty_value(t) for t in targets) / n_blocks
+    g_mean = float(p.penalty_rows(targets).mean())
     dev_penalty = abs(
         p.penalty_value(t_full) - (n_blocks * g_mean - (n_blocks - 1) * p.penalty_value(x))
     )
 
-    sq_mean = sum(float(np.sum((x - t) ** 2)) for t in targets) / n_blocks
+    sq_mean = float(np.sum((x - targets) ** 2, axis=1).mean())
     dev_square = abs(float(np.sum((x - t_full) ** 2)) - n_blocks * sq_mean)
 
     return {"mean-point": dev_point, "penalty-mixing": dev_penalty, "squared-step": dev_square}
@@ -229,9 +230,8 @@ def check_value_proximity(
     fx = p.objective(x)
     targets = coordinate_prox_all(p, gen, eps, x)
     t_full = full_prox(p, gen, eps, x)
-    f_targets = [p.objective(t) for t in targets]
-    mean_f = sum(f_targets) / N
-    mean_sq = sum(float(np.sum((x - t) ** 2)) for t in targets) / N
+    mean_f = float(p.objective_rows(targets).mean())
+    mean_sq = float(np.sum((x - targets) ** 2, axis=1).mean())
     env = envelope_value(p, gen, eps, x)
     dist = sublevel_dist(x)
     step_full = float(np.linalg.norm(t_full - x))
@@ -271,16 +271,16 @@ def check_level_dominance(
     """
     x = np.asarray(x, dtype=float)
     targets = coordinate_prox_all(p, gen, eps, x)
-    f_targets = [p.objective(t) for t in targets]
-    worst = min(f_targets)
+    f_targets = p.objective_rows(targets)
+    worst = f_targets.min()
     rows = [make_check("level-dominance", "targets-above-reference", f_bar, worst, slack)]
     holds = rows[0].passed
     if holds and constants is not None and x_bar is not None:
         x_bar = np.asarray(x_bar, dtype=float)
         window = constants.level_window
         if in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, window):
-            max_step = max(float(np.linalg.norm(x - t)) for t in targets)
-            max_ball = max(float(np.linalg.norm(t - x_bar)) for t in targets)
+            max_step = np.linalg.norm(x - targets, axis=1).max()
+            max_ball = np.linalg.norm(targets - x_bar, axis=1).max()
             rows.append(
                 make_check("level-dominance", "step-within-half-eta", max_step, constants.eta / 2.0, 1e-9)
             )
@@ -290,7 +290,7 @@ def check_level_dominance(
             rows.append(
                 make_check(
                     "level-dominance", "targets-within-level",
-                    max(f_targets) - f_bar, window, 1e-9,
+                    f_targets.max() - f_bar, window, 1e-9,
                 )
             )
             holds = all(r.passed for r in rows)
@@ -334,9 +334,7 @@ def contraction_audit(
                 skipped += 1
                 continue
             gen, eps = sched.generator(k), sched.step(k)
-            mean_f = float(
-                enumerate_expectation(p, gen, eps, x, lambda t: p.objective(t))
-            )
+            mean_f = float(enumerate_expectation(p, gen, eps, x, p.objective_rows))
             lhs = mean_f - f_bar
             rhs = constants.beta * (fx - f_bar)
             checked += 1

@@ -31,7 +31,7 @@ from .diagnostics import (
     make_check,
     write_report_csv,
 )
-from .model import ProblemInstance
+from .model import L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty
 from .probes import (
     EmptyNeighborhoodError,
     probe_bp_eb,
@@ -662,13 +662,13 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     ))
 
     # penalties: midpoint semi-convexity and subdifferential soundness
-    for _, reg in _distinct_regs(p):
+    for label, reg in _distinct_penalties(p):
         ts = rng.standard_normal(2 * n_points) * 2.0
         rows.append(_worst(
-            _semiconvex_row(reg, ts[2 * j], ts[2 * j + 1]) for j in range(n_points)
+            _semiconvex_row(reg, label, ts[2 * j], ts[2 * j + 1]) for j in range(n_points)
         ))
         rows.append(_worst(
-            _subdiff_row(reg, t) for t in ts[: min(50, ts.size)] if abs(t) > 1e-3
+            _subdiff_row(reg, label, t) for t in ts[: min(50, ts.size)] if abs(t) > 1e-3
         ))
 
     # kernel sandwich
@@ -700,9 +700,9 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     for x in pts:
         fx = p.objective(x)
         targets = coordinate_prox_all(p, gen0, eps0, x)
-        f_t = [p.objective(t) for t in targets]
-        sq = [float(np.sum((x - t) ** 2)) for t in targets]
-        worst_i = max(range(len(targets)), key=lambda i: f_t[i] - fx + a * sq[i])
+        f_t = p.objective_rows(targets)
+        sq = np.sum((x - targets) ** 2, axis=1)
+        worst_i = int(np.argmax(f_t - fx + a * sq))
         dec_rows.append(make_check(
             "sufficient-decrease", "per-block",
             f_t[worst_i] - fx, -a * sq[worst_i], 1e-9,
@@ -712,8 +712,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
         N = p.n_blocks
         env_rows.append(make_check(
             "envelope", "mean-decrease",
-            N * (sum(f_t) / N) - (N - 1) * fx,
-            env - 0.5 * N * (m / sched.eps_hi - L) * (sum(sq) / N),
+            N * f_t.mean() - (N - 1) * fx,
+            env - 0.5 * N * (m / sched.eps_hi - L) * sq.mean(),
             1e-9,
         ))
     rows.append(_worst(dec_rows))
@@ -766,26 +766,29 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     return [r for r in rows if r is not None]
 
 
-def _distinct_regs(p: ProblemInstance):
-    seen = set()
-    for i, reg in enumerate(p.regularizers):
-        if reg.kind not in seen:
-            seen.add(reg.kind)
-            yield i, reg
+def _distinct_penalties(p: ProblemInstance):
+    """(label, penalty) per distinct penalty, told apart as in ``penalty_groups``.
+
+    The label is the kind, plus the first block carrying it when a kind repeats."""
+    firsts = []
+    for reg, sl in p.penalty_groups:
+        if not any(same_penalty(reg, r) for _, r in firsts):
+            firsts.append((p.partition.offsets.index(sl.start), reg))
+    kinds = [reg.kind for _, reg in firsts]
+    return [
+        (reg.kind if kinds.count(reg.kind) == 1 else f"{reg.kind}-block{i}", reg)
+        for i, reg in firsts
+    ]
 
 
 def _oracle_regs(p: ProblemInstance):
     """Instance penalties plus the canonical thresholding trio."""
-    from .model import L1Penalty, McpPenalty, ScadPenalty
-
-    out = {}
-    for _, reg in _distinct_regs(p):
-        if reg.kind != "zero":
-            out[reg.kind] = reg
-    out.setdefault("l1", L1Penalty(1.0))
-    out.setdefault("scad", ScadPenalty(1.0, 3.7))
-    out.setdefault("mcp", McpPenalty(1.0, 3.0))
-    return sorted(out.items())
+    out = [(label, reg) for label, reg in _distinct_penalties(p) if reg.kind != "zero"]
+    kinds = {reg.kind for _, reg in out}
+    for reg in (L1Penalty(1.0), ScadPenalty(1.0, 3.7), McpPenalty(1.0, 3.0)):
+        if reg.kind not in kinds:
+            out.append((reg.kind, reg))
+    return sorted(out, key=lambda item: item[0])
 
 
 def _fd_gradient_row(p, x, h: float = 1e-6) -> CheckRow:
@@ -799,35 +802,31 @@ def _fd_gradient_row(p, x, h: float = 1e-6) -> CheckRow:
     return make_check("smooth", "gradient-fd", err, 0.0, 1e-5)
 
 
-def _semiconvex_row(reg, t, s) -> CheckRow:
+def _semiconvex_row(reg, label, t, s) -> CheckRow:
     h = lambda u: float(np.asarray(reg.value(u))) + 0.5 * reg.rho * u * u
     mid = 0.5 * (t + s)
     return make_check(
-        "penalty", f"{reg.kind}-midpoint-convexity",
+        "penalty", f"{label}-midpoint-convexity",
         h(mid), 0.5 * (h(t) + h(s)), 1e-9,
     )
 
 
-def _subdiff_row(reg, t, h: float = 1e-6) -> CheckRow:
+def _subdiff_row(reg, label, t, h: float = 1e-6) -> CheckRow:
     lo, hi = reg.subdiff(np.array([t]))
     width = float(hi[0] - lo[0])
     fd = (float(np.asarray(reg.value(t + h))) - float(np.asarray(reg.value(t - h)))) / (2 * h)
     center = 0.5 * float(lo[0] + hi[0])
     err = max(width, abs(center - fd) / (1.0 + abs(fd)))
-    return make_check("penalty", f"{reg.kind}-subdiff", err, 0.0, 1e-5)
+    return make_check("penalty", f"{label}-subdiff", err, 0.0, 1e-5)
 
 
 def _certificate_row(p, gen, eps, x) -> CheckRow:
     """0 must lie in grad f(x) + dG(y) + (q/eps)(y - x) at y = T(x)."""
     g = p.smooth.grad(x)
     y = full_prox(p, gen, eps, x, grad=g)
-    worst = 0.0
-    for i, reg in enumerate(p.regularizers):
-        sl = p.partition.block_slice(i)
-        r = g[sl] + (gen.weights[sl] / eps) * (y[sl] - x[sl])
-        lo, hi = reg.subdiff(y[sl])
-        xi = np.clip(-r, lo, hi)
-        worst = max(worst, float(np.max(np.abs(r + xi))))
+    r = g + (gen.weights / eps) * (y - x)
+    lo, hi = p.penalty_subdiff(y)
+    worst = float(np.max(np.abs(r + np.clip(-r, lo, hi))))
     return make_check("prox", "optimality-certificate", worst, 0.0, 1e-8)
 
 

@@ -5,6 +5,12 @@ A composite objective F = f + g is described by a :class:`ProblemInstance`:
 ``g`` splits over a :class:`BlockPartition` into per-block penalties that are
 themselves separable per coordinate.  Every penalty g_i is semi-convex, i.e.
 g_i + (rho/2)|.|^2 is convex for the modulus ``rho`` it reports.
+
+The instance holds g as ``penalty_groups``, a tuple of ``(regularizer,
+slice)`` pairs: contiguous blocks with the same penalty (one object, or one
+class with equal scalar parameters) share a slice, so g, its subdifferential
+box and the full prox cost one numpy call per group.  ``objective_rows(X)``
+evaluates F on each row of a stack of points (the N one-block targets, a grid).
 """
 from __future__ import annotations
 
@@ -16,10 +22,6 @@ import numpy as np
 
 class UnsupportedInstanceError(ValueError):
     """The requested operation needs structure this instance does not expose."""
-
-
-class PowerIterationError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -72,33 +74,18 @@ class BlockPartition:
 # smooth terms
 
 
-def largest_eigenvalue_sym(S: np.ndarray, rel_tol: float = 1e-8, max_steps: int = 10_000) -> float:
-    """Dominant eigenvalue of a symmetric PSD matrix by power iteration.
+def largest_eigenvalue_sym(S: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix, from a dense eigensolver.
 
-    Stops when the Rayleigh quotient is stable to ``rel_tol`` relatively;
-    raises :class:`PowerIterationError` after ``max_steps`` non-converged steps.
+    Exact to rounding, so a Lipschitz constant built on it is an upper bound
+    rather than an iterative estimate from below.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.any(S):
         return 0.0
-    # fixed-seed start so the estimate is reproducible and never orthogonal
-    # to the dominant eigenvector by construction of the problem
-    v = np.random.Generator(np.random.PCG64(0x5EED_CAFE)).standard_normal(S.shape[0])
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    for _ in range(max_steps):
-        w = S @ v
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
-            return lam
-        lam_prev = lam
-    raise PowerIterationError(f"power iteration did not converge in {max_steps} steps")
+    return float(np.linalg.eigvalsh(S)[-1])
 
 
 class SmoothTerm:
@@ -112,6 +99,10 @@ class SmoothTerm:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def value_rows(self, X: np.ndarray) -> np.ndarray:
+        """f on each row of X; subclasses with a matrix form vectorize it."""
+        return np.array([self.value(row) for row in X], dtype=float)
 
 
 class QuadraticLeastSquares(SmoothTerm):
@@ -137,6 +128,10 @@ class QuadraticLeastSquares(SmoothTerm):
     def grad(self, x):
         return self._gram @ x - self._atb
 
+    def value_rows(self, X):
+        r = X @ self.A.T - self.b
+        return 0.5 * np.sum(r * r, axis=1)
+
 
 class LogisticLoss(SmoothTerm):
     """f(x) = sum_i log(1 + exp(-y_i a_i^T x)), labels y in {-1, +1}.
@@ -160,6 +155,10 @@ class LogisticLoss(SmoothTerm):
     def value(self, x):
         margins = self.y * (self.A @ x)
         return float(np.sum(np.logaddexp(0.0, -margins)))
+
+    def value_rows(self, X):
+        margins = (X @ self.A.T) * self.y
+        return np.sum(np.logaddexp(0.0, -margins), axis=1)
 
     def grad(self, x):
         margins = self.y * (self.A @ x)
@@ -420,6 +419,21 @@ def make_regularizer(kind: str, **params) -> Regularizer:
         raise ValueError(f"penalty kind {kind!r} is missing parameter {e.args[0]!r}") from None
 
 
+def same_penalty(a: Regularizer, b: Regularizer) -> bool:
+    """Same object, or same class with equal scalar parameters.
+
+    Parameters are compared only when every one is a plain scalar, so a
+    penalty holding arrays never raises here and matches only itself.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    pa, pb = vars(a), vars(b)
+    scalars = (bool, int, float, str, type(None))
+    return all(isinstance(v, scalars) for v in (*pa.values(), *pb.values())) and pa == pb
+
+
 # ---------------------------------------------------------------------------
 # the composite instance
 
@@ -439,6 +453,7 @@ class ProblemInstance:
     regularizers: tuple[Regularizer, ...]
     known_optimum: tuple[np.ndarray, float] | None = None
     metadata: dict = field(default_factory=dict)
+    penalty_groups: tuple[tuple[Regularizer, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regs = tuple(self.regularizers)
@@ -447,6 +462,14 @@ class ProblemInstance:
             raise ValueError(
                 f"{len(regs)} penalties for {self.partition.n_blocks} blocks"
             )
+        groups: list[tuple[Regularizer, slice]] = []
+        for i, reg in enumerate(regs):
+            sl = self.partition.block_slice(i)
+            if groups and same_penalty(groups[-1][0], reg):
+                groups[-1] = (groups[-1][0], slice(groups[-1][1].start, sl.stop))
+            else:
+                groups.append((reg, sl))
+        object.__setattr__(self, "penalty_groups", tuple(groups))
         if self.known_optimum is not None:
             x_star, f_star = self.known_optimum
             x_star = np.asarray(x_star, dtype=float)
@@ -479,14 +502,30 @@ class ProblemInstance:
 
     def penalty_value(self, x) -> float:
         x = self._check_dim(x)
-        return float(
-            sum(r.total(x[self.partition.block_slice(i)]) for i, r in enumerate(self.regularizers))
-        )
+        return float(sum(reg.total(x[sl]) for reg, sl in self.penalty_groups))
+
+    def penalty_rows(self, X) -> np.ndarray:
+        """g on each row of a (k, n) stack of points."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"rows have shape {X.shape}, expected (k, {self.n})")
+        return sum(np.sum(reg.value(X[:, sl]), axis=1) for reg, sl in self.penalty_groups)
 
     def objective(self, x) -> float:
         """F(x) = f(x) + sum of block penalties."""
         x = self._check_dim(x)
         return self.smooth.value(x) + self.penalty_value(x)
+
+    def objective_rows(self, X) -> np.ndarray:
+        """F on each row of a (k, n) stack of points."""
+        return self.penalty_rows(X) + self.smooth.value_rows(np.asarray(X, dtype=float))
+
+    def penalty_subdiff(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinatewise subdifferential box (lo, hi) of g at x."""
+        lo, hi = np.empty(self.n), np.empty(self.n)
+        for reg, sl in self.penalty_groups:
+            lo[sl], hi[sl] = reg.subdiff(x[sl])
+        return lo, hi
 
     def min_subgradient_norm(self, x) -> float:
         """Distance from 0 to grad f(x) + the penalty subdifferential box.
@@ -496,15 +535,9 @@ class ProblemInstance:
         """
         x = self._check_dim(x)
         g = self.smooth.grad(x)
-        total = 0.0
-        for i, reg in enumerate(self.regularizers):
-            sl = self.partition.block_slice(i)
-            lo, hi = reg.subdiff(x[sl])
-            r = g[sl]
-            # closest point of [lo, hi] to -r
-            xi = np.clip(-r, lo, hi)
-            total += float(np.sum(np.square(r + xi)))
-        return float(np.sqrt(total))
+        lo, hi = self.penalty_subdiff(x)
+        # closest point of [lo, hi] to -g
+        return float(np.sqrt(np.sum(np.square(g + np.clip(-g, lo, hi)))))
 
 
 def make_quadratic_problem(

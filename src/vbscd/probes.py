@@ -98,22 +98,6 @@ def sample_level_ball(
 # sublevel-set distance oracles
 
 
-def _objective_rows(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """F evaluated on rows of X, vectorized where the smooth term allows."""
-    smooth = p.smooth
-    if hasattr(smooth, "value_rows"):
-        total = smooth.value_rows(X)
-    elif smooth.kind == "quadratic-least-squares":
-        r = X @ smooth.A.T - smooth.b
-        total = 0.5 * np.sum(r * r, axis=1)
-    else:
-        total = np.array([smooth.value(row) for row in X])
-    for i, reg in enumerate(p.regularizers):
-        sl = p.partition.block_slice(i)
-        total = total + np.sum(reg.value(X[:, sl]), axis=1)
-    return total
-
-
 def _grid_distance(p, x, f_bar, lo, hi, cell) -> float:
     n = p.n
     if n > 2:
@@ -125,7 +109,7 @@ def _grid_distance(p, x, f_bar, lo, hi, cell) -> float:
     best = np.inf
     if n == 1:
         Z = axes[0][:, None]
-        vals = _objective_rows(p, Z)
+        vals = p.objective_rows(Z)
         hit = vals <= f_bar + tol
         if np.any(hit):
             best = float(np.min(np.abs(axes[0][hit] - x[0])))
@@ -137,7 +121,7 @@ def _grid_distance(p, x, f_bar, lo, hi, cell) -> float:
             Z = np.stack(
                 [np.repeat(xs, ys.size), np.tile(ys, xs.size)], axis=1
             )
-            vals = _objective_rows(p, Z)
+            vals = p.objective_rows(Z)
             hit = vals <= f_bar + tol
             if np.any(hit):
                 d = np.linalg.norm(Z[hit] - x, axis=1)
@@ -175,12 +159,11 @@ def _projection_distance(p, x, f_bar, bisect_steps: int = 200) -> float:
     diag, c, _ = _separable_pieces(p)
 
     def z_of(mu: float) -> np.ndarray:
+        w = (1.0 + mu * diag) / mu
+        v = (x + mu * c) / (1.0 + mu * diag)
         z = np.empty(p.n)
-        for i, reg in enumerate(p.regularizers):
-            sl = p.partition.block_slice(i)
-            w = (1.0 + mu * diag[sl]) / mu
-            v = (x[sl] + mu * c[sl]) / (1.0 + mu * diag[sl])
-            z[sl] = reg.prox(v, w)
+        for reg, sl in p.penalty_groups:
+            z[sl] = reg.prox(v[sl], w[sl])
         return z
 
     fx = p.objective(x)

@@ -51,6 +51,17 @@ def _block_target(p, gen, eps, x, grad, i) -> np.ndarray:
     return scalar_prox(p.regularizers[i], w, v)
 
 
+def _full_target(p, gen, eps, x, grad) -> np.ndarray:
+    """T(x) with one prox call per penalty group."""
+    q = gen.weights
+    w = q / eps
+    v = x - (eps / q) * grad
+    y = np.empty_like(x)
+    for reg, sl in p.penalty_groups:
+        y[sl] = scalar_prox(reg, w[sl], v[sl])
+    return y
+
+
 def coordinate_prox(p, gen, eps, x, i: int, *, grad=None) -> np.ndarray:
     """One-block map T_i(x): minimize over block i only."""
     x = _prep(p, gen, eps, x)
@@ -60,27 +71,23 @@ def coordinate_prox(p, gen, eps, x, i: int, *, grad=None) -> np.ndarray:
     return y
 
 
-def coordinate_prox_all(p, gen, eps, x, *, grad=None) -> list[np.ndarray]:
-    """All one-block targets T_i(x), i = 0..N-1, sharing one gradient."""
+def coordinate_prox_all(p, gen, eps, x, *, grad=None) -> np.ndarray:
+    """All one-block targets T_i(x), i = 0..N-1, as the rows of an (N, n) array.
+
+    The map is block-separable, so block i of T(x) equals block i of T_i(x):
+    one full prox gives every target.
+    """
     x = _prep(p, gen, eps, x)
-    g = p.smooth.grad(x) if grad is None else grad
-    out = []
-    for i in range(p.n_blocks):
-        y = x.copy()
-        y[p.partition.block_slice(i)] = _block_target(p, gen, eps, x, g, i)
-        out.append(y)
-    return out
+    t = _full_target(p, gen, eps, x, p.smooth.grad(x) if grad is None else grad)
+    block_of = np.repeat(np.arange(p.n_blocks), p.partition.sizes)
+    return np.where(block_of == np.arange(p.n_blocks)[:, None], t, x)
 
 
 def full_prox(p, gen, eps, x, *, grad=None) -> np.ndarray:
     """Full map T(x): every block moves (block-separable, so composition
     of the one-block maps in any order)."""
     x = _prep(p, gen, eps, x)
-    g = p.smooth.grad(x) if grad is None else grad
-    y = x.copy()
-    for i in range(p.n_blocks):
-        y[p.partition.block_slice(i)] = _block_target(p, gen, eps, x, g, i)
-    return y
+    return _full_target(p, gen, eps, x, p.smooth.grad(x) if grad is None else grad)
 
 
 def envelope_value(p, gen, eps, x) -> float:

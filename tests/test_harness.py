@@ -21,7 +21,8 @@ from vbscd.harness import (
     write_near_start_csv,
     write_replication_outputs,
 )
-from vbscd.instances import lasso_1d, quad_1d
+from vbscd.instances import lasso_1d, lasso_random, quad_1d
+from vbscd.model import L1Penalty, make_quadratic_problem
 from vbscd.solver import SolverConfig, run
 
 BASE = """\
@@ -316,3 +317,64 @@ def test_run_experiment_solve_writes_outputs(tmp_path):
     code = harness.run_experiment(path, "solve", out_dir=out)
     assert code == 0
     assert (out / "traj_000.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# verify suite on an instance with two l1 weights
+
+VERIFY_TWO_WEIGHTS = """\
+[experiment]
+kind = verify
+seed = 3
+
+[instance]
+kind = lasso-random
+n = 20
+blocks = 4
+
+[bregman]
+weights = constant
+q = 1.0
+eps_rule = relative
+eps_fraction = 0.8
+
+[probe]
+samples = 200
+
+[verify]
+points = 40
+prox_queries = 20
+"""
+
+
+class _ScaledSubdiffL1(L1Penalty):
+    """l1 whose subdifferential is off by a factor of two."""
+
+    def subdiff(self, t):
+        lo, hi = super().subdiff(t)
+        return 2.0 * lo, 2.0 * hi
+
+
+def _two_weight_rows(tmp_path, monkeypatch, second):
+    base = lasso_random(n=20, n_blocks=4)
+    regs = (L1Penalty(0.1), L1Penalty(0.1), second, second)
+    p = make_quadratic_problem(base.smooth.A, base.smooth.b, regs, base.partition)
+    monkeypatch.setattr(harness, "build_instance", lambda cfg: p)
+    rows = harness.run_verification(load_config(write_cfg(tmp_path, VERIFY_TWO_WEIGHTS)))
+    return {(r.check, r.name): r for r in rows}
+
+
+def test_verify_checks_every_distinct_penalty(tmp_path, monkeypatch):
+    rows = _two_weight_rows(tmp_path, monkeypatch, L1Penalty(0.5))
+    for label in ("l1-block0", "l1-block2"):
+        assert rows[("penalty", f"{label}-midpoint-convexity")].passed
+        assert rows[("penalty", f"{label}-subdiff")].passed
+        assert rows[("prox-oracle", f"{label}-argmin")].passed
+    assert ("prox-oracle", "scad-argmin") in rows and ("prox-oracle", "mcp-argmin") in rows
+    assert all(r.passed for r in rows.values())
+
+
+def test_verify_catches_a_faulty_second_penalty(tmp_path, monkeypatch):
+    rows = _two_weight_rows(tmp_path, monkeypatch, _ScaledSubdiffL1(0.5))
+    assert rows[("penalty", "l1-block0-subdiff")].passed
+    assert not rows[("penalty", "l1-block2-subdiff")].passed

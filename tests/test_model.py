@@ -16,7 +16,7 @@ from vbscd import (
     make_quadratic_problem,
     make_regularizer,
 )
-from vbscd.instances import lasso_1d
+from vbscd.instances import lasso_1d, lasso_random
 
 
 def fd_grad(f, x, h=1e-6):
@@ -71,6 +71,12 @@ def test_power_iteration_matches_eigvalsh():
 
 def test_power_iteration_zero_matrix():
     assert largest_eigenvalue_sym(np.zeros((4, 4))) == 0.0
+
+
+def test_lipschitz_is_not_underestimated():
+    # the design's gram spectrum spans [0.5, 2.0] exactly, so L = 1.01 * 2.0
+    p = lasso_random(n=50)
+    assert p.smooth.lipschitz == pytest.approx(1.01 * 2.0, rel=1e-13)
 
 
 def test_descent_lemma_on_random_pairs():
