@@ -10,50 +10,19 @@ the algebraic identities and local contraction behavior numerically.
 from .bregman import (
     BregmanGenerator,
     BregmanSchedule,
-    ScheduleReport,
     bregman_distance,
     harmonic_clipped,
     validate_schedule,
 )
 from .diagnostics import (
-    CheckRow,
-    ConstantsRecord,
-    ContractionAudit,
     GridProxOracle,
-    LevelDominanceReport,
-    ProximityReport,
-    RateReport,
     auto_neighborhood,
-    check_level_dominance,
-    check_value_proximity,
     compute_constants,
-    constants_for_schedule,
     contraction_audit,
-    enumerate_expectation,
-    expectation_identities,
     fit_linear_rate,
     in_neighborhood,
-    make_check,
-    write_report_csv,
 )
-from .harness import (
-    ConfigError,
-    DivergenceError,
-    ExperimentConfig,
-    MeanTrajectory,
-    Reference,
-    ReplicationError,
-    ReplicationResult,
-    aggregate_gaps,
-    build_instance,
-    build_schedule,
-    load_config,
-    resolve_reference_value,
-    run_experiment,
-    run_replications,
-    run_verification,
-    write_mean_csv,
-)
+from .harness import ConfigError, DivergenceError, ReplicationError
 from .model import (
     BlockPartition,
     CustomSmooth,
@@ -64,7 +33,6 @@ from .model import (
     QuadraticLeastSquares,
     Regularizer,
     ScadPenalty,
-    SmoothTerm,
     SquaredL2Penalty,
     UnsupportedInstanceError,
     ZeroPenalty,
@@ -74,7 +42,6 @@ from .model import (
 )
 from .probes import (
     EmptyNeighborhoodError,
-    ErrorBoundEstimate,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,
@@ -92,7 +59,6 @@ from .prox import (
     scalar_prox,
 )
 from .solver import (
-    IterateRecord,
     SolverAbort,
     SolverConfig,
     Trajectory,
@@ -106,89 +72,3 @@ from .solver import (
 from . import instances
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockPartition",
-    "BregmanGenerator",
-    "BregmanSchedule",
-    "CheckRow",
-    "ConfigError",
-    "ConstantsRecord",
-    "ContractionAudit",
-    "CustomSmooth",
-    "DivergenceError",
-    "EmptyNeighborhoodError",
-    "ErrorBoundEstimate",
-    "ExperimentConfig",
-    "GridProxOracle",
-    "IterateRecord",
-    "L1Penalty",
-    "LevelDominanceReport",
-    "LogisticLoss",
-    "McpPenalty",
-    "MeanTrajectory",
-    "ProblemInstance",
-    "ProximityReport",
-    "QuadraticLeastSquares",
-    "RateReport",
-    "Reference",
-    "Regularizer",
-    "ReplicationError",
-    "ReplicationResult",
-    "ScadPenalty",
-    "ScheduleReport",
-    "SmoothTerm",
-    "SolverAbort",
-    "SolverConfig",
-    "SquaredL2Penalty",
-    "Trajectory",
-    "UnsupportedInstanceError",
-    "ZeroPenalty",
-    "aggregate_gaps",
-    "auto_neighborhood",
-    "bregman_distance",
-    "build_instance",
-    "build_schedule",
-    "check_level_dominance",
-    "check_value_proximity",
-    "compute_constants",
-    "constants_for_schedule",
-    "contraction_audit",
-    "coordinate_prox",
-    "coordinate_prox_all",
-    "derive_seed",
-    "enumerate_expectation",
-    "envelope_value",
-    "expectation_identities",
-    "fit_linear_rate",
-    "full_prox",
-    "harmonic_clipped",
-    "in_neighborhood",
-    "instances",
-    "largest_eigenvalue_sym",
-    "load_config",
-    "make_check",
-    "make_quadratic_problem",
-    "make_regularizer",
-    "near_start_point",
-    "probe_bp_eb",
-    "probe_kl",
-    "probe_lt_eb",
-    "probe_ls_eb",
-    "prox_residual",
-    "resolve_reference_value",
-    "run",
-    "run_experiment",
-    "run_replications",
-    "run_verification",
-    "sample_in_ball",
-    "sample_level_ball",
-    "scalar_prox",
-    "sublevel_distance",
-    "vbscd_step",
-    "write_mean_csv",
-    "write_probe_csv",
-    "write_report_csv",
-    "write_trajectory_csv",
-    "__version__",
-]

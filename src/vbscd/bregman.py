@@ -80,11 +80,14 @@ class BregmanSchedule:
             raise ValueError("need 0 < eps_lo <= eps_hi")
 
     @staticmethod
-    def constant(n: int, q: float, eps: float) -> "BregmanSchedule":
+    def constant(n: int, q: float, eps) -> "BregmanSchedule":
+        """Uniform weights q at every step; ``eps`` is a constant step or an
+        (eps_lo, eps_hi, callable) triple, as for :meth:`alternating`."""
         gen = BregmanGenerator.uniform(n, q)
+        step, eps_lo, eps_hi = _as_step(eps)
         return BregmanSchedule(
-            generator=lambda k: gen, step=lambda k: float(eps),
-            m=float(q), M=float(q), eps_lo=float(eps), eps_hi=float(eps),
+            generator=lambda k: gen, step=step,
+            m=float(q), M=float(q), eps_lo=eps_lo, eps_hi=eps_hi,
         )
 
     @staticmethod
@@ -122,6 +125,13 @@ def _as_step(eps):
     return (lambda k: float(eps)), float(eps), float(eps)
 
 
+def step_cap(m: float, p: ProblemInstance) -> float:
+    """min(m/L, m/rho_max), the strict upper bound on eps_hi; a zero
+    curvature (flat f, convex penalties) contributes +inf."""
+    L, rho = p.smooth.lipschitz, p.rho_max
+    return min(m / L if L > 0 else np.inf, m / rho if rho > 0 else np.inf)
+
+
 @dataclass(frozen=True)
 class ScheduleReport:
     ok: bool
@@ -133,17 +143,12 @@ class ScheduleReport:
 def validate_schedule(sched: BregmanSchedule, p: ProblemInstance, horizon: int) -> ScheduleReport:
     """Check declared bounds and admissibility against an instance.
 
-    Verifies eps_hi < min(m/L, m/rho_max) (convex penalties contribute
-    m/0 = +inf) and, for every k < horizon, that the generator weights stay
-    inside [m, M] and the step inside [eps_lo, eps_hi].  Reports the first
-    violating iteration and the offending quantity.
+    Verifies eps_hi < :func:`step_cap` and, for every k < horizon, that the
+    generator weights stay inside [m, M] and the step inside [eps_lo,
+    eps_hi].  Reports the first violating iteration and the offending
+    quantity.
     """
-    L = p.smooth.lipschitz
-    rho = p.rho_max
-    cap = min(
-        sched.m / L if L > 0 else np.inf,
-        sched.m / rho if rho > 0 else np.inf,
-    )
+    cap = step_cap(sched.m, p)
     if not sched.eps_hi < cap:
         return ScheduleReport(
             False, 0, "eps_hi",

@@ -16,10 +16,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, DivergenceError, ReplicationError, run_experiment
+from .harness import FLOWS, ConfigError, DivergenceError, ReplicationError, run_experiment
 from .probes import EmptyNeighborhoodError
 
-_SUBCOMMANDS = ("solve", "verify", "rate", "probe-eb")
+_HELP = {
+    "solve": "run replicated trajectories and write them as CSV",
+    "verify": "run the numeric invariant suite against an instance",
+    "rate": "fit a geometric decay factor to the mean objective gap",
+    "probe-eb": "estimate local error-bound constants by sampling",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,14 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vbscd",
         description="randomized block proximal descent with variable quadratic kernels",
     )
-    sub = parser.add_subparsers(dest="command", metavar="{%s}" % ",".join(_SUBCOMMANDS))
-    for name, text in (
-        ("solve", "run replicated trajectories and write them as CSV"),
-        ("verify", "run the numeric invariant suite against an instance"),
-        ("rate", "fit a geometric decay factor to the mean objective gap"),
-        ("probe-eb", "estimate local error-bound constants by sampling"),
-    ):
-        cmd = sub.add_parser(name, help=text)
+    sub = parser.add_subparsers(dest="command", metavar="{%s}" % ",".join(FLOWS))
+    for name in FLOWS:
+        cmd = sub.add_parser(name, help=_HELP[name])
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--seed", type=int, default=None, help="override [experiment] seed")
         cmd.add_argument("--out", default=None, help="override [experiment] output_dir")

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import BregmanSchedule
+from .csvout import fmt, write_csv
 from .model import ProblemInstance, Regularizer
+from .probes import level_margin
 from .prox import coordinate_prox_all, envelope_value, full_prox
 from .solver import Trajectory
 
@@ -45,19 +47,12 @@ def make_check(check: str, name: str, lhs: float, rhs: float, tol: float) -> Che
     return CheckRow(check, name, lhs, rhs, rhs - lhs, lhs <= rhs + tol)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_report_csv(rows, path) -> None:
-    lines = ["check,name,lhs,rhs,slack,pass"]
-    for r in rows:
-        lines.append(
-            f"{r.check},{r.name},{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.slack)},"
-            f"{'true' if r.passed else 'false'}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "check,name,lhs,rhs,slack,pass", (
+        f"{r.check},{r.name},{fmt(r.lhs)},{fmt(r.rhs)},{fmt(r.slack)},"
+        f"{'true' if r.passed else 'false'}"
+        for r in rows
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +137,12 @@ class ConstantsRecord:
         return self.nu / max(self.n_min, 1.0)
 
 
+def sufficient_decrease(m: float, eps_hi: float, L: float) -> float:
+    """a = (m - eps_hi L) / (2 eps_hi): each one-block step lowers F by at
+    least a ||x - T_i(x)||^2."""
+    return (m - eps_hi * L) / (2.0 * eps_hi)
+
+
 def compute_constants(
     m: float, M: float, L: float, eps_lo: float, eps_hi: float,
     N: int, c0: float, eta: float, nu: float,
@@ -158,7 +159,7 @@ def compute_constants(
         raise ValueError("N must be >= 1")
     if not (eta > 0 and nu > 0):
         raise ValueError("eta and nu must be positive")
-    a = (m - eps_hi * L) / (2.0 * eps_hi)
+    a = sufficient_decrease(m, eps_hi, L)
     theta1 = 1.0 + c0 * (L + M / eps_lo)
     theta2 = 1.5 * L + M / (2.0 * eps_lo)
     kappa = theta1**2 * theta2
@@ -192,18 +193,13 @@ def in_neighborhood(p, x, x_bar, f_bar, radius, window, fx=None) -> bool:
     if float(np.linalg.norm(x - x_bar)) > radius:
         return False
     fx = p.objective(x) if fx is None else fx
-    margin = 1e2 * MACH_EPS * (1.0 + abs(f_bar))
-    return f_bar + margin < fx < f_bar + window
+    return f_bar + level_margin(f_bar) < fx < f_bar + window
 
 
 @dataclass
 class ProximityReport:
     hypothesis_met: bool
     rows: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
 
 
 def check_value_proximity(
@@ -349,7 +345,7 @@ def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, points=
     hypotheses with margin and rejection sampling in B(x_bar; eta, nu) stays
     cheap (nu matched to the smooth curvature over the ball)."""
     x_bar = np.asarray(x_bar, dtype=float)
-    a = (sched.m - sched.eps_hi * p.smooth.lipschitz) / (2.0 * sched.eps_hi)
+    a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
     reach = 1.0
     if points is not None:
         f_bar = p.objective(x_bar)

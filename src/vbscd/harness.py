@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import instances as _inst
-from .bregman import BregmanGenerator, BregmanSchedule, harmonic_clipped, validate_schedule
+from .bregman import BregmanSchedule, harmonic_clipped, step_cap, validate_schedule
+from .csvout import fmt, write_csv
 from .diagnostics import (
     CheckRow,
     ConstantsRecord,
@@ -29,6 +30,7 @@ from .diagnostics import (
     expectation_identities,
     fit_linear_rate,
     make_check,
+    sufficient_decrease,
     write_report_csv,
 )
 from .model import L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty
@@ -140,8 +142,6 @@ _SCHEMA = {
     },
 }
 
-_EXPERIMENT_KINDS = ("solve", "verify", "rate", "probe-eb")
-
 
 @dataclass
 class ExperimentConfig:
@@ -204,9 +204,9 @@ def load_config(path) -> ExperimentConfig:
 
     exp = data["experiment"]
     kind = exp.get("kind")
-    if kind not in _EXPERIMENT_KINDS:
+    if kind not in FLOWS:
         raise ConfigError(
-            f"[experiment] kind must be one of {_EXPERIMENT_KINDS}, got {kind!r}"
+            f"[experiment] kind must be one of {tuple(FLOWS)}, got {kind!r}"
         )
     if "kind" not in data["instance"]:
         raise ConfigError("[instance] kind is required")
@@ -235,26 +235,37 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-_INSTANCE_KEYS = {
-    "lasso-1d": set(),
-    "quad-1d": {"target"},
-    "quad-l1-1d": set(),
-    "diag-quadratic": {"eigs"},
-    "lasso-random": {"n", "blocks", "l1_weight", "min_eig", "max_eig", "design_seed"},
-    "quadratic-mcp": {"n", "blocks", "weight", "gamma", "min_eig", "max_eig", "design_seed"},
-    "quadratic-scad": {"n", "blocks", "weight", "a", "min_eig", "max_eig", "design_seed"},
-    "logistic-random": {"n", "blocks", "l1_weight", "rows", "design_seed"},
-    "matrix-file": {"matrix_file", "rhs_file", "blocks", "reg", "lam", "mu", "gamma", "a"},
+def _matrix_file(matrix_file, rhs_file, reg, n_blocks, **params) -> ProblemInstance:
+    A = np.loadtxt(matrix_file, ndmin=2)
+    b = np.loadtxt(rhs_file, ndmin=1)
+    return _inst.matrix_instance(A, b, reg, params, n_blocks)
+
+
+_RANDOM_DESIGN = {"n", "blocks", "min_eig", "max_eig", "design_seed"}
+
+# [instance] kind -> (factory, accepted keys); config keys reach the factory
+# as keyword arguments, renamed through _RENAMES.
+_INSTANCES = {
+    "lasso-1d": (_inst.lasso_1d, set()),
+    "quad-1d": (_inst.quad_1d, {"target"}),
+    "quad-l1-1d": (_inst.quad_l1_1d, set()),
+    "diag-quadratic": (_inst.diag_quadratic, {"eigs"}),
+    "lasso-random": (_inst.lasso_random, _RANDOM_DESIGN | {"l1_weight"}),
+    "quadratic-mcp": (_inst.quadratic_mcp, _RANDOM_DESIGN | {"weight", "gamma"}),
+    "quadratic-scad": (_inst.quadratic_scad, _RANDOM_DESIGN | {"weight", "a"}),
+    "logistic-random": (_inst.logistic_random, {"n", "blocks", "l1_weight", "rows", "design_seed"}),
+    "matrix-file": (_matrix_file, {"matrix_file", "rhs_file", "blocks", "reg", "lam", "mu", "gamma", "a"}),
 }
+_RENAMES = {"blocks": "n_blocks", "design_seed": "seed"}
 
 
 def _validate_instance_keys(cfg: ExperimentConfig) -> None:
     kind = cfg.instance["kind"]
-    if kind not in _INSTANCE_KEYS:
+    if kind not in _INSTANCES:
         raise ConfigError(
-            f"[instance] kind {kind!r} unknown; expected one of {sorted(_INSTANCE_KEYS)}"
+            f"[instance] kind {kind!r} unknown; expected one of {sorted(_INSTANCES)}"
         )
-    extra = set(cfg.instance) - {"kind"} - _INSTANCE_KEYS[kind]
+    extra = set(cfg.instance) - {"kind"} - _INSTANCES[kind][1]
     if extra:
         raise ConfigError(
             f"[instance] keys {sorted(extra)} do not apply to kind {kind!r}"
@@ -273,32 +284,12 @@ def _validate_instance_keys(cfg: ExperimentConfig) -> None:
 def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
     opts = dict(cfg.instance)
     kind = opts.pop("kind")
-    if kind == "lasso-1d":
-        return _inst.lasso_1d()
-    if kind == "quad-1d":
-        return _inst.quad_1d(opts.get("target", 0.0))
-    if kind == "quad-l1-1d":
-        return _inst.quad_l1_1d()
-    if kind == "diag-quadratic":
-        return _inst.diag_quadratic(opts.get("eigs", [1.0, 4.0]))
-    if kind in ("lasso-random", "quadratic-mcp", "quadratic-scad", "logistic-random"):
-        factory = {
-            "lasso-random": _inst.lasso_random,
-            "quadratic-mcp": _inst.quadratic_mcp,
-            "quadratic-scad": _inst.quadratic_scad,
-            "logistic-random": _inst.logistic_random,
-        }[kind]
-        if "blocks" in opts:
-            opts["n_blocks"] = opts.pop("blocks")
-        if "design_seed" in opts:
-            opts["seed"] = opts.pop("design_seed")
-        return factory(**opts)
-    if kind == "matrix-file":
-        A = np.loadtxt(cfg.base_dir / opts["matrix_file"], ndmin=2)
-        b = np.loadtxt(cfg.base_dir / opts["rhs_file"], ndmin=1)
-        params = {k: opts[k] for k in ("lam", "mu", "gamma", "a") if k in opts}
-        return _inst.matrix_instance(A, b, opts["reg"], params, opts["blocks"])
-    raise ConfigError(f"unhandled instance kind {kind!r}")
+    if kind not in _INSTANCES:
+        raise ConfigError(f"unhandled instance kind {kind!r}")
+    return _INSTANCES[kind][0](**{
+        _RENAMES.get(k, k): cfg.base_dir / v if k.endswith("_file") else v
+        for k, v in opts.items()
+    })
 
 
 def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule:
@@ -316,17 +307,12 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
     else:
         raise ConfigError(f"[bregman] weights must be constant|alternating, got {weights!r}")
 
-    L, rho = p.smooth.lipschitz, p.rho_max
-    cap = min(
-        q_lo / L if L > 0 else np.inf,
-        q_lo / rho if rho > 0 else np.inf,
-    )
+    cap = step_cap(q_lo, p)
     rule = br.get("eps_rule", "relative")
     if rule == "constant":
         if "eps" not in br:
             raise ConfigError("[bregman] eps_rule=constant needs key 'eps'")
-        eps_lo = eps_hi = br["eps"]
-        step = None
+        eps = eps_hi = br["eps"]
     elif rule == "relative":
         frac = br.get("eps_fraction", 0.8)
         if not 0 < frac < 1:
@@ -336,14 +322,13 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
                 "[bregman] eps_rule=relative needs a positive curvature bound; "
                 "set eps_rule=constant for flat instances"
             )
-        eps_lo = eps_hi = frac * cap
-        step = None
+        eps = eps_hi = frac * cap
     elif rule == "harmonic-clipped":
         try:
             eps_lo, eps_hi = br["eps_lo"], br["eps_hi"]
         except KeyError as e:
             raise ConfigError(f"[bregman] harmonic-clipped needs {e.args[0]!r}") from None
-        step = harmonic_clipped(eps_lo, eps_hi)
+        eps = (eps_lo, eps_hi, harmonic_clipped(eps_lo, eps_hi))
     else:
         raise ConfigError(f"[bregman] unknown eps_rule {rule!r}")
 
@@ -352,15 +337,8 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
             f"[bregman] eps_hi = {eps_hi} must be < min(m/L, m/rho_max) = {cap}"
         )
     if weights == "constant":
-        if step is None:
-            return BregmanSchedule.constant(p.n, q_lo, eps_hi)
-        gen = BregmanGenerator.uniform(p.n, q_lo)
-        return BregmanSchedule(
-            generator=lambda k: gen, step=step,
-            m=q_lo, M=q_hi, eps_lo=eps_lo, eps_hi=eps_hi,
-        )
-    eps_arg = eps_hi if step is None else (eps_lo, eps_hi, step)
-    return BregmanSchedule.alternating(p.n, q_lo, q_hi, br.get("period", 1), eps_arg)
+        return BregmanSchedule.constant(p.n, q_lo, eps)
+    return BregmanSchedule.alternating(p.n, q_lo, q_hi, br.get("period", 1), eps)
 
 
 def build_solver_config(cfg: ExperimentConfig, sched: BregmanSchedule, seed: int) -> SolverConfig:
@@ -462,12 +440,8 @@ def aggregate_gaps(trajectories, f_bar: float, seeds=None) -> MeanTrajectory:
     )
 
 
-def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
-    """Run R seeded trajectories of the configured experiment.
-
-    Replication r uses the derived stream seed_r = seed XOR (r * golden);
-    any aborted replication fails the whole experiment with its id.
-    """
+def _setup(cfg: ExperimentConfig):
+    """Instance, schedule and reference value of the configured experiment."""
     p = build_instance(cfg)
     sched = build_schedule(cfg, p)
     ref = resolve_reference_value(
@@ -476,6 +450,16 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
         max_steps=cfg.reference.get("max_steps", 100_000),
         tolerance=cfg.reference.get("tolerance", 1e-12),
     )
+    return p, sched, ref
+
+
+def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
+    """Run R seeded trajectories of the configured experiment.
+
+    Replication r uses the derived stream seed_r = seed XOR (r * golden);
+    any aborted replication fails the whole experiment with its id.
+    """
+    p, sched, ref = _setup(cfg)
     x0_mode = cfg.solver.get("x0", "zeros")
     if x0_mode not in ("zeros", "near-start"):
         raise ConfigError(f"[solver] x0 must be zeros|near-start, got {x0_mode!r}")
@@ -508,40 +492,30 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_mean_csv(mean: MeanTrajectory, path) -> None:
-    lines = ["k,mean_gap,var_gap"]
-    for k, (mg, vg) in enumerate(zip(mean.mean_gap, mean.var_gap)):
-        lines.append(f"{k},{_fmt(mg)},{_fmt(vg)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "k,mean_gap,var_gap", (
+        f"{k},{fmt(mg)},{fmt(vg)}"
+        for k, (mg, vg) in enumerate(zip(mean.mean_gap, mean.var_gap))
+    ))
 
 
 def write_rate_csv(report: RateReport, n_replications: int, path) -> None:
-    beta = "" if report.beta_theory is None else _fmt(report.beta_theory)
-    lines = [
-        "factor,r_squared,window_start,window_stop,n_replications,label,beta_theory",
-        f"{_fmt(report.factor)},{_fmt(report.r_squared)},{report.window_start},"
+    beta = "" if report.beta_theory is None else fmt(report.beta_theory)
+    header = "factor,r_squared,window_start,window_stop,n_replications,label,beta_theory"
+    write_csv(path, header, [
+        f"{fmt(report.factor)},{fmt(report.r_squared)},{report.window_start},"
         f"{report.window_stop},{n_replications},{report.label},{beta}",
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ])
 
 
 def write_near_start_csv(rows, path) -> None:
-    lines = ["replication,max_dist,stayed"]
-    for r in rows:
-        lines.append(f"{r.replication},{_fmt(r.max_dist)},{'true' if r.stayed else 'false'}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "replication,max_dist,stayed", (
+        f"{r.replication},{fmt(r.max_dist)},{'true' if r.stayed else 'false'}" for r in rows
+    ))
 
 
 def write_replication_outputs(res: ReplicationResult, out_dir) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     width = max(3, len(str(len(res.trajectories) - 1)))
     for r, traj in enumerate(res.trajectories):
         write_trajectory_csv(traj, out / f"traj_{r:0{width}d}.csv", f_bar=res.reference.value)
@@ -631,9 +605,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     envelope chain, and the local proximity/level checks driven by a probed
     error-bound constant (inflated by 1.1 before use).
     """
-    p = build_instance(cfg)
-    sched = build_schedule(cfg, p)
-    ref = resolve_reference_value(p, sched, cfg.reference.get("source", "auto"))
+    p, sched, ref = _setup(cfg)
     n_points = cfg.verify.get("points", 1000)
     n_prox = cfg.verify.get("prox_queries", 1000)
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _VERIFY_STREAM)))
@@ -684,18 +656,15 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     # prox layer: optimality certificate, identities, decrease, envelope
     rows.append(_worst(_certificate_row(p, gen0, eps0, x) for x in pts[:200]))
 
-    def _identity_rows():
-        for x in pts:
-            dev = expectation_identities(p, gen0, eps0, x)
-            yield dev
     worst_dev = {"mean-point": 0.0, "penalty-mixing": 0.0, "squared-step": 0.0}
-    for dev in _identity_rows():
+    for x in pts:
+        dev = expectation_identities(p, gen0, eps0, x)
         for k in worst_dev:
             worst_dev[k] = max(worst_dev[k], dev[k])
     for name, v in worst_dev.items():
         rows.append(make_check("expectation-identity", name, v, 0.0, 1e-12))
 
-    a = (m - sched.eps_hi * L) / (2.0 * sched.eps_hi)
+    a = sufficient_decrease(m, sched.eps_hi, L)
     dec_rows, env_rows, upper_rows = [], [], []
     for x in pts:
         fx = p.objective(x)
@@ -910,9 +879,7 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
 
 def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
     _require_kind(cfg, "probe-eb")
-    p = build_instance(cfg)
-    sched = build_schedule(cfg, p)
-    ref = resolve_reference_value(p, sched, cfg.reference.get("source", "auto"))
+    p, sched, ref = _setup(cfg)
     eta, nu = _neighborhood(cfg, p, sched, ref, _scout(p, sched, cfg, ref))
     samples = cfg.probe.get("samples", 10_000)
     kinds = [k.strip() for k in cfg.probe.get("kinds", "ls-eb").split(",") if k.strip()]
@@ -945,7 +912,6 @@ def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
             f"({est.samples} accepted samples, oracle={est.oracle})"
         )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_probe_csv(estimates, out / "eb_report.csv")
     print(f"wrote eb_report.csv to {out}")
     return 0
@@ -955,7 +921,6 @@ def run_verify(cfg: ExperimentConfig, out_dir) -> int:
     _require_kind(cfg, "verify")
     rows = run_verification(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_report_csv(rows, out / "verify_report.csv")
     n_pass = sum(r.passed for r in rows)
     for r in rows:
@@ -965,7 +930,8 @@ def run_verify(cfg: ExperimentConfig, out_dir) -> int:
     return 0 if n_pass == len(rows) else 1
 
 
-_FLOWS = {
+# subcommand -> flow; also the list of [experiment] kinds and CLI subcommands
+FLOWS = {
     "solve": run_solve,
     "verify": run_verify,
     "rate": run_rate,
@@ -981,4 +947,4 @@ def run_experiment(config_path, subcommand: str, seed=None, out_dir=None) -> int
             raise ConfigError("--seed must fit in 64 bits")
         cfg.seed = seed
     out = out_dir if out_dir is not None else cfg.base_dir / cfg.out_dir
-    return _FLOWS[subcommand](cfg, out)
+    return FLOWS[subcommand](cfg, out)

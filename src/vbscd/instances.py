@@ -53,7 +53,7 @@ def quad_l1_1d() -> ProblemInstance:
     )
 
 
-def diag_quadratic(eigs) -> ProblemInstance:
+def diag_quadratic(eigs=(1.0, 4.0)) -> ProblemInstance:
     """0.5 x^T diag(eigs) x, one coordinate per block, minimizer 0."""
     eigs = np.asarray(eigs, dtype=float)
     if np.any(eigs <= 0):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import BregmanGenerator
+from .csvout import fmt, write_csv
 from .model import ProblemInstance, UnsupportedInstanceError
 from .prox import full_prox
 from .solver import sample_in_ball
@@ -48,21 +49,16 @@ class ErrorBoundEstimate:
     radius: float | None = None  # lt-eb only
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_probe_csv(estimates, path) -> None:
-    lines = ["kind,constant,value,samples,eta,nu,level,radius,oracle,extremal"]
-    for e in estimates:
-        opt = [("" if v is None else _fmt(v)) for v in (e.eta, e.nu, e.level, e.radius)]
-        extremal = ";".join(_fmt(v) for v in np.asarray(e.extremal_point).ravel())
-        lines.append(
-            f"{e.kind},{e.constant_name},{_fmt(e.value)},{e.samples},"
+    def row(e):
+        opt = [("" if v is None else fmt(v)) for v in (e.eta, e.nu, e.level, e.radius)]
+        extremal = ";".join(fmt(v) for v in np.asarray(e.extremal_point).ravel())
+        return (
+            f"{e.kind},{e.constant_name},{fmt(e.value)},{e.samples},"
             f"{opt[0]},{opt[1]},{opt[2]},{opt[3]},{e.oracle},{extremal}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "kind,constant,value,samples,eta,nu,level,radius,oracle,extremal"
+    write_csv(path, header, map(row, estimates))
 
 
 def sample_level_ball(

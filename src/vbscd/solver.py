@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import BregmanSchedule, validate_schedule
+from .csvout import fmt, write_csv
 from .model import ProblemInstance
 from .prox import coordinate_prox, prox_residual
 
@@ -170,23 +171,14 @@ def near_start_point(x_bar: np.ndarray, radius: float, seed: int) -> np.ndarray:
     return sample_in_ball(x_bar, radius, rng)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path, f_bar: float | None = None) -> None:
     """One row per step: k, i_k, F, gap, step_norm, prox_residual.
 
     gap is left empty when no reference value is known; prox_residual is
-    empty on iterations where it was not measured.  Floats carry 17
-    significant digits so files round-trip exactly.
+    empty on iterations where it was not measured.
     """
-    lines = ["k,i_k,F,gap,step_norm,prox_residual"]
-    for rec in traj.records:
-        gap = "" if f_bar is None else _fmt(rec.objective - f_bar)
-        resid = "" if rec.prox_residual is None else _fmt(rec.prox_residual)
-        lines.append(
-            f"{rec.k},{rec.block},{_fmt(rec.objective)},{gap},{_fmt(rec.step_norm)},{resid}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    def row(rec):
+        gap = "" if f_bar is None else fmt(rec.objective - f_bar)
+        resid = "" if rec.prox_residual is None else fmt(rec.prox_residual)
+        return f"{rec.k},{rec.block},{fmt(rec.objective)},{gap},{fmt(rec.step_norm)},{resid}"
+    write_csv(path, "k,i_k,F,gap,step_norm,prox_residual", map(row, traj.records))

@@ -8,6 +8,7 @@ from vbscd import (
     harmonic_clipped,
     validate_schedule,
 )
+from vbscd.bregman import step_cap
 from vbscd.instances import lasso_1d, lasso_random
 
 
@@ -86,6 +87,23 @@ def test_cap_includes_semiconvexity_modulus():
     ok = validate_schedule(BregmanSchedule.constant(1, 1.0, 1.9), p, 5)
     bad = validate_schedule(BregmanSchedule.constant(1, 1.0, 2.0), p, 5)
     assert ok.ok and not bad.ok
+
+
+def test_step_cap_is_the_smaller_curvature_bound():
+    from vbscd import BlockPartition, McpPenalty, make_quadratic_problem
+
+    assert step_cap(2.0, lasso_1d()) == 2.0 / 1.01  # convex penalty: m/L
+    flat = make_quadratic_problem(
+        np.zeros((1, 1)), np.zeros(1), [McpPenalty(1.0, 2.0)], BlockPartition((1,))
+    )
+    assert step_cap(1.0, flat) == 2.0  # L = 0: m/rho with rho = 0.5
+
+
+def test_constant_schedule_takes_a_step_rule():
+    sched = BregmanSchedule.constant(3, 2.0, (0.1, 0.8, harmonic_clipped(0.1, 0.8)))
+    assert (sched.m, sched.M, sched.eps_lo, sched.eps_hi) == (2.0, 2.0, 0.1, 0.8)
+    assert [sched.step(k) for k in (0, 1, 100)] == [0.8, 0.4, 0.1]
+    assert np.array_equal(sched.generator(5).weights, np.full(3, 2.0))
 
 
 def test_alternating_schedule_weights_flip():

@@ -145,6 +145,24 @@ def test_build_schedule_alternating_with_harmonic_clip(tmp_path):
     assert steps[50] < steps[0]
 
 
+def test_build_schedule_constant_weights_with_harmonic_clip(tmp_path):
+    text = BASE.replace(
+        "eps_rule = constant\neps = 0.5",
+        "eps_rule = harmonic-clipped\neps_lo = 0.05\neps_hi = 0.4",
+    )
+    cfg = load_config(write_cfg(tmp_path, text))
+    sched = build_schedule(cfg, build_instance(cfg))
+    assert (sched.m, sched.M, sched.eps_lo, sched.eps_hi) == (1.0, 1.0, 0.05, 0.4)
+    assert sched.generator(0).weights[0] == sched.generator(9).weights[0] == 1.0
+    assert [sched.step(k) for k in (0, 1, 100)] == [0.4, 0.2, 0.05]
+
+
+def test_diag_quadratic_defaults_to_two_curvatures(tmp_path):
+    text = BASE.replace("kind = lasso-1d", "kind = diag-quadratic")
+    p = build_instance(load_config(write_cfg(tmp_path, text)))
+    assert np.array_equal(np.diag(p.smooth.A.T @ p.smooth.A), [1.0, 4.0])
+
+
 def test_build_schedule_rejects_step_cap_violation(tmp_path):
     text = BASE.replace("eps = 0.5", "eps = 0.999")  # cap is 1/1.01 ~ 0.990
     cfg = load_config(write_cfg(tmp_path, text))
@@ -281,6 +299,22 @@ def test_writers_golden(tmp_path):
         "replication,max_dist,stayed\n0,0.25,true\n"
     )
 
+    # the shared writer creates missing directories, ends every line with a
+    # bare LF (trailing one included) and keeps all 17 significant digits
+    third = 1.0 / 3.0
+    deep = tmp_path / "missing" / "deeper" / "near_start.csv"
+    write_near_start_csv(
+        [harness.NearStartRow(0, 0.25, True), harness.NearStartRow(1, third, False)], deep
+    )
+    assert deep.read_bytes() == (
+        b"replication,max_dist,stayed\n0,0.25,true\n1,0.33333333333333331,false\n"
+    )
+    assert float(deep.read_text().splitlines()[2].split(",")[1]) == third
+
+    empty = tmp_path / "empty" / "near_start.csv"
+    write_near_start_csv([], empty)
+    assert empty.read_bytes() == b"replication,max_dist,stayed\n"
+
 
 def test_write_replication_outputs_layout(tmp_path):
     p = lasso_1d()
@@ -309,6 +343,27 @@ def test_run_experiment_checks_kind(tmp_path):
     path = write_cfg(tmp_path, BASE)
     with pytest.raises(ConfigError, match="kind"):
         harness.run_experiment(path, "rate")
+
+
+class _ReferenceReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["solve", "rate", "verify", "probe-eb"])
+def test_every_flow_passes_the_reference_settings(tmp_path, monkeypatch, kind):
+    seen = []
+
+    def spy(p, sched, source="auto", max_steps=100_000, tolerance=1e-12, x0=None):
+        seen.append((source, max_steps, tolerance))
+        raise _ReferenceReached
+
+    monkeypatch.setattr(harness, "resolve_reference_value", spy)
+    text = BASE.replace("kind = solve", f"kind = {kind}") + (
+        "\n[reference]\nsource = best-found\nmax_steps = 7\ntolerance = 1e-5\n"
+    )
+    with pytest.raises(_ReferenceReached):
+        harness.run_experiment(write_cfg(tmp_path, text), kind, out_dir=tmp_path / "out")
+    assert seen == [("best-found", 7, 1e-5)]
 
 
 def test_run_experiment_solve_writes_outputs(tmp_path):
