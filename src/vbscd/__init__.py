@@ -66,7 +66,6 @@ from .solver import (
     near_start_point,
     run,
     sample_in_ball,
-    vbscd_step,
     write_trajectory_csv,
 )
 from . import instances

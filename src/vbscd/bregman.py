@@ -132,6 +132,12 @@ def step_cap(m: float, p: ProblemInstance) -> float:
     return min(m / L if L > 0 else np.inf, m / rho if rho > 0 else np.inf)
 
 
+def sufficient_decrease(m: float, eps_hi: float, L: float) -> float:
+    """a = (m - eps_hi L) / (2 eps_hi): each one-block step lowers F by at
+    least a ||x - T_i(x)||^2."""
+    return (m - eps_hi * L) / (2.0 * eps_hi)
+
+
 @dataclass(frozen=True)
 class ScheduleReport:
     ok: bool
@@ -145,8 +151,9 @@ def validate_schedule(sched: BregmanSchedule, p: ProblemInstance, horizon: int) 
 
     Verifies eps_hi < :func:`step_cap` and, for every k < horizon, that the
     generator weights stay inside [m, M] and the step inside [eps_lo,
-    eps_hi].  Reports the first violating iteration and the offending
-    quantity.
+    eps_hi].  The weights of one generator object are checked the first
+    time it appears.  Reports the first violating iteration and the
+    offending quantity.
     """
     cap = step_cap(sched.m, p)
     if not sched.eps_hi < cap:
@@ -154,15 +161,23 @@ def validate_schedule(sched: BregmanSchedule, p: ProblemInstance, horizon: int) 
             False, 0, "eps_hi",
             f"eps_hi = {sched.eps_hi} must be < min(m/L, m/rho_max) = {cap}",
         )
+    # id -> generator; holding the object keeps its id from being reused by
+    # a fresh generator, and the clear keeps the memory bounded
+    checked: dict[int, BregmanGenerator] = {}
     for k in range(horizon):
-        w = sched.generator(k).weights
-        if w.shape != (p.n,):
-            return ScheduleReport(False, k, "weights", f"weights at k={k} have shape {w.shape}")
-        if float(w.min()) < sched.m or float(w.max()) > sched.M:
-            return ScheduleReport(
-                False, k, "weights",
-                f"weights at k={k} leave the declared range [{sched.m}, {sched.M}]",
-            )
+        gen = sched.generator(k)
+        if checked.get(id(gen)) is not gen:
+            w = gen.weights
+            if w.shape != (p.n,):
+                return ScheduleReport(False, k, "weights", f"weights at k={k} have shape {w.shape}")
+            if float(w.min()) < sched.m or float(w.max()) > sched.M:
+                return ScheduleReport(
+                    False, k, "weights",
+                    f"weights at k={k} leave the declared range [{sched.m}, {sched.M}]",
+                )
+            if len(checked) >= 8:
+                checked.clear()
+            checked[id(gen)] = gen
         e = sched.step(k)
         if not sched.eps_lo <= e <= sched.eps_hi:
             return ScheduleReport(

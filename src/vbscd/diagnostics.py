@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import BregmanSchedule
+from .bregman import BregmanSchedule, sufficient_decrease
 from .csvout import fmt, write_csv
 from .model import ProblemInstance, Regularizer
 from .probes import level_margin
@@ -135,12 +135,6 @@ class ConstantsRecord:
         B(x_bar; eta, nu) even when n_min < 1.
         """
         return self.nu / max(self.n_min, 1.0)
-
-
-def sufficient_decrease(m: float, eps_hi: float, L: float) -> float:
-    """a = (m - eps_hi L) / (2 eps_hi): each one-block step lowers F by at
-    least a ||x - T_i(x)||^2."""
-    return (m - eps_hi * L) / (2.0 * eps_hi)
 
 
 def compute_constants(

@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import instances as _inst
-from .bregman import BregmanSchedule, harmonic_clipped, step_cap, validate_schedule
+from .bregman import (
+    BregmanSchedule,
+    harmonic_clipped,
+    step_cap,
+    sufficient_decrease,
+    validate_schedule,
+)
 from .csvout import fmt, write_csv
 from .diagnostics import (
     CheckRow,
@@ -30,7 +36,6 @@ from .diagnostics import (
     expectation_identities,
     fit_linear_rate,
     make_check,
-    sufficient_decrease,
     write_report_csv,
 )
 from .model import L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty

@@ -11,6 +11,10 @@ slice)`` pairs: contiguous blocks with the same penalty (one object, or one
 class with equal scalar parameters) share a slice, so g, its subdifferential
 box and the full prox cost one numpy call per group.  ``objective_rows(X)``
 evaluates F on each row of a stack of points (the N one-block targets, a grid).
+
+Smooth terms also expose a state protocol (``state``, ``state_value``,
+``block_grad``, ``move``; see :class:`SmoothTerm`) through which the solver
+follows f one block at a time.
 """
 from __future__ import annotations
 
@@ -89,7 +93,16 @@ def largest_eigenvalue_sym(S: np.ndarray) -> float:
 
 
 class SmoothTerm:
-    """Smooth part f of the objective; subclasses fill value/grad/lipschitz."""
+    """Smooth part f of the objective; subclasses fill value/grad/lipschitz.
+
+    The solver moves one block per step and reads f through a small state
+    protocol: ``state(x)`` builds what f is computed from, ``state_value(s)``
+    and ``block_grad(s, sl)`` give f and the gradient on the coordinates
+    ``sl``, and ``move(s, sl, old, new)`` updates s in place after block
+    ``sl`` of x went from ``old`` to ``new``.  The defaults keep a copy of x
+    and call value/grad on it, which is the exact full-vector path; least
+    squares and logistic keep A x, so a step costs O(rows * block width).
+    """
 
     kind = "custom"
     lipschitz: float
@@ -104,9 +117,24 @@ class SmoothTerm:
         """f on each row of X; subclasses with a matrix form vectorize it."""
         return np.array([self.value(row) for row in X], dtype=float)
 
+    def state(self, x: np.ndarray) -> np.ndarray:
+        return np.array(x, dtype=float)
+
+    def state_value(self, s: np.ndarray) -> float:
+        return self.value(s)
+
+    def block_grad(self, s: np.ndarray, sl: slice) -> np.ndarray:
+        return self.grad(s)[sl]
+
+    def move(self, s: np.ndarray, sl: slice, old: np.ndarray, new: np.ndarray) -> None:
+        s[sl] = new
+
 
 class QuadraticLeastSquares(SmoothTerm):
-    """f(x) = 0.5 ||A x - b||^2 with L = 1.01 * lambda_max(A^T A)."""
+    """f(x) = 0.5 ||A x - b||^2 with L = 1.01 * lambda_max(A^T A).
+
+    The solver state is the residual r = A x - b.
+    """
 
     kind = "quadratic-least-squares"
 
@@ -122,8 +150,7 @@ class QuadraticLeastSquares(SmoothTerm):
         self.lipschitz = 1.01 * largest_eigenvalue_sym(self._gram)
 
     def value(self, x):
-        r = self.A @ x - self.b
-        return 0.5 * float(r @ r)
+        return self.state_value(self.state(x))
 
     def grad(self, x):
         return self._gram @ x - self._atb
@@ -132,11 +159,25 @@ class QuadraticLeastSquares(SmoothTerm):
         r = X @ self.A.T - self.b
         return 0.5 * np.sum(r * r, axis=1)
 
+    def state(self, x):
+        return self.A @ x - self.b
+
+    def state_value(self, s):
+        return 0.5 * float(s @ s)
+
+    def block_grad(self, s, sl):
+        # column views of A, never a copy
+        return self.A[:, sl].T @ s
+
+    def move(self, s, sl, old, new):
+        s += self.A[:, sl] @ (new - old)
+
 
 class LogisticLoss(SmoothTerm):
     """f(x) = sum_i log(1 + exp(-y_i a_i^T x)), labels y in {-1, +1}.
 
-    L = 1.01 * lambda_max(A^T A) / 4.
+    L = 1.01 * lambda_max(A^T A) / 4.  The solver state is z = A x (the
+    margins are y * z).
     """
 
     kind = "logistic"
@@ -153,18 +194,28 @@ class LogisticLoss(SmoothTerm):
         self.lipschitz = 1.01 * largest_eigenvalue_sym(A.T @ A) / 4.0
 
     def value(self, x):
-        margins = self.y * (self.A @ x)
-        return float(np.sum(np.logaddexp(0.0, -margins)))
+        return self.state_value(self.state(x))
 
     def value_rows(self, X):
         margins = (X @ self.A.T) * self.y
         return np.sum(np.logaddexp(0.0, -margins), axis=1)
 
     def grad(self, x):
-        margins = self.y * (self.A @ x)
+        return self.block_grad(self.state(x), slice(None))
+
+    def state(self, x):
+        return self.A @ x
+
+    def state_value(self, s):
+        return float(np.sum(np.logaddexp(0.0, -(self.y * s))))
+
+    def block_grad(self, s, sl):
         # sigmoid(-m) written via tanh for overflow safety
-        s = 0.5 * (1.0 - np.tanh(0.5 * margins))
-        return -self.A.T @ (self.y * s)
+        sig = 0.5 * (1.0 - np.tanh(0.5 * (self.y * s)))
+        return -(self.A[:, sl].T @ (self.y * sig))
+
+    def move(self, s, sl, old, new):
+        s += self.A[:, sl] @ (new - old)
 
 
 class CustomSmooth(SmoothTerm):

@@ -42,12 +42,13 @@ def _prep(p: ProblemInstance, gen: BregmanGenerator, eps: float, x) -> np.ndarra
     return x
 
 
-def _block_target(p, gen, eps, x, grad, i) -> np.ndarray:
-    """New values for block i (other coordinates stay put)."""
+def _block_target(p, gen, eps, x, grad_i, i) -> np.ndarray:
+    """New values for block i (other coordinates stay put), from block i's
+    part ``grad_i`` of grad f(x)."""
     sl = p.partition.block_slice(i)
     q = gen.weights[sl]
     w = q / eps
-    v = x[sl] - (eps / q) * grad[sl]
+    v = x[sl] - (eps / q) * grad_i
     return scalar_prox(p.regularizers[i], w, v)
 
 
@@ -62,12 +63,17 @@ def _full_target(p, gen, eps, x, grad) -> np.ndarray:
     return y
 
 
-def coordinate_prox(p, gen, eps, x, i: int, *, grad=None) -> np.ndarray:
-    """One-block map T_i(x): minimize over block i only."""
+def coordinate_prox(p, gen, eps, x, i: int, *, block_grad=None) -> np.ndarray:
+    """One-block map T_i(x): minimize over block i only.
+
+    ``block_grad`` is block i's part of grad f(x) when the caller already
+    has it (the solver reads it off its incremental state).
+    """
     x = _prep(p, gen, eps, x)
-    g = p.smooth.grad(x) if grad is None else grad
+    sl = p.partition.block_slice(i)
+    g = p.smooth.grad(x)[sl] if block_grad is None else block_grad
     y = x.copy()
-    y[p.partition.block_slice(i)] = _block_target(p, gen, eps, x, g, i)
+    y[sl] = _block_target(p, gen, eps, x, g, i)
     return y
 
 

@@ -1,8 +1,15 @@
 """Randomized block coordinate descent driver.
 
-Each iteration draws one block index uniformly (a single PCG64 draw, so a
-trajectory is a pure function of its seed) and applies the one-block prox
-map under the schedule's geometry for that iteration.  Termination is by a
+Each iteration draws one block index uniformly and applies the one-block
+prox map under the schedule's geometry for that iteration.  Indices come
+from ``rng.random(size)`` in bounded chunks, which yields the same doubles
+as one ``rng.random()`` per step, so a trajectory is a pure function of its
+seed.  The smooth term is read through its state protocol
+(:class:`~vbscd.model.SmoothTerm`): least squares keeps the residual and
+logistic the products A x, so a step costs work in proportion to its block;
+the state is rebuilt exactly at every check period, so rounding drift does
+not accumulate past one period.  A step that breaks the sufficient decrease
+the schedule guarantees raises :class:`SolverAbort`.  Termination is by a
 periodic full-map residual check or an iteration cap.
 """
 from __future__ import annotations
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import BregmanSchedule, validate_schedule
+from .bregman import BregmanSchedule, sufficient_decrease, validate_schedule
 from .csvout import fmt, write_csv
 from .model import ProblemInstance
 from .prox import coordinate_prox, prox_residual
@@ -20,10 +27,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 # second splitmix64 constant; keeps start-point sampling off the index stream
 _X0_STREAM = 0x94D049BB133111EB
+_DRAW_CHUNK = 4096  # block draws per rng call; bounds the buffer at any max_iters
 
 
 class SolverAbort(RuntimeError):
-    """Raised when the objective stops being finite along a run."""
+    """Raised when the objective stops being finite, or a step breaks the
+    sufficient decrease, along a run."""
 
 
 def derive_seed(base_seed: int, replication: int) -> int:
@@ -101,22 +110,21 @@ class Trajectory:
         return self.objectives() - f_bar
 
 
-def vbscd_step(p: ProblemInstance, sched: BregmanSchedule, k: int, x, rng) -> tuple[int, np.ndarray]:
-    """One iteration: draw a block uniformly, apply its prox map.
-
-    Consumes exactly one rng draw, so the index sequence is reproducible
-    from the seed alone.
-    """
-    n_blocks = p.n_blocks
-    i = min(int(rng.random() * n_blocks), n_blocks - 1)
-    return i, coordinate_prox(p, sched.generator(k), sched.step(k), x, i)
+def _block_draws(rng, n_blocks: int, n: int):
+    """n uniform block indices, one double each, drawn in bounded chunks."""
+    for start in range(0, n, _DRAW_CHUNK):
+        u = rng.random(min(_DRAW_CHUNK, n - start))
+        yield from np.minimum((u * n_blocks).astype(np.int64), n_blocks - 1).tolist()
 
 
 def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
     """Iterate until the periodic residual check passes or max_iters is hit.
 
-    The schedule is validated over the whole horizon before the first step;
-    a non-finite objective raises :class:`SolverAbort` with the iteration.
+    The schedule is validated over the whole horizon before the first step.
+    :class:`SolverAbort` names the iteration at which the objective stops
+    being finite, or at which F(x^{k+1}) > F(x^k) - a ||x^k - x^{k+1}||^2
+    beyond a rounding slack (a from :func:`sufficient_decrease`; this is how
+    an understated Lipschitz constant shows).
     """
     sched = config.schedule
     report = validate_schedule(sched, p, config.max_iters)
@@ -128,20 +136,37 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
         raise SolverAbort(f"objective not finite at the start point ({f0})")
     period = config.check_period if config.check_period is not None else p.n_blocks
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    smooth = p.smooth
+    a = sufficient_decrease(sched.m, sched.eps_hi, smooth.lipschitz)
 
+    s = smooth.state(x)
+    f = f0
     records: list[IterateRecord] = []
     termination = "max_iters"
-    for k in range(config.max_iters):
-        i, x_next = vbscd_step(p, sched, k, x, rng)
-        f_next = p.objective(x_next)
+    for k, i in enumerate(_block_draws(rng, p.n_blocks, config.max_iters)):
+        sl = p.partition.block_slice(i)
+        x_next = coordinate_prox(
+            p, sched.generator(k), sched.step(k), x, i, block_grad=smooth.block_grad(s, sl)
+        )
+        check = (k + 1) % period == 0
+        if check:
+            s = smooth.state(x_next)
+        else:
+            smooth.move(s, sl, x[sl], x_next[sl])
+        f_next = smooth.state_value(s) + p.penalty_value(x_next)
         if not np.isfinite(f_next):
             raise SolverAbort(f"objective not finite at iteration {k} ({f_next})")
         step_norm = float(np.linalg.norm(x - x_next))
+        if f_next > f - a * step_norm**2 + 1e-12 * (1.0 + abs(f)):
+            raise SolverAbort(
+                f"sufficient decrease fails at iteration {k}: F went from {f!r} to "
+                f"{f_next!r} over a step of norm {step_norm!r} (a = {a!r})"
+            )
         resid = None
-        if (k + 1) % period == 0:
+        if check:
             resid = prox_residual(p, sched.generator(k + 1), sched.step(k + 1), x_next)
         records.append(IterateRecord(k, i, x_next, f_next, step_norm, resid))
-        x = x_next
+        x, f = x_next, f_next
         if resid is not None and resid <= config.tolerance:
             termination = "tolerance"
             break

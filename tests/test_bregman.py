@@ -164,3 +164,39 @@ def test_schedule_declared_bounds_validated():
         BregmanSchedule.constant(2, 1.0, -0.1)
     with pytest.raises(ValueError):
         BregmanSchedule.alternating(2, 2.0, 1.0, 1, 0.1)  # q_lo > q_hi
+
+
+class _CountingGenerator:
+    """Duck-typed generator that counts reads of its weights."""
+
+    def __init__(self, weights):
+        self._weights = np.asarray(weights, dtype=float)
+        self.reads = 0
+
+    @property
+    def weights(self):
+        self.reads += 1
+        return self._weights
+
+
+def test_each_generator_object_checked_once():
+    lo, hi = _CountingGenerator(np.full(2, 1.0)), _CountingGenerator(np.full(2, 2.0))
+    sched = BregmanSchedule(
+        generator=lambda k: (lo, hi)[k % 2], step=lambda k: 0.1,
+        m=1.0, M=2.0, eps_lo=0.1, eps_hi=0.1,
+    )
+    assert validate_schedule(sched, lasso_random(n=2, n_blocks=1, seed=2), 100).ok
+    assert (lo.reads, hi.reads) == (1, 1)
+
+
+def test_fresh_generator_each_step_is_checked():
+    # a new object per k, dropped right after: a reused id must not let the
+    # bad generator at k = 20 pass as one already checked
+    sched = BregmanSchedule(
+        generator=lambda k: BregmanGenerator.uniform(2, 3.0 if k == 20 else 1.0),
+        step=lambda k: 0.1, m=1.0, M=2.0, eps_lo=0.1, eps_hi=0.1,
+    )
+    report = validate_schedule(sched, lasso_random(n=2, n_blocks=1, seed=2), 30)
+    assert not report.ok
+    assert report.first_violation_k == 20
+    assert report.quantity == "weights"

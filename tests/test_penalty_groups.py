@@ -61,7 +61,8 @@ def per_block_targets(p, gen, eps, x):
     out = []
     for i in range(p.n_blocks):
         y = x.copy()
-        y[p.partition.block_slice(i)] = _block_target(p, gen, eps, x, g, i)
+        sl = p.partition.block_slice(i)
+        y[sl] = _block_target(p, gen, eps, x, g[sl], i)
         out.append(y)
     return out
 
@@ -70,7 +71,8 @@ def per_block_full_prox(p, gen, eps, x):
     g = p.smooth.grad(x)
     y = x.copy()
     for i in range(p.n_blocks):
-        y[p.partition.block_slice(i)] = _block_target(p, gen, eps, x, g, i)
+        sl = p.partition.block_slice(i)
+        y[sl] = _block_target(p, gen, eps, x, g[sl], i)
     return y
 
 

@@ -29,3 +29,28 @@ def test_benchmark_bindings_resolve():
     ]
     assert layers._FUNCTIONS and layers._METHODS
     assert missing == []
+
+
+def test_solver_run_result_has_what_the_trace_reads():
+    # the traced run's hook on solver.run reads len(records), termination
+    # and x0.size off the returned trajectory
+    from vbscd import BregmanSchedule, SolverConfig, run
+    from vbscd.instances import lasso_random
+
+    class Counts:
+        def __init__(self):
+            self.seen = {}
+
+        def count(self, name, value):
+            self.seen[name] = self.seen.get(name, 0) + value
+
+    p = lasso_random(n=10, n_blocks=5, seed=21)
+    traj = run(p, SolverConfig(schedule=BregmanSchedule.constant(10, 1.0, 0.1),
+                               max_iters=7, tolerance=0.0, seed=1))
+    tr = Counts()
+    _layers()._on_solver_run(tr, (), {}, traj)
+    assert tr.seen == {
+        "solver.iterations": 7,
+        "solver.tolerance_stops": 0,
+        "solver.points_bytes": 7 * 10 * 8,
+    }

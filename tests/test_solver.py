@@ -12,7 +12,6 @@ from vbscd import (
     near_start_point,
     run,
     sample_in_ball,
-    vbscd_step,
     write_trajectory_csv,
 )
 from vbscd.model import BlockPartition, ProblemInstance
@@ -87,6 +86,19 @@ def test_one_rng_draw_per_step():
     assert traj.blocks().tolist() == expected
 
 
+def test_chunked_draws_equal_per_step_draws():
+    # past two chunk boundaries of the solver's batched index draws
+    from vbscd.solver import _DRAW_CHUNK
+
+    p = lasso_random(n=6, n_blocks=3, seed=21)
+    sched = BregmanSchedule.constant(6, 1.0, 0.1)
+    steps = 2 * _DRAW_CHUNK + 3
+    traj = run(p, SolverConfig(schedule=sched, max_iters=steps, tolerance=0.0,
+                               check_period=steps, seed=5))
+    rng = np.random.Generator(np.random.PCG64(5))
+    assert traj.blocks().tolist() == [min(int(rng.random() * 3), 2) for _ in range(steps)]
+
+
 def test_objective_monotone_along_trajectory():
     p = lasso_random(n=20, n_blocks=4, seed=2)
     sched = BregmanSchedule.constant(20, 1.0, 0.8 / p.smooth.lipschitz)
@@ -139,16 +151,44 @@ def test_trajectory_helpers():
     assert empty.final_residual is None
 
 
-def test_vbscd_step_applies_drawn_block():
+def test_single_step_applies_drawn_block():
     p = lasso_random(n=10, n_blocks=5, seed=21)
     sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    traj = run(p, SolverConfig(schedule=sched, max_iters=1, tolerance=0.0, seed=42))
+    (rec,) = traj.records
     rng = np.random.Generator(np.random.PCG64(42))
-    x = np.zeros(10)
-    i, x_next = vbscd_step(p, sched, 0, x, rng)
-    sl = p.partition.block_slice(i)
-    changed = ~np.isclose(x_next, x)
+    assert rec.block == min(int(rng.random() * 5), 4)
+    sl = p.partition.block_slice(rec.block)
+    changed = ~np.isclose(rec.point, traj.x0)
     assert changed.any()
     assert not changed[np.r_[0:sl.start, sl.stop:10]].any()
+
+
+def test_abort_on_broken_sufficient_decrease():
+    # f = 0.5 (x0^2 + 3.2 x1^2) claims L = 1: steps on block 0 decrease F as
+    # promised, the first step on block 1 overshoots (x1 -> -0.6 x1) and F
+    # falls by less than a ||step||^2
+    curv = np.array([1.0, 3.2])
+    f = CustomSmooth(lambda x: float(0.5 * curv @ (x * x)), lambda x: curv * x,
+                     lipschitz=1.0, n=2)
+    p = ProblemInstance(smooth=f, regularizers=(ZeroPenalty(), ZeroPenalty()),
+                        partition=BlockPartition((1, 1)))
+    sched = BregmanSchedule.constant(2, 1.0, 0.5)
+    rng = np.random.Generator(np.random.PCG64(3))
+    first = [min(int(rng.random() * 2), 1) for _ in range(50)].index(1)
+    assert first > 0
+    with pytest.raises(SolverAbort, match=rf"sufficient decrease fails at iteration {first}:"):
+        run(p, SolverConfig(schedule=sched, max_iters=50, tolerance=0.0, seed=3),
+            x0=np.array([1.0, 1e-3]))
+    # the same instance with its true constant runs through
+    honest = ProblemInstance(
+        smooth=CustomSmooth(f._value, f._grad, lipschitz=3.2, n=2),
+        regularizers=p.regularizers, partition=p.partition,
+    )
+    sched = BregmanSchedule.constant(2, 1.0, 0.25)
+    traj = run(honest, SolverConfig(schedule=sched, max_iters=50, tolerance=0.0, seed=3),
+               x0=np.array([1.0, 1e-3]))
+    assert len(traj.records) == 50
 
 
 def test_sample_in_ball_radius_and_seeding():
