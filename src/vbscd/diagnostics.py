@@ -423,17 +423,49 @@ class GridProxOracle:
 
     Precomputes the penalty values once so repeated (w, v) queries stay
     cheap; the grid pins the oracle's resolution (default [-10, 10] at 1e-5).
+    Only the penalty values are stored: grid point j is ``lo + step * j``,
+    rebuilt ``CHUNK`` points at a time, and a query scans the grid chunk by
+    chunk through one buffer, so its memory does not grow with the grid.
     """
+
+    CHUNK = 1 << 16
 
     def __init__(self, reg: Regularizer, lo: float = -10.0, hi: float = 10.0, step: float = 1e-5):
         self.reg = reg
-        count = int(round((hi - lo) / step)) + 1
-        self.ts = lo + step * np.arange(count)
-        self.g_vals = np.asarray(reg.value(self.ts), dtype=float)
+        self.lo = lo
         self.step = step
+        count = int(round((hi - lo) / step)) + 1
+        self._j = np.arange(min(count, self.CHUNK), dtype=float)
+        self.g_vals = np.empty(count)
+        for a, t in self._chunks(np.empty_like(self._j)):
+            self.g_vals[a:a + t.size] = reg.value(t)
+
+    def _chunks(self, buf):
+        """(a, grid points a, a+1, ...) per chunk, written into ``buf``: the
+        same doubles as ``lo + step * np.arange(count)``, since a + j is an
+        exact integer."""
+        count = self.g_vals.size
+        for a in range(0, count, self.CHUNK):
+            t = buf[:min(count - a, self.CHUNK)]
+            np.add(self._j[:t.size], a, out=t)
+            t *= self.step
+            t += self.lo
+            yield a, t
 
     def query(self, w: float, v: float) -> tuple[float, float]:
-        """(argmin, objective value) of phi(t) + (w/2)(t - v)^2 on the grid."""
-        vals = self.g_vals + 0.5 * w * np.square(self.ts - v)
-        i = int(np.argmin(vals))
-        return float(self.ts[i]), float(vals[i])
+        """(argmin, objective value) of phi(t) + (w/2)(t - v)^2 on the grid;
+        of equal values the first grid point wins, as in one np.argmin."""
+        hw = 0.5 * w
+        best_i, best = None, np.nan
+        for a, vals in self._chunks(np.empty_like(self._j)):
+            vals -= v
+            np.square(vals, out=vals)
+            vals *= hw
+            vals += self.g_vals[a:a + vals.size]
+            j = int(vals.argmin())
+            val = vals[j]
+            # strict <, so a later equal value never wins; a NaN beats a
+            # number, since np.argmin returns the first NaN
+            if best_i is None or val < best or (np.isnan(val) and not np.isnan(best)):
+                best_i, best = a + j, val
+        return float(self.lo + self.step * best_i), float(best)

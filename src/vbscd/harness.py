@@ -708,6 +708,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
             obj_rows.append(make_check("prox-oracle", f"{label}-objective", f_closed - f_grid, 0.0, 1e-8))
         rows.append(_worst(arg_rows))
         rows.append(_worst(obj_rows))
+        del oracle  # free its grid values before the next oracle builds
 
     # local proximity checks behind a probed constant
     eta, nu = _neighborhood(cfg, p, sched, ref, _scout(p, sched, cfg, ref))

@@ -247,6 +247,8 @@ class Regularizer:
 
     ``prox(v, w)`` solves argmin_t  phi(t) + (w/2)(t - v)^2 in closed form and
     is only defined for w > rho (strongly convex subproblem, unique minimizer).
+    ``prox.scalar_prox`` checks that bound once per call; ``prox`` itself
+    does not check it again.
     """
 
     kind = "custom"
@@ -333,12 +335,25 @@ class SquaredL2Penalty(Regularizer):
         return (w / (w + self.mu)) * np.asarray(v, dtype=float)
 
 
-def _pick_best(candidates, objective):
-    """Elementwise argmin over a small stack of closed-form candidates."""
-    vals = np.stack([objective(c) for c in candidates])
-    best = np.argmin(vals, axis=0)
-    stacked = np.stack(candidates)
-    return np.take_along_axis(stacked, best[None, ...], axis=0)[0]
+def _candidates(k, u, w):
+    """Empty (k, *shape) stack for the closed-form candidates of a prox, and
+    its k planes as views (0-d arrays for scalar input, so out= works)."""
+    cand = np.empty((k, *np.broadcast(u, w).shape))
+    return cand, [cand[j, ...] for j in range(k)]
+
+
+def _clip_into(out, lo, hi) -> None:
+    """np.clip(out, lo, hi) in place; the bound comes first so that a tie
+    keeps ``out`` (signed zeros and NaNs come out as np.clip gives them)."""
+    np.maximum(lo, out, out=out)
+    np.minimum(hi, out, out=out)
+
+
+def _best_candidate(reg, cand, u, w) -> np.ndarray:
+    """Per coordinate, the candidate with the least prox objective
+    phi(t) + (w/2)(t - u)^2; ties go to the earlier candidate."""
+    obj = reg.value(cand) + 0.5 * w * np.square(cand - u)
+    return obj.argmin(axis=0).choose(cand)  # np.choose without its dispatch
 
 
 class ScadPenalty(Regularizer):
@@ -346,9 +361,9 @@ class ScadPenalty(Regularizer):
 
     Three pieces (Fan & Li 2001): linear lam*|t| up to lam, a quadratic blend
     on (lam, a*lam], constant lam^2 (a+1)/2 beyond.  Semi-convex with
-    rho = 1/(a-1); the prox enumerates the per-piece stationary points
-    clipped to their intervals and keeps the best, which is exact whenever
-    w > rho makes the subproblem strongly convex.
+    rho = 1/(a-1); the prox stacks the per-piece stationary points clipped
+    to their intervals, evaluates them in one pass and keeps the best, which
+    is exact whenever w > rho makes the subproblem strongly convex.
     """
 
     kind = "scad"
@@ -384,23 +399,24 @@ class ScadPenalty(Regularizer):
     def prox(self, v, w):
         v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
-        if np.any(w <= self.rho):
-            raise ValueError("scad prox needs w > 1/(a-1)")
         lam, a = self.lam, self.a
         s, u = np.sign(v), np.abs(v)
-        c1 = np.clip(u - lam / w, 0.0, lam)
-        c2 = np.clip((w * (a - 1) * u - a * lam) / (w * (a - 1) - 1.0), lam, a * lam)
-        c3 = np.maximum(u, a * lam)
-        obj = lambda t: self.value(t) + 0.5 * w * np.square(t - u)
-        return s * _pick_best([c1, c2, c3], obj)
+        cand, (c1, c2, c3) = _candidates(3, u, w)
+        np.subtract(u, lam / w, out=c1)
+        _clip_into(c1, 0.0, lam)
+        wa = w * (a - 1)
+        np.divide(wa * u - a * lam, wa - 1.0, out=c2)
+        _clip_into(c2, lam, a * lam)
+        np.maximum(u, a * lam, out=c3)
+        return s * _best_candidate(self, cand, u, w)
 
 
 class McpPenalty(Regularizer):
     """Minimax concave penalty (Zhang 2010).
 
     phi(t) = lam|t| - t^2/(2 gamma) for |t| <= gamma*lam, constant beyond;
-    semi-convex with rho = 1/gamma.  Prox by per-piece candidate enumeration,
-    exact for w > rho.
+    semi-convex with rho = 1/gamma.  Prox by per-piece candidates evaluated
+    in one stacked pass, exact for w > rho.
     """
 
     kind = "mcp"
@@ -431,14 +447,13 @@ class McpPenalty(Regularizer):
     def prox(self, v, w):
         v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
-        if np.any(w <= self.rho):
-            raise ValueError("mcp prox needs w > 1/gamma")
         lam, g = self.lam, self.gamma
         s, u = np.sign(v), np.abs(v)
-        c1 = np.clip(g * (w * u - lam) / (g * w - 1.0), 0.0, g * lam)
-        c2 = np.maximum(u, g * lam)
-        obj = lambda t: self.value(t) + 0.5 * w * np.square(t - u)
-        return s * _pick_best([c1, c2], obj)
+        cand, (c1, c2) = _candidates(2, u, w)
+        np.divide(g * (w * u - lam), g * w - 1.0, out=c1)
+        _clip_into(c1, 0.0, g * lam)
+        np.maximum(u, g * lam, out=c2)
+        return s * _best_candidate(self, cand, u, w)
 
 
 _REG_KINDS = {

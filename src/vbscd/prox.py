@@ -24,7 +24,7 @@ from .model import ProblemInstance, Regularizer
 def scalar_prox(reg: Regularizer, w, v):
     """Closed-form minimizer of phi(t) + (w/2)(t - v)^2; needs w > rho."""
     w = np.asarray(w, dtype=float)
-    if np.any(w <= reg.rho):
+    if not (w > reg.rho).all():  # also rejects a NaN weight
         raise ValueError(
             f"prox weight must exceed the semi-convexity modulus rho={reg.rho}"
         )
@@ -42,10 +42,9 @@ def _prep(p: ProblemInstance, gen: BregmanGenerator, eps: float, x) -> np.ndarra
     return x
 
 
-def _block_target(p, gen, eps, x, grad_i, i) -> np.ndarray:
-    """New values for block i (other coordinates stay put), from block i's
-    part ``grad_i`` of grad f(x)."""
-    sl = p.partition.block_slice(i)
+def _block_target(p, gen, eps, x, grad_i, i, sl) -> np.ndarray:
+    """New values for block i, whose coordinates are ``sl`` (other
+    coordinates stay put), from block i's part ``grad_i`` of grad f(x)."""
     q = gen.weights[sl]
     w = q / eps
     v = x[sl] - (eps / q) * grad_i
@@ -73,7 +72,7 @@ def coordinate_prox(p, gen, eps, x, i: int, *, block_grad=None) -> np.ndarray:
     sl = p.partition.block_slice(i)
     g = p.smooth.grad(x)[sl] if block_grad is None else block_grad
     y = x.copy()
-    y[sl] = _block_target(p, gen, eps, x, g, i)
+    y[sl] = _block_target(p, gen, eps, x, g, i, sl)
     return y
 
 

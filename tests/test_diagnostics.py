@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from vbscd.diagnostics import (
     write_report_csv,
 )
 from vbscd.instances import lasso_1d, lasso_random, quad_1d
+from vbscd.model import SquaredL2Penalty
 
 
 def uniform_sched(n, q, eps):
@@ -262,6 +265,62 @@ def test_grid_oracle_matches_soft_threshold():
     t, val = oracle.query(2.0, 3.0)
     assert t == pytest.approx(2.5, abs=1e-4)
     assert val == pytest.approx(2.75, abs=1e-8)
+
+
+def grid_argmin_one_shot(reg, w, v, lo=-10.0, hi=10.0, step=1e-5):
+    """The whole-grid scan: every point, every value, one np.argmin."""
+    ts = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    vals = np.asarray(reg.value(ts), dtype=float) + 0.5 * w * np.square(ts - v)
+    i = int(np.argmin(vals))
+    return float(ts[i]), float(vals[i])
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("l1", {"lam": 1.3}), ("scad", {"lam": 0.9, "a": 3.7}), ("mcp", {"lam": 0.8, "gamma": 4.0})],
+)
+def test_chunked_grid_oracle_equals_one_shot_scan(kind, params):
+    reg = make_regularizer(kind, **params)
+    step, count = 5e-5, 2 * GridProxOracle.CHUNK + 123  # not a whole number of chunks
+    lo, hi = -3.0, -3.0 + step * (count - 1)
+    oracle = GridProxOracle(reg, lo=lo, hi=hi, step=step)
+    assert oracle.g_vals.size == count
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        w = reg.rho + rng.uniform(0.1, 3.1)
+        v = rng.uniform(-5.0, 5.0)  # some argmins sit on the grid's ends
+        assert oracle.query(w, v) == grid_argmin_one_shot(reg, w, v, lo, hi, step)
+    # the default 2,000,001-point grid, and a NaN query
+    oracle = GridProxOracle(reg)
+    for w, v in ((reg.rho + 0.7, 2.3), (reg.rho + 2.9, -9.99)):
+        assert oracle.query(w, v) == grid_argmin_one_shot(reg, w, v)
+    t, val = oracle.query(np.nan, 1.0)
+    assert (t, np.isnan(val)) == (-10.0, True)
+
+
+def test_grid_oracle_tie_across_chunks_goes_to_the_earlier_point():
+    reg = SquaredL2Penalty(1.0)
+    chunk = GridProxOracle.CHUNK
+    lo = -(chunk - 0.5)  # points chunk-1 and chunk (first of the next) are -0.5 and 0.5
+    oracle = GridProxOracle(reg, lo=lo, hi=lo + chunk + 9, step=1.0)
+    # 0.5 * 0.25 + 0.5 * 0.25 = 0.25 exactly at both points
+    assert oracle.query(1.0, 0.0) == (-0.5, 0.25)
+    assert oracle.query(1.0, 0.0) == grid_argmin_one_shot(reg, 1.0, 0.0, lo, lo + chunk + 9, 1.0)
+
+
+def test_grid_oracle_memory_stays_bounded():
+    oracle = GridProxOracle(make_regularizer("scad", lam=0.9, a=3.7))
+    assert oracle.g_vals.size == 2_000_001
+    # only the penalty values grow with the grid
+    held = sum(a.nbytes for a in vars(oracle).values() if isinstance(a, np.ndarray))
+    assert held <= oracle.g_vals.nbytes + 8 * GridProxOracle.CHUNK
+    tracemalloc.start()
+    try:
+        oracle.query(1.3, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_make_check_slack_and_verdict():

@@ -231,3 +231,83 @@ def test_multi_coordinate_block_prox():
     gen = BregmanGenerator.uniform(2, 1.0)
     t = coordinate_prox(p, gen, 0.5, np.zeros(2), 0)
     assert np.allclose(t, [1.0, -1.0])
+
+
+# ---------------------------------------------------------------------------
+# SCAD/MCP kernels against candidate enumeration, bit for bit
+
+
+def _pick_best(candidates, objective):
+    """Elementwise argmin over a list of candidates, one value call each."""
+    vals = np.stack([objective(c) for c in candidates])
+    best = np.argmin(vals, axis=0)
+    stacked = np.stack(candidates)
+    return np.take_along_axis(stacked, best[None, ...], axis=0)[0]
+
+
+def scad_prox_by_enumeration(reg, v, w):
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    lam, a = reg.lam, reg.a
+    s, u = np.sign(v), np.abs(v)
+    c1 = np.clip(u - lam / w, 0.0, lam)
+    c2 = np.clip((w * (a - 1) * u - a * lam) / (w * (a - 1) - 1.0), lam, a * lam)
+    c3 = np.maximum(u, a * lam)
+    return s * _pick_best([c1, c2, c3], lambda t: reg.value(t) + 0.5 * w * np.square(t - u))
+
+
+def mcp_prox_by_enumeration(reg, v, w):
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    lam, g = reg.lam, reg.gamma
+    s, u = np.sign(v), np.abs(v)
+    c1 = np.clip(g * (w * u - lam) / (g * w - 1.0), 0.0, g * lam)
+    c2 = np.maximum(u, g * lam)
+    return s * _pick_best([c1, c2], lambda t: reg.value(t) + 0.5 * w * np.square(t - u))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "reg, oracle, shape_param",
+    [
+        (ScadPenalty(1.0, 3.7), scad_prox_by_enumeration, 3.7),
+        (ScadPenalty(0.7, 2.4), scad_prox_by_enumeration, 2.4),
+        (ScadPenalty(0.0, 3.0), scad_prox_by_enumeration, 3.0),
+        (McpPenalty(1.0, 3.0), mcp_prox_by_enumeration, 3.0),
+        (McpPenalty(1.7, 1.4), mcp_prox_by_enumeration, 1.4),
+        (McpPenalty(0.0, 2.0), mcp_prox_by_enumeration, 2.0),
+    ],
+)
+def test_nonconvex_prox_kernels_equal_enumeration_bit_for_bit(reg, oracle, shape_param):
+    lam = reg.lam
+    knots = np.array([0.0, -0.0, lam, -lam, shape_param * lam, -shape_param * lam])
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        m = int(rng.integers(1, 30))
+        v = rng.uniform(-8.0, 8.0, m) * rng.choice([1e-7, 1.0, 1.0], m)
+        if trial % 2:
+            v[: min(m, knots.size)] = knots[: min(m, knots.size)]
+        w = reg.rho + rng.uniform(1e-9, 5.0, m) * rng.choice([1e-8, 1.0, 1.0], m)
+        for vv, ww in ((v, w), (v, w[0]), (v[0], w[0]), (np.array(v[0]), np.array(w[0]))):
+            assert same_bits(scalar_prox(reg, ww, vv), oracle(reg, vv, ww)), (vv, ww)
+    for k in knots:  # every knot as a 0-d input
+        for ww in (reg.rho + 1e-9, reg.rho + 0.5, reg.rho + 40.0):
+            assert same_bits(scalar_prox(reg, ww, k), oracle(reg, k, ww)), (k, ww)
+    with pytest.raises(ValueError):
+        scalar_prox(reg, reg.rho, 1.0)
+    with pytest.raises(ValueError):
+        scalar_prox(reg, np.array([reg.rho + 1.0, reg.rho]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [ZeroPenalty(), L1Penalty(1.0), SquaredL2Penalty(1.0), ScadPenalty(1.0, 3.7), McpPenalty(1.0, 2.0)],
+    ids=lambda r: r.kind,
+)
+def test_nan_prox_weight_is_rejected(reg):
+    with pytest.raises(ValueError):
+        scalar_prox(reg, np.nan, 2.0)
+    with pytest.raises(ValueError):
+        scalar_prox(reg, np.array([reg.rho + 1.0, np.nan]), np.array([2.0, -1.0]))
