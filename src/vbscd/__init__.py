@@ -42,6 +42,7 @@ from .model import (
 )
 from .probes import (
     EmptyNeighborhoodError,
+    OracleMismatch,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,

@@ -1,15 +1,23 @@
 """Numeric certification: exact index expectations, decrease and proximity
 inequalities, the contraction constants chain, and rate fitting.
 
-Everything that involves the random block index is computed by exact
-enumeration over the N blocks (never by sampling): with uniform selection,
-the one-block targets T_i(x) satisfy three algebraic identities
+Everything that involves the random block index is computed exactly over
+the N blocks (never by sampling): with uniform selection, the one-block
+targets T_i(x) satisfy three algebraic identities
 
     mean_i T_i(x)            = (1/N) T(x) + (1 - 1/N) x
     g(T(x))                  = N mean_i g(T_i(x)) - (N-1) g(x)
     ||x - T(x)||^2           = N mean_i ||x - T_i(x)||^2
 
 (block separability), which double as self-tests of the prox layer.
+
+Over many points the expectation is evaluated on stacks
+(:func:`stacked_expectation`): one stacked gradient and one grouped full
+prox give the targets of every point, and one ``objective_rows`` call
+their values.  Per-point enumeration (:func:`enumerate_expectation`) stays
+the oracle: the contraction audit recomputes a few of its points by
+enumeration on every run and raises :class:`~vbscd.probes.OracleMismatch`
+when the two disagree.
 """
 from __future__ import annotations
 
@@ -19,9 +27,9 @@ import numpy as np
 
 from .bregman import BregmanSchedule, sufficient_decrease
 from .csvout import fmt, write_csv
-from .model import ProblemInstance, Regularizer
-from .probes import level_margin
-from .prox import coordinate_prox_all, envelope_value, full_prox
+from .model import ProblemInstance, Regularizer, row_chunks
+from .probes import cross_check, level_margin
+from .prox import coordinate_prox_all, coordinate_prox_all_rows, envelope_value, full_prox
 from .solver import Trajectory
 
 MACH_EPS = float(np.finfo(float).eps)
@@ -68,6 +76,14 @@ def enumerate_expectation(p: ProblemInstance, gen, eps: float, x, fn):
     """
     targets = coordinate_prox_all(p, gen, eps, x)
     return np.asarray(fn(targets), dtype=float).mean(axis=0)
+
+
+def stacked_expectation(p: ProblemInstance, gen, eps: float, X) -> np.ndarray:
+    """mean_i F(T_i(x)) at each row x of a (k, n) stack: the k N one-block
+    targets come from one stacked gradient and one grouped full prox, and
+    their values from one ``objective_rows`` call."""
+    targets = coordinate_prox_all_rows(p, gen, eps, X)
+    return p.objective_rows(targets.reshape(-1, p.n)).reshape(len(targets), p.n_blocks).mean(axis=1)
 
 
 def expectation_identities(p: ProblemInstance, gen, eps: float, x) -> dict:
@@ -307,47 +323,94 @@ def contraction_audit(
     p: ProblemInstance, sched: BregmanSchedule, trajectories, x_bar, f_bar: float,
     constants: ConstantsRecord, slack: float = 1e-9,
 ) -> ContractionAudit:
-    """At every recorded in-neighborhood point, check the enumerated one-step
-    contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar)."""
+    """At every recorded in-neighborhood point, check the exact one-step
+    contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar).
+
+    Trajectories are read one at a time, in chunks of points; the points of
+    a chunk inside the neighborhood are grouped by (generator, eps) and each
+    group is evaluated by :func:`stacked_expectation`.  Enumeration is the
+    oracle: the first and last checked point of every group and the
+    worst-margin point are recomputed with :func:`enumerate_expectation`,
+    and a disagreement beyond 1e-12 (1 + |F|) raises
+    :class:`~vbscd.probes.OracleMismatch`.
+    """
     x_bar = np.asarray(x_bar, dtype=float)
     radius = constants.eta / 2.0
-    window = constants.level_window
+    lo, hi = f_bar + level_margin(f_bar), f_bar + constants.level_window
     checked = skipped = violations = 0
     worst = np.inf
+    # oracle points as (gen, eps, x, stacked mean): the worst one, and the
+    # first and the latest one of every (generator, eps) group
+    worst_pt = None
+    firsts, lasts = {}, {}
     if isinstance(trajectories, Trajectory):
         trajectories = [trajectories]
     for traj in trajectories:
         points = [traj.x0] + [rec.point for rec in traj.records]
         values = traj.objectives()
-        for k, (x, fx) in enumerate(zip(points, values)):
-            if not in_neighborhood(p, x, x_bar, f_bar, radius, window, fx=fx):
-                skipped += 1
-                continue
-            gen, eps = sched.generator(k), sched.step(k)
-            mean_f = float(enumerate_expectation(p, gen, eps, x, p.objective_rows))
-            lhs = mean_f - f_bar
-            rhs = constants.beta * (fx - f_bar)
-            checked += 1
-            worst = min(worst, rhs - lhs)
-            if lhs > rhs + slack:
-                violations += 1
+        for rows in row_chunks(len(points), p.n_blocks * p.n):
+            X = np.array(points[rows])
+            fx = values[rows]
+            inside = (np.linalg.norm(X - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi)
+            skipped += int(inside.size - np.count_nonzero(inside))
+            groups = {}
+            for j in np.flatnonzero(inside).tolist():
+                gen, eps = sched.generator(rows.start + j), sched.step(rows.start + j)
+                key = (id(gen), eps)
+                if key in groups:
+                    groups[key][2].append(j)
+                else:
+                    groups[key] = (gen, eps, [j])
+            for key, (gen, eps, idx) in groups.items():
+                mean_f = stacked_expectation(p, gen, eps, X[idx])
+                lhs = mean_f - f_bar
+                rhs = constants.beta * (fx[idx] - f_bar)
+                checked += len(idx)
+                violations += int(np.count_nonzero(lhs > rhs + slack))
+                margin = rhs - lhs
+                w = int(margin.argmin())
+                if margin[w] < worst:
+                    worst = float(margin[w])
+                    worst_pt = (gen, eps, X[idx[w]].copy(), mean_f[w])
+                if key not in firsts:
+                    firsts[key] = (gen, eps, X[idx[0]].copy(), mean_f[0])
+                lasts[key] = (gen, eps, X[idx[-1]].copy(), mean_f[-1])
+    oracle = [*firsts.values(), *lasts.values()] + ([worst_pt] if worst_pt else [])
+    for gen, eps, x, mean_f in oracle:
+        exact = float(enumerate_expectation(p, gen, eps, x, p.objective_rows))
+        cross_check(float(mean_f), exact, "audit: mean_i F(T_i(x))")
     return ContractionAudit(checked, skipped, violations, float(worst))
 
 
 def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, points=None):
     """Pick (eta, nu) so the supplied points satisfy the ball and level
     hypotheses with margin and rejection sampling in B(x_bar; eta, nu) stays
-    cheap (nu matched to the smooth curvature over the ball)."""
+    cheap (nu matched to the smooth curvature over the ball).
+
+    The reach of each point, max(||x - x_bar||, sqrt((F(x) - F_bar) / a)),
+    is evaluated on stacks of points; the farthest point's reach is then
+    taken from the per-point forms.
+    """
     x_bar = np.asarray(x_bar, dtype=float)
     a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
     reach = 1.0
-    if points is not None:
+    if points is not None and len(points):
         f_bar = p.objective(x_bar)
-        for x in points:
-            fx = p.objective(np.asarray(x, dtype=float))
-            reach = max(reach, float(np.linalg.norm(x - x_bar)))
-            if fx > f_bar and a > 0:
-                reach = max(reach, float(np.sqrt((fx - f_bar) / a)))
+        far, far_reach = None, -np.inf
+        for rows in row_chunks(len(points), p.n):
+            X = np.array(points[rows], dtype=float)
+            r = np.linalg.norm(X - x_bar, axis=1)
+            fx = p.objective_rows(X)
+            if a > 0:
+                up = fx > f_bar
+                r[up] = np.maximum(r[up], np.sqrt((fx[up] - f_bar) / a))
+            j = int(r.argmax())
+            if r[j] > far_reach:
+                far, far_reach = X[j].copy(), r[j]
+        reach = max(reach, float(np.linalg.norm(far - x_bar)))
+        f_far = p.objective(far)
+        if f_far > f_bar and a > 0:
+            reach = max(reach, float(np.sqrt((f_far - f_bar) / a)))
     eta = 2.2 * reach
     nu = max(p.smooth.lipschitz, 1.0) * eta**2
     return eta, nu

@@ -19,19 +19,35 @@ import numpy as np
 
 from .bregman import BregmanGenerator
 from .csvout import fmt, write_csv
-from .model import ProblemInstance, UnsupportedInstanceError
-from .prox import full_prox
+from .model import ProblemInstance, UnsupportedInstanceError, row_chunks
+from .prox import full_prox, full_prox_rows
 from .solver import sample_in_ball
 
 DENOM_CUTOFF = 1e-12
+_DRAW_BATCH = 256  # proposals tested per objective_rows call
 
 
 class EmptyNeighborhoodError(RuntimeError):
     """No sample satisfied the neighborhood conditions within the draw budget."""
 
 
+class OracleMismatch(RuntimeError):
+    """A stacked evaluation disagrees with its per-point oracle."""
+
+
+def cross_check(stacked: float, exact: float, what: str) -> None:
+    """Raise :class:`OracleMismatch` unless |stacked - exact| <= 1e-12 (1 + |exact|)."""
+    if not abs(stacked - exact) <= 1e-12 * (1.0 + abs(exact)):
+        raise OracleMismatch(f"{what}: stacked {stacked!r}, per point {exact!r}")
+
+
 def level_margin(f_bar: float) -> float:
     return 1e2 * np.finfo(float).eps * (1.0 + abs(f_bar))
+
+
+def _rows(fn, X) -> np.ndarray:
+    """fn applied to a (k, n) stack in row chunks of bounded size, joined."""
+    return np.concatenate([fn(X[sl]) for sl in row_chunks(len(X), X.shape[1])])
 
 
 @dataclass
@@ -65,29 +81,45 @@ def sample_level_ball(
     p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng,
     max_draws: int = 10**6,
 ):
-    """Accepted points from B(x_bar; eta, nu) with their objective values.
+    """Accepted points from B(x_bar; eta, nu), as the rows of an
+    (accepted, n) array, with their objective values and F(x_bar).
 
     Draws uniformly from the ball until ``samples`` points are accepted or
     ``max_draws`` proposals are spent; raises
-    :class:`EmptyNeighborhoodError` if nothing is accepted at all.
+    :class:`EmptyNeighborhoodError` if nothing is accepted at all.  Each
+    proposal is drawn by ``sample_in_ball``; they are tested with
+    ``objective_rows`` in batches of at most ``_DRAW_BATCH`` that never hold
+    more proposals than could still be accepted, so the rng stream and the
+    draw count equal those of testing each proposal as it is drawn.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     f_bar = p.objective(x_bar)
-    margin = level_margin(f_bar)
-    pts, vals = [], []
-    draws = 0
-    while len(pts) < samples and draws < max_draws:
-        x = sample_in_ball(x_bar, eta, rng)
-        draws += 1
-        fx = p.objective(x)
-        if f_bar + margin < fx < f_bar + nu:
-            pts.append(x)
-            vals.append(fx)
-    if not pts:
+    lo, hi = f_bar + level_margin(f_bar), f_bar + nu
+    # filled in order and grown by doubling; never past ``samples`` rows
+    pts = np.empty((min(samples, max_draws, 8 * _DRAW_BATCH), x_bar.size))
+    vals = np.empty(len(pts))
+    accepted = draws = 0
+    while accepted < samples and draws < max_draws:
+        size = min(samples - accepted, max_draws - draws, _DRAW_BATCH)
+        batch = np.array([sample_in_ball(x_bar, eta, rng) for _ in range(size)])
+        draws += size
+        fx = p.objective_rows(batch)
+        keep = (lo < fx) & (fx < hi)
+        stop = accepted + int(np.count_nonzero(keep))
+        if stop > len(pts):
+            rows = min(max(2 * len(pts), stop), samples)
+            pts.resize((rows, x_bar.size), refcheck=False)
+            vals.resize(rows, refcheck=False)
+        pts[accepted:stop] = batch[keep]
+        vals[accepted:stop] = fx[keep]
+        accepted = stop
+    if not accepted:
         raise EmptyNeighborhoodError(
             f"no sample landed in the level-restricted ball after {max_draws} draws"
         )
-    return pts, np.array(vals), f_bar
+    pts.resize((accepted, x_bar.size), refcheck=False)
+    vals.resize(accepted, refcheck=False)
+    return pts, vals, f_bar
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +268,19 @@ def _finish(kind, cname, best_val, best_pt, count, center, oracle, **geo):
     )
 
 
+def _first_extremum(num, den, largest: bool):
+    """Row of the largest (or smallest) ratio num/den over the rows whose
+    denominator is not below DENOM_CUTOFF, the first of equal ones, as a
+    loop with a strict comparison picks it; None when no finite ratio
+    qualifies."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / den
+    skip = -np.inf if largest else np.inf
+    r[(den < DENOM_CUTOFF) | np.isnan(r)] = skip
+    j = int(r.argmax() if largest else r.argmin())
+    return None if r[j] == skip else j
+
+
 def probe_ls_eb(
     p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng,
     sublevel_oracle=None,
@@ -244,35 +289,37 @@ def probe_ls_eb(
 
     ``sublevel_oracle`` may be a callable x -> distance; the default treats
     the sublevel set as the singleton {x_bar}, which is exact for strongly
-    convex instances probed at their minimizer.
+    convex instances probed at their minimizer.  The ratios are evaluated
+    on the stacked sample; the reported value is the per-point ratio at the
+    extremal sample (``p.min_subgradient_norm``), which must agree with the
+    stacked one (:func:`cross_check`).
     """
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
     if sublevel_oracle is None:
         dist, label = singleton_distance(x_bar), "singleton(x_bar)"
+        x_bar = np.asarray(x_bar, dtype=float)
+        num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
     else:
         dist, label = sublevel_oracle, "caller-supplied"
-    best, best_pt = -np.inf, None
-    for x in pts:
-        denom = p.min_subgradient_norm(x)
-        if denom < DENOM_CUTOFF:
-            continue
-        ratio = dist(x) / denom
-        if ratio > best:
-            best, best_pt = ratio, x
+        num = np.array([dist(x) for x in pts], dtype=float)
+    den = _rows(p.min_subgradient_norm_rows, pts)
+    j = _first_extremum(num, den, largest=True)
+    best = best_pt = None
+    if j is not None:
+        best_pt = pts[j].copy()
+        best = dist(best_pt) / p.min_subgradient_norm(best_pt)
+        cross_check(num[j] / den[j], best, "ls-eb ratio at the extremal sample")
     return _finish("ls-eb", "c0", best, best_pt, len(pts), x_bar, label, eta=eta, nu=nu)
 
 
 def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng) -> ErrorBoundEstimate:
-    """c2 = min over samples of dist(0, dF(x)) / sqrt(F(x) - F_bar)."""
+    """c2 = min over samples of dist(0, dF(x)) / sqrt(F(x) - F_bar), on the
+    stacked sample."""
     pts, vals, f_bar = sample_level_ball(p, x_bar, eta, nu, samples, rng)
-    best, best_pt = np.inf, None
-    for x, fx in zip(pts, vals):
-        denom = float(np.sqrt(fx - f_bar))
-        if denom < DENOM_CUTOFF:
-            continue
-        ratio = p.min_subgradient_norm(x) / denom
-        if ratio < best:
-            best, best_pt = ratio, x
+    num = _rows(p.min_subgradient_norm_rows, pts)
+    den = np.sqrt(vals - f_bar)
+    j = _first_extremum(num, den, largest=False)
+    best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
     return _finish("kl", "c2", best, best_pt, len(pts), x_bar, "level-gap", eta=eta, nu=nu)
 
 
@@ -280,16 +327,13 @@ def probe_bp_eb(
     p: ProblemInstance, gen: BregmanGenerator, eps: float, x_bar,
     eta: float, nu: float, critical_dist, samples: int, rng,
 ) -> ErrorBoundEstimate:
-    """c1 = max over samples of dist(x, critical set) / ||x - T(x)||."""
+    """c1 = max over samples of dist(x, critical set) / ||x - T(x)||, with
+    T on the stacked sample."""
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
-    best, best_pt = -np.inf, None
-    for x in pts:
-        denom = float(np.linalg.norm(x - full_prox(p, gen, eps, x)))
-        if denom < DENOM_CUTOFF:
-            continue
-        ratio = critical_dist(x) / denom
-        if ratio > best:
-            best, best_pt = ratio, x
+    num = np.array([critical_dist(x) for x in pts], dtype=float)
+    den = _rows(lambda X: np.linalg.norm(X - full_prox_rows(p, gen, eps, X), axis=1), pts)
+    j = _first_extremum(num, den, largest=True)
+    best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
     return _finish("bp-eb", "c1", best, best_pt, len(pts), x_bar, "critical-set", eta=eta, nu=nu)
 
 

@@ -15,10 +15,12 @@ guarantees.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bregman import BregmanGenerator, bregman_distance
-from .model import ProblemInstance, Regularizer
+from .model import BlockPartition, ProblemInstance, Regularizer
 
 
 def scalar_prox(reg: Regularizer, w, v):
@@ -31,11 +33,12 @@ def scalar_prox(reg: Regularizer, w, v):
     return reg.prox(v, w)
 
 
-def _prep(p: ProblemInstance, gen: BregmanGenerator, eps: float, x) -> np.ndarray:
+def _prep(p: ProblemInstance, gen: BregmanGenerator, eps: float, x, ndim: int = 1) -> np.ndarray:
+    """x as floats, a point (ndim 1) or a (k, n) stack of points (ndim 2)."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,) or gen.weights.shape != (p.n,):
+    if x.ndim != ndim or x.shape[-1] != p.n or gen.weights.shape != (p.n,):
         raise ValueError(
             f"shape mismatch: x {x.shape}, weights {gen.weights.shape}, n = {p.n}"
         )
@@ -52,14 +55,25 @@ def _block_target(p, gen, eps, x, grad_i, i, sl) -> np.ndarray:
 
 
 def _full_target(p, gen, eps, x, grad) -> np.ndarray:
-    """T(x) with one prox call per penalty group."""
+    """T(x) with one prox call per penalty group; ``x`` may also be a (k, n)
+    stack of points with ``grad`` the matching stack of gradients, and row j
+    of the result is then bit for bit what x_j and its gradient give."""
     q = gen.weights
     w = q / eps
     v = x - (eps / q) * grad
-    y = np.empty_like(x)
+    y = np.empty_like(v)
     for reg, sl in p.penalty_groups:
-        y[sl] = scalar_prox(reg, w[sl], v[sl])
+        y[..., sl] = scalar_prox(reg, w[sl], v[..., sl])
     return y
+
+
+@functools.lru_cache(maxsize=8)
+def _block_masks(partition: BlockPartition) -> np.ndarray:
+    """(N, n) boolean array whose row i marks the coordinates of block i."""
+    block_of = np.repeat(np.arange(partition.n_blocks), partition.sizes)
+    masks = block_of == np.arange(partition.n_blocks)[:, None]
+    masks.flags.writeable = False  # one array serves every caller
+    return masks
 
 
 def coordinate_prox(p, gen, eps, x, i: int, *, block_grad=None) -> np.ndarray:
@@ -84,8 +98,7 @@ def coordinate_prox_all(p, gen, eps, x, *, grad=None) -> np.ndarray:
     """
     x = _prep(p, gen, eps, x)
     t = _full_target(p, gen, eps, x, p.smooth.grad(x) if grad is None else grad)
-    block_of = np.repeat(np.arange(p.n_blocks), p.partition.sizes)
-    return np.where(block_of == np.arange(p.n_blocks)[:, None], t, x)
+    return np.where(_block_masks(p.partition), t, x)
 
 
 def full_prox(p, gen, eps, x, *, grad=None) -> np.ndarray:
@@ -93,6 +106,21 @@ def full_prox(p, gen, eps, x, *, grad=None) -> np.ndarray:
     of the one-block maps in any order)."""
     x = _prep(p, gen, eps, x)
     return _full_target(p, gen, eps, x, p.smooth.grad(x) if grad is None else grad)
+
+
+def full_prox_rows(p, gen, eps, X) -> np.ndarray:
+    """T(x) at each row x of a (k, n) stack, from one stacked gradient and
+    one prox call per penalty group; row j equals ``full_prox`` at X[j]
+    up to the rounding of the stacked gradient."""
+    X = _prep(p, gen, eps, X, ndim=2)
+    return _full_target(p, gen, eps, X, p.smooth.grad_rows(X))
+
+
+def coordinate_prox_all_rows(p, gen, eps, X) -> np.ndarray:
+    """The one-block targets of every row of a (k, n) stack as a (k, N, n)
+    array: entry [j, i] is T_i(X[j]), row i of ``coordinate_prox_all`` at X[j]."""
+    T = full_prox_rows(p, gen, eps, X)
+    return np.where(_block_masks(p.partition), T[:, None, :], np.asarray(X, dtype=float)[:, None, :])
 
 
 def envelope_value(p, gen, eps, x) -> float:

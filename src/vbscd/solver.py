@@ -91,14 +91,6 @@ class Trajectory:
                 return rec.prox_residual
         return None
 
-    @property
-    def max_iterate_norm(self) -> float:
-        """max_k ||x^k||, an empirical proxy for level boundedness."""
-        m = float(np.linalg.norm(self.x0))
-        for rec in self.records:
-            m = max(m, float(np.linalg.norm(rec.point)))
-        return m
-
     def objectives(self) -> np.ndarray:
         """F(x^0), F(x^1), ..., length len(records)+1."""
         return np.array([self.initial_objective] + [r.objective for r in self.records])
@@ -130,7 +122,10 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
     report = validate_schedule(sched, p, config.max_iters)
     if not report.ok:
         raise ValueError(f"invalid schedule: {report.message}")
-    x = np.zeros(p.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    # a copy, so that the caller may reuse its start vector; steps never
+    # write into x, so this one array is also the trajectory's x0
+    x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
+    start = x
     f0 = p.objective(x)
     if not np.isfinite(f0):
         raise SolverAbort(f"objective not finite at the start point ({f0})")
@@ -171,7 +166,7 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
             termination = "tolerance"
             break
     return Trajectory(
-        x0=np.zeros(p.n) if x0 is None else np.asarray(x0, dtype=float),
+        x0=start,
         records=records,
         termination=termination,
         initial_objective=f0,

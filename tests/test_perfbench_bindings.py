@@ -16,6 +16,16 @@ def _layers():
     return module
 
 
+class _Counts:
+    """Stands in for the tracer: records what a hook counts."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def count(self, name, value):
+        self.seen[name] = self.seen.get(name, 0) + value
+
+
 def test_benchmark_bindings_resolve():
     layers = _layers()
     missing = [
@@ -37,20 +47,70 @@ def test_solver_run_result_has_what_the_trace_reads():
     from vbscd import BregmanSchedule, SolverConfig, run
     from vbscd.instances import lasso_random
 
-    class Counts:
-        def __init__(self):
-            self.seen = {}
-
-        def count(self, name, value):
-            self.seen[name] = self.seen.get(name, 0) + value
-
     p = lasso_random(n=10, n_blocks=5, seed=21)
     traj = run(p, SolverConfig(schedule=BregmanSchedule.constant(10, 1.0, 0.1),
                                max_iters=7, tolerance=0.0, seed=1))
-    tr = Counts()
+    tr = _Counts()
     _layers()._on_solver_run(tr, (), {}, traj)
     assert tr.seen == {
         "solver.iterations": 7,
         "solver.tolerance_stops": 0,
         "solver.points_bytes": 7 * 10 * 8,
     }
+
+
+def test_audit_and_level_ball_results_have_what_the_trace_reads():
+    # the hooks read checked/skipped off the audit and len(result[0]) off
+    # the sampler, whose points are now the rows of one array
+    import numpy as np
+    from vbscd import (BregmanSchedule, SolverConfig, compute_constants, contraction_audit,
+                       run, sample_level_ball)
+    from vbscd.instances import lasso_random
+
+    p = lasso_random(n=10, n_blocks=5, seed=21)
+    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    traj = run(p, SolverConfig(schedule=sched, max_iters=30, tolerance=0.0, seed=1))
+    x_bar = traj.final_point
+    constants = compute_constants(1.0, 1.0, p.smooth.lipschitz, 0.1, 0.1, 5, 0.5, 10.0, 100.0)
+    audit = contraction_audit(p, sched, traj, x_bar, p.objective(x_bar), constants)
+    pts, _, _ = sample_level_ball(p, x_bar, 0.5, 1.0, 40, np.random.default_rng(0))
+    tr = _Counts()
+    layers = _layers()
+    layers._on_audit(tr, (), {}, audit)
+    layers._on_level_ball(tr, (), {}, (pts, None, None))
+    assert audit.checked > 0 and audit.checked + audit.skipped == 31
+    assert pts.shape == (40, 10)
+    assert tr.seen == {
+        "diagnostics.audit.checked": audit.checked,
+        "diagnostics.audit.skipped": audit.skipped,
+        "probes.accepted": 40,
+    }
+
+
+def test_rate_flow_runs_its_per_point_oracles(monkeypatch, tmp_path):
+    # the benchmark requires calls > 0 of enumerate_expectation and
+    # min_subgradient_norm on the rate workload: the audit's enumeration
+    # cross-check and the ls-eb probe's extremal point make them
+    from vbscd import diagnostics, harness
+    from vbscd.model import ProblemInstance
+
+    calls = {"enumerate_expectation": 0, "min_subgradient_norm": 0}
+    enumerate_expectation = diagnostics.enumerate_expectation
+    min_subgradient_norm = ProblemInstance.min_subgradient_norm
+
+    def spy_enumeration(*args):
+        calls["enumerate_expectation"] += 1
+        return enumerate_expectation(*args)
+
+    def spy_norm(self, x):
+        calls["min_subgradient_norm"] += 1
+        return min_subgradient_norm(self, x)
+
+    monkeypatch.setattr(diagnostics, "enumerate_expectation", spy_enumeration)
+    monkeypatch.setattr(ProblemInstance, "min_subgradient_norm", spy_norm)
+    cfg = harness.load_config(LAYERS.parent / "configs" / "rate_lasso50_audit.cfg")
+    cfg.replications = 2
+    cfg.probe["samples"] = 200
+    assert harness.run_rate(cfg, tmp_path) == 0
+    assert calls["enumerate_expectation"] >= 1
+    assert calls["min_subgradient_norm"] >= 1

@@ -145,10 +145,19 @@ def test_trajectory_helpers():
     assert traj.final_point[0] == pytest.approx(1 - 0.5**5)
     assert len(traj.objectives()) == 6
     assert traj.gaps(0.0)[0] == pytest.approx(0.5)
-    assert traj.max_iterate_norm == pytest.approx(1 - 0.5**5)
     empty = Trajectory(np.zeros(1), [], "max_iters", 0.5)
     assert empty.final_objective == 0.5
     assert empty.final_residual is None
+
+
+def test_trajectory_start_point_is_a_copy():
+    p = lasso_random(n=10, n_blocks=5, seed=21)
+    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    x0 = np.linspace(-1.0, 1.0, 10)
+    traj = run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=1), x0)
+    x0[:] = 7.0  # the caller reuses its start vector
+    assert np.array_equal(traj.x0, np.linspace(-1.0, 1.0, 10))
+    assert traj.initial_objective == p.objective(traj.x0)
 
 
 def test_single_step_applies_drawn_block():

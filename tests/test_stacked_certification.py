@@ -1,0 +1,342 @@
+"""Stacked certification against the per-point forms it replaced.
+
+The contraction audit, the level-ball sampler and the probes evaluate
+stacks of points; the per-point loops kept below (enumeration over the N
+one-block targets, one proposal tested at a time, one subgradient norm per
+point) are the oracle.
+"""
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vbscd import (
+    BregmanSchedule,
+    CustomSmooth,
+    EmptyNeighborhoodError,
+    OracleMismatch,
+    ProblemInstance,
+    SolverConfig,
+    auto_neighborhood,
+    compute_constants,
+    contraction_audit,
+    in_neighborhood,
+    instances,
+    probe_bp_eb,
+    probe_kl,
+    probe_ls_eb,
+    run,
+    sample_level_ball,
+)
+from vbscd import diagnostics, probes
+from vbscd.bregman import harmonic_clipped, step_cap
+from vbscd.diagnostics import enumerate_expectation
+from vbscd.probes import level_margin, singleton_distance
+from vbscd.prox import full_prox
+
+REL = 1e-14
+
+INSTANCES = {
+    "lasso_random50": lambda: instances.lasso_random(50),
+    "quadratic_scad": instances.quadratic_scad,
+    "quadratic_mcp": instances.quadratic_mcp,
+    "logistic_random": instances.logistic_random,
+}
+
+
+def schedule(kind, p):
+    eps_hi = 0.8 * step_cap(1.0, p)
+    varying = (eps_hi / 20.0, eps_hi, harmonic_clipped(eps_hi / 20.0, eps_hi))
+    if kind == "constant":
+        return BregmanSchedule.constant(p.n, 1.0, eps_hi)
+    if kind == "alternating":
+        return BregmanSchedule.alternating(p.n, 1.0, 1.25, 3, eps_hi)
+    # alternating weights and a harmonic step: one (generator, eps) group
+    # per k until the step is clipped
+    return BregmanSchedule.alternating(p.n, 1.0, 1.25, 3, varying)
+
+
+def reference_point(p, sched):
+    x = np.zeros(p.n)
+    for _ in range(3000):
+        x = full_prox(p, sched.generator(0), sched.step(0), x)
+    return x, p.objective(x)
+
+
+def trajectories(p, sched, x_bar, count=3, steps=120):
+    rng = np.random.default_rng(5)
+    return [
+        run(p, SolverConfig(sched, max_iters=steps, tolerance=0.0, seed=s),
+            x0=x_bar + 0.5 * rng.standard_normal(p.n))
+        for s in range(count)
+    ]
+
+
+def per_point_audit(p, sched, trajs, x_bar, f_bar, constants, slack=1e-9):
+    """The audit as one enumeration per point."""
+    checked = skipped = violations = 0
+    worst = np.inf
+    for traj in trajs:
+        points = [traj.x0] + [rec.point for rec in traj.records]
+        for k, (x, fx) in enumerate(zip(points, traj.objectives())):
+            if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0,
+                                   constants.level_window, fx=fx):
+                skipped += 1
+                continue
+            mean_f = float(enumerate_expectation(
+                p, sched.generator(k), sched.step(k), x, p.objective_rows))
+            lhs, rhs = mean_f - f_bar, constants.beta * (fx - f_bar)
+            checked += 1
+            worst = min(worst, rhs - lhs)
+            violations += lhs > rhs + slack
+    return checked, skipped, violations, worst
+
+
+# ---------------------------------------------------------------------------
+# contraction audit
+
+
+@pytest.mark.parametrize("sched_kind", ["constant", "alternating", "harmonic"])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_stacked_audit_equals_per_point_enumeration(name, sched_kind):
+    p = INSTANCES[name]()
+    sched = schedule(sched_kind, p)
+    x_bar, f_bar = reference_point(p, sched)
+    trajs = trajectories(p, sched, x_bar)
+    eta, nu = auto_neighborhood(p, sched, x_bar, [t.x0 for t in trajs])
+    theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
+                               sched.eps_hi, p.n_blocks, 0.05, eta, nu)
+    # a ball that leaves out about half of the points, its radius halfway
+    # between two distances (a point on the sphere could fall either side,
+    # as a row norm and a vector norm may differ in their last bit)
+    d = np.sort([np.linalg.norm(x - x_bar) for t in trajs
+                 for x in [t.x0] + [r.point for r in t.records]])
+    half = d[d.size // 2] + d[d.size // 2 + 1]
+    seen = set()
+    # and betas that some points break
+    for ball, beta in ((eta, theory.beta), (half, 0.95), (eta, 0.9), (eta, 0.5)):
+        constants = dataclasses.replace(theory, beta=beta, eta=ball)
+        audit = contraction_audit(p, sched, trajs, x_bar, f_bar, constants)
+        checked, skipped, violations, worst = per_point_audit(
+            p, sched, trajs, x_bar, f_bar, constants)
+        assert (audit.checked, audit.skipped, audit.violations) == (checked, skipped, violations)
+        assert audit.checked > 0
+        assert abs(audit.worst_margin - worst) <= 1e-12
+        seen.add((skipped > 0, violations > 0))
+    assert len(seen) >= 2
+
+
+def test_audit_accepts_a_single_trajectory_and_reports_no_points():
+    p = instances.lasso_random(10, 5, seed=21)
+    sched = schedule("constant", p)
+    x_bar, f_bar = reference_point(p, sched)
+    (traj,) = trajectories(p, sched, x_bar, count=1, steps=30)
+    theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
+                               sched.eps_hi, p.n_blocks, 0.05, 1e-9, 1e-9)
+    audit = contraction_audit(p, sched, traj, x_bar, f_bar, theory)
+    assert (audit.checked, audit.skipped, audit.violations) == (0, 31, 0)
+    assert audit.worst_margin == np.inf and not audit.ok
+
+
+def _audit_case():
+    p = instances.lasso_random(10, 5, seed=21)
+    sched = schedule("harmonic", p)
+    x_bar, f_bar = reference_point(p, sched)
+    trajs = trajectories(p, sched, x_bar, count=2, steps=60)
+    eta, nu = auto_neighborhood(p, sched, x_bar, [t.x0 for t in trajs])
+    constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
+                                  sched.eps_hi, p.n_blocks, 0.05, eta, nu)
+    return p, sched, trajs, x_bar, f_bar, constants
+
+
+def test_audit_oracle_raises_on_a_disagreement(monkeypatch):
+    case = _audit_case()
+    stacked = diagnostics.stacked_expectation
+    calls = []
+    monkeypatch.setattr(diagnostics, "enumerate_expectation",
+                        lambda *a: (calls.append(a), enumerate_expectation(*a))[1])
+    contraction_audit(*case)
+    assert calls, "the audit ran no enumeration"
+
+    # within 1e-12 (1 + |F|) passes, beyond it raises
+    monkeypatch.setattr(diagnostics, "stacked_expectation",
+                        lambda *a: stacked(*a) * (1.0 + 1e-14))
+    contraction_audit(*case)
+    monkeypatch.setattr(diagnostics, "stacked_expectation",
+                        lambda *a: stacked(*a) * (1.0 + 1e-10))
+    with pytest.raises(OracleMismatch):
+        contraction_audit(*case)
+
+
+def test_audit_memory_stays_bounded():
+    # one 20,000-step trajectory: a single stack of its one-block targets
+    # would take 20,001 * 10 * 50 doubles = 80 MB
+    p = instances.lasso_random(50)
+    sched = schedule("constant", p)
+    x_bar, f_bar = reference_point(p, sched)
+    traj = run(p, SolverConfig(sched, max_iters=20_000, tolerance=0.0, seed=3),
+               x0=x_bar + 0.5 * np.random.default_rng(2).standard_normal(p.n))
+    # a wide ball and a reference level one below F(x_bar), so that every
+    # point is checked
+    constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
+                                  sched.eps_hi, p.n_blocks, 0.05, 20.0, 1e3)
+    assert constants.level_window > 1.0 + traj.initial_objective - f_bar
+    tracemalloc.start()
+    try:
+        audit = contraction_audit(p, sched, traj, x_bar, f_bar - 1.0, constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.checked == 20_001
+    assert peak < 2 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# level-ball sampling
+
+
+def one_at_a_time(p, x_bar, eta, nu, samples, rng, max_draws):
+    """The sampler as one proposal drawn and tested at a time."""
+    f_bar = p.objective(x_bar)
+    margin = level_margin(f_bar)
+    pts, vals, draws = [], [], 0
+    while len(pts) < samples and draws < max_draws:
+        x = probes.sample_in_ball(x_bar, eta, rng)
+        draws += 1
+        fx = p.objective(x)
+        if f_bar + margin < fx < f_bar + nu:
+            pts.append(x)
+            vals.append(fx)
+    return pts, vals
+
+
+@pytest.mark.parametrize("nu, samples, max_draws", [
+    (1e3, 700, 10**6),   # nearly every proposal accepted, batches cut short
+    (2e-3, 100, 1500),   # a few accepted, stopped by the draw cap
+    (1e-300, 10, 600),   # nothing accepted: EmptyNeighborhoodError
+])
+def test_batched_sampler_follows_the_one_at_a_time_stream(monkeypatch, nu, samples, max_draws):
+    p = instances.lasso_random(10, 5, seed=21)
+    x_bar, _ = reference_point(p, schedule("constant", p))
+    draws = [0]
+    draw = probes.sample_in_ball
+
+    def counted(*args):
+        draws[0] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(probes, "sample_in_ball", counted)
+    want_rng = np.random.Generator(np.random.PCG64(9))
+    want_pts, want_vals = one_at_a_time(p, x_bar, 0.5, nu, samples, want_rng, max_draws)
+    want_draws, draws[0] = draws[0], 0
+
+    rng = np.random.Generator(np.random.PCG64(9))
+    if not want_pts:
+        with pytest.raises(EmptyNeighborhoodError):
+            sample_level_ball(p, x_bar, 0.5, nu, samples, rng, max_draws=max_draws)
+    else:
+        pts, vals, _ = sample_level_ball(p, x_bar, 0.5, nu, samples, rng, max_draws=max_draws)
+        assert pts.shape == (len(want_pts), p.n)
+        assert np.array_equal(pts, np.array(want_pts))
+        assert vals == pytest.approx(want_vals, rel=REL)
+        assert 0 < len(want_pts) <= samples
+    assert draws[0] == want_draws
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# row-wise model evaluations
+
+
+def custom_lasso():
+    """lasso_random(10) with its smooth term behind the generic per-row path."""
+    base = instances.lasso_random(10, 5, seed=21)
+    A, b = base.smooth.A, base.smooth.b
+    smooth = CustomSmooth(lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
+                          lambda x: A.T @ (A @ x - b), base.smooth.lipschitz, 10)
+    return ProblemInstance(smooth, base.partition, base.regularizers)
+
+
+@pytest.mark.parametrize("name", [*sorted(INSTANCES), "custom"])
+def test_row_forms_match_the_per_point_forms(name):
+    p = custom_lasso() if name == "custom" else INSTANCES[name]()
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((300, p.n))
+    X[::3, ::2] = 0.0   # exact zeros on the penalty kinks
+    X[1] = 0.0
+    G = p.smooth.grad_rows(X)
+    norms = p.min_subgradient_norm_rows(X)
+    assert G.shape == X.shape and norms.shape == (300,)
+    for x, g, d in zip(X, G, norms):
+        want = p.smooth.grad(x)
+        assert np.abs(g - want).max() <= REL * np.abs(want).max()
+        assert abs(d - p.min_subgradient_norm(x)) <= REL * p.min_subgradient_norm(x)
+    with pytest.raises(ValueError):
+        p.min_subgradient_norm_rows(X[0])
+
+
+# ---------------------------------------------------------------------------
+# probes on the stacked sample
+
+
+def test_extremum_keeps_the_first_of_equal_ratios():
+    pick = probes._first_extremum
+    num = np.array([1.0, 2.0, 2.0, np.nan, 3.0])
+    den = np.array([1.0, 1.0, 1.0, 1.0, 0.0])  # the 3.0 sits on a zero denominator
+    assert pick(num, den, largest=True) == 1
+    assert pick(num[[0, 1, 2]][::-1].copy(), den[:3].copy(), largest=False) == 2
+    assert pick(num[3:].copy(), den[3:].copy(), largest=True) is None
+
+
+def loop_ratio(pts, num, den, largest):
+    best, best_pt = (-np.inf if largest else np.inf), None
+    for x in pts:
+        d = den(x)
+        if d < probes.DENOM_CUTOFF:
+            continue
+        r = num(x) / d
+        if (r > best) if largest else (r < best):
+            best, best_pt = r, x
+    return best, best_pt
+
+
+def test_probes_match_their_per_point_loops():
+    p = instances.lasso_random(10, 5, seed=21)
+    sched = schedule("constant", p)
+    x_bar, f_bar = reference_point(p, sched)
+    gen, eps = sched.generator(0), sched.step(0)
+    dist = singleton_distance(x_bar)
+    for probe, num, den, largest in (
+        (probe_ls_eb, dist, p.min_subgradient_norm, True),
+        (probe_kl, p.min_subgradient_norm, lambda x: np.sqrt(p.objective(x) - f_bar), False),
+        (probe_bp_eb, dist, lambda x: float(np.linalg.norm(x - full_prox(p, gen, eps, x))), True),
+    ):
+        pts, _, _ = sample_level_ball(p, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
+        if probe is probe_bp_eb:
+            est = probe(p, gen, eps, x_bar, 0.5, 0.2, dist, 600, np.random.default_rng(8))
+        else:
+            est = probe(p, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
+        value, point = loop_ratio(pts, num, den, largest)
+        assert est.value == pytest.approx(value, rel=1e-12), probe.__name__
+        assert np.array_equal(est.extremal_point, point), probe.__name__
+        assert est.samples == len(pts) == 600
+
+
+def test_ls_eb_reports_the_first_of_equal_ratios():
+    # on 0.5 x^2 every ratio |x| / |x| is exactly 1
+    p = instances.quad_1d(0.0)
+    pts, _, _ = sample_level_ball(p, np.zeros(1), 1.0, 1.0, 300, np.random.default_rng(3))
+    est = probe_ls_eb(p, np.zeros(1), 1.0, 1.0, 300, np.random.default_rng(3))
+    assert est.value == 1.0
+    assert np.array_equal(est.extremal_point, pts[0])
+
+
+def test_ls_eb_oracle_raises_on_a_disagreement(monkeypatch):
+    p = instances.lasso_random(10, 5, seed=21)
+    x_bar, _ = reference_point(p, schedule("constant", p))
+    exact = ProblemInstance.min_subgradient_norm
+    monkeypatch.setattr(ProblemInstance, "min_subgradient_norm",
+                        lambda self, x: exact(self, x) * (1.0 + 1e-9))
+    with pytest.raises(OracleMismatch):
+        probe_ls_eb(p, x_bar, 0.5, 0.2, 200, np.random.default_rng(1))
