@@ -486,49 +486,120 @@ class GridProxOracle:
 
     Precomputes the penalty values once so repeated (w, v) queries stay
     cheap; the grid pins the oracle's resolution (default [-10, 10] at 1e-5).
-    Only the penalty values are stored: grid point j is ``lo + step * j``,
-    rebuilt ``CHUNK`` points at a time, and a query scans the grid chunk by
-    chunk through one buffer, so its memory does not grow with the grid.
+    Grid point j is ``lo + step * j``; only the penalty values are stored,
+    with three numbers per chunk of ``CHUNK`` points: the least penalty
+    value and the first and last point.
+
+    A query computes phi(t) + (w/2)(t - v)^2 one chunk at a time, but only
+    on the chunks that can hold the minimum.  Chunk c's lower bound is
+
+        lb_c = (d_c^2 * (w/2)) + min phi over the chunk,
+
+    with d_c = 0 when v lies in [t_first, t_last] and d_c = t_end - v for
+    the nearer end otherwise: the same float operations, in the same order,
+    as the scan.  Round-to-nearest is monotone, so for w >= 0 every value
+    the scan computes in the chunk is >= lb_c.  Chunks are visited by
+    ascending lb_c (stable sort) until lb_c exceeds the best value found;
+    a value wins when it is smaller, or equal with a smaller index.  The
+    result is the first grid point np.argmin would return over the whole
+    grid, bit for bit.
+
+    Every chunk is scanned in order instead, as one np.argmin would, when
+    the bound cannot be trusted: v or w not finite, w < 0, v so far from
+    the grid that a square overflows (0 * inf would be NaN), or a NaN bound
+    (a NaN penalty value, say).  Otherwise a scanned value is NaN only as
+    inf + (-inf), where phi = -inf; such chunks have lb_c = -inf, so they
+    are visited first and in index order, and the first NaN found is the
+    one np.argmin returns.
     """
 
-    CHUNK = 1 << 16
+    CHUNK = 1 << 12  # scan unit of a query
+    BUILD_CHUNK = 1 << 14  # points per penalty evaluation while building
 
     def __init__(self, reg: Regularizer, lo: float = -10.0, hi: float = 10.0, step: float = 1e-5):
+        for name, val in (("lo", lo), ("hi", hi), ("step", step)):
+            if not np.isfinite(val):
+                raise ValueError(f"grid {name} must be finite, got {val}")
+        if step <= 0:
+            raise ValueError(f"grid step must be > 0, got {step}")
+        if hi < lo:
+            raise ValueError(f"grid hi = {hi} must be >= lo = {lo}")
         self.reg = reg
         self.lo = lo
         self.step = step
         count = int(round((hi - lo) / step)) + 1
-        self._j = np.arange(min(count, self.CHUNK), dtype=float)
         self.g_vals = np.empty(count)
-        for a, t in self._chunks(np.empty_like(self._j)):
-            self.g_vals[a:a + t.size] = reg.value(t)
+        self.g_min = np.empty(-(-count // self.CHUNK))
+        j = np.arange(min(count, self.BUILD_CHUNK), dtype=float)
+        t = np.empty_like(j)
+        offsets = np.arange(0, j.size, self.CHUNK)  # scan chunks within a build chunk
+        for a in range(0, count, self.BUILD_CHUNK):
+            pts = self._points(a, j, t[:min(count - a, j.size)])
+            g = self.g_vals[a:a + pts.size]
+            g[:] = reg.value(pts)
+            c, k = a // self.CHUNK, -(-pts.size // self.CHUNK)
+            self.g_min[c:c + k] = np.minimum.reduceat(g, offsets[:k])
+        starts = np.arange(0, count, self.CHUNK)
+        self.t_first = starts * step + lo
+        self.t_last = np.minimum(starts + (self.CHUNK - 1), count - 1) * step + lo
 
-    def _chunks(self, buf):
-        """(a, grid points a, a+1, ...) per chunk, written into ``buf``: the
-        same doubles as ``lo + step * np.arange(count)``, since a + j is an
-        exact integer."""
-        count = self.g_vals.size
-        for a in range(0, count, self.CHUNK):
-            t = buf[:min(count - a, self.CHUNK)]
-            np.add(self._j[:t.size], a, out=t)
-            t *= self.step
-            t += self.lo
-            yield a, t
+    def _points(self, a: int, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Grid points a, a+1, ... written into ``out``: the same doubles as
+        ``lo + step * np.arange(count)``, since a + j is an exact integer."""
+        np.add(j[:out.size], a, out=out)
+        out *= self.step
+        out += self.lo
+        return out
+
+    def _chunk_values(self, c: int, hw: float, v: float, j: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """phi(t) + hw (t - v)^2 on the points of chunk c, written into ``buf``."""
+        a = c * self.CHUNK
+        vals = self._points(a, j, buf[:min(self.g_vals.size - a, self.CHUNK)])
+        vals -= v
+        np.square(vals, out=vals)
+        vals *= hw
+        vals += self.g_vals[a:a + vals.size]
+        return vals
+
+    def lower_bounds(self, hw: float, v: float):
+        """lb_c of every chunk for weight w = 2 hw, or None when the bound
+        cannot be trusted (see the class docstring)."""
+        if not (np.isfinite(v) and np.isfinite(hw) and hw >= 0):
+            return None
+        far = float(max(abs(self.t_first[0] - v), abs(self.t_last[-1] - v)))
+        if not np.isfinite(far * far):
+            return None
+        lb = np.clip(v, self.t_first, self.t_last)
+        lb -= v
+        np.square(lb, out=lb)
+        lb *= hw
+        lb += self.g_min
+        return None if np.isnan(lb).any() else lb
+
+    def _scan(self, chunks, hw: float, v: float, lb=None) -> tuple[int, float]:
+        """(index, value) of the first least value over ``chunks``; with
+        bounds ``lb``, stops at the first chunk whose bound exceeds the best
+        value.  A NaN beats a number, as in np.argmin."""
+        j = np.arange(self.CHUNK, dtype=float)
+        buf = np.empty_like(j)
+        best_i, best = self.g_vals.size, np.inf
+        for c in chunks:
+            if lb is not None and lb[c] > best:
+                break
+            vals = self._chunk_values(c, hw, v, j, buf)
+            k = int(vals.argmin())
+            i, val = c * self.CHUNK + k, vals[k]
+            if val < best or (val == best and i < best_i) or (np.isnan(val) and not np.isnan(best)):
+                best_i, best = i, val
+        return best_i, best
 
     def query(self, w: float, v: float) -> tuple[float, float]:
         """(argmin, objective value) of phi(t) + (w/2)(t - v)^2 on the grid;
         of equal values the first grid point wins, as in one np.argmin."""
         hw = 0.5 * w
-        best_i, best = None, np.nan
-        for a, vals in self._chunks(np.empty_like(self._j)):
-            vals -= v
-            np.square(vals, out=vals)
-            vals *= hw
-            vals += self.g_vals[a:a + vals.size]
-            j = int(vals.argmin())
-            val = vals[j]
-            # strict <, so a later equal value never wins; a NaN beats a
-            # number, since np.argmin returns the first NaN
-            if best_i is None or val < best or (np.isnan(val) and not np.isnan(best)):
-                best_i, best = a + j, val
+        lb = self.lower_bounds(hw, v)
+        if lb is None:
+            best_i, best = self._scan(range(self.g_min.size), hw, v)
+        else:
+            best_i, best = self._scan(np.argsort(lb, kind="stable").tolist(), hw, v, lb.tolist())
         return float(self.lo + self.step * best_i), float(best)

@@ -9,6 +9,7 @@ directory.  See configs/reference.cfg for the full key catalog.
 from __future__ import annotations
 
 import configparser
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -376,7 +377,9 @@ def resolve_reference_value(
 
     The best-found path runs x <- T(x) with the schedule's k=0 geometry held
     fixed, stopping at ``tolerance`` residual or ``max_steps``; an increase
-    of the objective beyond 1e-12 * (1 + |F|) raises DivergenceError.
+    of the objective beyond 1e-12 * (1 + |F|) raises DivergenceError.  A
+    run that reaches ``max_steps`` with its last move still above
+    ``tolerance`` writes a one-line warning to stderr.
     """
     if source not in ("auto", "known", "best-found"):
         raise ConfigError(f"reference source must be auto|known|best-found, got {source!r}")
@@ -388,6 +391,7 @@ def resolve_reference_value(
     gen, eps = sched.generator(0), sched.step(0)
     x = np.zeros(p.n) if x0 is None else np.asarray(x0, dtype=float).copy()
     f_prev = p.objective(x)
+    moved = np.inf
     for _ in range(max_steps):
         t = full_prox(p, gen, eps, x)
         f_next = p.objective(t)
@@ -399,6 +403,9 @@ def resolve_reference_value(
         x, f_prev = t, f_next
         if moved <= tolerance:
             break
+    else:
+        print(f"warning: reference iteration stopped at max_steps = {max_steps} "
+              f"with last move {moved:.3g} > tolerance {tolerance:.3g}", file=sys.stderr)
     return Reference(x, f_prev, "best-found")
 
 

@@ -323,6 +323,144 @@ def test_grid_oracle_memory_stays_bounded():
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"step": 0.0}, "step"),
+    ({"step": -1e-5}, "step"),
+    ({"step": np.nan}, "step"),
+    ({"step": np.inf}, "step"),
+    ({"lo": np.nan}, "lo"),
+    ({"lo": -np.inf}, "lo"),
+    ({"hi": np.inf}, "hi"),
+    ({"lo": 1.0, "hi": 0.5}, "hi"),
+])
+def test_grid_oracle_rejects_bad_grids(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        GridProxOracle(make_regularizer("l1", lam=1.0), **kwargs)
+
+
+# 5 chunks and 77 points, over two build chunks
+SMALL_GRID = {"lo": -3.0, "hi": -3.0 + 2e-4 * (5 * GridProxOracle.CHUNK + 76), "step": 2e-4}
+
+BOUND_REGS = [
+    make_regularizer("l1", lam=1.3),
+    make_regularizer("scad", lam=0.9, a=3.7),
+    make_regularizer("mcp", lam=0.8, gamma=4.0),
+    SquaredL2Penalty(0.7),
+    make_regularizer("zero"),
+]
+
+
+def same_bits(a, b):
+    return np.array(a, dtype=float).view(np.int64).tolist() == np.array(b, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("reg", BOUND_REGS, ids=lambda reg: reg.kind)
+def test_grid_oracle_chunk_bound_is_below_every_scanned_value(reg):
+    oracle = GridProxOracle(reg, **SMALL_GRID)
+    chunk, count = GridProxOracle.CHUNK, oracle.g_vals.size
+    ts = SMALL_GRID["lo"] + SMALL_GRID["step"] * np.arange(count)
+    rng = np.random.default_rng(29)
+    # v beyond the grid on both sides, and w = 0
+    queries = [(0.0, rng.uniform(-5.0, 5.0)) for _ in range(3)]
+    queries += [(rng.uniform(0.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(30)]
+    for w, v in queries:
+        lb = oracle.lower_bounds(0.5 * w, v)
+        vals = np.full(oracle.g_min.size * chunk, np.inf)
+        vals[:count] = np.asarray(reg.value(ts), dtype=float) + 0.5 * w * np.square(ts - v)
+        chunk_min = vals.reshape(-1, chunk).min(axis=1)
+        assert lb.shape == chunk_min.shape
+        assert np.all(lb <= chunk_min)
+        assert same_bits(oracle.query(w, v), grid_argmin_one_shot(reg, w, v, **SMALL_GRID))
+
+
+class _StubPenalty:
+    """Penalty values from a function of the grid point, for edge cases."""
+
+    def __init__(self, fn):
+        self.value = fn
+
+
+def test_grid_oracle_fallbacks_equal_the_one_shot_scan():
+    def nan_and_inf(t):
+        g = np.abs(t - 0.3)
+        g[np.isin(np.round(t / SMALL_GRID["step"]), (-9000, 1234, 5000))] = np.nan
+        g[(t > 0.5) & (t < 0.9)] = np.inf
+        return g
+
+    regs = [make_regularizer("l1", lam=1.3), make_regularizer("scad", lam=0.9, a=3.7),
+            _StubPenalty(nan_and_inf), _StubPenalty(lambda t: np.where((t > -1.0) & (t < 0.0), np.inf, t * t))]
+    queries = [(0.0, 0.4), (0.0, -7.0), (-1.0, 0.4), (-2.5, 9.0), (1.0, np.inf), (1.0, -np.inf),
+               (np.nan, 0.4), (1.0, np.nan), (np.inf, 0.4), (2.0, 1e200), (0.0, 1e200), (3.0, -0.5)]
+    for reg in regs:
+        oracle = GridProxOracle(reg, **SMALL_GRID)
+        for w, v in queries:
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e200^2, 0 * inf
+                assert same_bits(oracle.query(w, v), grid_argmin_one_shot(reg, w, v, **SMALL_GRID)), (w, v)
+    # a NaN penalty value gives a NaN bound, so that query takes the full scan
+    assert GridProxOracle(regs[2], **SMALL_GRID).lower_bounds(1.0, 0.4) is None
+
+
+def test_grid_oracle_nan_values_on_the_pruned_path_match_the_one_shot_scan():
+    chunk = GridProxOracle.CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        # inf + (-inf) = NaN at t = chunk + 7; chunk 2 holds v and a -inf
+        # that stays -inf, and chunk 0 (all +inf) is visited last
+        grid = {"lo": 0.0, "hi": 3.0 * chunk - 1, "step": 1.0}
+        reg = _StubPenalty(lambda t: np.where((t == chunk + 7) | (t == 2 * chunk + 5), -np.inf, 0.0))
+        w, v = 2e302, 2.0 * chunk + 100
+        lb = GridProxOracle(reg, **grid).lower_bounds(0.5 * w, v)
+        assert lb.tolist() == [np.inf, -np.inf, -np.inf]
+        t, val = GridProxOracle(reg, **grid).query(w, v)
+        assert (t, np.isnan(val)) == (chunk + 7.0, True)
+        assert same_bits((t, val), grid_argmin_one_shot(reg, w, v, **grid))
+        # w = 0 where squares overflow inside chunk 1 though not at its ends:
+        # 0 * inf = NaN there, so the bound's lb_1 = 1 must not skip it
+        grid = {"lo": 0.0, "hi": (2.0 * chunk - 1) * 2e150, "step": 2e150}
+        reg = _StubPenalty(lambda t: np.where(t > (chunk - 0.5) * 2e150, 1.0, 0.0))
+        t, val = GridProxOracle(reg, **grid).query(0.0, 0.0)
+        assert np.isnan(val)
+        assert same_bits((t, val), grid_argmin_one_shot(reg, 0.0, 0.0, **grid))
+
+
+def test_grid_oracle_tie_found_out_of_order_goes_to_the_earlier_point():
+    chunk = GridProxOracle.CHUNK
+    v = chunk + 3.0  # in chunk 1; points are t = 0, 1, 2, ...
+    # value (t - v)^2 + g(t): 0 at t = v, and 0 at t = chunk - 1 in chunk 0;
+    # g = -1 far from v makes chunk 1's bound the lowest, so it goes first
+    reg = _StubPenalty(lambda t: np.where(t == chunk - 1, -(chunk - 1 - v) ** 2,
+                                          np.where(t == 2 * chunk - 1, -1.0, 0.0)))
+    grid = {"lo": 0.0, "hi": 2.0 * chunk + 4, "step": 1.0}
+    oracle = GridProxOracle(reg, **grid)
+    lb = oracle.lower_bounds(1.0, v)
+    assert lb[1] < lb[0] <= 0.0 < lb[2]
+    assert same_bits(oracle.query(2.0, v), (chunk - 1.0, 0.0))
+    assert same_bits(oracle.query(2.0, v), grid_argmin_one_shot(reg, 2.0, v, **grid))
+
+
+@pytest.mark.parametrize("reg", [make_regularizer("l1", lam=1.0), make_regularizer("scad", lam=1.0, a=3.7),
+                                 make_regularizer("mcp", lam=1.0, gamma=3.0)], ids=lambda reg: reg.kind)
+def test_grid_oracle_scans_few_chunks_on_verify_queries(reg, monkeypatch):
+    oracle = GridProxOracle(reg)
+    assert oracle.g_min.size == 489
+    scanned = []
+    chunk_values = GridProxOracle._chunk_values
+
+    def spy(self, *args):
+        scanned[-1] += 1
+        return chunk_values(self, *args)
+
+    monkeypatch.setattr(GridProxOracle, "_chunk_values", spy)
+    rng = np.random.default_rng(41)
+    for _ in range(48):  # the verify suite's query distribution
+        w = reg.rho + 0.1 + 4.9 * rng.random()
+        v = -5.0 + 10.0 * rng.random()
+        scanned.append(0)
+        oracle.query(w, v)
+    # the bound is loose near the minimiser by about 2 |phi'| times a
+    # chunk's width, so small w needs tens of chunks; the full scan is 489
+    assert max(scanned) <= 40 and np.mean(scanned) <= 12, scanned
+
+
 def test_make_check_slack_and_verdict():
     ok = make_check("kernel", "sandwich", 1.0, 2.0, 1e-9)
     assert ok.slack == 1.0 and ok.passed

@@ -366,6 +366,25 @@ def test_every_flow_passes_the_reference_settings(tmp_path, monkeypatch, kind):
     assert seen == [("best-found", 7, 1e-5)]
 
 
+def test_reference_step_cap_warns_on_stderr(tmp_path, capsys):
+    outs = {}
+    for max_steps in (1, 2000):
+        text = BASE + f"\n[reference]\nsource = best-found\nmax_steps = {max_steps}\n"
+        out = tmp_path / f"out{max_steps}"
+        assert harness.run_experiment(write_cfg(tmp_path, text), "solve", out_dir=out) == 0
+        outs[max_steps] = capsys.readouterr()
+    # the warning goes to stderr only: both runs write the same files
+    assert sorted(f.name for f in (tmp_path / "out1").iterdir()) == \
+        sorted(f.name for f in (tmp_path / "out2000").iterdir())
+    warning = outs[1].err.splitlines()
+    assert len(warning) == 1
+    assert warning[0].startswith("warning: reference iteration stopped at max_steps = 1 ")
+    assert "tolerance 1e-12" in warning[0]
+    assert "warning" not in outs[1].out
+    # the converged iteration says nothing
+    assert outs[2000].err == ""
+
+
 def test_run_experiment_solve_writes_outputs(tmp_path):
     path = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"

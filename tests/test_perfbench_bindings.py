@@ -114,3 +114,30 @@ def test_rate_flow_runs_its_per_point_oracles(monkeypatch, tmp_path):
     assert harness.run_rate(cfg, tmp_path) == 0
     assert calls["enumerate_expectation"] >= 1
     assert calls["min_subgradient_norm"] >= 1
+
+
+def test_verify_flow_builds_and_queries_the_grid_oracle(monkeypatch, tmp_path):
+    # diagnostics.grid_oracle* and the verify workload's `uses` list bind to
+    # GridProxOracle.__init__ and GridProxOracle.query
+    from vbscd import harness
+    from vbscd.diagnostics import GridProxOracle
+
+    calls = {"__init__": 0, "query": 0}
+    init, query = GridProxOracle.__init__, GridProxOracle.query
+
+    def spy_init(self, *args, **kwargs):
+        calls["__init__"] += 1
+        init(self, *args, **kwargs)
+
+    def spy_query(self, *args):
+        calls["query"] += 1
+        return query(self, *args)
+
+    monkeypatch.setattr(GridProxOracle, "__init__", spy_init)
+    monkeypatch.setattr(GridProxOracle, "query", spy_query)
+    cfg = harness.load_config(LAYERS.parent / "configs" / "verify_lasso50.cfg")
+    cfg.verify.update(points=5, prox_queries=2)
+    cfg.probe["samples"] = 100
+    assert harness.run_verify(cfg, tmp_path) == 0
+    assert calls["__init__"] >= 1
+    assert calls["query"] >= 1
