@@ -11,7 +11,6 @@ from .bregman import (
     BregmanGenerator,
     BregmanSchedule,
     bregman_distance,
-    harmonic_clipped,
     validate_schedule,
 )
 from .diagnostics import (
@@ -48,7 +47,6 @@ from .probes import (
     probe_lt_eb,
     probe_ls_eb,
     sample_level_ball,
-    sublevel_distance,
     write_probe_csv,
 )
 from .prox import (

@@ -214,23 +214,21 @@ class ProximityReport:
 
 def check_value_proximity(
     p: ProblemInstance, gen, eps: float, x, x_bar, constants: ConstantsRecord,
-    sublevel_dist=None, slack: float = 1e-9,
+    slack: float = 1e-9,
 ) -> ProximityReport:
     """Evaluate the five local proximity statements at x.
 
     Hypothesis: x in B(x_bar; eta/2, nu/N) for the record's neighborhood;
     points outside get an empty report with hypothesis_met=False.  All index
-    expectations are exact enumerations.  ``sublevel_dist`` maps a point to
-    its distance from {F <= F_bar}; the default is the singleton {x_bar},
-    exact for strongly convex instances probed at the minimizer.
+    expectations are exact enumerations.  The distance from {F <= F_bar} is
+    taken to the singleton {x_bar}, exact for strongly convex instances
+    probed at the minimizer.
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     f_bar = p.objective(x_bar)
     if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, constants.level_window):
         return ProximityReport(False, [])
-    if sublevel_dist is None:
-        sublevel_dist = lambda z: float(np.linalg.norm(z - x_bar))
 
     N = p.n_blocks
     fx = p.objective(x)
@@ -239,7 +237,7 @@ def check_value_proximity(
     mean_f = float(p.objective_rows(targets).mean())
     mean_sq = float(np.sum((x - targets) ** 2, axis=1).mean())
     env = envelope_value(p, gen, eps, x)
-    dist = sublevel_dist(x)
+    dist = float(np.linalg.norm(x - x_bar))
     step_full = float(np.linalg.norm(t_full - x))
     mixed = N * mean_f - (N - 1) * fx
 

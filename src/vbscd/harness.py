@@ -18,7 +18,6 @@ import numpy as np
 from . import instances as _inst
 from .bregman import (
     BregmanSchedule,
-    harmonic_clipped,
     step_cap,
     sufficient_decrease,
     validate_schedule,
@@ -308,10 +307,12 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
             q_lo, q_hi = br["q_lo"], br["q_hi"]
         except KeyError as e:
             raise ConfigError(f"[bregman] alternating weights need {e.args[0]!r}") from None
-        if not 0 < q_lo <= q_hi:
-            raise ConfigError("[bregman] need 0 < q_lo <= q_hi")
     else:
         raise ConfigError(f"[bregman] weights must be constant|alternating, got {weights!r}")
+    if not 0 < q_lo <= q_hi < np.inf:
+        raise ConfigError(
+            f"[bregman] weights must be finite with 0 < q_lo <= q_hi, got {q_lo}, {q_hi}"
+        )
 
     cap = step_cap(q_lo, p)
     rule = br.get("eps_rule", "relative")
@@ -334,7 +335,7 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
             eps_lo, eps_hi = br["eps_lo"], br["eps_hi"]
         except KeyError as e:
             raise ConfigError(f"[bregman] harmonic-clipped needs {e.args[0]!r}") from None
-        eps = (eps_lo, eps_hi, harmonic_clipped(eps_lo, eps_hi))
+        eps = (eps_lo, eps_hi)
     else:
         raise ConfigError(f"[bregman] unknown eps_rule {rule!r}")
 
@@ -342,9 +343,12 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
         raise ConfigError(
             f"[bregman] eps_hi = {eps_hi} must be < min(m/L, m/rho_max) = {cap}"
         )
-    if weights == "constant":
-        return BregmanSchedule.constant(p.n, q_lo, eps)
-    return BregmanSchedule.alternating(p.n, q_lo, q_hi, br.get("period", 1), eps)
+    try:
+        if weights == "constant":
+            return BregmanSchedule.constant(p.n, q_lo, eps)
+        return BregmanSchedule.alternating(p.n, q_lo, q_hi, br.get("period", 1), eps)
+    except ValueError as e:
+        raise ConfigError(f"[bregman] {e}") from None
 
 
 def build_solver_config(cfg: ExperimentConfig, sched: BregmanSchedule, seed: int) -> SolverConfig:
@@ -623,7 +627,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _VERIFY_STREAM)))
     rows: list[CheckRow] = []
 
-    rep = validate_schedule(sched, p, cfg.solver.get("max_iters", 1000))
+    rep = validate_schedule(sched, p)
     rows.append(make_check("schedule", "declared-bounds", 0.0 if rep.ok else 1.0, 0.0, 0.0))
 
     spread = 3.0 * max(1.0, float(np.linalg.norm(ref.point)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bregman import BregmanGenerator
 from .csvout import fmt, write_csv
-from .model import ProblemInstance, UnsupportedInstanceError, row_chunks
+from .model import ProblemInstance, row_chunks
 from .prox import full_prox, full_prox_rows
 from .solver import sample_in_ball
 
@@ -56,7 +56,6 @@ class ErrorBoundEstimate:
     constant_name: str  # c0 | c1 | c2 | c3
     value: float
     samples: int        # accepted sample count
-    center: np.ndarray
     oracle: str
     extremal_point: np.ndarray
     eta: float | None = None
@@ -122,130 +121,6 @@ def sample_level_ball(
     return pts, vals, f_bar
 
 
-# ---------------------------------------------------------------------------
-# sublevel-set distance oracles
-
-
-def _grid_distance(p, x, f_bar, lo, hi, cell) -> float:
-    n = p.n
-    if n > 2:
-        raise UnsupportedInstanceError("grid oracle is limited to n <= 2")
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-    axes = [lo[j] + cell * np.arange(int(round((hi[j] - lo[j]) / cell)) + 1) for j in range(n)]
-    tol = 1e-9 * (1.0 + abs(f_bar))
-    best = np.inf
-    if n == 1:
-        Z = axes[0][:, None]
-        vals = p.objective_rows(Z)
-        hit = vals <= f_bar + tol
-        if np.any(hit):
-            best = float(np.min(np.abs(axes[0][hit] - x[0])))
-    else:
-        # chunk the row axis to keep memory flat
-        ys = axes[1]
-        for start in range(0, axes[0].size, 256):
-            xs = axes[0][start : start + 256]
-            Z = np.stack(
-                [np.repeat(xs, ys.size), np.tile(ys, xs.size)], axis=1
-            )
-            vals = p.objective_rows(Z)
-            hit = vals <= f_bar + tol
-            if np.any(hit):
-                d = np.linalg.norm(Z[hit] - x, axis=1)
-                best = min(best, float(d.min()))
-    if not np.isfinite(best):
-        raise UnsupportedInstanceError("grid oracle found no point at or below the level")
-    return best
-
-
-def _separable_pieces(p: ProblemInstance):
-    """Per-coordinate quadratic smooth pieces (G_jj, c_j) plus the constant,
-    available when the gram matrix is diagonal; otherwise unsupported."""
-    smooth = p.smooth
-    if smooth.kind != "quadratic-least-squares":
-        raise UnsupportedInstanceError("projection-1d oracle needs a least-squares smooth term")
-    G = smooth.A.T @ smooth.A
-    if np.any(np.abs(G - np.diag(np.diag(G))) > 0):
-        raise UnsupportedInstanceError("projection-1d oracle needs a diagonal gram matrix")
-    if any(r.rho != 0.0 for r in p.regularizers):
-        raise UnsupportedInstanceError("projection-1d oracle needs convex penalties")
-    diag = np.diag(G)
-    c = smooth.A.T @ smooth.b
-    const = 0.5 * float(smooth.b @ smooth.b)
-    return diag, c, const
-
-
-def _projection_distance(p, x, f_bar, bisect_steps: int = 200) -> float:
-    """Exact distance to the sublevel set of a separable convex objective.
-
-    Lagrangian scheme: for mu >= 0 the projection candidate minimizes
-    0.5(t - x_j)^2 + mu * F_j(t) per coordinate, which reduces to each
-    penalty's own prox with weight (1 + mu G_jj)/mu; the multiplier is then
-    bisected on F(z(mu)) = F_bar.
-    """
-    diag, c, _ = _separable_pieces(p)
-
-    def z_of(mu: float) -> np.ndarray:
-        w = (1.0 + mu * diag) / mu
-        v = (x + mu * c) / (1.0 + mu * diag)
-        z = np.empty(p.n)
-        for reg, sl in p.penalty_groups:
-            z[sl] = reg.prox(v[sl], w[sl])
-        return z
-
-    fx = p.objective(x)
-    if fx <= f_bar + level_margin(f_bar):
-        return 0.0
-    mu_hi = 1.0
-    for _ in range(80):
-        if p.objective(z_of(mu_hi)) <= f_bar:
-            break
-        mu_hi *= 2.0
-    else:
-        raise UnsupportedInstanceError("reference level lies below the objective's infimum")
-    mu_lo = 0.0
-    z_feas = z_of(mu_hi)
-    for _ in range(bisect_steps):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if mid in (mu_lo, mu_hi):
-            break
-        z = z_of(mid)
-        if p.objective(z) <= f_bar:
-            mu_hi, z_feas = mid, z
-        else:
-            mu_lo = mid
-    return float(np.linalg.norm(x - z_feas))
-
-
-def sublevel_distance(
-    p: ProblemInstance, x, f_bar: float, oracle: str = "known-singleton",
-    lo=None, hi=None, cell: float = 1e-3,
-) -> float:
-    """dist(x, {F <= f_bar}) through one of three oracles.
-
-    known-singleton: strongly convex instance with f_bar = F*, so the
-    sublevel set is exactly {x*}.  grid: brute force on a cell grid
-    (n <= 2); box defaults to the known optimum (or x) +- 5.
-    projection-1d: separable convex objectives, multiplier bisection.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({p.n},)")
-    if oracle == "known-singleton":
-        if p.known_optimum is None:
-            raise UnsupportedInstanceError("known-singleton oracle needs a known optimum")
-        return float(np.linalg.norm(x - p.known_optimum[0]))
-    if oracle == "grid":
-        center = p.known_optimum[0] if p.known_optimum is not None else x
-        lo = center - 5.0 if lo is None else lo
-        hi = center + 5.0 if hi is None else hi
-        return _grid_distance(p, x, f_bar, lo, hi, cell)
-    if oracle == "projection-1d":
-        return _projection_distance(p, x, f_bar)
-    raise ValueError(f"unknown sublevel oracle {oracle!r}")
-
-
 def singleton_distance(x_star) -> "callable":
     """Critical-set distance oracle for a singleton set {x_star}."""
     x_star = np.asarray(x_star, dtype=float)
@@ -256,15 +131,14 @@ def singleton_distance(x_star) -> "callable":
 # the four probes
 
 
-def _finish(kind, cname, best_val, best_pt, count, center, oracle, **geo):
+def _finish(kind, cname, best_val, best_pt, count, oracle, **geo):
     if best_pt is None:
         raise EmptyNeighborhoodError(
             f"{kind} probe: every accepted sample fell below the denominator cutoff"
         )
     return ErrorBoundEstimate(
         kind=kind, constant_name=cname, value=float(best_val), samples=count,
-        center=np.asarray(center, dtype=float), oracle=oracle,
-        extremal_point=best_pt, **geo,
+        oracle=oracle, extremal_point=best_pt, **geo,
     )
 
 
@@ -283,33 +157,26 @@ def _first_extremum(num, den, largest: bool):
 
 def probe_ls_eb(
     p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng,
-    sublevel_oracle=None,
 ) -> ErrorBoundEstimate:
     """c0 = max over samples of dist(x, {F <= F_bar}) / dist(0, dF(x)).
 
-    ``sublevel_oracle`` may be a callable x -> distance; the default treats
-    the sublevel set as the singleton {x_bar}, which is exact for strongly
-    convex instances probed at their minimizer.  The ratios are evaluated
-    on the stacked sample; the reported value is the per-point ratio at the
-    extremal sample (``p.min_subgradient_norm``), which must agree with the
-    stacked one (:func:`cross_check`).
+    The sublevel set is taken as the singleton {x_bar}, which is exact for
+    strongly convex instances probed at their minimizer.  The ratios are
+    evaluated on the stacked sample; the reported value is the per-point
+    ratio at the extremal sample (``p.min_subgradient_norm``), which must
+    agree with the stacked one (:func:`cross_check`).
     """
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
-    if sublevel_oracle is None:
-        dist, label = singleton_distance(x_bar), "singleton(x_bar)"
-        x_bar = np.asarray(x_bar, dtype=float)
-        num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
-    else:
-        dist, label = sublevel_oracle, "caller-supplied"
-        num = np.array([dist(x) for x in pts], dtype=float)
+    x_bar = np.asarray(x_bar, dtype=float)
+    num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
     den = _rows(p.min_subgradient_norm_rows, pts)
     j = _first_extremum(num, den, largest=True)
     best = best_pt = None
     if j is not None:
         best_pt = pts[j].copy()
-        best = dist(best_pt) / p.min_subgradient_norm(best_pt)
+        best = float(np.linalg.norm(best_pt - x_bar)) / p.min_subgradient_norm(best_pt)
         cross_check(num[j] / den[j], best, "ls-eb ratio at the extremal sample")
-    return _finish("ls-eb", "c0", best, best_pt, len(pts), x_bar, label, eta=eta, nu=nu)
+    return _finish("ls-eb", "c0", best, best_pt, len(pts), "singleton(x_bar)", eta=eta, nu=nu)
 
 
 def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng) -> ErrorBoundEstimate:
@@ -320,7 +187,7 @@ def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng
     den = np.sqrt(vals - f_bar)
     j = _first_extremum(num, den, largest=False)
     best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
-    return _finish("kl", "c2", best, best_pt, len(pts), x_bar, "level-gap", eta=eta, nu=nu)
+    return _finish("kl", "c2", best, best_pt, len(pts), "level-gap", eta=eta, nu=nu)
 
 
 def probe_bp_eb(
@@ -334,7 +201,7 @@ def probe_bp_eb(
     den = _rows(lambda X: np.linalg.norm(X - full_prox_rows(p, gen, eps, X), axis=1), pts)
     j = _first_extremum(num, den, largest=True)
     best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
-    return _finish("bp-eb", "c1", best, best_pt, len(pts), x_bar, "critical-set", eta=eta, nu=nu)
+    return _finish("bp-eb", "c1", best, best_pt, len(pts), "critical-set", eta=eta, nu=nu)
 
 
 def probe_lt_eb(
@@ -373,6 +240,6 @@ def probe_lt_eb(
             f"lt-eb probe: no sample met the level/residual conditions after {max_draws} draws"
         )
     return _finish(
-        "lt-eb", "c3", best, best_pt, accepted, center, "critical-set",
+        "lt-eb", "c3", best, best_pt, accepted, "critical-set",
         level=level, radius=radius,
     )

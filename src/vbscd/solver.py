@@ -112,14 +112,14 @@ def _block_draws(rng, n_blocks: int, n: int):
 def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
     """Iterate until the periodic residual check passes or max_iters is hit.
 
-    The schedule is validated over the whole horizon before the first step.
+    The schedule is validated against the instance before the first step.
     :class:`SolverAbort` names the iteration at which the objective stops
     being finite, or at which F(x^{k+1}) > F(x^k) - a ||x^k - x^{k+1}||^2
     beyond a rounding slack (a from :func:`sufficient_decrease`; this is how
     an understated Lipschitz constant shows).
     """
     sched = config.schedule
-    report = validate_schedule(sched, p, config.max_iters)
+    report = validate_schedule(sched, p)
     if not report.ok:
         raise ValueError(f"invalid schedule: {report.message}")
     # a copy, so that the caller may reuse its start vector; steps never

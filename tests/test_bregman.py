@@ -5,7 +5,6 @@ from vbscd import (
     BregmanGenerator,
     BregmanSchedule,
     bregman_distance,
-    harmonic_clipped,
     validate_schedule,
 )
 from vbscd.bregman import step_cap
@@ -58,22 +57,25 @@ def test_generator_validation():
     with pytest.raises(ValueError):
         BregmanGenerator(np.ones((2, 2)))
     with pytest.raises(ValueError):
+        BregmanGenerator(np.array([1.0, np.inf]))
+    with pytest.raises(ValueError):
+        BregmanGenerator(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
         bregman_distance(BregmanGenerator(np.ones(2)), np.zeros(3), np.zeros(3))
 
 
 def test_constant_schedule_passes_validation():
     p = lasso_1d()  # L = 1.01, convex penalty
     sched = BregmanSchedule.constant(1, 1.0, 0.5)
-    report = validate_schedule(sched, p, horizon=100)
+    report = validate_schedule(sched, p)
     assert report.ok
 
 
 def test_step_cap_violation_reported_at_zero():
     p = lasso_1d()
     sched = BregmanSchedule.constant(1, 1.0, 0.995)  # cap is 1/1.01 ~ 0.9901
-    report = validate_schedule(sched, p, horizon=10)
+    report = validate_schedule(sched, p)
     assert not report.ok
-    assert report.first_violation_k == 0
     assert report.quantity == "eps_hi"
 
 
@@ -84,8 +86,8 @@ def test_cap_includes_semiconvexity_modulus():
     p = make_quadratic_problem(
         np.zeros((1, 1)), np.zeros(1), [McpPenalty(1.0, 2.0)], BlockPartition((1,))
     )
-    ok = validate_schedule(BregmanSchedule.constant(1, 1.0, 1.9), p, 5)
-    bad = validate_schedule(BregmanSchedule.constant(1, 1.0, 2.0), p, 5)
+    ok = validate_schedule(BregmanSchedule.constant(1, 1.0, 1.9), p)
+    bad = validate_schedule(BregmanSchedule.constant(1, 1.0, 2.0), p)
     assert ok.ok and not bad.ok
 
 
@@ -100,7 +102,7 @@ def test_step_cap_is_the_smaller_curvature_bound():
 
 
 def test_constant_schedule_takes_a_step_rule():
-    sched = BregmanSchedule.constant(3, 2.0, (0.1, 0.8, harmonic_clipped(0.1, 0.8)))
+    sched = BregmanSchedule.constant(3, 2.0, (0.1, 0.8))
     assert (sched.m, sched.M, sched.eps_lo, sched.eps_hi) == (2.0, 2.0, 0.1, 0.8)
     assert [sched.step(k) for k in (0, 1, 100)] == [0.8, 0.4, 0.1]
     assert np.array_equal(sched.generator(5).weights, np.full(3, 2.0))
@@ -119,44 +121,17 @@ def test_alternating_schedule_validates_on_instance():
     p = lasso_random(n=10, n_blocks=2, seed=1)
     cap = 1.0 / p.smooth.lipschitz
     sched = BregmanSchedule.alternating(10, 1.0, 1.5, period=2, eps=0.9 * cap)
-    assert validate_schedule(sched, p, 50).ok
-
-
-def test_out_of_range_weights_detected_mid_horizon():
-    gens = {k: BregmanGenerator.uniform(2, 1.0) for k in range(10)}
-    gens[3] = BregmanGenerator.uniform(2, 3.0)  # outside declared [1, 2]
-    sched = BregmanSchedule(
-        generator=lambda k: gens.get(k, gens[0]), step=lambda k: 0.1,
-        m=1.0, M=2.0, eps_lo=0.1, eps_hi=0.1,
-    )
-    p = lasso_random(n=2, n_blocks=1, seed=2)
-    report = validate_schedule(sched, p, 10)
-    assert not report.ok
-    assert report.first_violation_k == 3
-    assert report.quantity == "weights"
-
-
-def test_step_outside_declared_range_detected():
-    steps = {5: 0.9}
-    sched = BregmanSchedule(
-        generator=lambda k: BregmanGenerator.uniform(1, 1.0),
-        step=lambda k: steps.get(k, 0.2),
-        m=1.0, M=1.0, eps_lo=0.1, eps_hi=0.5,
-    )
-    report = validate_schedule(sched, lasso_1d(), 10)
-    assert not report.ok
-    assert report.first_violation_k == 5
-    assert report.quantity == "eps"
+    assert validate_schedule(sched, p).ok
 
 
 def test_harmonic_clipped_rule():
-    rule = harmonic_clipped(0.1, 0.8)
-    assert rule(0) == 0.8
-    assert rule(1) == 0.4
-    assert rule(7) == pytest.approx(0.1)  # 0.8/8 exactly at the clip
-    assert rule(100) == 0.1
+    sched = BregmanSchedule.constant(1, 1.0, (0.1, 0.8))
+    assert sched.step(0) == 0.8
+    assert sched.step(1) == 0.4
+    assert sched.step(7) == pytest.approx(0.1)  # 0.8/8 exactly at the clip
+    assert sched.step(100) == 0.1
     with pytest.raises(ValueError):
-        harmonic_clipped(0.5, 0.4)
+        BregmanSchedule.constant(1, 1.0, (0.5, 0.4))
 
 
 def test_schedule_declared_bounds_validated():
@@ -166,37 +141,49 @@ def test_schedule_declared_bounds_validated():
         BregmanSchedule.alternating(2, 2.0, 1.0, 1, 0.1)  # q_lo > q_hi
 
 
-class _CountingGenerator:
-    """Duck-typed generator that counts reads of its weights."""
-
-    def __init__(self, weights):
-        self._weights = np.asarray(weights, dtype=float)
-        self.reads = 0
-
-    @property
-    def weights(self):
-        self.reads += 1
-        return self._weights
+def test_validation_rejects_weights_of_the_wrong_length():
+    p = lasso_random(n=2, n_blocks=1, seed=2)
+    report = validate_schedule(BregmanSchedule.constant(3, 1.0, 0.1), p)
+    assert not report.ok and report.quantity == "weights"
 
 
-def test_each_generator_object_checked_once():
-    lo, hi = _CountingGenerator(np.full(2, 1.0)), _CountingGenerator(np.full(2, 2.0))
-    sched = BregmanSchedule(
-        generator=lambda k: (lo, hi)[k % 2], step=lambda k: 0.1,
-        m=1.0, M=2.0, eps_lo=0.1, eps_hi=0.1,
-    )
-    assert validate_schedule(sched, lasso_random(n=2, n_blocks=1, seed=2), 100).ok
-    assert (lo.reads, hi.reads) == (1, 1)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_schedule_rejects_non_finite_weights_and_steps(bad):
+    with pytest.raises(ValueError):
+        BregmanSchedule.constant(2, bad, 0.1)
+    with pytest.raises(ValueError):
+        BregmanSchedule.alternating(2, 1.0, bad, 2, 0.1)
+    with pytest.raises(ValueError):
+        BregmanSchedule.constant(2, 1.0, bad)
+    with pytest.raises(ValueError):
+        BregmanSchedule.constant(2, 1.0, (0.1, bad))
 
 
-def test_fresh_generator_each_step_is_checked():
-    # a new object per k, dropped right after: a reused id must not let the
-    # bad generator at k = 20 pass as one already checked
-    sched = BregmanSchedule(
-        generator=lambda k: BregmanGenerator.uniform(2, 3.0 if k == 20 else 1.0),
-        step=lambda k: 0.1, m=1.0, M=2.0, eps_lo=0.1, eps_hi=0.1,
-    )
-    report = validate_schedule(sched, lasso_random(n=2, n_blocks=1, seed=2), 30)
-    assert not report.ok
-    assert report.first_violation_k == 20
-    assert report.quantity == "weights"
+def _every_factory_form(n):
+    for q_lo, q_hi, period in ((1.5, 1.5, 1), (1.0, 1.25, 1), (0.5, 2.0, 3)):
+        for eps in (0.1, (0.01, 0.1)):
+            if q_lo == q_hi:
+                yield BregmanSchedule.constant(n, q_lo, eps)
+            yield BregmanSchedule.alternating(n, q_lo, q_hi, period, eps)
+
+
+def test_schedule_bounds_hold_by_construction(monkeypatch):
+    ks = range(10**4)
+    p = lasso_random(n=4, n_blocks=2, seed=2)
+    for sched in _every_factory_form(4):
+        steps = np.array([sched.step(k) for k in ks])
+        assert np.all((sched.eps_lo <= steps) & (steps <= sched.eps_hi))
+        gens = {id(g): g for g in map(sched.generator, ks)}
+        assert len(gens) == (1 if sched.m == sched.M else 2)
+        for g in gens.values():
+            assert g.weights.shape == (4,)
+            assert sched.m <= g.m and g.M <= sched.M
+
+        # validation reads the declared bounds only, never the per-k maps
+        def forbidden(self, k):
+            raise AssertionError("validate_schedule walked the schedule")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(BregmanSchedule, "generator", forbidden)
+            mp.setattr(BregmanSchedule, "step", forbidden)
+            assert validate_schedule(sched, p).ok

@@ -3,7 +3,6 @@ import pytest
 
 import vbscd.harness as harness
 from vbscd import (
-    BregmanGenerator,
     BregmanSchedule,
     ConfigError,
     DivergenceError,
@@ -157,6 +156,24 @@ def test_build_schedule_constant_weights_with_harmonic_clip(tmp_path):
     assert [sched.step(k) for k in (0, 1, 100)] == [0.4, 0.2, 0.05]
 
 
+def test_non_finite_weights_fail_loudly(tmp_path):
+    # q = inf once passed every check and left the solver standing at x0
+    path = write_cfg(tmp_path, BASE.replace("q = 1.0", "q = inf"))
+    with pytest.raises(ConfigError, match="finite"):
+        harness.run_experiment(path, "solve", out_dir=tmp_path / "out")
+
+
+def test_inverted_step_band_is_a_config_error(tmp_path):
+    # the schedule's ValueError once escaped the CLI as a traceback (exit 1)
+    text = BASE.replace(
+        "eps_rule = constant\neps = 0.5",
+        "eps_rule = harmonic-clipped\neps_lo = 0.5\neps_hi = 0.4",
+    )
+    cfg = load_config(write_cfg(tmp_path, text))
+    with pytest.raises(ConfigError, match="eps_lo <= eps_hi"):
+        build_schedule(cfg, build_instance(cfg))
+
+
 def test_diag_quadratic_defaults_to_two_curvatures(tmp_path):
     text = BASE.replace("kind = lasso-1d", "kind = diag-quadratic")
     p = build_instance(load_config(write_cfg(tmp_path, text)))
@@ -206,9 +223,7 @@ def test_reference_flags_divergence():
     # eps far above the m/L cap turns the full update into an expansion:
     # T(x) = x - eps*x = -1.5 x for f = x^2/2
     p = quad_1d(0.0)
-    gen = BregmanGenerator.uniform(1, 1.0)
-    sched = BregmanSchedule(lambda k: gen, lambda k: 2.5, m=1.0, M=1.0,
-                            eps_lo=2.5, eps_hi=2.5)
+    sched = BregmanSchedule.constant(1, 1.0, 2.5)
     with pytest.raises(DivergenceError):
         resolve_reference_value(p, sched, source="best-found",
                                 x0=np.array([1.0]), max_steps=50)

@@ -59,6 +59,31 @@ def test_solver_run_result_has_what_the_trace_reads():
     }
 
 
+def test_schedule_generator_hook_sees_the_solver_calls(monkeypatch):
+    # the traced run counts bregman.generator by wrapping the schedule's own
+    # __post_init__ and shadowing ``generator`` with an instance attribute:
+    # that needs a per-instance __dict__, and solver.run must look the
+    # method up on the schedule at every step
+    from vbscd import BregmanSchedule, SolverConfig, run
+    from vbscd.instances import lasso_random
+
+    assert "__post_init__" in vars(BregmanSchedule)
+    assert "__slots__" not in vars(BregmanSchedule)
+    assert not issubclass(BregmanSchedule, tuple)
+    post_init, seen = BregmanSchedule.__post_init__, []
+
+    def counted_post_init(self):
+        post_init(self)
+        generator = self.generator
+        object.__setattr__(self, "generator", lambda k: seen.append(k) or generator(k))
+
+    monkeypatch.setattr(BregmanSchedule, "__post_init__", counted_post_init)
+    p = lasso_random(n=10, n_blocks=5, seed=21)
+    run(p, SolverConfig(schedule=BregmanSchedule.constant(10, 1.0, 0.1),
+                        max_iters=7, tolerance=0.0, seed=1))
+    assert set(range(7)) <= set(seen)
+
+
 def test_audit_and_level_ball_results_have_what_the_trace_reads():
     # the hooks read checked/skipped off the audit and len(result[0]) off
     # the sampler, whose points are now the rows of one array

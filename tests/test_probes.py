@@ -2,22 +2,17 @@ import numpy as np
 import pytest
 
 from vbscd import (
-    BlockPartition,
     BregmanGenerator,
     EmptyNeighborhoodError,
-    L1Penalty,
-    ZeroPenalty,
-    make_quadratic_problem,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,
     probe_ls_eb,
     sample_level_ball,
-    sublevel_distance,
     write_probe_csv,
 )
 from vbscd.probes import singleton_distance
-from vbscd.instances import diag_quadratic, quad_1d, quad_l1_1d
+from vbscd.instances import diag_quadratic, quad_1d
 
 
 def fresh_rng(seed=0):
@@ -130,65 +125,11 @@ def test_probe_csv_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sublevel distance oracles
+# sublevel distance
 
 
 def test_singleton_oracle_on_strongly_convex():
     p = diag_quadratic([1.0, 4.0])
     x = np.array([0.3, -0.4])
-    d = sublevel_distance(p, x, 0.0, oracle="known-singleton")
+    d = singleton_distance(p.known_optimum[0])(x)
     assert d == pytest.approx(0.5)
-
-
-def test_grid_oracle_matches_interval_computation():
-    # F = 0.5 x^2 + |x|; sublevel set at F_bar = F(0.3) is [-0.3, 0.3],
-    # so the distance from 0.9 is 0.6
-    p = quad_l1_1d()
-    f_bar = p.objective(np.array([0.3]))
-    d = sublevel_distance(p, np.array([0.9]), f_bar, oracle="grid", lo=-2.0, hi=2.0)
-    assert d == pytest.approx(0.6, abs=5e-3)
-
-
-def test_projection_oracle_matches_grid():
-    p = quad_l1_1d()
-    f_bar = p.objective(np.array([0.3]))
-    d_grid = sublevel_distance(p, np.array([0.9]), f_bar, oracle="grid", lo=-2.0, hi=2.0)
-    d_proj = sublevel_distance(p, np.array([0.9]), f_bar, oracle="projection-1d")
-    assert d_proj == pytest.approx(d_grid, abs=5e-3)
-    # point already inside the sublevel set
-    assert sublevel_distance(p, np.array([0.1]), f_bar, oracle="projection-1d") == pytest.approx(0.0, abs=1e-9)
-
-
-def test_projection_oracle_on_diag_quadratic_matches_exact():
-    # pure quadratic: distance from x to {F <= F(r)} along each axis is
-    # |x| - r for axis-aligned points
-    p = diag_quadratic([1.0, 4.0])
-    f_bar = p.objective(np.array([0.5, 0.0]))  # = 0.125
-    d = sublevel_distance(p, np.array([1.2, 0.0]), f_bar, oracle="projection-1d")
-    assert d == pytest.approx(0.7, abs=1e-6)
-
-
-def test_grid_oracle_dimension_guard():
-    from vbscd import UnsupportedInstanceError
-
-    p = diag_quadratic([1.0, 2.0, 3.0])
-    with pytest.raises(UnsupportedInstanceError):
-        sublevel_distance(p, np.zeros(3), 1.0, oracle="grid", lo=-1.0, hi=1.0)
-
-
-def test_unknown_oracle_name():
-    p = quad_1d(0.0)
-    with pytest.raises(ValueError):
-        sublevel_distance(p, np.zeros(1), 1.0, oracle="nope")
-
-
-def test_projection_oracle_rejects_nondiagonal():
-    from vbscd import UnsupportedInstanceError
-
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((4, 3))
-    p = make_quadratic_problem(
-        A, np.zeros(4), [L1Penalty(1.0)] * 3, BlockPartition((1, 1, 1))
-    )
-    with pytest.raises(UnsupportedInstanceError):
-        sublevel_distance(p, np.zeros(3), 1.0, oracle="projection-1d")

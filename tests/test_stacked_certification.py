@@ -30,7 +30,7 @@ from vbscd import (
     sample_level_ball,
 )
 from vbscd import diagnostics, probes
-from vbscd.bregman import harmonic_clipped, step_cap
+from vbscd.bregman import step_cap
 from vbscd.diagnostics import enumerate_expectation
 from vbscd.probes import level_margin, singleton_distance
 from vbscd.prox import full_prox
@@ -47,14 +47,13 @@ INSTANCES = {
 
 def schedule(kind, p):
     eps_hi = 0.8 * step_cap(1.0, p)
-    varying = (eps_hi / 20.0, eps_hi, harmonic_clipped(eps_hi / 20.0, eps_hi))
     if kind == "constant":
         return BregmanSchedule.constant(p.n, 1.0, eps_hi)
     if kind == "alternating":
         return BregmanSchedule.alternating(p.n, 1.0, 1.25, 3, eps_hi)
     # alternating weights and a harmonic step: one (generator, eps) group
     # per k until the step is clipped
-    return BregmanSchedule.alternating(p.n, 1.0, 1.25, 3, varying)
+    return BregmanSchedule.alternating(p.n, 1.0, 1.25, 3, (eps_hi / 20.0, eps_hi))
 
 
 def reference_point(p, sched):
