@@ -124,6 +124,51 @@ def test_alternating_schedule_validates_on_instance():
     assert validate_schedule(sched, p).ok
 
 
+def test_out_of_range_weights_detected_mid_horizon():
+    # weights outside (0, inf) or an inverted [m, M] are refused when the
+    # schedule is declared, so no k of the horizon can leave [m, M]
+    for m, M in ((2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            BregmanSchedule(n=2, m=m, M=M, period=1, eps_lo=0.1, eps_hi=0.1)
+    sched = BregmanSchedule.alternating(2, 1.0, 2.0, period=3, eps=0.1)
+    for k in (3, 4999, 5000, 9998):
+        w = sched.generator(k).weights
+        assert np.all((sched.m <= w) & (w <= sched.M))
+    assert sched.generator(3).weights[0] == 2.0
+
+
+def test_step_outside_declared_range_detected():
+    # an inverted or non-positive step band is refused when declared; a band
+    # whose eps_hi reaches the cap is reported by validation
+    for eps_lo, eps_hi in ((0.5, 0.2), (0.0, 0.2), (-0.1, 0.2)):
+        with pytest.raises(ValueError):
+            BregmanSchedule(n=1, m=1.0, M=1.0, period=1, eps_lo=eps_lo, eps_hi=eps_hi)
+    p = lasso_1d()
+    sched = BregmanSchedule.constant(1, 1.0, (0.1, 0.995))  # cap ~ 0.9901
+    report = validate_schedule(sched, p)
+    assert not report.ok and report.quantity == "eps_hi"
+    assert all(0.1 <= sched.step(k) <= 0.995 for k in (0, 5, 9, 10**4))
+
+
+def test_each_generator_object_checked_once(monkeypatch):
+    # generator weights are checked in BregmanGenerator.__post_init__; the
+    # schedule builds each object once and hands the same one back at every k
+    checks = []
+    post_init = BregmanGenerator.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BregmanGenerator, "__post_init__", counting)
+    sched = BregmanSchedule.alternating(2, 1.0, 2.0, period=1, eps=0.1)
+    assert len(checks) == 2
+    seen = {id(sched.generator(k)) for k in range(100)}
+    assert seen == {id(g) for g in checks}
+    assert validate_schedule(sched, lasso_random(n=2, n_blocks=1, seed=2)).ok
+    assert len(checks) == 2
+
+
 def test_harmonic_clipped_rule():
     sched = BregmanSchedule.constant(1, 1.0, (0.1, 0.8))
     assert sched.step(0) == 0.8
