@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Digest of every shipped config's outputs, for byte-identity checks.
+
+    python3 scripts/out_digest.py > digest.txt
+
+Runs each ``configs/*.cfg`` and ``perfbench/configs/*.cfg`` through the CLI
+at ``--seed 7``, one fresh process per config, into a temporary directory,
+and prints per config its exit code, its stderr lines, and one
+``sha256  config/file`` line per output file.  Standard output is left out:
+it names the temporary directory.  Two trees give the same digest exactly
+when every config exits alike, warns alike and writes the same bytes, so a
+refactor that must not change outputs is checked with one ``diff``.
+"""
+from __future__ import annotations
+
+import configparser
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _kind(cfg: Path) -> str:
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser.read(cfg, encoding="utf-8")
+    return parser.get("experiment", "kind")
+
+
+def main() -> int:
+    configs = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in configs:
+            label = cfg.relative_to(ROOT).as_posix()
+            out = Path(tmp) / label
+            proc = subprocess.run(
+                [sys.executable, "-m", "vbscd.cli", _kind(cfg), "--config", str(cfg),
+                 "--seed", "7", "--out", str(out)],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            print(f"exit {proc.returncode}  {label}")
+            for line in proc.stderr.splitlines():
+                print(f"stderr  {label}: {line}")
+            files = sorted(f for f in out.rglob("*") if f.is_file()) if out.is_dir() else []
+            for f in files:
+                digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                print(f"{digest}  {label}/{f.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,8 +8,10 @@ Four subcommands, all driven by the same config-file format:
     vbscd probe-eb --config path.cfg [--seed S] [--out DIR]
 
 --seed overrides [experiment] seed; --out overrides [experiment] output_dir.
-Exit status is 0 on success, 1 on a failed check/audit, 2 on bad usage or a
-config problem.
+Config values (and --seed) are checked against the config schema when the
+file is loaded, before any work starts; a bad value prints one
+``error: [section] key ...`` line and exits 2.  Exit status is 0 on
+success, 1 on a failed check/audit, 2 on bad usage or a config problem.
 """
 from __future__ import annotations
 

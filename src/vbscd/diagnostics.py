@@ -258,9 +258,6 @@ class LevelDominanceReport:
     holds: bool
     rows: list
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_level_dominance(
     p: ProblemInstance, gen, eps: float, x, f_bar: float,
@@ -344,7 +341,7 @@ def contraction_audit(
     if isinstance(trajectories, Trajectory):
         trajectories = [trajectories]
     for traj in trajectories:
-        points = [traj.x0] + [rec.point for rec in traj.records]
+        points = traj.points()
         values = traj.objectives()
         for rows in row_chunks(len(points), p.n_blocks * p.n):
             X = np.array(points[rows])
@@ -482,14 +479,14 @@ def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateR
 class GridProxOracle:
     """Brute-force scalar prox over a fixed grid.
 
-    Precomputes the penalty values once so repeated (w, v) queries stay
-    cheap; the grid pins the oracle's resolution (default [-10, 10] at 1e-5).
-    Grid point j is ``lo + step * j``; only the penalty values are stored,
-    with three numbers per chunk of ``CHUNK`` points: the least penalty
-    value and the first and last point.
+    The grid pins the oracle's resolution (default [-10, 10] at 1e-5).
+    Grid point j is ``lo + step * j``.  The build evaluates the penalty
+    once over the grid and keeps three numbers per chunk of ``CHUNK``
+    points: the least penalty value and the first and last point.
 
     A query computes phi(t) + (w/2)(t - v)^2 one chunk at a time, but only
-    on the chunks that can hold the minimum.  Chunk c's lower bound is
+    on the chunks that can hold the minimum, evaluating phi again on each
+    chunk it visits.  Chunk c's lower bound is
 
         lb_c = (d_c^2 * (w/2)) + min phi over the chunk,
 
@@ -512,7 +509,6 @@ class GridProxOracle:
     """
 
     CHUNK = 1 << 12  # scan unit of a query
-    BUILD_CHUNK = 1 << 14  # points per penalty evaluation while building
 
     def __init__(self, reg: Regularizer, lo: float = -10.0, hi: float = 10.0, step: float = 1e-5):
         for name, val in (("lo", lo), ("hi", hi), ("step", step)):
@@ -525,18 +521,12 @@ class GridProxOracle:
         self.reg = reg
         self.lo = lo
         self.step = step
-        count = int(round((hi - lo) / step)) + 1
-        self.g_vals = np.empty(count)
+        self.count = count = int(round((hi - lo) / step)) + 1
         self.g_min = np.empty(-(-count // self.CHUNK))
-        j = np.arange(min(count, self.BUILD_CHUNK), dtype=float)
-        t = np.empty_like(j)
-        offsets = np.arange(0, j.size, self.CHUNK)  # scan chunks within a build chunk
-        for a in range(0, count, self.BUILD_CHUNK):
-            pts = self._points(a, j, t[:min(count - a, j.size)])
-            g = self.g_vals[a:a + pts.size]
-            g[:] = reg.value(pts)
-            c, k = a // self.CHUNK, -(-pts.size // self.CHUNK)
-            self.g_min[c:c + k] = np.minimum.reduceat(g, offsets[:k])
+        j = np.arange(self.CHUNK, dtype=float)
+        buf = np.empty_like(j)
+        for c in range(self.g_min.size):
+            self.g_min[c] = self._penalty(c, j, buf)[1].min()
         starts = np.arange(0, count, self.CHUNK)
         self.t_first = starts * step + lo
         self.t_last = np.minimum(starts + (self.CHUNK - 1), count - 1) * step + lo
@@ -549,14 +539,21 @@ class GridProxOracle:
         out += self.lo
         return out
 
-    def _chunk_values(self, c: int, hw: float, v: float, j: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """phi(t) + hw (t - v)^2 on the points of chunk c, written into ``buf``."""
+    def _penalty(self, c: int, j: np.ndarray, buf: np.ndarray):
+        """The points of chunk c, written into ``buf``, and phi on them."""
         a = c * self.CHUNK
-        vals = self._points(a, j, buf[:min(self.g_vals.size - a, self.CHUNK)])
-        vals -= v
+        t = self._points(a, j, buf[:min(self.count - a, self.CHUNK)])
+        return t, np.asarray(self.reg.value(t), dtype=float)
+
+    def _chunk_values(self, c: int, hw: float, v: float, j: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """phi(t) + hw (t - v)^2 on the points of chunk c.  phi is evaluated
+        first and the sum goes to a new array: phi's values may share
+        memory with ``buf``."""
+        t, g = self._penalty(c, j, buf)
+        vals = t - v
         np.square(vals, out=vals)
         vals *= hw
-        vals += self.g_vals[a:a + vals.size]
+        vals += g
         return vals
 
     def lower_bounds(self, hw: float, v: float):
@@ -580,7 +577,7 @@ class GridProxOracle:
         value.  A NaN beats a number, as in np.argmin."""
         j = np.arange(self.CHUNK, dtype=float)
         buf = np.empty_like(j)
-        best_i, best = self.g_vals.size, np.inf
+        best_i, best = self.count, np.inf
         for c in chunks:
             if lb is not None and lb[c] > best:
                 break

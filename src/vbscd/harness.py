@@ -1,10 +1,12 @@
 """Experiment harness: config files, replications, reference values, and the
 invariant verification suite behind the CLI.
 
-Config files are flat INI-style sections of ``key = value`` lines.  Unknown
-sections or keys are hard errors (typo protection), malformed files report
-line numbers, and every relative path is resolved against the config file's
-directory.  See configs/reference.cfg for the full key catalog.
+Config files are flat INI-style sections of ``key = value`` lines, checked
+when loaded against ``_SCHEMA``, which declares each key's type, default and
+allowed values once.  Unknown sections or keys are hard errors (typo
+protection), malformed files report line numbers, and every relative path is
+resolved against the config file's directory.  See configs/reference.cfg for
+the full key catalog.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .diagnostics import (
     make_check,
     write_report_csv,
 )
-from .model import L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty
+from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty
 from .probes import (
     EmptyNeighborhoodError,
     probe_bp_eb,
@@ -63,6 +65,7 @@ from .solver import (
 
 _VERIFY_STREAM = 0x5EC0_51DE  # rng stream offset for the verification suite
 _PROBE_STREAM = 0x9B0B_E5A1  # rng stream offset for error-bound probes
+_EB_INFLATION = 1.1  # factor on a probed error-bound constant before use
 
 
 class ConfigError(ValueError):
@@ -79,165 +82,6 @@ class ReplicationError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # config schema
-
-_FLOAT_LIST = "float-list"
-
-_SCHEMA = {
-    "experiment": {
-        "kind": str,
-        "seed": int,
-        "replications": int,
-        "output_dir": str,
-    },
-    "instance": {
-        "kind": str,
-        "n": int,
-        "blocks": int,
-        "l1_weight": float,
-        "weight": float,
-        "gamma": float,
-        "a": float,
-        "min_eig": float,
-        "max_eig": float,
-        "design_seed": int,
-        "target": float,
-        "eigs": _FLOAT_LIST,
-        "rows": int,
-        "matrix_file": str,
-        "rhs_file": str,
-        "reg": str,
-        "lam": float,
-        "mu": float,
-    },
-    "bregman": {
-        "weights": str,
-        "q": float,
-        "q_lo": float,
-        "q_hi": float,
-        "period": int,
-        "eps_rule": str,
-        "eps": float,
-        "eps_fraction": float,
-        "eps_lo": float,
-        "eps_hi": float,
-    },
-    "solver": {
-        "max_iters": int,
-        "tolerance": float,
-        "check_period": int,
-        "x0": str,
-        "near_start_radius": float,
-    },
-    "reference": {
-        "source": str,
-        "max_steps": int,
-        "tolerance": float,
-    },
-    "probe": {
-        "kinds": str,
-        "eta": float,
-        "nu": float,
-        "samples": int,
-        "lt_level": float,
-        "lt_radius": float,
-    },
-    "verify": {
-        "points": int,
-        "prox_queries": int,
-    },
-}
-
-
-@dataclass
-class ExperimentConfig:
-    kind: str
-    seed: int
-    replications: int
-    out_dir: str
-    instance: dict
-    bregman: dict
-    solver: dict
-    reference: dict
-    probe: dict
-    verify: dict
-    has_probe_section: bool
-    base_dir: Path
-
-
-def _convert(section: str, key: str, raw: str, typ):
-    try:
-        if typ is _FLOAT_LIST:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw.strip()
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {getattr(typ, '__name__', typ)}"
-        ) from None
-
-
-def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";")
-    )
-    parser.optionxform = str
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
-    except configparser.Error as e:
-        raise ConfigError(f"malformed config: {e}") from None
-
-    data: dict[str, dict] = {name: {} for name in _SCHEMA}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(
-                f"unknown section [{section}]; expected one of {sorted(_SCHEMA)}"
-            )
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; "
-                    f"expected one of {sorted(_SCHEMA[section])}"
-                )
-            data[section][key] = _convert(section, key, raw, _SCHEMA[section][key])
-
-    exp = data["experiment"]
-    kind = exp.get("kind")
-    if kind not in FLOWS:
-        raise ConfigError(
-            f"[experiment] kind must be one of {tuple(FLOWS)}, got {kind!r}"
-        )
-    if "kind" not in data["instance"]:
-        raise ConfigError("[instance] kind is required")
-    seed = exp.get("seed", 0)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("[experiment] seed must fit in 64 bits")
-    reps = exp.get("replications", 1)
-    if reps < 1:
-        raise ConfigError("[experiment] replications must be >= 1")
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        seed=seed,
-        replications=reps,
-        out_dir=exp.get("output_dir", "out"),
-        instance=data["instance"],
-        bregman=data["bregman"],
-        solver=data["solver"],
-        reference=data["reference"],
-        probe=data["probe"],
-        verify=data["verify"],
-        has_probe_section=parser.has_section("probe"),
-        base_dir=path.parent.resolve(),
-    )
-    _validate_instance_keys(cfg)
-    return cfg
 
 
 def _matrix_file(matrix_file, rhs_file, reg, n_blocks, **params) -> ProblemInstance:
@@ -263,18 +107,196 @@ _INSTANCES = {
 }
 _RENAMES = {"blocks": "n_blocks", "design_seed": "seed"}
 
+# subcommand -> flow, filled in below the flows; its keys are the
+# [experiment] kinds and the CLI subcommands
+FLOWS: dict = {}
+
+REQUIRED = object()  # default of a key that every config must set
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its type, its default and the values it allows.
+
+    ``type`` is int, float, str, or tuple[T, ...] for a comma list of T.
+    ``default`` fills in a key the file leaves out; None leaves it absent
+    (the key is optional) and REQUIRED makes leaving it out an error.
+    ``allowed`` is an interval such as "[1, inf)" or a collection of
+    choices, and holds for every element of a list.  Floats must be finite.
+    """
+
+    type: object
+    default: object = None
+    allowed: object = None
+
+    @property
+    def item(self):
+        """The element type: T for tuple[T, ...], else the type itself."""
+        return self.type.__args__[0] if getattr(self.type, "__origin__", None) is tuple else self.type
+
+    def domain(self) -> str:
+        """The allowed values in words, as error messages and configs/reference.cfg give them."""
+        noun = {int: "an int", float: "a finite float", str: "a string"}[self.item]
+        if isinstance(self.allowed, str):
+            noun += f" in {self.allowed}"
+        elif self.allowed is not None:
+            noun = "one of " + " | ".join(self.allowed)
+        return noun if self.item is self.type else f"a non-empty comma list, each {noun}"
+
+    def admits(self, value) -> bool:
+        """Is ``value`` (one element, for a list) allowed?"""
+        if isinstance(value, float) and not np.isfinite(value):
+            return False
+        if isinstance(self.allowed, str):
+            lo, hi = (2**64 if b == "2^64" else float(b) for b in self.allowed[1:-1].split(", "))
+            return ((lo < value or self.allowed[0] == "[" and lo == value)
+                    and (value < hi or self.allowed[-1] == "]" and value == hi))
+        return self.allowed is None or value in self.allowed
+
+
+_COUNT = Key(int, None, "[1, inf)")
+_SEED = Key(int, None, "[0, 2^64)")
+_NONNEGATIVE = Key(float, None, "[0, inf)")
+_POSITIVE = Key(float, None, "(0, inf)")
+
+# section -> key -> Key: the one place a key's type, default and range live
+_SCHEMA = {
+    "experiment": {
+        "kind": Key(str, REQUIRED, FLOWS),
+        "seed": Key(int, 0, "[0, 2^64)"),
+        "replications": Key(int, 1, "[1, inf)"),
+        "output_dir": Key(str, "out"),
+    },
+    # the instance factories default the keys a config leaves out
+    "instance": {
+        "kind": Key(str, REQUIRED, _INSTANCES),
+        "n": _COUNT, "blocks": _COUNT, "rows": _COUNT, "design_seed": _SEED,
+        "l1_weight": _NONNEGATIVE, "weight": _NONNEGATIVE, "lam": _NONNEGATIVE, "mu": _NONNEGATIVE,
+        "gamma": Key(float, None, "(1, inf)"), "a": Key(float, None, "(2, inf)"),
+        "min_eig": _NONNEGATIVE, "max_eig": _NONNEGATIVE, "eigs": Key(tuple[float, ...], None, "(0, inf)"),
+        "target": Key(float), "matrix_file": Key(str), "rhs_file": Key(str),
+        "reg": Key(str, None, _REG_KINDS),
+    },
+    "bregman": {
+        "weights": Key(str, "constant", ("constant", "alternating")),
+        "q": Key(float, 1.0, "(0, inf)"), "q_lo": _POSITIVE, "q_hi": _POSITIVE,
+        "period": Key(int, 1, "[1, inf)"),
+        "eps_rule": Key(str, "relative", ("constant", "relative", "harmonic-clipped")),
+        "eps": _POSITIVE, "eps_lo": _POSITIVE, "eps_hi": _POSITIVE,
+        "eps_fraction": Key(float, 0.8, "(0, 1)"),
+    },
+    "solver": {
+        "max_iters": Key(int, 1000, "[1, inf)"),
+        "tolerance": Key(float, 1e-10, "[0, inf)"),
+        "check_period": _COUNT,  # default: the block count
+        "x0": Key(str, "zeros", ("zeros", "near-start")),
+        "near_start_radius": Key(float, 1.0, "[0, inf)"),
+    },
+    "reference": {
+        "source": Key(str, "auto", ("auto", "known", "best-found")),
+        "max_steps": Key(int, 100_000, "[1, inf)"),
+        "tolerance": Key(float, 1e-12, "[0, inf)"),
+    },
+    # eta, nu, lt_level and lt_radius default to values derived from the run
+    "probe": {
+        "kinds": Key(tuple[str, ...], ("ls-eb",), ("ls-eb", "kl", "bp-eb", "lt-eb")),
+        "eta": _POSITIVE, "nu": _POSITIVE, "lt_level": Key(float), "lt_radius": _POSITIVE,
+        "samples": Key(int, 10_000, "[1, inf)"),
+    },
+    "verify": {
+        "points": Key(int, 1000, "[1, inf)"),
+        "prox_queries": Key(int, 1000, "[1, inf)"),
+    },
+}
+
+
+@dataclass
+class ExperimentConfig:
+    kind: str
+    seed: int
+    replications: int
+    out_dir: str
+    instance: dict
+    bregman: dict
+    solver: dict
+    reference: dict
+    probe: dict
+    verify: dict
+    has_probe_section: bool
+    base_dir: Path
+
+
+def _checked(section: str, key: str, value):
+    """``value`` when the schema allows it for [section] key, else ConfigError."""
+    spec = _SCHEMA[section][key]
+    items = value if spec.item is not spec.type else (value,)
+    if not items or not all(spec.admits(v) for v in items):
+        shown = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+        raise ConfigError(f"[{section}] {key} must be {spec.domain()}, got {shown!r}")
+    return value
+
+
+def _parse(section: str, key: str, raw: str):
+    spec = _SCHEMA[section][key]
+    try:
+        if spec.item is spec.type:
+            value = spec.type(raw.strip())
+        else:
+            value = tuple(spec.item(tok.strip()) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be {spec.domain()}, got {raw!r}") from None
+    return _checked(section, key, value)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a config file and check it against the schema: unknown sections
+    and keys, unparsable and out-of-range values and missing required keys
+    raise ConfigError; keys with a default that the file leaves out get it."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh, source=str(path))
+    except configparser.Error as e:
+        raise ConfigError(f"malformed config: {e}") from None
+
+    data: dict[str, dict] = {name: {} for name in _SCHEMA}
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]; expected one of {sorted(_SCHEMA)}")
+        for key, raw in parser.items(section):
+            if key not in _SCHEMA[section]:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}]; "
+                    f"expected one of {sorted(_SCHEMA[section])}"
+                )
+            data[section][key] = _parse(section, key, raw)
+    for section, keys in _SCHEMA.items():
+        for key, spec in keys.items():
+            if key in data[section] or spec.default is None:
+                continue
+            if spec.default is REQUIRED:
+                raise ConfigError(f"[{section}] {key} is required")
+            data[section][key] = spec.default
+
+    exp = data.pop("experiment")
+    cfg = ExperimentConfig(
+        kind=exp["kind"], seed=exp["seed"], replications=exp["replications"],
+        out_dir=exp["output_dir"], **data,
+        has_probe_section=parser.has_section("probe"), base_dir=path.parent.resolve(),
+    )
+    _validate_instance_keys(cfg)
+    return cfg
+
 
 def _validate_instance_keys(cfg: ExperimentConfig) -> None:
     kind = cfg.instance["kind"]
-    if kind not in _INSTANCES:
-        raise ConfigError(
-            f"[instance] kind {kind!r} unknown; expected one of {sorted(_INSTANCES)}"
-        )
     extra = set(cfg.instance) - {"kind"} - _INSTANCES[kind][1]
     if extra:
-        raise ConfigError(
-            f"[instance] keys {sorted(extra)} do not apply to kind {kind!r}"
-        )
+        raise ConfigError(f"[instance] keys {sorted(extra)} do not apply to kind {kind!r}")
     if kind == "matrix-file":
         for need in ("matrix_file", "rhs_file", "blocks", "reg"):
             if need not in cfg.instance:
@@ -288,78 +310,64 @@ def _validate_instance_keys(cfg: ExperimentConfig) -> None:
 
 def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
     opts = dict(cfg.instance)
-    kind = opts.pop("kind")
-    if kind not in _INSTANCES:
-        raise ConfigError(f"unhandled instance kind {kind!r}")
-    return _INSTANCES[kind][0](**{
-        _RENAMES.get(k, k): cfg.base_dir / v if k.endswith("_file") else v
-        for k, v in opts.items()
-    })
+    factory = _INSTANCES[opts.pop("kind")][0]
+    try:
+        return factory(**{
+            _RENAMES.get(k, k): cfg.base_dir / v if k.endswith("_file") else v
+            for k, v in opts.items()
+        })
+    except ValueError as e:
+        raise ConfigError(f"[instance] {e}") from None
 
 
 def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule:
     br = cfg.bregman
-    weights = br.get("weights", "constant")
-    if weights == "constant":
-        q_lo = q_hi = br.get("q", 1.0)
-    elif weights == "alternating":
+    if br["weights"] == "constant":
+        q_lo = q_hi = br["q"]
+    else:
         try:
             q_lo, q_hi = br["q_lo"], br["q_hi"]
         except KeyError as e:
             raise ConfigError(f"[bregman] alternating weights need {e.args[0]!r}") from None
-    else:
-        raise ConfigError(f"[bregman] weights must be constant|alternating, got {weights!r}")
-    if not 0 < q_lo <= q_hi < np.inf:
-        raise ConfigError(
-            f"[bregman] weights must be finite with 0 < q_lo <= q_hi, got {q_lo}, {q_hi}"
-        )
+        if not q_lo <= q_hi:
+            raise ConfigError(f"[bregman] alternating weights need q_lo <= q_hi, got {q_lo}, {q_hi}")
 
     cap = step_cap(q_lo, p)
-    rule = br.get("eps_rule", "relative")
+    rule = br["eps_rule"]
     if rule == "constant":
         if "eps" not in br:
             raise ConfigError("[bregman] eps_rule=constant needs key 'eps'")
         eps = eps_hi = br["eps"]
     elif rule == "relative":
-        frac = br.get("eps_fraction", 0.8)
-        if not 0 < frac < 1:
-            raise ConfigError("[bregman] eps_fraction must lie in (0, 1)")
         if not np.isfinite(cap):
             raise ConfigError(
                 "[bregman] eps_rule=relative needs a positive curvature bound; "
                 "set eps_rule=constant for flat instances"
             )
-        eps = eps_hi = frac * cap
-    elif rule == "harmonic-clipped":
+        eps = eps_hi = br["eps_fraction"] * cap
+    else:
         try:
             eps_lo, eps_hi = br["eps_lo"], br["eps_hi"]
         except KeyError as e:
             raise ConfigError(f"[bregman] harmonic-clipped needs {e.args[0]!r}") from None
         eps = (eps_lo, eps_hi)
-    else:
-        raise ConfigError(f"[bregman] unknown eps_rule {rule!r}")
 
     if not eps_hi < cap:
-        raise ConfigError(
-            f"[bregman] eps_hi = {eps_hi} must be < min(m/L, m/rho_max) = {cap}"
-        )
+        raise ConfigError(f"[bregman] eps_hi = {eps_hi} must be < min(m/L, m/rho_max) = {cap}")
     try:
-        if weights == "constant":
+        if br["weights"] == "constant":
             return BregmanSchedule.constant(p.n, q_lo, eps)
-        return BregmanSchedule.alternating(p.n, q_lo, q_hi, br.get("period", 1), eps)
+        return BregmanSchedule.alternating(p.n, q_lo, q_hi, br["period"], eps)
     except ValueError as e:
         raise ConfigError(f"[bregman] {e}") from None
 
 
 def build_solver_config(cfg: ExperimentConfig, sched: BregmanSchedule, seed: int) -> SolverConfig:
     sv = cfg.solver
-    return SolverConfig(
-        schedule=sched,
-        max_iters=sv.get("max_iters", 1000),
-        tolerance=sv.get("tolerance", 1e-10),
-        check_period=sv.get("check_period"),
-        seed=seed,
-    )
+    try:
+        return SolverConfig(sched, sv["max_iters"], sv["tolerance"], sv.get("check_period"), seed)
+    except ValueError as e:
+        raise ConfigError(f"[solver] {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +470,9 @@ def _setup(cfg: ExperimentConfig):
     sched = build_schedule(cfg, p)
     ref = resolve_reference_value(
         p, sched,
-        source=cfg.reference.get("source", "auto"),
-        max_steps=cfg.reference.get("max_steps", 100_000),
-        tolerance=cfg.reference.get("tolerance", 1e-12),
+        source=cfg.reference["source"],
+        max_steps=cfg.reference["max_steps"],
+        tolerance=cfg.reference["tolerance"],
     )
     return p, sched, ref
 
@@ -476,10 +484,8 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
     any aborted replication fails the whole experiment with its id.
     """
     p, sched, ref = _setup(cfg)
-    x0_mode = cfg.solver.get("x0", "zeros")
-    if x0_mode not in ("zeros", "near-start"):
-        raise ConfigError(f"[solver] x0 must be zeros|near-start, got {x0_mode!r}")
-    radius = cfg.solver.get("near_start_radius", 1.0)
+    x0_mode = cfg.solver["x0"]
+    radius = cfg.solver["near_start_radius"]
     stay_radius = cfg.probe.get("eta", 4.0 * radius) / 2.0
 
     trajectories, seeds, near_rows = [], [], []
@@ -496,10 +502,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
             raise ReplicationError(f"replication {r} failed: {e}") from e
         trajectories.append(traj)
         if x0_mode == "near-start":
-            dmax = max(
-                float(np.linalg.norm(pt - ref.point))
-                for pt in [traj.x0] + [rec.point for rec in traj.records]
-            )
+            dmax = max(float(np.linalg.norm(pt - ref.point)) for pt in traj.points())
             near_rows.append(NearStartRow(r, dmax, dmax <= stay_radius))
     mean = aggregate_gaps(trajectories, ref.value, seeds)
     return ReplicationResult(
@@ -558,20 +561,19 @@ def _scout(p, sched, cfg, ref) -> list:
     """A short deterministic trajectory to size the neighborhood."""
     sconf = SolverConfig(
         schedule=sched,
-        max_iters=min(cfg.solver.get("max_iters", 1000), 50 * p.n_blocks),
+        max_iters=min(cfg.solver["max_iters"], 50 * p.n_blocks),
         tolerance=0.0,
         check_period=None,
         seed=derive_seed(cfg.seed, 0),
     )
-    traj = run(p, sconf)
-    return [traj.x0] + [rec.point for rec in traj.records]
+    return run(p, sconf).points()
 
 
-def probed_constants(
-    cfg, p, sched, ref, eta: float, nu: float, rng, inflation: float = 1.1,
-) -> tuple[ConstantsRecord, object]:
-    est = probe_ls_eb(p, ref.point, eta, nu, cfg.probe.get("samples", 10_000), rng)
-    constants = constants_for_schedule(sched, p, inflation * est.value, eta, nu)
+def probed_constants(cfg, p, sched, ref, eta: float, nu: float, rng) -> tuple[ConstantsRecord, object]:
+    """Constants of the schedule for the probed ls-eb constant, inflated by
+    _EB_INFLATION so that sampling noise does not understate it."""
+    est = probe_ls_eb(p, ref.point, eta, nu, cfg.probe["samples"], rng)
+    constants = constants_for_schedule(sched, p, _EB_INFLATION * est.value, eta, nu)
     return constants, est
 
 
@@ -604,12 +606,8 @@ def hypothesis_points(p, x_bar, radius: float, window: float, count: int, rng):
 
 
 def _worst(rows_iter):
-    """Keep the row with the smallest margin rhs - lhs."""
-    worst = None
-    for row in rows_iter:
-        if worst is None or row.slack < worst.slack:
-            worst = row
-    return worst
+    """The first row with the smallest margin rhs - lhs; None for no rows."""
+    return min(rows_iter, key=lambda row: row.slack, default=None)
 
 
 def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
@@ -622,8 +620,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     error-bound constant (inflated by 1.1 before use).
     """
     p, sched, ref = _setup(cfg)
-    n_points = cfg.verify.get("points", 1000)
-    n_prox = cfg.verify.get("prox_queries", 1000)
+    n_points = cfg.verify["points"]
+    n_prox = cfg.verify["prox_queries"]
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _VERIFY_STREAM)))
     rows: list[CheckRow] = []
 
@@ -719,7 +717,6 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
             obj_rows.append(make_check("prox-oracle", f"{label}-objective", f_closed - f_grid, 0.0, 1e-8))
         rows.append(_worst(arg_rows))
         rows.append(_worst(obj_rows))
-        del oracle  # free its grid values before the next oracle builds
 
     # local proximity checks behind a probed constant
     eta, nu = _neighborhood(cfg, p, sched, ref, _scout(p, sched, cfg, ref))
@@ -866,7 +863,7 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
     audit = None
     if cfg.has_probe_section:
         p, sched, ref = res.instance, res.schedule, res.reference
-        pts = [x for t in res.trajectories[:10] for x in [t.x0] + [r.point for r in t.records]]
+        pts = [x for t in res.trajectories[:10] for x in t.points()]
         eta, nu = _neighborhood(cfg, p, sched, ref, pts)
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _PROBE_STREAM)))
         constants, est = probed_constants(cfg, p, sched, ref, eta, nu, rng)
@@ -898,18 +895,12 @@ def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
     _require_kind(cfg, "probe-eb")
     p, sched, ref = _setup(cfg)
     eta, nu = _neighborhood(cfg, p, sched, ref, _scout(p, sched, cfg, ref))
-    samples = cfg.probe.get("samples", 10_000)
-    kinds = [k.strip() for k in cfg.probe.get("kinds", "ls-eb").split(",") if k.strip()]
-    known = {"ls-eb", "kl", "bp-eb", "lt-eb"}
-    bad = sorted(set(kinds) - known)
-    if bad:
-        raise ConfigError(f"[probe] unknown kinds {bad}; expected subset of {sorted(known)}")
-
+    samples = cfg.probe["samples"]
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _PROBE_STREAM)))
     gen0, eps0 = sched.generator(0), sched.step(0)
     crit = singleton_distance(ref.point)
     estimates = []
-    for kind in kinds:
+    for kind in cfg.probe["kinds"]:
         if kind == "ls-eb":
             est = probe_ls_eb(p, ref.point, eta, nu, samples, rng)
         elif kind == "kl":
@@ -947,21 +938,18 @@ def run_verify(cfg: ExperimentConfig, out_dir) -> int:
     return 0 if n_pass == len(rows) else 1
 
 
-# subcommand -> flow; also the list of [experiment] kinds and CLI subcommands
-FLOWS = {
+FLOWS.update({
     "solve": run_solve,
     "verify": run_verify,
     "rate": run_rate,
     "probe-eb": run_probe_eb,
-}
+})
 
 
 def run_experiment(config_path, subcommand: str, seed=None, out_dir=None) -> int:
     """Load a config, apply CLI overrides, and dispatch on the subcommand."""
     cfg = load_config(config_path)
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError("--seed must fit in 64 bits")
-        cfg.seed = seed
+        cfg.seed = _checked("experiment", "seed", seed)
     out = out_dir if out_dir is not None else cfg.base_dir / cfg.out_dir
     return FLOWS[subcommand](cfg, out)

@@ -92,7 +92,6 @@ def lasso_random(
         A=A, b=b,
         regularizers=tuple(L1Penalty(l1_weight) for _ in range(n_blocks)),
         partition=part,
-        metadata={"design": f"gram spectrum in [{min_eig}, {max_eig}], seed {seed}"},
     )
 
 
@@ -107,10 +106,6 @@ def quadratic_mcp(
         A=A, b=b,
         regularizers=tuple(McpPenalty(weight, gamma) for _ in range(n_blocks)),
         partition=part,
-        metadata={
-            "design": f"gram spectrum in [{min_eig}, {max_eig}], seed {seed}",
-            "note": "nonconvex penalty; reference values are best-found",
-        },
     )
 
 
@@ -125,10 +120,6 @@ def quadratic_scad(
         A=A, b=b,
         regularizers=tuple(ScadPenalty(weight, a) for _ in range(n_blocks)),
         partition=part,
-        metadata={
-            "design": f"gram spectrum in [{min_eig}, {max_eig}], seed {seed}",
-            "note": "nonconvex penalty; reference values are best-found",
-        },
     )
 
 

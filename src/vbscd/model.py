@@ -538,15 +538,13 @@ class ProblemInstance:
 
     ``known_optimum`` is an optional (point, value) pair for instances whose
     critical point is available analytically; it is validated on construction
-    (subgradient residual at the point must be <= 1e-9).  ``metadata`` carries
-    free-form notes such as unverified global hypotheses.
+    (subgradient residual at the point must be <= 1e-9).
     """
 
     smooth: SmoothTerm
     partition: BlockPartition
     regularizers: tuple[Regularizer, ...]
     known_optimum: tuple[np.ndarray, float] | None = None
-    metadata: dict = field(default_factory=dict)
     penalty_groups: tuple[tuple[Regularizer, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -653,7 +651,6 @@ def make_quadratic_problem(
     regularizers,
     partition: BlockPartition,
     known_optimum=None,
-    metadata=None,
 ) -> ProblemInstance:
     """Least-squares instance 0.5||Ax-b||^2 + penalties with certified L."""
     smooth = QuadraticLeastSquares(A, b)
@@ -666,5 +663,4 @@ def make_quadratic_problem(
         partition=partition,
         regularizers=tuple(regularizers),
         known_optimum=known_optimum,
-        metadata=metadata or {},
     )

@@ -91,6 +91,10 @@ class Trajectory:
                 return rec.prox_residual
         return None
 
+    def points(self) -> list[np.ndarray]:
+        """x^0, x^1, ..., length len(records)+1; the stored arrays, not copies."""
+        return [self.x0] + [r.point for r in self.records]
+
     def objectives(self) -> np.ndarray:
         """F(x^0), F(x^1), ..., length len(records)+1."""
         return np.array([self.initial_objective] + [r.objective for r in self.records])

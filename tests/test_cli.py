@@ -51,6 +51,49 @@ prox_queries = 30
 """
 
 
+RATE_CFG = SOLVE_CFG.replace("kind = solve", "kind = rate") + "\n[probe]\nsamples = 200\n"
+
+
+def with_key(text, section, key, value):
+    """``text`` with ``key = value`` set in [section], replacing any earlier value."""
+    lines = text.splitlines()
+    if f"[{section}]" not in lines:
+        lines += ["", f"[{section}]"]
+    start = lines.index(f"[{section}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    body = [line for line in lines[start + 1:end] if not line.startswith(f"{key} =")]
+    return "\n".join(lines[:start + 1] + [f"{key} = {value}"] + body + lines[end:]) + "\n"
+
+
+@pytest.mark.parametrize("kind, section, key, value", [
+    # each of these once escaped as a traceback with exit 1
+    ("solve", "solver", "max_iters", "0"),
+    ("solve", "solver", "check_period", "0"),
+    ("solve", "solver", "tolerance", "-1"),
+    ("verify", "instance", "n", "0"),
+    ("rate", "probe", "eta", "-1"),
+    # each of these once dropped rows from the report, or checked nothing
+    ("verify", "verify", "prox_queries", "0"),
+    ("verify", "verify", "points", "0"),
+    # this once drew 10^6 points before a misleading error
+    ("verify", "probe", "samples", "0"),
+    # each of these was once accepted with exit 0
+    ("rate", "probe", "kinds", "bogus"),
+    ("verify", "solver", "x0", "bogus"),
+    ("solve", "solver", "near_start_radius", "-1"),
+])
+def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, kind, section, key, value):
+    text = {"solve": SOLVE_CFG, "verify": VERIFY_CFG, "rate": RATE_CFG}[kind]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_key(text, section, key, value))
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: [{section}] {key} "), err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()  # rejected before any work
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert "subcommand" in capsys.readouterr().err

@@ -284,7 +284,7 @@ def test_chunked_grid_oracle_equals_one_shot_scan(kind, params):
     step, count = 5e-5, 2 * GridProxOracle.CHUNK + 123  # not a whole number of chunks
     lo, hi = -3.0, -3.0 + step * (count - 1)
     oracle = GridProxOracle(reg, lo=lo, hi=hi, step=step)
-    assert oracle.g_vals.size == count
+    assert oracle.count == count
     rng = np.random.default_rng(17)
     for _ in range(20):
         w = reg.rho + rng.uniform(0.1, 3.1)
@@ -310,10 +310,10 @@ def test_grid_oracle_tie_across_chunks_goes_to_the_earlier_point():
 
 def test_grid_oracle_memory_stays_bounded():
     oracle = GridProxOracle(make_regularizer("scad", lam=0.9, a=3.7))
-    assert oracle.g_vals.size == 2_000_001
-    # only the penalty values grow with the grid
+    assert oracle.count == 2_000_001
+    # no grid is kept: three numbers per chunk of points
     held = sum(a.nbytes for a in vars(oracle).values() if isinstance(a, np.ndarray))
-    assert held <= oracle.g_vals.nbytes + 8 * GridProxOracle.CHUNK
+    assert held == 3 * 8 * oracle.g_min.size
     tracemalloc.start()
     try:
         oracle.query(1.3, 0.7)
@@ -338,7 +338,7 @@ def test_grid_oracle_rejects_bad_grids(kwargs, name):
         GridProxOracle(make_regularizer("l1", lam=1.0), **kwargs)
 
 
-# 5 chunks and 77 points, over two build chunks
+# 5 whole chunks and 77 more points
 SMALL_GRID = {"lo": -3.0, "hi": -3.0 + 2e-4 * (5 * GridProxOracle.CHUNK + 76), "step": 2e-4}
 
 BOUND_REGS = [
@@ -357,7 +357,7 @@ def same_bits(a, b):
 @pytest.mark.parametrize("reg", BOUND_REGS, ids=lambda reg: reg.kind)
 def test_grid_oracle_chunk_bound_is_below_every_scanned_value(reg):
     oracle = GridProxOracle(reg, **SMALL_GRID)
-    chunk, count = GridProxOracle.CHUNK, oracle.g_vals.size
+    chunk, count = GridProxOracle.CHUNK, oracle.count
     ts = SMALL_GRID["lo"] + SMALL_GRID["step"] * np.arange(count)
     rng = np.random.default_rng(29)
     # v beyond the grid on both sides, and w = 0
@@ -398,6 +398,14 @@ def test_grid_oracle_fallbacks_equal_the_one_shot_scan():
                 assert same_bits(oracle.query(w, v), grid_argmin_one_shot(reg, w, v, **SMALL_GRID)), (w, v)
     # a NaN penalty value gives a NaN bound, so that query takes the full scan
     assert GridProxOracle(regs[2], **SMALL_GRID).lower_bounds(1.0, 0.4) is None
+
+
+def test_grid_oracle_penalty_may_return_its_argument():
+    # phi(t) = t handed back as the very array of points the oracle passed in
+    reg = _StubPenalty(lambda t: t)
+    oracle = GridProxOracle(reg, **SMALL_GRID)
+    for w, v in ((1.0, 0.4), (3.0, -2.0), (0.5, 9.0)):
+        assert same_bits(oracle.query(w, v), grid_argmin_one_shot(reg, w, v, **SMALL_GRID))
 
 
 def test_grid_oracle_nan_values_on_the_pruned_path_match_the_one_shot_scan():

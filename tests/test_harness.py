@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,8 @@ from vbscd.harness import (
 from vbscd.instances import lasso_1d, lasso_random, quad_1d
 from vbscd.model import L1Penalty, make_quadratic_problem
 from vbscd.solver import SolverConfig, run
+
+from test_cli import with_key
 
 BASE = """\
 [experiment]
@@ -106,6 +111,99 @@ def test_bad_value_type_is_an_error(tmp_path):
     path = write_cfg(tmp_path, BASE.replace("seed = 1", "seed = soon"))
     with pytest.raises(ConfigError, match="seed"):
         load_config(path)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference_catalog():
+    """section -> key -> comment text, for every key line of configs/reference.cfg,
+    commented keys included; a comment runs on over indented '#' lines."""
+    catalog, section, key = {}, None, None
+    for line in (ROOT / "configs" / "reference.cfg").read_text().splitlines():
+        if m := re.match(r"\[(\w+)\]$", line):
+            section, key = m.group(1), None
+            catalog[section] = {}
+        elif section and (m := re.match(r"(?:#\s*)?(\w+)\s*=\s*[^#]*#\s*(.*)$", line)):
+            key = m.group(1)
+            catalog[section][key] = m.group(2)
+        elif key and (m := re.match(r"\s+#\s*(.*)$", line)):
+            catalog[section][key] += " " + m.group(1)
+        else:
+            key = None
+    return catalog
+
+
+def documented(spec) -> str:
+    """What configs/reference.cfg says of a key: its values, then its default."""
+    if spec.default is None or spec.default is harness.REQUIRED:
+        return f"{spec.domain()}; {'optional' if spec.default is None else 'required'}"
+    shown = ", ".join(spec.default) if isinstance(spec.default, tuple) else spec.default
+    return f"{spec.domain()}; default {shown}"
+
+
+def test_reference_catalog_matches_the_schema():
+    catalog = reference_catalog()
+    assert {s: set(keys) for s, keys in catalog.items()} == \
+        {s: set(keys) for s, keys in harness._SCHEMA.items()}
+    for section, keys in harness._SCHEMA.items():
+        for key, spec in keys.items():
+            assert documented(spec) in catalog[section][key], (section, key)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_shipped_config_loads(path):
+    cfg = load_config(path)
+    assert cfg.kind in harness.FLOWS
+
+
+def test_left_out_keys_take_the_schema_defaults(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, BASE))
+    assert cfg.reference == {"source": "auto", "max_steps": 100_000, "tolerance": 1e-12}
+    assert cfg.verify == {"points": 1000, "prox_queries": 1000}
+    assert cfg.probe == {"kinds": ("ls-eb",), "samples": 10_000} and not cfg.has_probe_section
+    # optional keys without a default stay absent; their values derive from the run
+    assert "check_period" not in cfg.solver and "n" not in cfg.instance
+    assert (cfg.out_dir, cfg.solver["x0"], cfg.bregman["period"]) == ("out", "zeros", 1)
+
+
+def test_required_key_left_out_is_an_error(tmp_path):
+    path = write_cfg(tmp_path, BASE.replace("kind = solve\n", ""))
+    with pytest.raises(ConfigError, match=r"\[experiment\] kind is required"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "seed", "-1"),
+    ("experiment", "seed", str(2**64)),
+    ("bregman", "eps_fraction", "1"),
+    ("bregman", "q", "0"),
+    ("probe", "lt_level", "inf"),  # no range, but floats must be finite
+    ("bregman", "weights", "ramp"),
+    ("solver", "tolerance", "nan"),
+    ("reference", "source", "oracle"),
+    ("probe", "kinds", "ls-eb, kl, xx"),
+    ("probe", "kinds", ","),
+])
+def test_values_outside_the_schema_are_rejected_at_load(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} must be "):
+        load_config(write_cfg(tmp_path, with_key(BASE, section, key, value)))
+
+
+def test_seed_override_takes_the_schema_check(tmp_path):
+    path = write_cfg(tmp_path, BASE)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"\[experiment\] seed must be an int in \[0, 2\^64\)"):
+            harness.run_experiment(path, "solve", seed=seed, out_dir=tmp_path / "out")
+    assert harness.run_experiment(path, "solve", seed=2**64 - 1, out_dir=tmp_path / "out") == 0
+
+
+def test_factory_value_error_is_a_config_error(tmp_path):
+    text = BASE.replace("kind = lasso-1d", "kind = lasso-random\nn = 2\nblocks = 3")
+    cfg = load_config(write_cfg(tmp_path, text))
+    with pytest.raises(ConfigError, match=r"^\[instance\] need at least one coordinate per block"):
+        build_instance(cfg)
 
 
 # ---------------------------------------------------------------------------

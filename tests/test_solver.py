@@ -145,9 +145,14 @@ def test_trajectory_helpers():
     assert traj.final_point[0] == pytest.approx(1 - 0.5**5)
     assert len(traj.objectives()) == 6
     assert traj.gaps(0.0)[0] == pytest.approx(0.5)
+    # the stored arrays themselves, x0 first
+    pts = traj.points()
+    assert len(pts) == 6 and pts[0] is traj.x0
+    assert all(pt is rec.point for pt, rec in zip(pts[1:], traj.records))
     empty = Trajectory(np.zeros(1), [], "max_iters", 0.5)
     assert empty.final_objective == 0.5
     assert empty.final_residual is None
+    assert empty.points() == [empty.x0]
 
 
 def test_trajectory_start_point_is_a_copy():
