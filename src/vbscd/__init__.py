@@ -33,7 +33,6 @@ from .model import (
     Regularizer,
     ScadPenalty,
     SquaredL2Penalty,
-    UnsupportedInstanceError,
     ZeroPenalty,
     largest_eigenvalue_sym,
     make_quadratic_problem,

@@ -288,6 +288,11 @@ def load_config(path) -> ExperimentConfig:
         out_dir=exp["output_dir"], **data,
         has_probe_section=parser.has_section("probe"), base_dir=path.parent.resolve(),
     )
+    # keys no flow of this kind reads are errors, not silently ignored
+    if parser.has_section("verify") and cfg.kind != "verify":
+        raise ConfigError(f"[verify] applies only to kind 'verify', not {cfg.kind!r}")
+    if cfg.kind in ("rate", "verify") and cfg.probe["kinds"] != ("ls-eb",):
+        raise ConfigError(f"[probe] kinds must be ls-eb for kind {cfg.kind!r}, which probes only ls-eb")
     _validate_instance_keys(cfg)
     return cfg
 

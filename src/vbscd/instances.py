@@ -16,7 +16,6 @@ from .model import (
     McpPenalty,
     ProblemInstance,
     ScadPenalty,
-    SquaredL2Penalty,
     ZeroPenalty,
     make_quadratic_problem,
     make_regularizer,
@@ -81,18 +80,19 @@ def _design(n: int, min_eig: float, max_eig: float, seed: int):
     return A, b
 
 
+def _random_least_squares(reg, n, n_blocks, min_eig, max_eig, seed) -> ProblemInstance:
+    """Least squares on a seeded design, with the penalty ``reg`` on every block."""
+    A, b = _design(n, min_eig, max_eig, seed)
+    return make_quadratic_problem(A=A, b=b, regularizers=(reg,) * n_blocks,
+                                  partition=BlockPartition.even(n, n_blocks))
+
+
 def lasso_random(
     n: int = 50, n_blocks: int = 10, l1_weight: float = 0.1,
     min_eig: float = 0.5, max_eig: float = 2.0, seed: int = 20240718,
 ) -> ProblemInstance:
     """Random strongly convex lasso: gram spectrum in [min_eig, max_eig]."""
-    A, b = _design(n, min_eig, max_eig, seed)
-    part = BlockPartition.even(n, n_blocks)
-    return make_quadratic_problem(
-        A=A, b=b,
-        regularizers=tuple(L1Penalty(l1_weight) for _ in range(n_blocks)),
-        partition=part,
-    )
+    return _random_least_squares(L1Penalty(l1_weight), n, n_blocks, min_eig, max_eig, seed)
 
 
 def quadratic_mcp(
@@ -100,13 +100,7 @@ def quadratic_mcp(
     min_eig: float = 0.5, max_eig: float = 2.0, seed: int = 20240719,
 ) -> ProblemInstance:
     """Least squares plus mcp; min_eig > 1/gamma keeps F strongly convex."""
-    A, b = _design(n, min_eig, max_eig, seed)
-    part = BlockPartition.even(n, n_blocks)
-    return make_quadratic_problem(
-        A=A, b=b,
-        regularizers=tuple(McpPenalty(weight, gamma) for _ in range(n_blocks)),
-        partition=part,
-    )
+    return _random_least_squares(McpPenalty(weight, gamma), n, n_blocks, min_eig, max_eig, seed)
 
 
 def quadratic_scad(
@@ -114,13 +108,7 @@ def quadratic_scad(
     min_eig: float = 0.5, max_eig: float = 2.0, seed: int = 20240720,
 ) -> ProblemInstance:
     """Least squares plus scad; min_eig > 1/(a-1) keeps F strongly convex."""
-    A, b = _design(n, min_eig, max_eig, seed)
-    part = BlockPartition.even(n, n_blocks)
-    return make_quadratic_problem(
-        A=A, b=b,
-        regularizers=tuple(ScadPenalty(weight, a) for _ in range(n_blocks)),
-        partition=part,
-    )
+    return _random_least_squares(ScadPenalty(weight, a), n, n_blocks, min_eig, max_eig, seed)
 
 
 def logistic_random(

@@ -18,14 +18,11 @@ follows f one block at a time.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-
-class UnsupportedInstanceError(ValueError):
-    """The requested operation needs structure this instance does not expose."""
 
 
 # Row-wise evaluations over stacks of points run in chunks whose largest
@@ -271,37 +268,53 @@ class CustomSmooth(SmoothTerm):
 
 
 class Regularizer:
-    """Scalar penalty applied coordinatewise; semi-convex with modulus rho.
+    """Even scalar penalty phi(t) = psi(|t|), applied coordinatewise;
+    semi-convex with modulus rho.
 
-    ``prox(v, w)`` solves argmin_t  phi(t) + (w/2)(t - v)^2 in closed form and
-    is only defined for w > rho (strongly convex subproblem, unique minimizer).
-    ``prox.scalar_prox`` checks that bound once per call; ``prox`` itself
-    does not check it again.
+    A kind gives four pieces and the base derives the rest by symmetry:
+    ``psi(u)`` is phi on u >= 0, ``dpsi(u)`` its slope for u > 0, ``kink``
+    the half-width of the subdifferential [-kink, kink] at 0, and
+    ``prox_abs(u, w)`` the prox on u = |v|, so that ``prox(v, w)`` =
+    sign(v) * prox_abs(|v|, w) = argmin_t  phi(t) + (w/2)(t - v)^2.  The
+    prox is only defined for w > rho (strongly convex subproblem, unique
+    minimizer); ``prox.scalar_prox`` checks that bound once per call and
+    ``prox`` itself does not check it again.  A penalty that is not even
+    overrides ``value``, ``subdiff`` and ``prox`` instead.
     """
 
     kind = "custom"
     rho: float = 0.0
+    kink: float = 0.0
 
     def value(self, t):
-        raise NotImplementedError
+        return self.psi(np.abs(np.asarray(t, dtype=float)))
 
     def subdiff(self, t):
         """Per-coordinate subdifferential interval (lo, hi) at t."""
-        raise UnsupportedInstanceError(
-            f"penalty kind {self.kind!r} has no interval subdifferential"
-        )
+        t = np.asarray(t, dtype=float)
+        d = np.sign(t) * self.dpsi(np.abs(t))
+        return np.where(t == 0.0, -self.kink, d), np.where(t == 0.0, self.kink, d)
 
     def prox(self, v, w):
-        raise NotImplementedError
+        v = np.asarray(v, dtype=float)
+        return np.sign(v) * self.prox_abs(np.abs(v), w)
 
     def total(self, t) -> float:
         """Sum of the coordinatewise values over an array."""
         return float(np.sum(self.value(np.asarray(t, dtype=float))))
 
 
+def _weight(kind: str, lam) -> float:
+    """``lam`` as a float when it is a finite weight >= 0, else ValueError."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"{kind} weight must be finite and >= 0, got {lam}")
+    return float(lam)
+
+
 class ZeroPenalty(Regularizer):
+    # its own methods: np.sign(-0.0) is 0.0, so the symmetric prox would
+    # not return an exact copy of v
     kind = "zero"
-    rho = 0.0
 
     def value(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
@@ -318,49 +331,36 @@ class L1Penalty(Regularizer):
     """phi(t) = lam * |t|; prox is soft thresholding at lam/w."""
 
     kind = "l1"
-    rho = 0.0
 
     def __init__(self, lam: float):
-        if lam < 0:
-            raise ValueError("l1 weight must be >= 0")
-        self.lam = float(lam)
+        self.lam = self.kink = _weight(self.kind, lam)
 
-    def value(self, t):
-        return self.lam * np.abs(t)
+    def psi(self, u):
+        return self.lam * u
 
-    def subdiff(self, t):
-        t = np.asarray(t, dtype=float)
-        s = np.sign(t)
-        lo = np.where(t == 0.0, -self.lam, self.lam * s)
-        hi = np.where(t == 0.0, self.lam, self.lam * s)
-        return lo, hi
+    def dpsi(self, u):
+        return self.lam
 
-    def prox(self, v, w):
-        v = np.asarray(v, dtype=float)
-        thr = self.lam / w
-        return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+    def prox_abs(self, u, w):
+        return np.maximum(u - self.lam / w, 0.0)
 
 
 class SquaredL2Penalty(Regularizer):
     """phi(t) = (mu/2) t^2."""
 
     kind = "squared-l2"
-    rho = 0.0
 
     def __init__(self, mu: float):
-        if mu < 0:
-            raise ValueError("squared-l2 weight must be >= 0")
-        self.mu = float(mu)
+        self.mu = _weight(self.kind, mu)
 
-    def value(self, t):
-        return 0.5 * self.mu * np.square(t)
+    def psi(self, u):
+        return 0.5 * self.mu * np.square(u)
 
-    def subdiff(self, t):
-        g = self.mu * np.asarray(t, dtype=float)
-        return g, g.copy()
+    def dpsi(self, u):
+        return self.mu * u
 
-    def prox(self, v, w):
-        return (w / (w + self.mu)) * np.asarray(v, dtype=float)
+    def prox_abs(self, u, w):
+        return (w / (w + self.mu)) * u
 
 
 def _candidates(k, u, w):
@@ -397,38 +397,25 @@ class ScadPenalty(Regularizer):
     kind = "scad"
 
     def __init__(self, lam: float, a: float = 3.7):
-        if lam < 0:
-            raise ValueError("scad weight must be >= 0")
-        if a <= 2:
-            raise ValueError("scad shape parameter must be > 2")
-        self.lam = float(lam)
+        self.lam = self.kink = _weight(self.kind, lam)
+        if not 2 < a < np.inf:
+            raise ValueError(f"scad shape parameter must be finite and > 2, got {a}")
         self.a = float(a)
         self.rho = 1.0 / (self.a - 1.0)
 
-    def value(self, t):
-        u = np.abs(np.asarray(t, dtype=float))
+    def psi(self, u):
         lam, a = self.lam, self.a
         mid = (2 * a * lam * u - np.square(u) - lam**2) / (2 * (a - 1))
-        out = np.where(u <= lam, lam * u, np.where(u <= a * lam, mid, lam**2 * (a + 1) / 2))
-        return out
+        return np.where(u <= lam, lam * u, np.where(u <= a * lam, mid, lam**2 * (a + 1) / 2))
 
-    def _deriv_abs(self, u):
-        # derivative in |t| for u > 0 (continuous across the knots)
+    def dpsi(self, u):
+        # continuous across the knots
         lam, a = self.lam, self.a
         return np.where(u <= lam, lam, np.where(u <= a * lam, (a * lam - u) / (a - 1), 0.0))
 
-    def subdiff(self, t):
-        t = np.asarray(t, dtype=float)
-        d = self._deriv_abs(np.abs(t)) * np.sign(t)
-        lo = np.where(t == 0.0, -self.lam, d)
-        hi = np.where(t == 0.0, self.lam, d)
-        return lo, hi
-
-    def prox(self, v, w):
-        v = np.asarray(v, dtype=float)
+    def prox_abs(self, u, w):
         w = np.asarray(w, dtype=float)
         lam, a = self.lam, self.a
-        s, u = np.sign(v), np.abs(v)
         cand, (c1, c2, c3) = _candidates(3, u, w)
         np.subtract(u, lam / w, out=c1)
         _clip_into(c1, 0.0, lam)
@@ -436,7 +423,7 @@ class ScadPenalty(Regularizer):
         np.divide(wa * u - a * lam, wa - 1.0, out=c2)
         _clip_into(c2, lam, a * lam)
         np.maximum(u, a * lam, out=c3)
-        return s * _best_candidate(self, cand, u, w)
+        return _best_candidate(self, cand, u, w)
 
 
 class McpPenalty(Regularizer):
@@ -450,67 +437,42 @@ class McpPenalty(Regularizer):
     kind = "mcp"
 
     def __init__(self, lam: float, gamma: float):
-        if lam < 0:
-            raise ValueError("mcp weight must be >= 0")
-        if gamma <= 1:
-            raise ValueError("mcp shape parameter must be > 1")
-        self.lam = float(lam)
+        self.lam = self.kink = _weight(self.kind, lam)
+        if not 1 < gamma < np.inf:
+            raise ValueError(f"mcp shape parameter must be finite and > 1, got {gamma}")
         self.gamma = float(gamma)
         self.rho = 1.0 / self.gamma
 
-    def value(self, t):
-        u = np.abs(np.asarray(t, dtype=float))
+    def psi(self, u):
         lam, g = self.lam, self.gamma
         return np.where(u <= g * lam, lam * u - np.square(u) / (2 * g), 0.5 * g * lam**2)
 
-    def subdiff(self, t):
-        t = np.asarray(t, dtype=float)
-        u = np.abs(t)
+    def dpsi(self, u):
         lam, g = self.lam, self.gamma
-        d = np.where(u <= g * lam, lam - u / g, 0.0) * np.sign(t)
-        lo = np.where(t == 0.0, -lam, d)
-        hi = np.where(t == 0.0, lam, d)
-        return lo, hi
+        return np.where(u <= g * lam, lam - u / g, 0.0)
 
-    def prox(self, v, w):
-        v = np.asarray(v, dtype=float)
+    def prox_abs(self, u, w):
         w = np.asarray(w, dtype=float)
         lam, g = self.lam, self.gamma
-        s, u = np.sign(v), np.abs(v)
         cand, (c1, c2) = _candidates(2, u, w)
         np.divide(g * (w * u - lam), g * w - 1.0, out=c1)
         _clip_into(c1, 0.0, g * lam)
         np.maximum(u, g * lam, out=c2)
-        return s * _best_candidate(self, cand, u, w)
+        return _best_candidate(self, cand, u, w)
 
 
-_REG_KINDS = {
-    "zero": lambda **kw: ZeroPenalty(),
-    "l1": lambda **kw: L1Penalty(kw["lam"]),
-    "squared-l2": lambda **kw: SquaredL2Penalty(kw["mu"]),
-    "scad": lambda **kw: ScadPenalty(kw["lam"], kw.get("a", 3.7)),
-    "mcp": lambda **kw: McpPenalty(kw["lam"], kw["gamma"]),
-}
-
-_REG_PARAMS = {
-    "zero": set(),
-    "l1": {"lam"},
-    "squared-l2": {"mu"},
-    "scad": {"lam", "a"},
-    "mcp": {"lam", "gamma"},
-}
+# penalty kind -> class; the constructor's signature lists its parameters
+_REG_KINDS = {cls.kind: cls for cls in (ZeroPenalty, L1Penalty, SquaredL2Penalty, ScadPenalty, McpPenalty)}
 
 
 def make_regularizer(kind: str, **params) -> Regularizer:
     if kind not in _REG_KINDS:
         raise ValueError(f"unknown penalty kind {kind!r}; expected one of {sorted(_REG_KINDS)}")
-    extra = set(params) - _REG_PARAMS[kind]
-    if extra:
-        raise ValueError(f"penalty kind {kind!r} does not take {sorted(extra)}")
     try:
-        return _REG_KINDS[kind](**params)
-    except KeyError as e:
-        raise ValueError(f"penalty kind {kind!r} is missing parameter {e.args[0]!r}") from None
+        inspect.signature(_REG_KINDS[kind]).bind(**params)
+    except TypeError as e:  # a stray or a missing parameter, named by the message
+        raise ValueError(f"penalty kind {kind!r}: {e}") from None
+    return _REG_KINDS[kind](**params)
 
 
 def same_penalty(a: Regularizer, b: Regularizer) -> bool:

@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from vbscd import (
     ReplicationError,
     SolverAbort,
 )
+from vbscd.cli import main as cli_main
 from vbscd.harness import (
     aggregate_gaps,
     build_instance,
@@ -156,6 +158,107 @@ def test_reference_catalog_matches_the_schema():
 def test_every_shipped_config_loads(path):
     cfg = load_config(path)
     assert cfg.kind in harness.FLOWS
+
+
+def documented_instance_keys():
+    """[instance] kind -> its entry in the per-kind key list of
+    configs/reference.cfg, continuation lines joined."""
+    entries, kind = {}, None
+    for line in (ROOT / "configs" / "reference.cfg").read_text().splitlines():
+        if m := re.match(r"#   ([\w-]+):\s+(.*)$", line):
+            kind = m.group(1)
+            entries[kind] = m.group(2)
+        elif kind and (m := re.match(r"#\s{10,}(\S.*)$", line)):
+            entries[kind] += " " + m.group(1)
+        else:
+            kind = None
+    return entries
+
+
+def test_reference_catalog_gives_each_kinds_factory_defaults():
+    entries = documented_instance_keys()
+    for kind, (factory, keys) in harness._INSTANCES.items():
+        if not keys:
+            continue
+        params = inspect.signature(factory).parameters
+        defaults = {key: params[name].default for key in keys
+                    if (name := harness._RENAMES.get(key, key)) in params
+                    and params[name].default is not inspect.Parameter.empty}
+        shown = {key: harness._parse("instance", key, raw)
+                 for key, raw in re.findall(r"(\w+) \(([^)]*)\)", entries[kind]) if key in keys}
+        assert shown == defaults, kind
+        assert all(re.search(rf"\b{key}\b", entries[kind]) for key in keys), kind
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("solve", BASE + "\n[verify]\npoints = 5\n"),
+    ("rate", with_key(BASE.replace("kind = solve", "kind = rate"), "verify", "points", "5")),
+    ("probe-eb", with_key(BASE.replace("kind = solve", "kind = probe-eb"), "verify", "points", "5")),
+])
+def test_verify_section_outside_verify_is_an_error(tmp_path, kind, text):
+    with pytest.raises(ConfigError, match=rf"^\[verify\] applies only to kind 'verify', not '{kind}'"):
+        load_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("kind", ["rate", "verify"])
+@pytest.mark.parametrize("kinds", ["kl", "ls-eb, kl", "bp-eb, lt-eb"])
+def test_probe_kinds_other_than_ls_eb_are_errors_where_only_ls_eb_runs(tmp_path, kind, kinds):
+    text = with_key(BASE.replace("kind = solve", f"kind = {kind}"), "probe", "kinds", kinds)
+    with pytest.raises(ConfigError, match=rf"^\[probe\] kinds must be ls-eb for kind '{kind}'"):
+        load_config(write_cfg(tmp_path, text))
+    text = with_key(BASE.replace("kind = solve", f"kind = {kind}"), "probe", "kinds", "ls-eb")
+    assert load_config(write_cfg(tmp_path, text)).probe["kinds"] == ("ls-eb",)
+
+
+def test_probe_eb_takes_every_probe_kind(tmp_path):
+    text = with_key(BASE.replace("kind = solve", "kind = probe-eb"), "probe", "kinds", "ls-eb, kl, bp-eb, lt-eb")
+    assert load_config(write_cfg(tmp_path, text)).probe["kinds"] == ("ls-eb", "kl", "bp-eb", "lt-eb")
+
+
+# ---------------------------------------------------------------------------
+# the matrix-file instance kind, through the CLI
+
+MATRIX_FILE = BASE.replace("kind = lasso-1d", """\
+kind = matrix-file
+matrix_file = A.txt
+rhs_file = b.txt
+blocks = 2
+reg = l1
+lam = 0.1""").replace("eps_rule = constant\neps = 0.5", "eps_rule = relative")
+
+
+def _matrix_files(tmp_path):
+    rng = np.random.default_rng(5)
+    np.savetxt(tmp_path / "A.txt", rng.standard_normal((6, 4)))
+    np.savetxt(tmp_path / "b.txt", rng.standard_normal(6))
+
+
+def test_matrix_file_config_solves(tmp_path, capsys):
+    _matrix_files(tmp_path)
+    path = write_cfg(tmp_path, MATRIX_FILE)
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "traj_000.csv").is_file()
+    p = build_instance(load_config(path))
+    assert (p.n, p.n_blocks, p.regularizers[0].kind, p.regularizers[0].lam) == (4, 2, "l1", 0.1)
+    assert np.array_equal(p.smooth.A, np.loadtxt(tmp_path / "A.txt"))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("reg = l1\n", ""),
+    lambda text: text.replace("rhs_file = b.txt", "rhs_file = missing.txt"),
+    lambda text: text.replace("lam = 0.1", "lam = 0.1\nmu = 0.2"),
+], ids=["no-reg", "missing-rhs-file", "stray-mu"])
+def test_bad_matrix_file_config_exits_two(tmp_path, capsys, edit):
+    _matrix_files(tmp_path)
+    path = write_cfg(tmp_path, edit(MATRIX_FILE))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [instance] "), err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_left_out_keys_take_the_schema_defaults(tmp_path):

@@ -16,7 +16,8 @@ from vbscd import (
     make_quadratic_problem,
     make_regularizer,
 )
-from vbscd.instances import lasso_1d, lasso_random
+from vbscd.instances import lasso_1d, lasso_random, matrix_instance
+from vbscd.model import _REG_KINDS
 
 
 def fd_grad(f, x, h=1e-6):
@@ -196,6 +197,60 @@ def test_make_regularizer_factory():
         ScadPenalty(1.0, 2.0)  # needs a > 2
     with pytest.raises(ValueError):
         McpPenalty(1.0, 1.0)  # needs gamma > 1
+
+
+def test_make_regularizer_names_the_stray_or_missing_parameter():
+    with pytest.raises(ValueError, match=r"^penalty kind 'l1': .*'gamma'"):
+        make_regularizer("l1", lam=1.0, gamma=2.0)
+    with pytest.raises(ValueError, match=r"^penalty kind 'mcp': .*missing.*'gamma'"):
+        make_regularizer("mcp", lam=1.0)
+    with pytest.raises(ValueError, match=r"^penalty kind 'zero': .*'lam'"):
+        make_regularizer("zero", lam=1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("l1", {"lam": NAN}), ("l1", {"lam": INF}), ("l1", {"lam": -1.0}),
+    ("squared-l2", {"mu": NAN}), ("squared-l2", {"mu": INF}),
+    ("scad", {"lam": NAN}), ("scad", {"lam": INF}), ("scad", {"lam": 1.0, "a": NAN}),
+    ("scad", {"lam": 1.0, "a": INF}),
+    ("mcp", {"lam": NAN, "gamma": 4.0}), ("mcp", {"lam": 1.0, "gamma": NAN}),
+    ("mcp", {"lam": 1.0, "gamma": INF}),
+])
+def test_non_finite_penalty_parameters_are_rejected(kind, params):
+    # NaN fails every comparison, so each bound must be written to fail on it
+    message = rf"^{kind} (weight|shape parameter) must be finite"
+    with pytest.raises(ValueError, match=message):
+        make_regularizer(kind, **params)
+    with pytest.raises(ValueError, match=message):
+        matrix_instance(np.eye(2), np.ones(2), kind, params, n_blocks=2)
+
+
+SHIPPED_PENALTIES = [ZeroPenalty(), L1Penalty(0.7), SquaredL2Penalty(1.3),
+                     ScadPenalty(0.9, 3.7), McpPenalty(0.8, 3.0)]
+
+
+def test_symmetry_covers_every_penalty_kind():
+    assert {reg.kind for reg in SHIPPED_PENALTIES} == set(_REG_KINDS)
+
+
+@pytest.mark.parametrize("reg", SHIPPED_PENALTIES, ids=lambda reg: reg.kind)
+def test_every_penalty_is_even(reg):
+    lam = getattr(reg, "lam", 1.0)
+    knots = np.array([0.0, lam, getattr(reg, "a", 3.7) * lam, getattr(reg, "gamma", 3.0) * lam])
+    rng = np.random.default_rng(23)
+    t = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                        rng.standard_normal(200) * 3.0 * lam])
+    t = np.concatenate([t, -t])  # -0.0 included
+    assert np.array_equal(reg.value(-t), reg.value(t))
+    lo, hi = reg.subdiff(t)
+    lo_neg, hi_neg = reg.subdiff(-t)
+    assert np.array_equal(lo_neg, -hi) and np.array_equal(hi_neg, -lo)
+    assert np.all(lo <= hi)
+    for w in (reg.rho + 1e-3, reg.rho + 0.5, 2.0 + reg.rho, rng.uniform(reg.rho + 0.1, 5.0, t.size)):
+        assert np.array_equal(reg.prox(-t, w), -reg.prox(t, w))
 
 
 # ---------------------------------------------------------------------------
