@@ -206,13 +206,6 @@ def test_probe_kinds_other_than_ls_eb_are_errors_where_only_ls_eb_runs(tmp_path,
     text = with_key(BASE.replace("kind = solve", f"kind = {kind}"), "probe", "kinds", kinds)
     with pytest.raises(ConfigError, match=rf"^\[probe\] kinds must be ls-eb for kind '{kind}'"):
         load_config(write_cfg(tmp_path, text))
-    text = with_key(BASE.replace("kind = solve", f"kind = {kind}"), "probe", "kinds", "ls-eb")
-    assert load_config(write_cfg(tmp_path, text)).probe["kinds"] == ("ls-eb",)
-
-
-def test_probe_eb_takes_every_probe_kind(tmp_path):
-    text = with_key(BASE.replace("kind = solve", "kind = probe-eb"), "probe", "kinds", "ls-eb, kl, bp-eb, lt-eb")
-    assert load_config(write_cfg(tmp_path, text)).probe["kinds"] == ("ls-eb", "kl", "bp-eb", "lt-eb")
 
 
 # ---------------------------------------------------------------------------
