@@ -5,11 +5,12 @@
 
 Runs each ``configs/*.cfg`` and ``perfbench/configs/*.cfg`` through the CLI
 at ``--seed 7``, one fresh process per config, into a temporary directory,
-and prints per config its exit code, its stderr lines, and one
-``sha256  config/file`` line per output file.  Standard output is left out:
-it names the temporary directory.  Two trees give the same digest exactly
-when every config exits alike, warns alike and writes the same bytes, so a
-refactor that must not change outputs is checked with one ``diff``.
+and prints per config its exit code, its stdout lines (with the temporary
+directory replaced by ``<tmp>``), its stderr lines, and one
+``sha256  config/file`` line per output file.  Two trees give the same
+digest exactly when every config exits alike, prints alike, warns alike and
+writes the same bytes, so a refactor that must not change outputs is
+checked with one ``diff``.
 """
 from __future__ import annotations
 
@@ -41,9 +42,11 @@ def main() -> int:
             proc = subprocess.run(
                 [sys.executable, "-m", "vbscd.cli", _kind(cfg), "--config", str(cfg),
                  "--seed", "7", "--out", str(out)],
-                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                cwd=ROOT, env=env, capture_output=True, text=True,
             )
             print(f"exit {proc.returncode}  {label}")
+            for line in proc.stdout.replace(tmp, "<tmp>").splitlines():
+                print(f"stdout  {label}: {line}")
             for line in proc.stderr.splitlines():
                 print(f"stderr  {label}: {line}")
             files = sorted(f for f in out.rglob("*") if f.is_file()) if out.is_dir() else []

@@ -30,7 +30,6 @@ from .csvout import fmt, write_csv
 from .model import ProblemInstance, Regularizer, row_chunks
 from .probes import cross_check, level_margin
 from .prox import coordinate_prox_all, coordinate_prox_all_rows, envelope_value, full_prox
-from .solver import Trajectory
 
 MACH_EPS = float(np.finfo(float).eps)
 
@@ -321,13 +320,13 @@ def contraction_audit(
     """At every recorded in-neighborhood point, check the exact one-step
     contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar).
 
-    Trajectories are read one at a time, in chunks of points; the points of
-    a chunk inside the neighborhood are grouped by (generator, eps) and each
-    group is evaluated by :func:`stacked_expectation`.  Enumeration is the
-    oracle: the first and last checked point of every group and the
-    worst-margin point are recomputed with :func:`enumerate_expectation`,
-    and a disagreement beyond 1e-12 (1 + |F|) raises
-    :class:`~vbscd.probes.OracleMismatch`.
+    Trajectories (a sequence, or one) are read one at a time, in row chunks
+    of their ``points``; the in-neighborhood points of a chunk are grouped
+    by (generator, eps) and each group is evaluated by
+    :func:`stacked_expectation`.  Enumeration is the oracle: the first and
+    last checked point of every group and the worst-margin point are
+    recomputed with :func:`enumerate_expectation`, and a disagreement beyond
+    1e-12 (1 + |F|) raises :class:`~vbscd.probes.OracleMismatch`.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     radius = constants.eta / 2.0
@@ -338,13 +337,12 @@ def contraction_audit(
     # first and the latest one of every (generator, eps) group
     worst_pt = None
     firsts, lasts = {}, {}
-    if isinstance(trajectories, Trajectory):
+    if hasattr(trajectories, "points"):
         trajectories = [trajectories]
     for traj in trajectories:
-        points = traj.points()
         values = traj.objectives()
-        for rows in row_chunks(len(points), p.n_blocks * p.n):
-            X = np.array(points[rows])
+        for rows in row_chunks(len(traj.points), p.n_blocks * p.n):
+            X = traj.points[rows]
             fx = values[rows]
             inside = (np.linalg.norm(X - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi)
             skipped += int(inside.size - np.count_nonzero(inside))
@@ -377,23 +375,24 @@ def contraction_audit(
     return ContractionAudit(checked, skipped, violations, float(worst))
 
 
-def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, points=None):
+def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, points=()):
     """Pick (eta, nu) so the supplied points satisfy the ball and level
     hypotheses with margin and rejection sampling in B(x_bar; eta, nu) stays
     cheap (nu matched to the smooth curvature over the ball).
 
-    The reach of each point, max(||x - x_bar||, sqrt((F(x) - F_bar) / a)),
-    is evaluated on stacks of points; the farthest point's reach is then
-    taken from the per-point forms.
+    ``points`` is a sequence of (k, n) stacks, such as trajectories'
+    ``points``.  The reach of each point, max(||x - x_bar||,
+    sqrt((F(x) - F_bar) / a)), is evaluated in row chunks of each stack; the
+    farthest point's reach is then taken from the per-point forms.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
     reach = 1.0
-    if points is not None and len(points):
+    chunks = [S[rows] for S in points for rows in row_chunks(len(S), p.n)]
+    if chunks:
         f_bar = p.objective(x_bar)
         far, far_reach = None, -np.inf
-        for rows in row_chunks(len(points), p.n):
-            X = np.array(points[rows], dtype=float)
+        for X in chunks:
             r = np.linalg.norm(X - x_bar, axis=1)
             fx = p.objective_rows(X)
             if a > 0:
@@ -430,20 +429,25 @@ class RateReport:
         return self.factor < 1.0
 
 
+def gap_floor(f_bar: float) -> float:
+    """1e2 * eps_machine * |f_bar| + 1e-14: gaps to f_bar below this are
+    rounding, not progress."""
+    return 1e2 * MACH_EPS * abs(f_bar) + 1e-14
+
+
 def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateReport:
     """Least-squares fit of log(gap_k) over the usable window.
 
     The window opens at the first index where the gap drops below a tenth of
     the initial gap (falling back to the full sequence when that leaves
     fewer than ``min_window`` points) and closes just before the gap first
-    sinks under the floor 1e2 * eps_machine * |f_bar| + 1e-14.  Raises if
-    the window is shorter than ``min_window`` or contains a nonpositive gap.
+    sinks under :func:`gap_floor`.  Raises if the window is shorter than
+    ``min_window`` or contains a nonpositive gap.
     """
     gaps = np.asarray(mean_gaps, dtype=float)
     if gaps.ndim != 1:
         raise ValueError("expected a 1-D gap sequence")
-    floor = 1e2 * MACH_EPS * abs(f_bar) + 1e-14
-    below = np.nonzero(gaps < floor)[0]
+    below = np.nonzero(gaps < gap_floor(f_bar))[0]
     stop = int(below[0]) if below.size else gaps.size
     burn = np.nonzero(gaps[:stop] < gaps[0] / 10.0)[0] if gaps.size else np.array([])
     start = int(burn[0]) if burn.size else 0

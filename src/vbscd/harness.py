@@ -37,6 +37,7 @@ from .diagnostics import (
     contraction_audit,
     expectation_identities,
     fit_linear_rate,
+    gap_floor,
     make_check,
     write_report_csv,
 )
@@ -54,7 +55,6 @@ from .probes import (
 from .prox import coordinate_prox_all, envelope_value, full_prox, scalar_prox
 from .solver import (
     SolverConfig,
-    Trajectory,
     derive_seed,
     near_start_point,
     run,
@@ -388,15 +388,15 @@ class Reference:
 
 def resolve_reference_value(
     p: ProblemInstance, sched: BregmanSchedule, source: str = "auto",
-    max_steps: int = 100_000, tolerance: float = 1e-12, x0=None,
+    max_steps: int = 100_000, tolerance: float = 1e-12,
 ) -> Reference:
     """Known optimum verbatim, or a deterministic full-map iteration.
 
-    The best-found path runs x <- T(x) with the schedule's k=0 geometry held
-    fixed, stopping at ``tolerance`` residual or ``max_steps``; an increase
-    of the objective beyond 1e-12 * (1 + |F|) raises DivergenceError.  A
-    run that reaches ``max_steps`` with its last move still above
-    ``tolerance`` writes a one-line warning to stderr.
+    The best-found path runs x <- T(x) from 0 with the schedule's k=0
+    geometry held fixed, stopping at ``tolerance`` residual or
+    ``max_steps``; an increase of the objective beyond 1e-12 * (1 + |F|)
+    raises DivergenceError.  A run that reaches ``max_steps`` with its last
+    move still above ``tolerance`` writes a one-line warning to stderr.
     """
     if source not in ("auto", "known", "best-found"):
         raise ConfigError(f"reference source must be auto|known|best-found, got {source!r}")
@@ -406,7 +406,7 @@ def resolve_reference_value(
     if source == "known":
         raise ConfigError("reference source 'known' but the instance has no known optimum")
     gen, eps = sched.generator(0), sched.step(0)
-    x = np.zeros(p.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(p.n)
     f_prev = p.objective(x)
     moved = np.inf
     for _ in range(max_steps):
@@ -507,7 +507,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
             raise ReplicationError(f"replication {r} failed: {e}") from e
         trajectories.append(traj)
         if x0_mode == "near-start":
-            dmax = max(float(np.linalg.norm(pt - ref.point)) for pt in traj.points())
+            dmax = max(float(np.linalg.norm(pt - ref.point)) for pt in traj.points)
             near_rows.append(NearStartRow(r, dmax, dmax <= stay_radius))
     mean = aggregate_gaps(trajectories, ref.value, seeds)
     return ReplicationResult(
@@ -571,7 +571,7 @@ def _scout(p, sched, cfg, ref) -> list:
         check_period=None,
         seed=derive_seed(cfg.seed, 0),
     )
-    return run(p, sconf).points()
+    return [run(p, sconf).points]
 
 
 def probed_constants(cfg, p, sched, ref, eta: float, nu: float, rng) -> tuple[ConstantsRecord, object]:
@@ -862,14 +862,19 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
         "to known optimum" if res.reference.source == "known"
         else "to best-found value"
     )
-    report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
+    f_bar = res.reference.value
+    for r, t in enumerate(res.trajectories):
+        if t.final_objective < f_bar - gap_floor(f_bar):
+            print(f"replication {r} ended below the reference value: "
+                  f"F={t.final_objective!r} < f_bar={f_bar!r}")
+            return 1
+    report = fit_linear_rate(res.mean.mean_gap, f_bar=f_bar)
     report.label = label
 
     audit = None
     if cfg.has_probe_section:
         p, sched, ref = res.instance, res.schedule, res.reference
-        pts = [x for t in res.trajectories[:10] for x in t.points()]
-        eta, nu = _neighborhood(cfg, p, sched, ref, pts)
+        eta, nu = _neighborhood(cfg, p, sched, ref, [t.points for t in res.trajectories[:10]])
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _PROBE_STREAM)))
         constants, est = probed_constants(cfg, p, sched, ref, eta, nu, rng)
         report.beta_theory = constants.beta

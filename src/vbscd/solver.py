@@ -59,48 +59,38 @@ class SolverConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-@dataclass
-class IterateRecord:
-    k: int
-    block: int
-    point: np.ndarray          # x^{k+1}
-    objective: float           # F(x^{k+1})
-    step_norm: float           # ||x^k - x^{k+1}||
-    prox_residual: float | None = None  # measured only on check iterations
+# one row per step; prox_residual is NaN on steps where it was not measured
+RECORD_DTYPE = np.dtype([("block", np.int64), ("objective", float), ("step_norm", float),
+                         ("prox_residual", float)])
 
 
 @dataclass
 class Trajectory:
-    x0: np.ndarray
-    records: list[IterateRecord]
+    points: np.ndarray   # (K+1, n): x^0, x^1, ..., x^K
+    records: np.ndarray  # (K,) RECORD_DTYPE: block i_k, F(x^{k+1}), ||x^k - x^{k+1}||, residual
     termination: str  # "tolerance" | "max_iters"
     initial_objective: float
 
     @property
+    def x0(self) -> np.ndarray:
+        return self.points[0]
+
+    @property
     def final_point(self) -> np.ndarray:
-        return self.records[-1].point if self.records else self.x0
+        return self.points[-1]
 
     @property
     def final_objective(self) -> float:
-        return self.records[-1].objective if self.records else self.initial_objective
+        return float(self.records["objective"][-1]) if len(self.records) else self.initial_objective
 
     @property
     def final_residual(self) -> float | None:
-        for rec in reversed(self.records):
-            if rec.prox_residual is not None:
-                return rec.prox_residual
-        return None
-
-    def points(self) -> list[np.ndarray]:
-        """x^0, x^1, ..., length len(records)+1; the stored arrays, not copies."""
-        return [self.x0] + [r.point for r in self.records]
+        measured = self.records["prox_residual"][~np.isnan(self.records["prox_residual"])]
+        return float(measured[-1]) if measured.size else None
 
     def objectives(self) -> np.ndarray:
         """F(x^0), F(x^1), ..., length len(records)+1."""
-        return np.array([self.initial_objective] + [r.objective for r in self.records])
-
-    def blocks(self) -> np.ndarray:
-        return np.array([r.block for r in self.records], dtype=int)
+        return np.concatenate(([self.initial_objective], self.records["objective"]))
 
     def gaps(self, f_bar: float) -> np.ndarray:
         return self.objectives() - f_bar
@@ -126,13 +116,13 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
     report = validate_schedule(sched, p)
     if not report.ok:
         raise ValueError(f"invalid schedule: {report.message}")
-    # a copy, so that the caller may reuse its start vector; steps never
-    # write into x, so this one array is also the trajectory's x0
     x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
-    start = x
     f0 = p.objective(x)
     if not np.isfinite(f0):
         raise SolverAbort(f"objective not finite at the start point ({f0})")
+    # row k is x^k; the buffer grows by doubling and is cut to the steps taken
+    points = np.empty((min(config.max_iters, _DRAW_CHUNK) + 1, p.n))
+    points[0] = x
     period = config.check_period if config.check_period is not None else p.n_blocks
     rng = np.random.Generator(np.random.PCG64(config.seed))
     smooth = p.smooth
@@ -140,7 +130,7 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
 
     s = smooth.state(x)
     f = f0
-    records: list[IterateRecord] = []
+    steps = []  # (block, F, step_norm, residual) per step
     termination = "max_iters"
     for k, i in enumerate(_block_draws(rng, p.n_blocks, config.max_iters)):
         sl = p.partition.block_slice(i)
@@ -161,20 +151,19 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
                 f"sufficient decrease fails at iteration {k}: F went from {f!r} to "
                 f"{f_next!r} over a step of norm {step_norm!r} (a = {a!r})"
             )
-        resid = None
-        if check:
-            resid = prox_residual(p, sched.generator(k + 1), sched.step(k + 1), x_next)
-        records.append(IterateRecord(k, i, x_next, f_next, step_norm, resid))
+        resid = (prox_residual(p, sched.generator(k + 1), sched.step(k + 1), x_next)
+                 if check else np.nan)
+        if k + 1 == len(points):
+            points = np.concatenate((points, np.empty((min(k + 1, config.max_iters - k), p.n))))
+        points[k + 1] = x_next
+        steps.append((i, f_next, step_norm, resid))
         x, f = x_next, f_next
-        if resid is not None and resid <= config.tolerance:
+        if check and resid <= config.tolerance:
             termination = "tolerance"
             break
-    return Trajectory(
-        x0=start,
-        records=records,
-        termination=termination,
-        initial_objective=f0,
-    )
+    rows = len(steps) + 1
+    return Trajectory(points if rows == len(points) else points[:rows].copy(),
+                      np.array(steps, dtype=RECORD_DTYPE), termination, f0)
 
 
 def sample_in_ball(center: np.ndarray, radius: float, rng) -> np.ndarray:
@@ -199,10 +188,11 @@ def write_trajectory_csv(traj: Trajectory, path, f_bar: float | None = None) -> 
     """One row per step: k, i_k, F, gap, step_norm, prox_residual.
 
     gap is left empty when no reference value is known; prox_residual is
-    empty on iterations where it was not measured.
+    empty on iterations where it was not measured (NaN in the records).
     """
-    def row(rec):
-        gap = "" if f_bar is None else fmt(rec.objective - f_bar)
-        resid = "" if rec.prox_residual is None else fmt(rec.prox_residual)
-        return f"{rec.k},{rec.block},{fmt(rec.objective)},{gap},{fmt(rec.step_norm)},{resid}"
-    write_csv(path, "k,i_k,F,gap,step_norm,prox_residual", map(row, traj.records))
+    def row(k, block, f, step_norm, resid):
+        gap = "" if f_bar is None else fmt(f - f_bar)
+        resid = "" if np.isnan(resid) else fmt(resid)
+        return f"{k},{block},{fmt(f)},{gap},{fmt(step_norm)},{resid}"
+    write_csv(path, "k,i_k,F,gap,step_norm,prox_residual",
+              (row(k, *rec) for k, rec in enumerate(traj.records.tolist())))

@@ -86,8 +86,7 @@ def rate_run():
     cfg = load_config(CONFIGS / "lasso50_rate.cfg")
     res = run_replications(cfg)
     report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
-    scout = [x for t in res.trajectories[:10]
-             for x in [t.x0] + [r.point for r in t.records]]
+    scout = [t.points for t in res.trajectories[:10]]
     eta, nu = harness._neighborhood(cfg, res.instance, res.schedule,
                                     res.reference, scout)
     rng = np.random.Generator(
@@ -141,7 +140,7 @@ def test_criterion_02_sufficient_decrease(sample_sets, rate_run):
         n_steps = 0
         for traj in rate_run["res"].trajectories:
             drops = np.diff(traj.objectives())
-            steps = np.array([rec.step_norm for rec in traj.records])
+            steps = traj.records["step_norm"]
             assert np.all(drops <= -a_run * steps**2 + 1e-9)
             n_steps += steps.size
         notes.append(f"worst sample slack {worst:.2e}, {n_steps} trajectory steps")
@@ -225,7 +224,7 @@ def test_criterion_06_fixed_point_and_certificate():
         traj = run(p, conf, x0=point)
         assert traj.termination == "tolerance"
         assert len(traj.records) == 1  # stopped at the very first check
-        assert traj.records[0].prox_residual <= 1e-12
+        assert traj.records["prox_residual"][0] <= 1e-12
         assert traj.final_objective == value
 
         # random starts: the certificate bound 2 (L + M/eps) * tolerance

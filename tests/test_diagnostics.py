@@ -189,10 +189,10 @@ def test_contraction_audit_on_small_lasso():
             x0=0.05 * np.ones(6))
         for s in (0, 1)
     ]
-    x_bar = trajs[0].records[-1].point
+    x_bar = trajs[0].final_point
     f_bar = min(float(t.objectives().min()) for t in trajs)
     eta, nu = auto_neighborhood(p, sched, x_bar,
-                                points=[t.x0 for t in trajs])
+                                points=[t.points[:1] for t in trajs])
     c = constants_for_schedule(sched, p, c0=2.0, eta=eta, nu=nu)
     audit = contraction_audit(p, sched, trajs, x_bar, f_bar, c)
     assert audit.checked > 0
@@ -205,7 +205,10 @@ def test_auto_neighborhood_covers_supplied_points():
     sched = uniform_sched(6, 1.0, 0.4 / p.smooth.lipschitz)
     x_bar = np.zeros(6)
     pts = [np.full(6, 0.3), np.full(6, -0.2)]
-    eta, nu = auto_neighborhood(p, sched, x_bar, points=pts)
+    eta, nu = auto_neighborhood(p, sched, x_bar, points=[np.array(pts)])
+    # the same points split over stacks, one of them empty
+    split = [np.array(pts[:1]), np.empty((0, 6)), np.array(pts[1:])]
+    assert auto_neighborhood(p, sched, x_bar, points=split) == (eta, nu)
     f_bar = p.objective(x_bar)
     for x in pts:
         assert np.linalg.norm(x - x_bar) <= eta / 2

@@ -14,6 +14,7 @@ from vbscd import (
     SolverAbort,
 )
 from vbscd.cli import main as cli_main
+from vbscd.diagnostics import gap_floor
 from vbscd.harness import (
     aggregate_gaps,
     build_instance,
@@ -415,12 +416,12 @@ def test_reference_known_requires_a_known_optimum():
 
 def test_reference_flags_divergence():
     # eps far above the m/L cap turns the full update into an expansion:
-    # T(x) = x - eps*x = -1.5 x for f = x^2/2
-    p = quad_1d(0.0)
+    # T(x) - 1 = -1.5 (x - 1) for f = (x - 1)^2/2, so from the start point 0
+    # F goes from 0.5 to 1.125
+    p = quad_1d(1.0)
     sched = BregmanSchedule.constant(1, 1.0, 2.5)
     with pytest.raises(DivergenceError):
-        resolve_reference_value(p, sched, source="best-found",
-                                x0=np.array([1.0]), max_steps=50)
+        resolve_reference_value(p, sched, source="best-found", max_steps=50)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +563,7 @@ class _ReferenceReached(Exception):
 def test_every_flow_passes_the_reference_settings(tmp_path, monkeypatch, kind):
     seen = []
 
-    def spy(p, sched, source="auto", max_steps=100_000, tolerance=1e-12, x0=None):
+    def spy(p, sched, source="auto", max_steps=100_000, tolerance=1e-12):
         seen.append((source, max_steps, tolerance))
         raise _ReferenceReached
 
@@ -592,6 +593,58 @@ def test_reference_step_cap_warns_on_stderr(tmp_path, capsys):
     assert "warning" not in outs[1].out
     # the converged iteration says nothing
     assert outs[2000].err == ""
+
+
+MCP_SPLIT = """\
+[experiment]
+kind = rate
+seed = 20240802
+replications = 20
+
+[instance]
+kind = quadratic-mcp
+n = 20
+blocks = 5
+weight = 0.5
+gamma = 1.05
+min_eig = 0.01
+max_eig = 1.0
+
+[bregman]
+weights = constant
+q = 1.0
+eps_rule = relative
+eps_fraction = 0.8
+
+[solver]
+max_iters = 10000
+tolerance = 1e-9
+
+[reference]
+source = best-found
+"""
+
+
+def test_rate_fails_when_a_replication_ends_below_the_reference(tmp_path, capsys):
+    # a nonconvex MCP instance (min eigenvalue 0.01 < rho = 1 / 1.05): the
+    # replications stop at two critical values, and the best-found value
+    # from 0 is the higher one, so no rate to it may be certified
+    out = tmp_path / "out"
+    assert harness.run_experiment(write_cfg(tmp_path, MCP_SPLIT), "rate", out_dir=out) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    m = re.fullmatch(r"replication (\d+) ended below the reference value: "
+                     r"F=(\S+) < f_bar=(\S+)", lines[0])
+    assert m, lines[0]
+    r, f_r, f_bar = int(m[1]), float(m[2]), float(m[3])
+    assert f_r < f_bar - 0.5
+    # the replication outputs are written, the rate report is not
+    finals = [float(path.read_text().splitlines()[-1].split(",")[2])
+              for path in sorted(out.glob("traj_*.csv"))]
+    assert len(finals) == 20 and finals[r] == f_r
+    assert r == min(j for j, f in enumerate(finals) if f < f_bar - gap_floor(f_bar))
+    assert {round(f, 6) for f in finals} == {2.335136, 2.912079}
+    assert not (out / "rate_report.csv").exists()
 
 
 def test_run_experiment_solve_writes_outputs(tmp_path):

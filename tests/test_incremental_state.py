@@ -49,12 +49,14 @@ def test_fast_path_matches_exact_oracle(name, check_period):
     conf = SolverConfig(schedule=schedule(p), max_iters=500, tolerance=0.0,
                         check_period=check_period, seed=17)
     fast, exact = run(p, conf), run(exact_oracle(p), conf)
-    assert np.array_equal(fast.blocks(), exact.blocks())
+    a, b = fast.records, exact.records
+    assert np.array_equal(a["block"], b["block"])
     assert fast.initial_objective == exact.initial_objective
-    for a, b in zip(fast.records, exact.records):
-        assert np.max(np.abs(a.point - b.point)) <= 1e-12 * max(1.0, np.max(np.abs(b.point)))
-        assert abs(a.objective - b.objective) <= fit_floor(b.objective)
-        assert (a.prox_residual is None) == (b.prox_residual is None)
+    for x, y in zip(fast.points[1:], exact.points[1:]):
+        assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+    assert np.all(np.abs(a["objective"] - b["objective"])
+                  <= [fit_floor(f) for f in b["objective"]])
+    assert np.array_equal(np.isnan(a["prox_residual"]), np.isnan(b["prox_residual"]))
 
 
 def test_default_protocol_is_the_exact_path():
@@ -63,10 +65,10 @@ def test_default_protocol_is_the_exact_path():
     sched = schedule(p)
     traj = run(p, SolverConfig(schedule=sched, max_iters=60, tolerance=0.0, seed=8))
     x = traj.x0
-    for rec in traj.records:
-        x = coordinate_prox(p, sched.generator(rec.k), sched.step(rec.k), x, rec.block)
-        assert np.array_equal(rec.point, x)
-        assert rec.objective == p.objective(x)
+    for k, (block, objective) in enumerate(traj.records[["block", "objective"]].tolist()):
+        x = coordinate_prox(p, sched.generator(k), sched.step(k), x, block)
+        assert np.array_equal(traj.points[k + 1], x)
+        assert objective == p.objective(x)
 
 
 @pytest.mark.parametrize("factory", [lambda: lasso_random(30, 6), lambda: logistic_random(12, 3)])
@@ -93,6 +95,6 @@ def test_drift_stays_under_the_fit_floor_without_refresh():
                         check_period=2000, seed=4)
     traj = run(p, conf)
     assert len(traj.records) == 2000
-    worst = max(abs(rec.objective - p.objective(rec.point)) / fit_floor(rec.objective)
-                for rec in traj.records)
+    worst = max(abs(f - p.objective(x)) / fit_floor(f)
+                for x, f in zip(traj.points[1:], traj.records["objective"]))
     assert worst < 1.0

@@ -94,8 +94,7 @@ def per_target_audit(p, sched, traj, x_bar, f_bar, constants, slack=1e-9):
     """(checked, violations) with the mean over targets taken by N calls
     of p.objective."""
     checked = violations = 0
-    points = [traj.x0] + [rec.point for rec in traj.records]
-    for k, (x, fx) in enumerate(zip(points, traj.objectives())):
+    for k, (x, fx) in enumerate(zip(traj.points, traj.objectives())):
         if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0,
                                constants.level_window, fx=fx):
             continue
@@ -197,7 +196,7 @@ def test_audit_matches_per_target_enumeration(name):
     f_bar = p.objective(x_bar)
     traj = run(p, SolverConfig(sched, max_iters=300, tolerance=0.0, seed=5),
                x0=x_bar + 0.5 * np.random.default_rng(1).standard_normal(p.n))
-    eta, nu = auto_neighborhood(p, sched, x_bar, [traj.x0])
+    eta, nu = auto_neighborhood(p, sched, x_bar, [traj.points[:1]])
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     seen = set()

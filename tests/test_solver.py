@@ -15,6 +15,7 @@ from vbscd import (
     write_trajectory_csv,
 )
 from vbscd.model import BlockPartition, ProblemInstance
+from vbscd.solver import RECORD_DTYPE
 from vbscd.instances import lasso_1d, lasso_random, quad_1d
 
 
@@ -23,11 +24,10 @@ def test_quadratic_iterates_by_hand():
     p = quad_1d(1.0)
     sched = BregmanSchedule.constant(1, 1.0, 0.5)
     traj = run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=0))
-    xs = [rec.point[0] for rec in traj.records]
-    assert xs == [0.5, 0.75, 0.875]
+    assert traj.points[:, 0].tolist() == [0.0, 0.5, 0.75, 0.875]
     # objectives 0.5*(x-1)^2 along the way
     assert traj.initial_objective == pytest.approx(0.5)
-    assert [rec.objective for rec in traj.records] == pytest.approx([0.125, 0.03125, 0.0078125])
+    assert traj.records["objective"] == pytest.approx([0.125, 0.03125, 0.0078125])
     assert traj.termination == "max_iters"
 
 
@@ -37,6 +37,9 @@ def test_terminates_on_residual_tolerance():
     traj = run(p, SolverConfig(schedule=sched, max_iters=100, tolerance=1e-6, check_period=1, seed=1))
     assert traj.termination == "tolerance"
     assert len(traj.records) <= 40
+    # stopped early: the point buffer is cut to the steps taken
+    assert traj.points.shape == (len(traj.records) + 1, 1)
+    assert traj.points.base is None
     assert traj.final_residual <= 1e-6
     assert traj.final_objective == pytest.approx(2.5, abs=1e-9)
 
@@ -46,10 +49,9 @@ def test_same_seed_reproduces_bitwise():
     sched = BregmanSchedule.constant(10, 1.0, 0.8 / p.smooth.lipschitz)
     conf = SolverConfig(schedule=sched, max_iters=50, tolerance=0.0, seed=99)
     t1, t2 = run(p, conf), run(p, conf)
-    assert np.array_equal(t1.blocks(), t2.blocks())
-    for a, b in zip(t1.records, t2.records):
-        assert np.array_equal(a.point, b.point)
-        assert a.objective == b.objective
+    assert np.array_equal(t1.records["block"], t2.records["block"])
+    assert np.array_equal(t1.points, t2.points)
+    assert np.array_equal(t1.records["objective"], t2.records["objective"])
 
 
 def test_different_seeds_draw_different_blocks():
@@ -57,7 +59,7 @@ def test_different_seeds_draw_different_blocks():
     sched = BregmanSchedule.constant(10, 1.0, 0.8 / p.smooth.lipschitz)
     t1 = run(p, SolverConfig(schedule=sched, max_iters=30, tolerance=0.0, seed=0))
     t2 = run(p, SolverConfig(schedule=sched, max_iters=30, tolerance=0.0, seed=1))
-    assert not np.array_equal(t1.blocks(), t2.blocks())
+    assert not np.array_equal(t1.records["block"], t2.records["block"])
 
 
 def test_derive_seed_stream_split():
@@ -71,7 +73,7 @@ def test_block_draws_are_roughly_uniform():
     p = lasso_random(n=10, n_blocks=5, seed=21)
     sched = BregmanSchedule.constant(10, 1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=5000, tolerance=0.0, seed=7))
-    counts = np.bincount(traj.blocks(), minlength=5) / len(traj.records)
+    counts = np.bincount(traj.records["block"], minlength=5) / len(traj.records)
     assert len(traj.records) >= 1000
     assert counts.min() > 0.15 and counts.max() < 0.25
 
@@ -83,7 +85,7 @@ def test_one_rng_draw_per_step():
     traj = run(p, SolverConfig(schedule=sched, max_iters=40, tolerance=0.0, seed=13))
     rng = np.random.Generator(np.random.PCG64(13))
     expected = [min(int(rng.random() * 5), 4) for _ in range(40)]
-    assert traj.blocks().tolist() == expected
+    assert traj.records["block"].tolist() == expected
 
 
 def test_chunked_draws_equal_per_step_draws():
@@ -96,7 +98,12 @@ def test_chunked_draws_equal_per_step_draws():
     traj = run(p, SolverConfig(schedule=sched, max_iters=steps, tolerance=0.0,
                                check_period=steps, seed=5))
     rng = np.random.Generator(np.random.PCG64(5))
-    assert traj.blocks().tolist() == [min(int(rng.random() * 3), 2) for _ in range(steps)]
+    assert traj.records["block"].tolist() == [min(int(rng.random() * 3), 2) for _ in range(steps)]
+    # the point buffer grew past its first allocation and kept every row
+    assert traj.points.shape == (steps + 1, 6)
+    assert np.array_equal(traj.points[-1], traj.final_point)
+    assert p.objective(traj.points[_DRAW_CHUNK + 1]) == pytest.approx(
+        traj.records["objective"][_DRAW_CHUNK], rel=1e-12)
 
 
 def test_objective_monotone_along_trajectory():
@@ -134,8 +141,9 @@ def test_residual_checked_only_on_period():
     p = lasso_random(n=10, n_blocks=5, seed=21)
     sched = BregmanSchedule.constant(10, 1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=20, tolerance=0.0, check_period=4, seed=5))
-    for rec in traj.records:
-        assert (rec.prox_residual is not None) == ((rec.k + 1) % 4 == 0)
+    k = np.arange(len(traj.records))
+    assert np.array_equal(np.isnan(traj.records["prox_residual"]), (k + 1) % 4 != 0)
+    assert traj.final_residual == traj.records["prox_residual"][19]
 
 
 def test_trajectory_helpers():
@@ -145,14 +153,32 @@ def test_trajectory_helpers():
     assert traj.final_point[0] == pytest.approx(1 - 0.5**5)
     assert len(traj.objectives()) == 6
     assert traj.gaps(0.0)[0] == pytest.approx(0.5)
-    # the stored arrays themselves, x0 first
-    pts = traj.points()
-    assert len(pts) == 6 and pts[0] is traj.x0
-    assert all(pt is rec.point for pt, rec in zip(pts[1:], traj.records))
-    empty = Trajectory(np.zeros(1), [], "max_iters", 0.5)
+    # one row per point, x0 first
+    assert traj.points.shape == (len(traj.records) + 1, 1)
+    assert traj.x0 is not traj.final_point and traj.x0[0] == 0.0
+    assert traj.records.dtype.names == ("block", "objective", "step_norm", "prox_residual")
+    empty = Trajectory(np.zeros((1, 1)), np.array([], dtype=RECORD_DTYPE), "max_iters", 0.5)
     assert empty.final_objective == 0.5
     assert empty.final_residual is None
-    assert empty.points() == [empty.x0]
+    assert empty.final_point.tolist() == [0.0] and empty.objectives().tolist() == [0.5]
+
+
+def test_traced_points_bytes_are_the_stored_steps():
+    # the benchmark's hook on solver.run counts len(records) * n * 8 bytes
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    seen = {}
+    tracer = type("Counts", (), {"count": lambda self, name, v: seen.__setitem__(name, v)})()
+    p = lasso_random(n=10, n_blocks=5, seed=21)
+    traj = run(p, SolverConfig(schedule=BregmanSchedule.constant(10, 1.0, 0.1),
+                               max_iters=9, tolerance=0.0, seed=1))
+    layers._on_solver_run(tracer, (), {}, traj)
+    assert seen["solver.points_bytes"] == traj.points[1:].nbytes == 9 * 10 * 8
 
 
 def test_trajectory_start_point_is_a_copy():
@@ -162,6 +188,8 @@ def test_trajectory_start_point_is_a_copy():
     traj = run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=1), x0)
     x0[:] = 7.0  # the caller reuses its start vector
     assert np.array_equal(traj.x0, np.linspace(-1.0, 1.0, 10))
+    assert np.array_equal(traj.points[0], traj.x0)
+    assert traj.points.shape == (len(traj.records) + 1, 10) == (4, 10)
     assert traj.initial_objective == p.objective(traj.x0)
 
 
@@ -169,11 +197,11 @@ def test_single_step_applies_drawn_block():
     p = lasso_random(n=10, n_blocks=5, seed=21)
     sched = BregmanSchedule.constant(10, 1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=1, tolerance=0.0, seed=42))
-    (rec,) = traj.records
+    (block,) = traj.records["block"].tolist()
     rng = np.random.Generator(np.random.PCG64(42))
-    assert rec.block == min(int(rng.random() * 5), 4)
-    sl = p.partition.block_slice(rec.block)
-    changed = ~np.isclose(rec.point, traj.x0)
+    assert block == min(int(rng.random() * 5), 4)
+    sl = p.partition.block_slice(block)
+    changed = ~np.isclose(traj.points[1], traj.x0)
     assert changed.any()
     assert not changed[np.r_[0:sl.start, sl.stop:10]].any()
 
@@ -232,11 +260,15 @@ def test_trajectory_csv_format(tmp_path):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
-    assert float(first[2]) == traj.records[0].objective
-    assert first[5] == ""  # no residual off the check period
-    assert lines[2].split(",")[5] != ""
+    assert float(first[2]) == traj.records["objective"][0]
+    # the residual column is empty exactly off the check period, where the
+    # records hold NaN
+    empty = [line.split(",")[5] == "" for line in lines[1:]]
+    assert empty == [True, False, True, False]
+    assert empty == np.isnan(traj.records["prox_residual"]).tolist()
     # round trip at 17 significant digits
-    assert float(lines[1].split(",")[2]) == traj.records[0].objective
+    assert float(lines[1].split(",")[2]) == traj.records["objective"][0]
+    assert float(lines[2].split(",")[5]) == traj.records["prox_residual"][1]
     # no reference: gap column empty
     write_trajectory_csv(traj, path)
     assert path.read_text().splitlines()[1].split(",")[3] == ""

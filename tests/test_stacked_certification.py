@@ -77,8 +77,7 @@ def per_point_audit(p, sched, trajs, x_bar, f_bar, constants, slack=1e-9):
     checked = skipped = violations = 0
     worst = np.inf
     for traj in trajs:
-        points = [traj.x0] + [rec.point for rec in traj.records]
-        for k, (x, fx) in enumerate(zip(points, traj.objectives())):
+        for k, (x, fx) in enumerate(zip(traj.points, traj.objectives())):
             if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0,
                                    constants.level_window, fx=fx):
                 skipped += 1
@@ -103,14 +102,13 @@ def test_stacked_audit_equals_per_point_enumeration(name, sched_kind):
     sched = schedule(sched_kind, p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar)
-    eta, nu = auto_neighborhood(p, sched, x_bar, [t.x0 for t in trajs])
+    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     # a ball that leaves out about half of the points, its radius halfway
     # between two distances (a point on the sphere could fall either side,
     # as a row norm and a vector norm may differ in their last bit)
-    d = np.sort([np.linalg.norm(x - x_bar) for t in trajs
-                 for x in [t.x0] + [r.point for r in t.records]])
+    d = np.sort([np.linalg.norm(x - x_bar) for t in trajs for x in t.points])
     half = d[d.size // 2] + d[d.size // 2 + 1]
     seen = set()
     # and betas that some points break
@@ -143,7 +141,7 @@ def _audit_case():
     sched = schedule("harmonic", p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar, count=2, steps=60)
-    eta, nu = auto_neighborhood(p, sched, x_bar, [t.x0 for t in trajs])
+    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
     constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                   sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     return p, sched, trajs, x_bar, f_bar, constants
