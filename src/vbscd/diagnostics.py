@@ -49,9 +49,30 @@ class CheckRow:
 
 
 def make_check(check: str, name: str, lhs: float, rhs: float, tol: float) -> CheckRow:
-    """Row for an inequality lhs <= rhs, passing within absolute slack tol."""
+    """Row for an inequality lhs <= rhs, passing within absolute slack tol;
+    a NaN slack rhs - lhs never passes."""
     lhs, rhs = float(lhs), float(rhs)
-    return CheckRow(check, name, lhs, rhs, rhs - lhs, lhs <= rhs + tol)
+    slack = rhs - lhs
+    return CheckRow(check, name, lhs, rhs, slack, lhs <= rhs + tol and not np.isnan(slack))
+
+
+def worst_check(check: str, name: str, lhs, rhs, tol: float) -> CheckRow | None:
+    """Row of lhs <= rhs at the first point with the smallest slack
+    rhs - lhs, over arrays that broadcast together; None when they are
+    empty.  A NaN slack is the worst (np.argmin returns the first NaN) and
+    fails, so one NaN anywhere fails the group."""
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    if lhs.size == 0:
+        return None
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack, reported as a failed row
+        j = int(np.argmin(rhs - lhs))
+    return make_check(check, name, lhs.flat[j], rhs.flat[j], tol)
+
+
+def worst_row(rows) -> CheckRow:
+    """The same choice among finished rows: the first with the smallest
+    slack, a NaN slack first."""
+    return rows[int(np.argmin([r.slack for r in rows]))]
 
 
 def write_report_csv(rows, path) -> None:
@@ -326,7 +347,9 @@ def contraction_audit(
     :func:`stacked_expectation`.  Enumeration is the oracle: the first and
     last checked point of every group and the worst-margin point are
     recomputed with :func:`enumerate_expectation`, and a disagreement beyond
-    1e-12 (1 + |F|) raises :class:`~vbscd.probes.OracleMismatch`.
+    1e-12 (1 + |F|) raises :class:`~vbscd.probes.OracleMismatch`.  As in
+    :func:`worst_check`, a NaN margin is a violation and the worst point,
+    so it reaches the oracle, where it cannot agree.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     radius = constants.eta / 2.0
@@ -359,10 +382,10 @@ def contraction_audit(
                 lhs = mean_f - f_bar
                 rhs = constants.beta * (fx[idx] - f_bar)
                 checked += len(idx)
-                violations += int(np.count_nonzero(lhs > rhs + slack))
+                violations += int(np.count_nonzero(~(lhs <= rhs + slack)))
                 margin = rhs - lhs
                 w = int(margin.argmin())
-                if margin[w] < worst:
+                if not (np.isnan(worst) or margin[w] >= worst):
                     worst = float(margin[w])
                     worst_pt = (gen, eps, X[idx[w]].copy(), mean_f[w])
                 if key not in firsts:

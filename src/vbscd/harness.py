@@ -39,6 +39,8 @@ from .diagnostics import (
     fit_linear_rate,
     gap_floor,
     make_check,
+    worst_check,
+    worst_row,
     write_report_csv,
 )
 from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty
@@ -49,7 +51,6 @@ from .probes import (
     probe_lt_eb,
     probe_ls_eb,
     sample_level_ball,
-    singleton_distance,
     write_probe_csv,
 )
 from .prox import coordinate_prox_all, envelope_value, full_prox, scalar_prox
@@ -210,6 +211,13 @@ _SCHEMA = {
 }
 
 
+# keys that only the replications of solve and rate read
+_REPLICATION_KEYS = (
+    ("experiment", "replications"),
+    ("solver", "x0"), ("solver", "near_start_radius"), ("solver", "check_period"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -293,6 +301,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"[verify] applies only to kind 'verify', not {cfg.kind!r}")
     if cfg.kind in ("rate", "verify") and cfg.probe["kinds"] != ("ls-eb",):
         raise ConfigError(f"[probe] kinds must be ls-eb for kind {cfg.kind!r}, which probes only ls-eb")
+    if cfg.kind in ("verify", "probe-eb"):
+        for section, key in _REPLICATION_KEYS:
+            if parser.has_option(section, key):
+                raise ConfigError(
+                    f"[{section}] {key} does not apply to kind {cfg.kind!r}, which runs no replications"
+                )
     _validate_instance_keys(cfg)
     return cfg
 
@@ -610,11 +624,6 @@ def hypothesis_points(p, x_bar, radius: float, window: float, count: int, rng):
 # verification suite
 
 
-def _worst(rows_iter):
-    """The first row with the smallest margin rhs - lhs; None for no rows."""
-    return min(rows_iter, key=lambda row: row.slack, default=None)
-
-
 def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     """Numeric invariant suite for the configured instance.
 
@@ -622,106 +631,91 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     and subdifferentials, kernel sandwich, prox optimality and oracle
     equivalence, exact index-expectation identities, per-block decrease,
     envelope chain, and the local proximity/level checks driven by a probed
-    error-bound constant (inflated by 1.1 before use).
+    error-bound constant (inflated by 1.1 before use).  Each group is a pair
+    of arrays (lhs, rhs) over its points, reported by :func:`worst_check`
+    as the row of its smallest margin; a NaN anywhere fails the group.
     """
     p, sched, ref = _setup(cfg)
     n_points = cfg.verify["points"]
     n_prox = cfg.verify["prox_queries"]
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _VERIFY_STREAM)))
-    rows: list[CheckRow] = []
 
     rep = validate_schedule(sched, p)
-    rows.append(make_check("schedule", "declared-bounds", 0.0 if rep.ok else 1.0, 0.0, 0.0))
+    rows = [make_check("schedule", "declared-bounds", 0.0 if rep.ok else 1.0, 0.0, 0.0)]
 
     spread = 3.0 * max(1.0, float(np.linalg.norm(ref.point)))
-    pts = [sample_in_ball(ref.point, spread, rng) for _ in range(n_points)]
+    X = np.array([sample_in_ball(ref.point, spread, rng) for _ in range(n_points)])
+    Y = np.roll(X, -1, axis=0)  # each point paired with the next, cyclically
+    D = Y - X
+    d2 = np.sum(D**2, axis=1)
     gen0, eps0 = sched.generator(0), sched.step(0)
-    L = p.smooth.lipschitz
+    L, m, M, N = p.smooth.lipschitz, sched.m, sched.M, p.n_blocks
 
     # smooth term: descent lemma and finite-difference gradient
-    rows.append(_worst(
-        make_check(
-            "smooth", "descent-lemma",
-            p.smooth.value(y) - p.smooth.value(x) - float(p.smooth.grad(x) @ (y - x)),
-            0.5 * L * float(np.sum((y - x) ** 2)),
-            1e-9,
-        )
-        for x, y in zip(pts, pts[1:] + pts[:1])
-    ))
-    rows.append(_worst(
-        _fd_gradient_row(p, x) for x in pts[: min(25, len(pts))]
-    ))
+    descent = [
+        p.smooth.value(y) - p.smooth.value(x) - float(p.smooth.grad(x) @ d) for x, y, d in zip(X, Y, D)
+    ]
+    rows.append(worst_check("smooth", "descent-lemma", descent, 0.5 * L * d2, 1e-9))
+    rows.append(worst_check("smooth", "gradient-fd", [_fd_gradient_error(p, x) for x in X[:25]], 0.0, 1e-5))
 
     # penalties: midpoint semi-convexity and subdifferential soundness
+    h = 1e-6
     for label, reg in _distinct_penalties(p):
         ts = rng.standard_normal(2 * n_points) * 2.0
-        rows.append(_worst(
-            _semiconvex_row(reg, label, ts[2 * j], ts[2 * j + 1]) for j in range(n_points)
+        convexified = lambda u: reg.value(u) + 0.5 * reg.rho * u * u
+        t, s = ts[0::2], ts[1::2]
+        rows.append(worst_check(
+            "penalty", f"{label}-midpoint-convexity",
+            convexified(0.5 * (t + s)), 0.5 * (convexified(t) + convexified(s)), 1e-9,
         ))
-        rows.append(_worst(
-            _subdiff_row(reg, label, t) for t in ts[: min(50, ts.size)] if abs(t) > 1e-3
-        ))
+        t = ts[:50][np.abs(ts[:50]) > 1e-3]
+        lo, hi = reg.subdiff(t)
+        fd = (reg.value(t + h) - reg.value(t - h)) / (2 * h)
+        err = np.maximum(hi - lo, np.abs(0.5 * (lo + hi) - fd) / (1.0 + np.abs(fd)))
+        rows.append(worst_check("penalty", f"{label}-subdiff", err, 0.0, 1e-5))
 
-    # kernel sandwich
-    m, M = sched.m, sched.M
-    def _sandwich(x, y):
-        d2 = float(np.sum((y - x) ** 2))
-        D = 0.5 * float(np.sum(gen0.weights * (y - x) ** 2))
-        lo_gap = D - 0.5 * m * d2
-        hi_gap = 0.5 * M * d2 - D
-        return make_check("kernel", "sandwich", -min(lo_gap, hi_gap), 0.0, 1e-12)
-    rows.append(_worst(_sandwich(x, y) for x, y in zip(pts, pts[1:] + pts[:1])))
+    # kernel sandwich: m/2 |d|^2 <= D_h(y, x) <= M/2 |d|^2
+    bregman = 0.5 * np.sum(gen0.weights * D**2, axis=1)
+    rows.append(worst_check(
+        "kernel", "sandwich", -np.minimum(bregman - 0.5 * m * d2, 0.5 * M * d2 - bregman), 0.0, 1e-12,
+    ))
 
     # prox layer: optimality certificate, identities, decrease, envelope
-    rows.append(_worst(_certificate_row(p, gen0, eps0, x) for x in pts[:200]))
-
-    worst_dev = {"mean-point": 0.0, "penalty-mixing": 0.0, "squared-step": 0.0}
-    for x in pts:
-        dev = expectation_identities(p, gen0, eps0, x)
-        for k in worst_dev:
-            worst_dev[k] = max(worst_dev[k], dev[k])
-    for name, v in worst_dev.items():
-        rows.append(make_check("expectation-identity", name, v, 0.0, 1e-12))
-
+    rows.append(worst_check(
+        "prox", "optimality-certificate", [_certificate_error(p, gen0, eps0, x) for x in X[:200]], 0.0, 1e-8,
+    ))
+    identities = ("mean-point", "penalty-mixing", "squared-step")
     a = sufficient_decrease(m, sched.eps_hi, L)
-    dec_rows, env_rows, upper_rows = [], [], []
-    for x in pts:
+    per_point = np.empty((n_points, 9))
+    for j, x in enumerate(X):
+        dev = expectation_identities(p, gen0, eps0, x)
         fx = p.objective(x)
         targets = coordinate_prox_all(p, gen0, eps0, x)
         f_t = p.objective_rows(targets)
         sq = np.sum((x - targets) ** 2, axis=1)
-        worst_i = int(np.argmax(f_t - fx + a * sq))
-        dec_rows.append(make_check(
-            "sufficient-decrease", "per-block",
-            f_t[worst_i] - fx, -a * sq[worst_i], 1e-9,
-        ))
-        env = envelope_value(p, gen0, eps0, x)
-        upper_rows.append(make_check("envelope", "below-objective", env, fx, 1e-12))
-        N = p.n_blocks
-        env_rows.append(make_check(
-            "envelope", "mean-decrease",
-            N * f_t.mean() - (N - 1) * fx,
-            env - 0.5 * N * (m / sched.eps_hi - L) * sq.mean(),
-            1e-9,
-        ))
-    rows.append(_worst(dec_rows))
-    rows.append(_worst(upper_rows))
-    rows.append(_worst(env_rows))
+        i = int(np.argmax(f_t - fx + a * sq))
+        per_point[j] = (*(dev[k] for k in identities), f_t[i] - fx, -a * sq[i],
+                        envelope_value(p, gen0, eps0, x), fx, N * f_t.mean() - (N - 1) * fx, sq.mean())
+    for k, name in enumerate(identities):
+        rows.append(worst_check("expectation-identity", name, per_point[:, k], 0.0, 1e-12))
+    decrease, bound, env, fx, mixed, sq_mean = per_point[:, 3:].T
+    rows.append(worst_check("sufficient-decrease", "per-block", decrease, bound, 1e-9))
+    rows.append(worst_check("envelope", "below-objective", env, fx, 1e-12))
+    rows.append(worst_check(
+        "envelope", "mean-decrease", mixed, env - 0.5 * N * (m / sched.eps_hi - L) * sq_mean, 1e-9,
+    ))
 
     # scalar prox against the grid oracle
     for label, reg in _oracle_regs(p):
         oracle = GridProxOracle(reg)
-        arg_rows, obj_rows = [], []
-        for _ in range(n_prox):
-            w = reg.rho + 0.1 + 4.9 * rng.random()
-            v = -5.0 + 10.0 * rng.random()
-            t_closed = float(np.asarray(scalar_prox(reg, w, v)))
-            t_grid, f_grid = oracle.query(w, v)
-            f_closed = float(np.asarray(reg.value(t_closed))) + 0.5 * w * (t_closed - v) ** 2
-            arg_rows.append(make_check("prox-oracle", f"{label}-argmin", abs(t_closed - t_grid), 0.0, 1e-3))
-            obj_rows.append(make_check("prox-oracle", f"{label}-objective", f_closed - f_grid, 0.0, 1e-8))
-        rows.append(_worst(arg_rows))
-        rows.append(_worst(obj_rows))
+        draws = rng.random((n_prox, 2))
+        w = reg.rho + 0.1 + 4.9 * draws[:, 0]
+        v = -5.0 + 10.0 * draws[:, 1]
+        t_closed = scalar_prox(reg, w, v)
+        t_grid, f_grid = np.array([oracle.query(wi, vi) for wi, vi in zip(w, v)]).T
+        f_closed = reg.value(t_closed) + 0.5 * w * (t_closed - v) ** 2
+        rows.append(worst_check("prox-oracle", f"{label}-argmin", np.abs(t_closed - t_grid), 0.0, 1e-3))
+        rows.append(worst_check("prox-oracle", f"{label}-objective", f_closed - f_grid, 0.0, 1e-8))
 
     # local proximity checks behind a probed constant
     eta, nu = _neighborhood(cfg, p, sched, ref, _scout(p, sched, cfg, ref))
@@ -731,26 +725,19 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
         p, ref.point, constants.eta / 2.0, constants.level_window,
         min(n_points, 200), rng,
     )
-    prox_rows: dict[str, list] = {}
-    dom_rows = []
-    met = 0
+    prox_rows, dom_rows = [], []
     for x in hyp_pts:
         report = check_value_proximity(p, gen0, eps0, x, ref.point, constants)
-        if not report.hypothesis_met:
-            continue
-        met += 1
-        for row in report.rows:
-            prox_rows.setdefault(row.name, []).append(row)
-        dom = check_level_dominance(
-            p, gen0, eps0, x, f_bar, constants=constants, x_bar=ref.point
-        )
-        dom_rows.extend(dom.rows)
-    if met == 0:
+        if report.hypothesis_met:
+            prox_rows.append(report.rows)
+            dom_rows += check_level_dominance(
+                p, gen0, eps0, x, f_bar, constants=constants, x_bar=ref.point
+            ).rows
+    if not prox_rows:
         rows.append(make_check("value-proximity", "hypothesis-met", 1.0, 0.0, 0.0))
     else:
-        for name, rlist in prox_rows.items():
-            rows.append(_worst(rlist))
-        rows.append(_worst(dom_rows))
+        rows += [worst_row(same_name) for same_name in zip(*prox_rows)]
+        rows.append(worst_row(dom_rows))
     return [r for r in rows if r is not None]
 
 
@@ -779,43 +766,26 @@ def _oracle_regs(p: ProblemInstance):
     return sorted(out, key=lambda item: item[0])
 
 
-def _fd_gradient_row(p, x, h: float = 1e-6) -> CheckRow:
+def _fd_gradient_error(p, x, h: float = 1e-6) -> float:
+    """Largest central-difference error of the smooth gradient at x,
+    relative to 1 + max |grad|."""
     g = p.smooth.grad(x)
     fd = np.empty_like(g)
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h
         fd[j] = (p.smooth.value(x + e) - p.smooth.value(x - e)) / (2 * h)
-    err = float(np.max(np.abs(fd - g))) / (1.0 + float(np.max(np.abs(g))))
-    return make_check("smooth", "gradient-fd", err, 0.0, 1e-5)
+    return float(np.max(np.abs(fd - g))) / (1.0 + float(np.max(np.abs(g))))
 
 
-def _semiconvex_row(reg, label, t, s) -> CheckRow:
-    h = lambda u: float(np.asarray(reg.value(u))) + 0.5 * reg.rho * u * u
-    mid = 0.5 * (t + s)
-    return make_check(
-        "penalty", f"{label}-midpoint-convexity",
-        h(mid), 0.5 * (h(t) + h(s)), 1e-9,
-    )
-
-
-def _subdiff_row(reg, label, t, h: float = 1e-6) -> CheckRow:
-    lo, hi = reg.subdiff(np.array([t]))
-    width = float(hi[0] - lo[0])
-    fd = (float(np.asarray(reg.value(t + h))) - float(np.asarray(reg.value(t - h)))) / (2 * h)
-    center = 0.5 * float(lo[0] + hi[0])
-    err = max(width, abs(center - fd) / (1.0 + abs(fd)))
-    return make_check("penalty", f"{label}-subdiff", err, 0.0, 1e-5)
-
-
-def _certificate_row(p, gen, eps, x) -> CheckRow:
-    """0 must lie in grad f(x) + dG(y) + (q/eps)(y - x) at y = T(x)."""
+def _certificate_error(p, gen, eps, x) -> float:
+    """Max-norm distance from 0 to grad f(x) + dG(y) + (q/eps)(y - x) at
+    y = T(x), which is 0 for an exact prox."""
     g = p.smooth.grad(x)
     y = full_prox(p, gen, eps, x, grad=g)
     r = g + (gen.weights / eps) * (y - x)
     lo, hi = p.penalty_subdiff(y)
-    worst = float(np.max(np.abs(r + np.clip(-r, lo, hi))))
-    return make_check("prox", "optimality-certificate", worst, 0.0, 1e-8)
+    return float(np.max(np.abs(r + np.clip(-r, lo, hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +797,19 @@ def _require_kind(cfg: ExperimentConfig, expected: str) -> None:
         raise ConfigError(
             f"config declares kind={cfg.kind!r} but was run as {expected!r}"
         )
+
+
+def _ended_below_reference(res: ReplicationResult) -> bool:
+    """Print one line naming the first replication whose final F is below
+    f_bar - gap_floor(f_bar): the reference is then no lower bound, and no
+    gap or rate to it means anything.  True when there is one."""
+    f_bar = res.reference.value
+    for r, t in enumerate(res.trajectories):
+        if t.final_objective < f_bar - gap_floor(f_bar):
+            print(f"replication {r} ended below the reference value: "
+                  f"F={t.final_objective!r} < f_bar={f_bar!r}")
+            return True
+    return False
 
 
 def run_solve(cfg: ExperimentConfig, out_dir) -> int:
@@ -848,7 +831,7 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> int:
         stayed = sum(row.stayed for row in res.near_start)
         print(f"near-start replications staying local: {stayed}/{len(res.near_start)}")
     print(f"wrote {len(res.trajectories)} trajectory file(s) to {out_dir}")
-    return 0
+    return 1 if _ended_below_reference(res) else 0
 
 
 def run_rate(cfg: ExperimentConfig, out_dir) -> int:
@@ -858,18 +841,10 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
     res = run_replications(cfg)
     out = Path(out_dir)
     write_replication_outputs(res, out)
-    label = (
-        "to known optimum" if res.reference.source == "known"
-        else "to best-found value"
-    )
-    f_bar = res.reference.value
-    for r, t in enumerate(res.trajectories):
-        if t.final_objective < f_bar - gap_floor(f_bar):
-            print(f"replication {r} ended below the reference value: "
-                  f"F={t.final_objective!r} < f_bar={f_bar!r}")
-            return 1
-    report = fit_linear_rate(res.mean.mean_gap, f_bar=f_bar)
-    report.label = label
+    if _ended_below_reference(res):
+        return 1
+    report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
+    report.label = "to known optimum" if res.reference.source == "known" else "to best-found value"
 
     audit = None
     if cfg.has_probe_section:
@@ -908,7 +883,6 @@ def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
     samples = cfg.probe["samples"]
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _PROBE_STREAM)))
     gen0, eps0 = sched.generator(0), sched.step(0)
-    crit = singleton_distance(ref.point)
     estimates = []
     for kind in cfg.probe["kinds"]:
         if kind == "ls-eb":
@@ -916,12 +890,12 @@ def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
         elif kind == "kl":
             est = probe_kl(p, ref.point, eta, nu, samples, rng)
         elif kind == "bp-eb":
-            est = probe_bp_eb(p, gen0, eps0, ref.point, eta, nu, crit, samples, rng)
+            est = probe_bp_eb(p, gen0, eps0, ref.point, eta, nu, samples, rng)
         else:
             level = cfg.probe.get("lt_level", ref.value + nu)
             radius = cfg.probe.get("lt_radius", eta)
             est = probe_lt_eb(
-                p, eps0, level, radius, crit, samples, rng,
+                p, eps0, level, radius, samples, rng,
                 center=ref.point, sample_radius=eta,
             )
         estimates.append(est)

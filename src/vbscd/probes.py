@@ -121,12 +121,6 @@ def sample_level_ball(
     return pts, vals, f_bar
 
 
-def singleton_distance(x_star) -> "callable":
-    """Critical-set distance oracle for a singleton set {x_star}."""
-    x_star = np.asarray(x_star, dtype=float)
-    return lambda x: float(np.linalg.norm(np.asarray(x, dtype=float) - x_star))
-
-
 # ---------------------------------------------------------------------------
 # the four probes
 
@@ -192,12 +186,13 @@ def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng
 
 def probe_bp_eb(
     p: ProblemInstance, gen: BregmanGenerator, eps: float, x_bar,
-    eta: float, nu: float, critical_dist, samples: int, rng,
+    eta: float, nu: float, samples: int, rng,
 ) -> ErrorBoundEstimate:
-    """c1 = max over samples of dist(x, critical set) / ||x - T(x)||, with
-    T on the stacked sample."""
+    """c1 = max over samples of ||x - x_bar|| / ||x - T(x)||, on the stacked
+    sample: the critical set is taken as the singleton {x_bar}."""
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
-    num = np.array([critical_dist(x) for x in pts], dtype=float)
+    x_bar = np.asarray(x_bar, dtype=float)
+    num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
     den = _rows(lambda X: np.linalg.norm(X - full_prox_rows(p, gen, eps, X), axis=1), pts)
     j = _first_extremum(num, den, largest=True)
     best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
@@ -205,13 +200,14 @@ def probe_bp_eb(
 
 
 def probe_lt_eb(
-    p: ProblemInstance, eps: float, level: float, radius: float, critical_dist,
+    p: ProblemInstance, eps: float, level: float, radius: float,
     samples: int, rng, *, center, sample_radius: float | None = None,
     max_draws: int = 10**6,
 ) -> ErrorBoundEstimate:
-    """c3 = max dist(x, critical set) / ||x - T_e(x)|| over points with
+    """c3 = max ||x - center|| / ||x - T_e(x)|| over points with
     F(x) <= level and ||x - T_e(x)|| <= radius, where T_e is the euclidean
-    (unit-weight) prox map at step eps.
+    (unit-weight) prox map at step eps: the critical set is taken as the
+    singleton {center}.
 
     The global condition is sampled from a ball around ``center`` of radius
     ``sample_radius`` (default: ``radius``).
@@ -232,7 +228,7 @@ def probe_lt_eb(
         accepted += 1
         if denom < DENOM_CUTOFF:
             continue
-        ratio = critical_dist(x) / denom
+        ratio = float(np.linalg.norm(x - center)) / denom
         if ratio > best:
             best, best_pt = ratio, x
     if accepted == 0:

@@ -38,7 +38,6 @@ from vbscd.cli import main as cli_main
 from vbscd.diagnostics import GridProxOracle, expectation_identities
 from vbscd.harness import load_config, run_replications
 from vbscd.instances import lasso_1d, lasso_random, quad_1d, quadratic_mcp
-from vbscd.probes import singleton_distance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SAMPLES = 1000
@@ -245,7 +244,6 @@ def test_criterion_07_error_bound_probes():
     with criterion(7, "probe calibration on the scalar quadratic", notes):
         p = quad_1d(0.0)
         x_bar = np.zeros(1)
-        dist = singleton_distance(x_bar)
         gen = BregmanGenerator.uniform(1, 1.0)
 
         def rng(s):
@@ -253,9 +251,9 @@ def test_criterion_07_error_bound_probes():
 
         c0 = probe_ls_eb(p, x_bar, 1.0, 1.0, 10_000, rng(70)).value
         c2 = probe_kl(p, x_bar, 1.0, 1.0, 10_000, rng(71)).value
-        c1 = probe_bp_eb(p, gen, 0.5, x_bar, 1.0, 1.0, dist, 10_000, rng(72)).value
-        c3 = probe_lt_eb(p, 0.5, level=0.5, radius=1.0, critical_dist=dist,
-                         samples=10_000, rng=rng(73), center=x_bar).value
+        c1 = probe_bp_eb(p, gen, 0.5, x_bar, 1.0, 1.0, 10_000, rng(72)).value
+        c3 = probe_lt_eb(p, 0.5, level=0.5, radius=1.0, samples=10_000, rng=rng(73),
+                         center=x_bar).value
         notes.append(f"c0={c0:.6f} c1={c1:.6f} c2={c2:.6f} c3={c3:.6f}")
         assert 0.99 <= c0 <= 1.01
         assert 1.40 <= c2 <= 1.43

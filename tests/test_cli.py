@@ -53,6 +53,9 @@ prox_queries = 30
 
 RATE_CFG = SOLVE_CFG.replace("kind = solve", "kind = rate") + "\n[probe]\nsamples = 200\n"
 
+PROBE_CFG = (SOLVE_CFG.replace("kind = solve", "kind = probe-eb").replace("replications = 2\n", "")
+             + "\n[probe]\nkinds = ls-eb, kl\nsamples = 200\n")
+
 
 def with_key(text, section, key, value):
     """``text`` with ``key = value`` set in [section], replacing any earlier value."""
@@ -81,9 +84,19 @@ def with_key(text, section, key, value):
     ("rate", "probe", "kinds", "bogus"),
     ("verify", "solver", "x0", "bogus"),
     ("solve", "solver", "near_start_radius", "-1"),
+    # each of these is read only by the replications of solve and rate, and
+    # was once ignored by verify and probe-eb
+    ("verify", "experiment", "replications", "3"),
+    ("verify", "solver", "x0", "near-start"),
+    ("verify", "solver", "near_start_radius", "0.5"),
+    ("verify", "solver", "check_period", "5"),
+    ("probe-eb", "experiment", "replications", "1"),
+    ("probe-eb", "solver", "x0", "zeros"),
+    ("probe-eb", "solver", "near_start_radius", "1.0"),
+    ("probe-eb", "solver", "check_period", "1"),
 ])
 def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, kind, section, key, value):
-    text = {"solve": SOLVE_CFG, "verify": VERIFY_CFG, "rate": RATE_CFG}[kind]
+    text = {"solve": SOLVE_CFG, "verify": VERIFY_CFG, "rate": RATE_CFG, "probe-eb": PROBE_CFG}[kind]
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(with_key(text, section, key, value))
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

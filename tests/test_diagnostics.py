@@ -24,6 +24,8 @@ from vbscd.diagnostics import (
     enumerate_expectation,
     expectation_identities,
     make_check,
+    worst_check,
+    worst_row,
     write_report_csv,
 )
 from vbscd.instances import lasso_1d, lasso_random, quad_1d
@@ -477,6 +479,31 @@ def test_make_check_slack_and_verdict():
     assert ok.slack == 1.0 and ok.passed
     bad = make_check("kernel", "fails", 2.5, 2.0, 0.1)
     assert bad.slack == -0.5 and not bad.passed
+    # a NaN slack never passes, not even as inf - inf, where lhs <= rhs + tol
+    assert not make_check("kernel", "nan", np.nan, 0.0, 1.0).passed
+    assert not make_check("kernel", "inf", np.inf, np.inf, 0.0).passed
+
+
+def test_worst_check_reports_the_first_smallest_slack():
+    row = worst_check("kernel", "group", [1.0, 3.0, 2.5, 3.0], [2.0, 3.5, 2.0, 3.5], 0.1)
+    assert (row.lhs, row.rhs, row.slack, row.passed) == (2.5, 2.0, -0.5, False)
+    row = worst_check("kernel", "group", [0.0, 1.0, 1.0], 1.0, 1e-9)
+    assert (row.lhs, row.slack, row.passed) == (1.0, 0.0, True)
+    assert worst_check("kernel", "group", [], [], 0.0) is None
+
+
+@pytest.mark.parametrize("lhs, rhs, j", [
+    ([0.0, np.nan, 0.5, np.nan], [1.0, 1.0, 1.0, 1.0], 1),
+    ([0.0, 0.5, 0.5], [1.0, 1.0, np.nan], 2),
+    ([0.0, np.inf, -2.0], [1.0, np.inf, 1.0], 1),
+])
+def test_a_nan_anywhere_in_a_group_fails_it(lhs, rhs, j):
+    # the first NaN slack is the worst, below any number
+    row = worst_check("kernel", "group", lhs, rhs, 1e-9)
+    assert np.isnan(row.slack) and not row.passed
+    assert np.array_equal([row.lhs, row.rhs], [lhs[j], rhs[j]], equal_nan=True)
+    rows = [make_check("kernel", "group", a, b, 1e-9) for a, b in zip(lhs, rhs)]
+    assert worst_row(rows) is rows[j]
 
 
 def test_report_csv_golden(tmp_path):

@@ -577,12 +577,16 @@ def test_every_flow_passes_the_reference_settings(tmp_path, monkeypatch, kind):
 
 
 def test_reference_step_cap_warns_on_stderr(tmp_path, capsys):
-    outs = {}
+    outs, codes = {}, {}
     for max_steps in (1, 2000):
         text = BASE + f"\n[reference]\nsource = best-found\nmax_steps = {max_steps}\n"
         out = tmp_path / f"out{max_steps}"
-        assert harness.run_experiment(write_cfg(tmp_path, text), "solve", out_dir=out) == 0
+        codes[max_steps] = harness.run_experiment(write_cfg(tmp_path, text), "solve", out_dir=out)
         outs[max_steps] = capsys.readouterr()
+    # one reference step from 0 stops at F = 3, above the replication's 2.5,
+    # so that solve fails; the converged reference is a lower bound
+    assert codes == {1: 1, 2000: 0}
+    assert "replication 0 ended below the reference value" in outs[1].out
     # the warning goes to stderr only: both runs write the same files
     assert sorted(f.name for f in (tmp_path / "out1").iterdir()) == \
         sorted(f.name for f in (tmp_path / "out2000").iterdir())
@@ -647,6 +651,20 @@ def test_rate_fails_when_a_replication_ends_below_the_reference(tmp_path, capsys
     assert not (out / "rate_report.csv").exists()
 
 
+def test_solve_fails_when_a_replication_ends_below_the_reference(tmp_path, capsys):
+    # the same split run as a solve: it reports every replication and writes
+    # its trajectories, then names the first one below the reference
+    out = tmp_path / "out"
+    text = MCP_SPLIT.replace("kind = rate", "kind = solve")
+    assert harness.run_experiment(write_cfg(tmp_path, text), "solve", out_dir=out) == 1
+    lines = capsys.readouterr().out.splitlines()
+    gaps = [float(m[1]) for line in lines if (m := re.search(r", gap=(\S+)$", line))]
+    assert len(gaps) == 20 and min(gaps) < -0.5
+    first = min(r for r, gap in enumerate(gaps) if gap < -1e-9)
+    assert re.fullmatch(rf"replication {first} ended below the reference value: F=\S+ < f_bar=\S+", lines[-1])
+    assert len(list(out.glob("traj_*.csv"))) == 20
+
+
 def test_run_experiment_solve_writes_outputs(tmp_path):
     path = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
@@ -708,6 +726,64 @@ def test_verify_checks_every_distinct_penalty(tmp_path, monkeypatch):
         assert rows[("prox-oracle", f"{label}-argmin")].passed
     assert ("prox-oracle", "scad-argmin") in rows and ("prox-oracle", "mcp-argmin") in rows
     assert all(r.passed for r in rows.values())
+
+
+def test_verify_groups_equal_their_per_point_loops(tmp_path, monkeypatch):
+    # the penalty and kernel groups do each point's arithmetic elementwise,
+    # so their arrays hold the per-point loop's bits
+    groups, worst_check = {}, harness.worst_check
+
+    def spy(check, name, lhs, rhs, tol):
+        groups[name] = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+        return worst_check(check, name, lhs, rhs, tol)
+
+    monkeypatch.setattr(harness, "worst_check", spy)
+    cfg = load_config(write_cfg(tmp_path, VERIFY_TWO_WEIGHTS))
+    harness.run_verification(cfg)
+    p, sched, ref = harness._setup(cfg)
+    rng = np.random.Generator(np.random.PCG64(harness.derive_seed(cfg.seed, harness._VERIFY_STREAM)))
+    spread = 3.0 * max(1.0, float(np.linalg.norm(ref.point)))
+    pts = [harness.sample_in_ball(ref.point, spread, rng) for _ in range(cfg.verify["points"])]
+    m, M, w = sched.m, sched.M, sched.generator(0).weights
+    sandwich = []
+    for x, y in zip(pts, pts[1:] + pts[:1]):
+        d2, D = float(np.sum((y - x) ** 2)), 0.5 * float(np.sum(w * (y - x) ** 2))
+        sandwich.append(-min(D - 0.5 * m * d2, 0.5 * M * d2 - D))
+    assert np.array_equal(groups["sandwich"][0], sandwich)
+    for label, reg in harness._distinct_penalties(p):
+        ts = rng.standard_normal(2 * len(pts)) * 2.0
+        h = lambda u: float(reg.value(u)) + 0.5 * reg.rho * u * u
+        loop = [(h(0.5 * (t + s)), 0.5 * (h(t) + h(s))) for t, s in zip(ts[0::2], ts[1::2])]
+        assert np.array_equal(np.transpose(groups[f"{label}-midpoint-convexity"]), loop)
+        errs = []
+        for t in ts[:50][np.abs(ts[:50]) > 1e-3]:
+            lo, hi = reg.subdiff(np.array([t]))
+            fd = (float(reg.value(t + 1e-6)) - float(reg.value(t - 1e-6))) / 2e-6
+            errs.append(max(float(hi[0] - lo[0]), abs(0.5 * float(lo[0] + hi[0]) - fd) / (1.0 + abs(fd))))
+        assert np.array_equal(groups[f"{label}-subdiff"][0], errs)
+
+
+class _NanBeyondL1(L1Penalty):
+    """l1 whose value is NaN for |t| > 3."""
+
+    def psi(self, u):
+        return np.where(u > 3.0, np.nan, super().psi(u))
+
+
+def test_verify_fails_a_group_with_a_nan_after_its_first_point(tmp_path, monkeypatch):
+    slacks, worst_check = {}, harness.worst_check
+
+    def spy(check, name, lhs, rhs, tol):
+        slacks[name] = np.asarray(rhs, dtype=float) - np.asarray(lhs, dtype=float)
+        return worst_check(check, name, lhs, rhs, tol)
+
+    monkeypatch.setattr(harness, "worst_check", spy)
+    rows = _two_weight_rows(tmp_path, monkeypatch, _NanBeyondL1(0.5))
+    assert rows[("penalty", "l1-block0-midpoint-convexity")].passed
+    row = rows[("penalty", "l1-block2-midpoint-convexity")]
+    assert np.isnan(row.slack) and not row.passed
+    slack = slacks["l1-block2-midpoint-convexity"]
+    assert np.isfinite(slack[0]) and np.isnan(slack).sum() < slack.size
 
 
 def test_verify_catches_a_faulty_second_penalty(tmp_path, monkeypatch):

@@ -143,26 +143,30 @@ def test_rate_flow_runs_its_per_point_oracles(monkeypatch, tmp_path):
 
 def test_verify_flow_builds_and_queries_the_grid_oracle(monkeypatch, tmp_path):
     # diagnostics.grid_oracle* and the verify workload's `uses` list bind to
-    # GridProxOracle.__init__ and GridProxOracle.query
+    # GridProxOracle.__init__ and GridProxOracle.query, and to per-point
+    # calls that the verify flow must keep making: the benchmark's selftest
+    # fails a workload when one of its `uses` records no calls
     from vbscd import harness
     from vbscd.diagnostics import GridProxOracle
 
-    calls = {"__init__": 0, "query": 0}
-    init, query = GridProxOracle.__init__, GridProxOracle.query
+    calls = {}
 
-    def spy_init(self, *args, **kwargs):
-        calls["__init__"] += 1
-        init(self, *args, **kwargs)
+    def spy(name, fn):
+        calls[name] = 0
 
-    def spy_query(self, *args):
-        calls["query"] += 1
-        return query(self, *args)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(GridProxOracle, "__init__", spy_init)
-    monkeypatch.setattr(GridProxOracle, "query", spy_query)
+    for name in ("expectation_identities", "envelope_value", "coordinate_prox_all",
+                 "check_value_proximity", "check_level_dominance", "hypothesis_points",
+                 "probed_constants"):
+        monkeypatch.setattr(harness, name, spy(name, getattr(harness, name)))
+    for name in ("__init__", "query"):
+        monkeypatch.setattr(GridProxOracle, name, spy(name, getattr(GridProxOracle, name)))
     cfg = harness.load_config(LAYERS.parent / "configs" / "verify_lasso50.cfg")
     cfg.verify.update(points=5, prox_queries=2)
     cfg.probe["samples"] = 100
     assert harness.run_verify(cfg, tmp_path) == 0
-    assert calls["__init__"] >= 1
-    assert calls["query"] >= 1
+    assert all(count >= 1 for count in calls.values()), calls

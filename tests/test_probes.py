@@ -11,8 +11,8 @@ from vbscd import (
     sample_level_ball,
     write_probe_csv,
 )
-from vbscd.probes import singleton_distance
 from vbscd.instances import diag_quadratic, quad_1d
+from vbscd.prox import full_prox
 
 
 def fresh_rng(seed=0):
@@ -73,15 +73,13 @@ def test_bp_eb_probe_exact_on_scalar_quadratic():
     # T(x) = x - eps*x at q=1: residual 0.5|x|, distance |x| -> ratio 2
     p = quad_1d(0.0)
     gen = BregmanGenerator.uniform(1, 1.0)
-    est = probe_bp_eb(p, gen, 0.5, np.zeros(1), 1.0, 1.0,
-                      singleton_distance(np.zeros(1)), 2000, fresh_rng(7))
+    est = probe_bp_eb(p, gen, 0.5, np.zeros(1), 1.0, 1.0, 2000, fresh_rng(7))
     assert est.value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_lt_eb_probe_exact_on_scalar_quadratic():
     p = quad_1d(0.0)
     est = probe_lt_eb(p, 0.5, level=0.5, radius=1.0,
-                      critical_dist=singleton_distance(np.zeros(1)),
                       samples=2000, rng=fresh_rng(8), center=np.zeros(1))
     assert est.value == pytest.approx(2.0, rel=1e-12)
     assert est.level == 0.5 and est.radius == 1.0
@@ -91,7 +89,6 @@ def test_lt_eb_empty_when_level_unreachable():
     p = quad_1d(0.0)
     with pytest.raises(EmptyNeighborhoodError):
         probe_lt_eb(p, 0.5, level=-1.0, radius=1.0,
-                    critical_dist=singleton_distance(np.zeros(1)),
                     samples=10, rng=fresh_rng(9), center=np.zeros(1),
                     max_draws=500)
 
@@ -125,11 +122,18 @@ def test_probe_csv_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sublevel distance
+# distance to the critical set
 
 
-def test_singleton_oracle_on_strongly_convex():
+def test_residual_probes_measure_distance_to_the_reference_point():
+    # the critical set of a strongly convex instance is its minimizer; the
+    # probes take the distance to the point they are given, here off it
     p = diag_quadratic([1.0, 4.0])
-    x = np.array([0.3, -0.4])
-    d = singleton_distance(p.known_optimum[0])(x)
-    assert d == pytest.approx(0.5)
+    gen = BregmanGenerator.uniform(2, 1.0)
+    center = np.array([0.3, -0.4])
+    bp = probe_bp_eb(p, gen, 0.1, center, 1.0, 10.0, 300, fresh_rng(14))
+    lt = probe_lt_eb(p, 0.1, level=10.0, radius=10.0, samples=300, rng=fresh_rng(15), center=center)
+    for est in (bp, lt):
+        x = est.extremal_point
+        step = np.linalg.norm(x - full_prox(p, gen, 0.1, x))
+        assert est.value == pytest.approx(np.linalg.norm(x - center) / step, rel=1e-12)

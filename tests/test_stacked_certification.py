@@ -32,7 +32,7 @@ from vbscd import (
 from vbscd import diagnostics, probes
 from vbscd.bregman import step_cap
 from vbscd.diagnostics import enumerate_expectation
-from vbscd.probes import level_margin, singleton_distance
+from vbscd.probes import level_margin
 from vbscd.prox import full_prox
 
 REL = 1e-14
@@ -145,6 +145,31 @@ def _audit_case():
     constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                   sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     return p, sched, trajs, x_bar, f_bar, constants
+
+
+def test_audit_sends_a_nan_at_a_middle_point_to_the_oracle(monkeypatch):
+    # a NaN margin is neither below nor above a number: it must count as the
+    # worst point, whose enumeration cannot agree with it
+    p = instances.lasso_random(10, 5, seed=21)
+    sched = schedule("constant", p)
+    x_bar, f_bar = reference_point(p, sched)
+    trajs = trajectories(p, sched, x_bar, count=2, steps=60)
+    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
+                                  sched.eps_hi, p.n_blocks, 0.05, eta, nu)
+    assert contraction_audit(p, sched, trajs, x_bar, f_bar, constants).ok
+    stacked, sizes = diagnostics.stacked_expectation, []
+
+    def nan_in_the_middle(*args):
+        mean_f = stacked(*args)
+        sizes.append(mean_f.size)
+        mean_f[mean_f.size // 2] = np.nan
+        return mean_f
+
+    monkeypatch.setattr(diagnostics, "stacked_expectation", nan_in_the_middle)
+    with pytest.raises(OracleMismatch, match="stacked nan"):
+        contraction_audit(p, sched, trajs, x_bar, f_bar, constants)
+    assert min(sizes) >= 3  # so the NaN point is neither first nor last
 
 
 def test_audit_oracle_raises_on_a_disagreement(monkeypatch):
@@ -303,7 +328,7 @@ def test_probes_match_their_per_point_loops():
     sched = schedule("constant", p)
     x_bar, f_bar = reference_point(p, sched)
     gen, eps = sched.generator(0), sched.step(0)
-    dist = singleton_distance(x_bar)
+    dist = lambda x: float(np.linalg.norm(x - x_bar))  # to the critical set {x_bar}
     for probe, num, den, largest in (
         (probe_ls_eb, dist, p.min_subgradient_norm, True),
         (probe_kl, p.min_subgradient_norm, lambda x: np.sqrt(p.objective(x) - f_bar), False),
@@ -311,7 +336,7 @@ def test_probes_match_their_per_point_loops():
     ):
         pts, _, _ = sample_level_ball(p, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
         if probe is probe_bp_eb:
-            est = probe(p, gen, eps, x_bar, 0.5, 0.2, dist, 600, np.random.default_rng(8))
+            est = probe(p, gen, eps, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
         else:
             est = probe(p, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
         value, point = loop_ratio(pts, num, den, largest)
