@@ -28,10 +28,8 @@ import numpy as np
 from .bregman import BregmanSchedule, sufficient_decrease
 from .csvout import fmt, write_csv
 from .model import ProblemInstance, Regularizer, row_chunks
-from .probes import cross_check, level_margin
+from .probes import cross_check, gap_floor
 from .prox import coordinate_prox_all, coordinate_prox_all_rows, envelope_value, full_prox
-
-MACH_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def in_neighborhood(p, x, x_bar, f_bar, radius, window, fx=None) -> bool:
     if float(np.linalg.norm(x - x_bar)) > radius:
         return False
     fx = p.objective(x) if fx is None else fx
-    return f_bar + level_margin(f_bar) < fx < f_bar + window
+    return f_bar + gap_floor(f_bar) < fx < f_bar + window
 
 
 @dataclass
@@ -353,7 +351,7 @@ def contraction_audit(
     """
     x_bar = np.asarray(x_bar, dtype=float)
     radius = constants.eta / 2.0
-    lo, hi = f_bar + level_margin(f_bar), f_bar + constants.level_window
+    lo, hi = f_bar + gap_floor(f_bar), f_bar + constants.level_window
     checked = skipped = violations = 0
     worst = np.inf
     # oracle points as (gen, eps, x, stacked mean): the worst one, and the
@@ -452,12 +450,6 @@ class RateReport:
         return self.factor < 1.0
 
 
-def gap_floor(f_bar: float) -> float:
-    """1e2 * eps_machine * |f_bar| + 1e-14: gaps to f_bar below this are
-    rounding, not progress."""
-    return 1e2 * MACH_EPS * abs(f_bar) + 1e-14
-
-
 def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateReport:
     """Least-squares fit of log(gap_k) over the usable window.
 
@@ -465,13 +457,18 @@ def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateR
     the initial gap (falling back to the full sequence when that leaves
     fewer than ``min_window`` points) and closes just before the gap first
     sinks under :func:`gap_floor`.  Raises if the window is shorter than
-    ``min_window`` or contains a nonpositive gap.
+    ``min_window``, or if that first gap is negative beyond the floor: the
+    sequence then dips below f_bar, which is no lower bound.
     """
     gaps = np.asarray(mean_gaps, dtype=float)
     if gaps.ndim != 1:
         raise ValueError("expected a 1-D gap sequence")
-    below = np.nonzero(gaps < gap_floor(f_bar))[0]
+    floor = gap_floor(f_bar)
+    below = np.nonzero(gaps < floor)[0]
     stop = int(below[0]) if below.size else gaps.size
+    if below.size and gaps[stop] < -floor:
+        raise ValueError(f"mean gap {gaps[stop]:.6g} at k={stop} is below -gap_floor = {-floor:.3g}: "
+                         "F fell below f_bar, which is then no lower bound")
     burn = np.nonzero(gaps[:stop] < gaps[0] / 10.0)[0] if gaps.size else np.array([])
     start = int(burn[0]) if burn.size else 0
     if stop - start < min_window:
@@ -480,11 +477,8 @@ def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateR
         raise ValueError(
             f"fit window [{start}, {stop}) has fewer than {min_window} points"
         )
-    w = gaps[start:stop]
-    if np.any(w <= 0):
-        raise ValueError("nonpositive gap inside the fit window")
     k = np.arange(start, stop, dtype=float)
-    y = np.log(w)
+    y = np.log(gaps[start:stop])
     slope, intercept = np.polyfit(k, y, 1)
     resid = y - (slope * k + intercept)
     ss_res = float(resid @ resid)

@@ -2,15 +2,16 @@
 invariant verification suite behind the CLI.
 
 Config files are flat INI-style sections of ``key = value`` lines, checked
-when loaded against ``_SCHEMA``, which declares each key's type, default and
-allowed values once.  Unknown sections or keys are hard errors (typo
-protection), malformed files report line numbers, and every relative path is
-resolved against the config file's directory.  See configs/reference.cfg for
-the full key catalog.
+when loaded against ``_SCHEMA``, which declares each key's type, default,
+allowed values and scope once.  Unknown sections or keys and keys set where
+the run would not read them are hard errors, malformed files report line
+numbers, and every relative path is resolved against the config file's
+directory.  See configs/reference.cfg for the full key catalog.
 """
 from __future__ import annotations
 
 import configparser
+import inspect
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +38,6 @@ from .diagnostics import (
     contraction_audit,
     expectation_identities,
     fit_linear_rate,
-    gap_floor,
     make_check,
     worst_check,
     worst_row,
@@ -46,6 +46,7 @@ from .diagnostics import (
 from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty
 from .probes import (
     EmptyNeighborhoodError,
+    gap_floor,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,
@@ -85,26 +86,21 @@ class ReplicationError(RuntimeError):
 # config schema
 
 
-def _matrix_file(matrix_file, rhs_file, reg, n_blocks, **params) -> ProblemInstance:
+def _matrix_file(matrix_file, rhs_file, reg, n_blocks, lam=None, mu=None, gamma=None, a=None):
     A = np.loadtxt(matrix_file, ndmin=2)
     b = np.loadtxt(rhs_file, ndmin=1)
+    params = {k: v for k, v in dict(lam=lam, mu=mu, gamma=gamma, a=a).items() if v is not None}
     return _inst.matrix_instance(A, b, reg, params, n_blocks)
 
 
-_RANDOM_DESIGN = {"n", "blocks", "min_eig", "max_eig", "design_seed"}
-
-# [instance] kind -> (factory, accepted keys); config keys reach the factory
-# as keyword arguments, renamed through _RENAMES.
+# [instance] kind -> factory; a kind takes the config keys that name its
+# factory's parameters, renamed through _RENAMES, and requires those whose
+# parameter has no default
 _INSTANCES = {
-    "lasso-1d": (_inst.lasso_1d, set()),
-    "quad-1d": (_inst.quad_1d, {"target"}),
-    "quad-l1-1d": (_inst.quad_l1_1d, set()),
-    "diag-quadratic": (_inst.diag_quadratic, {"eigs"}),
-    "lasso-random": (_inst.lasso_random, _RANDOM_DESIGN | {"l1_weight"}),
-    "quadratic-mcp": (_inst.quadratic_mcp, _RANDOM_DESIGN | {"weight", "gamma"}),
-    "quadratic-scad": (_inst.quadratic_scad, _RANDOM_DESIGN | {"weight", "a"}),
-    "logistic-random": (_inst.logistic_random, {"n", "blocks", "l1_weight", "rows", "design_seed"}),
-    "matrix-file": (_matrix_file, {"matrix_file", "rhs_file", "blocks", "reg", "lam", "mu", "gamma", "a"}),
+    "lasso-1d": _inst.lasso_1d, "quad-1d": _inst.quad_1d, "quad-l1-1d": _inst.quad_l1_1d,
+    "diag-quadratic": _inst.diag_quadratic, "lasso-random": _inst.lasso_random,
+    "quadratic-mcp": _inst.quadratic_mcp, "quadratic-scad": _inst.quadratic_scad,
+    "logistic-random": _inst.logistic_random, "matrix-file": _matrix_file,
 }
 _RENAMES = {"blocks": "n_blocks", "design_seed": "seed"}
 
@@ -112,23 +108,27 @@ _RENAMES = {"blocks": "n_blocks", "design_seed": "seed"}
 # [experiment] kinds and the CLI subcommands
 FLOWS: dict = {}
 
-REQUIRED = object()  # default of a key that every config must set
+REQUIRED = object()  # default of a key that a config must set where the key applies
 
 
 @dataclass(frozen=True)
 class Key:
-    """One config key: its type, its default and the values it allows.
+    """One config key: its type, its default, the values it allows and where it applies.
 
     ``type`` is int, float, str, or tuple[T, ...] for a comma list of T.
     ``default`` fills in a key the file leaves out; None leaves it absent
     (the key is optional) and REQUIRED makes leaving it out an error.
     ``allowed`` is an interval such as "[1, inf)" or a collection of
     choices, and holds for every element of a list.  Floats must be finite.
+    ``when = (section, key, values)`` limits the key to configs whose
+    [section] key is one of ``values``: set elsewhere it is an error, and a
+    REQUIRED key is required only there.
     """
 
     type: object
     default: object = None
     allowed: object = None
+    when: tuple | None = None
 
     @property
     def item(self):
@@ -143,6 +143,11 @@ class Key:
         elif self.allowed is not None:
             noun = "one of " + " | ".join(self.allowed)
         return noun if self.item is self.type else f"a non-empty comma list, each {noun}"
+
+    def scope(self) -> str:
+        """Where the key applies, in words, as error messages and configs/reference.cfg give it."""
+        section, key, values = self.when
+        return f"[{section}] {key} = {' | '.join(values)}"
 
     def admits(self, value) -> bool:
         """Is ``value`` (one element, for a list) allowed?"""
@@ -160,12 +165,22 @@ _SEED = Key(int, None, "[0, 2^64)")
 _NONNEGATIVE = Key(float, None, "[0, inf)")
 _POSITIVE = Key(float, None, "(0, inf)")
 
-# section -> key -> Key: the one place a key's type, default and range live
+# the Key.when of keys that only some runs read
+_REPLICATED = ("experiment", "kind", ("solve", "rate"))
+_PROBED = ("experiment", "kind", ("rate", "verify", "probe-eb"))
+_PROBE_EB = ("experiment", "kind", ("probe-eb",))
+_ALTERNATING = ("bregman", "weights", ("alternating",))
+_HARMONIC = ("bregman", "eps_rule", ("harmonic-clipped",))
+_ITERATED = ("reference", "source", ("auto", "best-found"))
+
+# section -> key -> Key: the one place a key's type, default, range and
+# scope live.  [solver] tolerance (which verify and probe-eb do not read)
+# and [probe] eta (solve reads it for the near-start stay radius) apply to every kind.
 _SCHEMA = {
     "experiment": {
         "kind": Key(str, REQUIRED, FLOWS),
         "seed": Key(int, 0, "[0, 2^64)"),
-        "replications": Key(int, 1, "[1, inf)"),
+        "replications": Key(int, 1, "[1, inf)", _REPLICATED),
         "output_dir": Key(str, "out"),
     },
     # the instance factories default the keys a config leaves out
@@ -180,42 +195,40 @@ _SCHEMA = {
     },
     "bregman": {
         "weights": Key(str, "constant", ("constant", "alternating")),
-        "q": Key(float, 1.0, "(0, inf)"), "q_lo": _POSITIVE, "q_hi": _POSITIVE,
-        "period": Key(int, 1, "[1, inf)"),
+        "q": Key(float, 1.0, "(0, inf)", ("bregman", "weights", ("constant",))),
+        "q_lo": Key(float, REQUIRED, "(0, inf)", _ALTERNATING),
+        "q_hi": Key(float, REQUIRED, "(0, inf)", _ALTERNATING),
+        "period": Key(int, 1, "[1, inf)", _ALTERNATING),
         "eps_rule": Key(str, "relative", ("constant", "relative", "harmonic-clipped")),
-        "eps": _POSITIVE, "eps_lo": _POSITIVE, "eps_hi": _POSITIVE,
-        "eps_fraction": Key(float, 0.8, "(0, 1)"),
+        "eps": Key(float, REQUIRED, "(0, inf)", ("bregman", "eps_rule", ("constant",))),
+        "eps_fraction": Key(float, 0.8, "(0, 1)", ("bregman", "eps_rule", ("relative",))),
+        "eps_lo": Key(float, REQUIRED, "(0, inf)", _HARMONIC),
+        "eps_hi": Key(float, REQUIRED, "(0, inf)", _HARMONIC),
     },
     "solver": {
         "max_iters": Key(int, 1000, "[1, inf)"),
         "tolerance": Key(float, 1e-10, "[0, inf)"),
-        "check_period": _COUNT,  # default: the block count
-        "x0": Key(str, "zeros", ("zeros", "near-start")),
-        "near_start_radius": Key(float, 1.0, "[0, inf)"),
+        "check_period": Key(int, None, "[1, inf)", _REPLICATED),  # default: the block count
+        "x0": Key(str, "zeros", ("zeros", "near-start"), _REPLICATED),
+        "near_start_radius": Key(float, 1.0, "[0, inf)", ("solver", "x0", ("near-start",))),
     },
     "reference": {
         "source": Key(str, "auto", ("auto", "known", "best-found")),
-        "max_steps": Key(int, 100_000, "[1, inf)"),
-        "tolerance": Key(float, 1e-12, "[0, inf)"),
+        "max_steps": Key(int, 100_000, "[1, inf)", _ITERATED),
+        "tolerance": Key(float, 1e-12, "[0, inf)", _ITERATED),
     },
     # eta, nu, lt_level and lt_radius default to values derived from the run
     "probe": {
-        "kinds": Key(tuple[str, ...], ("ls-eb",), ("ls-eb", "kl", "bp-eb", "lt-eb")),
-        "eta": _POSITIVE, "nu": _POSITIVE, "lt_level": Key(float), "lt_radius": _POSITIVE,
-        "samples": Key(int, 10_000, "[1, inf)"),
+        "kinds": Key(tuple[str, ...], ("ls-eb",), ("ls-eb", "kl", "bp-eb", "lt-eb"), _PROBED),
+        "eta": _POSITIVE, "nu": Key(float, None, "(0, inf)", _PROBED),
+        "lt_level": Key(float, None, None, _PROBE_EB), "lt_radius": Key(float, None, "(0, inf)", _PROBE_EB),
+        "samples": Key(int, 10_000, "[1, inf)", _PROBED),
     },
     "verify": {
-        "points": Key(int, 1000, "[1, inf)"),
-        "prox_queries": Key(int, 1000, "[1, inf)"),
+        "points": Key(int, 1000, "[1, inf)", ("experiment", "kind", ("verify",))),
+        "prox_queries": Key(int, 1000, "[1, inf)", ("experiment", "kind", ("verify",))),
     },
 }
-
-
-# keys that only the replications of solve and rate read
-_REPLICATION_KEYS = (
-    ("experiment", "replications"),
-    ("solver", "x0"), ("solver", "near_start_radius"), ("solver", "check_period"),
-)
 
 
 @dataclass
@@ -256,10 +269,17 @@ def _parse(section: str, key: str, raw: str):
     return _checked(section, key, value)
 
 
+def _instance_params(kind: str) -> dict:
+    """[instance] key -> factory parameter, for each key that ``kind`` takes."""
+    params = inspect.signature(_INSTANCES[kind]).parameters
+    return {key: params[name] for key in _SCHEMA["instance"] if (name := _RENAMES.get(key, key)) in params}
+
+
 def load_config(path) -> ExperimentConfig:
     """Read a config file and check it against the schema: unknown sections
-    and keys, unparsable and out-of-range values and missing required keys
-    raise ConfigError; keys with a default that the file leaves out get it."""
+    and keys, unparsable and out-of-range values, keys set where they do
+    not apply and missing required keys raise ConfigError; keys with a
+    default that the file leaves out get it."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -284,52 +304,43 @@ def load_config(path) -> ExperimentConfig:
             data[section][key] = _parse(section, key, raw)
     for section, keys in _SCHEMA.items():
         for key, spec in keys.items():
-            if key in data[section] or spec.default is None:
-                continue
-            if spec.default is REQUIRED:
-                raise ConfigError(f"[{section}] {key} is required")
-            data[section][key] = spec.default
+            if key not in data[section] and spec.default is not None and spec.default is not REQUIRED:
+                data[section][key] = spec.default
+    # set where its condition fails, a key would go unread, so it is an error
+    for section, keys in _SCHEMA.items():
+        for key, spec in keys.items():
+            on = data[spec.when[0]].get(spec.when[1]) if spec.when else None
+            if spec.when and on not in spec.when[2]:
+                if parser.has_option(section, key):
+                    raise ConfigError(f"[{section}] {key} applies only to {spec.scope()}, not {on!r}")
+            elif spec.default is REQUIRED and key not in data[section]:
+                where = f" for {spec.scope()}" if spec.when else ""
+                raise ConfigError(f"[{section}] {key} is required{where}")
+
+    base_dir = path.parent.resolve()
+    instance = data["instance"]
+    takes = _instance_params(kind := instance["kind"])
+    if extra := sorted(set(instance) - {"kind"} - set(takes)):
+        raise ConfigError(f"[instance] keys {extra} do not apply to kind {kind!r}")
+    for key, param in takes.items():
+        if param.default is param.empty and key not in instance:
+            raise ConfigError(f"[instance] {key} is required for [instance] kind = {kind}")
+        if key.endswith("_file") and not (base_dir / instance[key]).is_file():
+            raise ConfigError(f"[instance] {key} does not exist: {base_dir / instance[key]}")
 
     exp = data.pop("experiment")
-    cfg = ExperimentConfig(
+    if exp["kind"] in ("rate", "verify") and data["probe"]["kinds"] != ("ls-eb",):
+        raise ConfigError(f"[probe] kinds must be ls-eb for kind {exp['kind']!r}, which probes only ls-eb")
+    return ExperimentConfig(
         kind=exp["kind"], seed=exp["seed"], replications=exp["replications"],
         out_dir=exp["output_dir"], **data,
-        has_probe_section=parser.has_section("probe"), base_dir=path.parent.resolve(),
+        has_probe_section=parser.has_section("probe"), base_dir=base_dir,
     )
-    # keys no flow of this kind reads are errors, not silently ignored
-    if parser.has_section("verify") and cfg.kind != "verify":
-        raise ConfigError(f"[verify] applies only to kind 'verify', not {cfg.kind!r}")
-    if cfg.kind in ("rate", "verify") and cfg.probe["kinds"] != ("ls-eb",):
-        raise ConfigError(f"[probe] kinds must be ls-eb for kind {cfg.kind!r}, which probes only ls-eb")
-    if cfg.kind in ("verify", "probe-eb"):
-        for section, key in _REPLICATION_KEYS:
-            if parser.has_option(section, key):
-                raise ConfigError(
-                    f"[{section}] {key} does not apply to kind {cfg.kind!r}, which runs no replications"
-                )
-    _validate_instance_keys(cfg)
-    return cfg
-
-
-def _validate_instance_keys(cfg: ExperimentConfig) -> None:
-    kind = cfg.instance["kind"]
-    extra = set(cfg.instance) - {"kind"} - _INSTANCES[kind][1]
-    if extra:
-        raise ConfigError(f"[instance] keys {sorted(extra)} do not apply to kind {kind!r}")
-    if kind == "matrix-file":
-        for need in ("matrix_file", "rhs_file", "blocks", "reg"):
-            if need not in cfg.instance:
-                raise ConfigError(f"[instance] matrix-file needs key {need!r}")
-        for k in ("matrix_file", "rhs_file"):
-            if not (cfg.base_dir / cfg.instance[k]).is_file():
-                raise ConfigError(
-                    f"[instance] {k} does not exist: {cfg.base_dir / cfg.instance[k]}"
-                )
 
 
 def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
     opts = dict(cfg.instance)
-    factory = _INSTANCES[opts.pop("kind")][0]
+    factory = _INSTANCES[opts.pop("kind")]
     try:
         return factory(**{
             _RENAMES.get(k, k): cfg.base_dir / v if k.endswith("_file") else v
@@ -344,18 +355,13 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
     if br["weights"] == "constant":
         q_lo = q_hi = br["q"]
     else:
-        try:
-            q_lo, q_hi = br["q_lo"], br["q_hi"]
-        except KeyError as e:
-            raise ConfigError(f"[bregman] alternating weights need {e.args[0]!r}") from None
+        q_lo, q_hi = br["q_lo"], br["q_hi"]
         if not q_lo <= q_hi:
             raise ConfigError(f"[bregman] alternating weights need q_lo <= q_hi, got {q_lo}, {q_hi}")
 
     cap = step_cap(q_lo, p)
     rule = br["eps_rule"]
     if rule == "constant":
-        if "eps" not in br:
-            raise ConfigError("[bregman] eps_rule=constant needs key 'eps'")
         eps = eps_hi = br["eps"]
     elif rule == "relative":
         if not np.isfinite(cap):
@@ -365,11 +371,8 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
             )
         eps = eps_hi = br["eps_fraction"] * cap
     else:
-        try:
-            eps_lo, eps_hi = br["eps_lo"], br["eps_hi"]
-        except KeyError as e:
-            raise ConfigError(f"[bregman] harmonic-clipped needs {e.args[0]!r}") from None
-        eps = (eps_lo, eps_hi)
+        eps_hi = br["eps_hi"]
+        eps = (br["eps_lo"], eps_hi)
 
     if not eps_hi < cap:
         raise ConfigError(f"[bregman] eps_hi = {eps_hi} must be < min(m/L, m/rho_max) = {cap}")
@@ -566,17 +569,21 @@ def write_replication_outputs(res: ReplicationResult, out_dir) -> None:
 # probe and neighborhood assembly shared by rate / probe-eb / verify
 
 
-def _neighborhood(cfg, p, sched, ref, scout_points):
+def _neighborhood(cfg, p, sched, ref, points=None):
+    """[probe] eta and nu; those left out are sized from ``points``, by
+    default the points of a scout run."""
     eta = cfg.probe.get("eta")
     nu = cfg.probe.get("nu")
     if eta is None or nu is None:
-        auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, scout_points)
+        if points is None:
+            points = _scout(p, sched, cfg)
+        auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, points)
         eta = auto_eta if eta is None else eta
         nu = auto_nu if nu is None else nu
     return float(eta), float(nu)
 
 
-def _scout(p, sched, cfg, ref) -> list:
+def _scout(p, sched, cfg) -> list:
     """A short deterministic trajectory to size the neighborhood."""
     sconf = SolverConfig(
         schedule=sched,
@@ -718,7 +725,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
         rows.append(worst_check("prox-oracle", f"{label}-objective", f_closed - f_grid, 0.0, 1e-8))
 
     # local proximity checks behind a probed constant
-    eta, nu = _neighborhood(cfg, p, sched, ref, _scout(p, sched, cfg, ref))
+    eta, nu = _neighborhood(cfg, p, sched, ref)
     constants, _ = probed_constants(cfg, p, sched, ref, eta, nu, rng)
     f_bar = p.objective(ref.point)
     hyp_pts = hypothesis_points(
@@ -792,13 +799,6 @@ def _certificate_error(p, gen, eps, x) -> float:
 # experiment flows (one per CLI subcommand); each returns a process exit code
 
 
-def _require_kind(cfg: ExperimentConfig, expected: str) -> None:
-    if cfg.kind != expected:
-        raise ConfigError(
-            f"config declares kind={cfg.kind!r} but was run as {expected!r}"
-        )
-
-
 def _ended_below_reference(res: ReplicationResult) -> bool:
     """Print one line naming the first replication whose final F is below
     f_bar - gap_floor(f_bar): the reference is then no lower bound, and no
@@ -813,7 +813,6 @@ def _ended_below_reference(res: ReplicationResult) -> bool:
 
 
 def run_solve(cfg: ExperimentConfig, out_dir) -> int:
-    _require_kind(cfg, "solve")
     res = run_replications(cfg)
     write_replication_outputs(res, out_dir)
     traj = res.trajectories[0]
@@ -837,13 +836,16 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> int:
 def run_rate(cfg: ExperimentConfig, out_dir) -> int:
     """Replicated run + least-squares rate fit; contraction audit when a
     [probe] section supplies the neighborhood inputs."""
-    _require_kind(cfg, "rate")
     res = run_replications(cfg)
     out = Path(out_dir)
     write_replication_outputs(res, out)
     if _ended_below_reference(res):
         return 1
-    report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
+    try:
+        report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
+    except ValueError as e:
+        print(f"rate fit failed: {e}")
+        return 1
     report.label = "to known optimum" if res.reference.source == "known" else "to best-found value"
 
     audit = None
@@ -877,9 +879,8 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
-    _require_kind(cfg, "probe-eb")
     p, sched, ref = _setup(cfg)
-    eta, nu = _neighborhood(cfg, p, sched, ref, _scout(p, sched, cfg, ref))
+    eta, nu = _neighborhood(cfg, p, sched, ref)
     samples = cfg.probe["samples"]
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _PROBE_STREAM)))
     gen0, eps0 = sched.generator(0), sched.step(0)
@@ -910,7 +911,6 @@ def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def run_verify(cfg: ExperimentConfig, out_dir) -> int:
-    _require_kind(cfg, "verify")
     rows = run_verification(cfg)
     out = Path(out_dir)
     write_report_csv(rows, out / "verify_report.csv")
@@ -933,6 +933,8 @@ FLOWS.update({
 def run_experiment(config_path, subcommand: str, seed=None, out_dir=None) -> int:
     """Load a config, apply CLI overrides, and dispatch on the subcommand."""
     cfg = load_config(config_path)
+    if cfg.kind != subcommand:
+        raise ConfigError(f"config declares kind={cfg.kind!r} but was run as {subcommand!r}")
     if seed is not None:
         cfg.seed = _checked("experiment", "seed", seed)
     out = out_dir if out_dir is not None else cfg.base_dir / cfg.out_dir

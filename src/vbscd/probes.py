@@ -5,9 +5,9 @@ All probes sample a level-restricted ball
     B(x_bar; eta, nu) = { x : ||x - x_bar|| <= eta,  F_bar < F(x) < F_bar + nu }
 
 by rejection and report an extremal ratio over the accepted points.  Strict
-level membership is enforced with a floating-point margin of
-1e2 * eps_machine * (1 + |F_bar|): points closer to the reference value than
-that are critical up to precision and excluded, as are ratios whose
+level membership is enforced with the floating-point margin
+:func:`gap_floor`: points closer to the reference value than that are
+critical up to precision and excluded, as are ratios whose
 denominator falls below 1e-12.  Probed constants are empirical estimates;
 consumers are expected to inflate them before use.
 """
@@ -41,8 +41,11 @@ def cross_check(stacked: float, exact: float, what: str) -> None:
         raise OracleMismatch(f"{what}: stacked {stacked!r}, per point {exact!r}")
 
 
-def level_margin(f_bar: float) -> float:
-    return 1e2 * np.finfo(float).eps * (1.0 + abs(f_bar))
+def gap_floor(f_bar: float) -> float:
+    """1e2 * eps_machine * |f_bar| + 1e-14: a value of F within this of
+    f_bar is f_bar up to rounding, so a gap below it is not progress and a
+    point with it is not strictly above the level f_bar."""
+    return 1e2 * np.finfo(float).eps * abs(f_bar) + 1e-14
 
 
 def _rows(fn, X) -> np.ndarray:
@@ -93,7 +96,7 @@ def sample_level_ball(
     """
     x_bar = np.asarray(x_bar, dtype=float)
     f_bar = p.objective(x_bar)
-    lo, hi = f_bar + level_margin(f_bar), f_bar + nu
+    lo, hi = f_bar + gap_floor(f_bar), f_bar + nu
     # filled in order and grown by doubling; never past ``samples`` rows
     pts = np.empty((min(samples, max_draws, 8 * _DRAW_BATCH), x_bar.size))
     vals = np.empty(len(pts))

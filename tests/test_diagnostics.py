@@ -30,6 +30,7 @@ from vbscd.diagnostics import (
 )
 from vbscd.instances import lasso_1d, lasso_random, quad_1d
 from vbscd.model import SquaredL2Penalty
+from vbscd.probes import gap_floor
 
 
 def uniform_sched(n, q, eps):
@@ -250,6 +251,16 @@ def test_fit_window_stops_at_the_noise_floor():
     rep = fit_linear_rate(gaps)
     assert rep.window_stop < 60
     assert rep.factor == pytest.approx(0.5, rel=1e-9)
+
+
+def test_fit_rejects_a_gap_negative_beyond_the_floor():
+    decay = 0.5 ** np.arange(20)
+    with pytest.raises(ValueError, match=r"^mean gap -1e-06 at k=20 is below -gap_floor"):
+        fit_linear_rate(np.append(decay, -1e-6))
+    # a gap only within the floor is rounding: it closes the window, as a zero does
+    rep = fit_linear_rate(np.append(decay, -0.5 * gap_floor(0.0)))
+    assert rep.window_stop == 20
+    assert rep.factor == pytest.approx(0.5, rel=1e-12)
 
 
 def test_fit_rejects_short_and_degenerate_input():

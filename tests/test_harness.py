@@ -138,11 +138,16 @@ def reference_catalog():
 
 
 def documented(spec) -> str:
-    """What configs/reference.cfg says of a key: its values, then its default."""
-    if spec.default is None or spec.default is harness.REQUIRED:
-        return f"{spec.domain()}; {'optional' if spec.default is None else 'required'}"
-    shown = ", ".join(spec.default) if isinstance(spec.default, tuple) else spec.default
-    return f"{spec.domain()}; default {shown}"
+    """What configs/reference.cfg says of a key: its values, its default,
+    then where it applies."""
+    if spec.default is harness.REQUIRED:
+        return f"{spec.domain()}; required" + ("" if spec.when is None else f" for {spec.scope()}")
+    if spec.default is None:
+        text = f"{spec.domain()}; optional"
+    else:
+        shown = ", ".join(spec.default) if isinstance(spec.default, tuple) else spec.default
+        text = f"{spec.domain()}; default {shown}"
+    return text if spec.when is None else f"{text}; applies only to {spec.scope()}"
 
 
 def test_reference_catalog_matches_the_schema():
@@ -178,17 +183,19 @@ def documented_instance_keys():
 
 def test_reference_catalog_gives_each_kinds_factory_defaults():
     entries = documented_instance_keys()
-    for kind, (factory, keys) in harness._INSTANCES.items():
-        if not keys:
+    for kind in harness._INSTANCES:
+        params = harness._instance_params(kind)
+        if not params:
             continue
-        params = inspect.signature(factory).parameters
-        defaults = {key: params[name].default for key in keys
-                    if (name := harness._RENAMES.get(key, key)) in params
-                    and params[name].default is not inspect.Parameter.empty}
+        # a None default passes nothing on: the key is optional, with no value of its own
+        defaults = {key: param.default for key, param in params.items()
+                    if param.default is not inspect.Parameter.empty and param.default is not None}
+        required = [key for key, param in params.items() if param.default is inspect.Parameter.empty]
         shown = {key: harness._parse("instance", key, raw)
-                 for key, raw in re.findall(r"(\w+) \(([^)]*)\)", entries[kind]) if key in keys}
+                 for key, raw in re.findall(r"(\w+) \(([^)]*)\)", entries[kind]) if key in params}
         assert shown == defaults, kind
-        assert all(re.search(rf"\b{key}\b", entries[kind]) for key in keys), kind
+        assert all(re.search(rf"\b{key}\b", entries[kind]) for key in params), kind
+        assert not required or f"{', '.join(required)}: required" in entries[kind], kind
 
 
 @pytest.mark.parametrize("kind, text", [
@@ -197,7 +204,7 @@ def test_reference_catalog_gives_each_kinds_factory_defaults():
     ("probe-eb", with_key(BASE.replace("kind = solve", "kind = probe-eb"), "verify", "points", "5")),
 ])
 def test_verify_section_outside_verify_is_an_error(tmp_path, kind, text):
-    with pytest.raises(ConfigError, match=rf"^\[verify\] applies only to kind 'verify', not '{kind}'"):
+    with pytest.raises(ConfigError, match=rf"^\[verify\] points applies only to \[experiment\] kind = verify, not '{kind}'"):
         load_config(write_cfg(tmp_path, text))
 
 
@@ -207,6 +214,90 @@ def test_probe_kinds_other_than_ls_eb_are_errors_where_only_ls_eb_runs(tmp_path,
     text = with_key(BASE.replace("kind = solve", f"kind = {kind}"), "probe", "kinds", kinds)
     with pytest.raises(ConfigError, match=rf"^\[probe\] kinds must be ls-eb for kind '{kind}'"):
         load_config(write_cfg(tmp_path, text))
+
+
+# ---------------------------------------------------------------------------
+# keys that apply only where another key holds given values, from the schema
+
+MINIMAL = """\
+[experiment]
+kind = solve
+
+[instance]
+kind = lasso-1d
+"""
+
+CONDITIONAL = [(section, key, spec) for section, keys in harness._SCHEMA.items()
+               for key, spec in keys.items() if spec.when is not None]
+
+
+def allowed_value(spec) -> str:
+    """A value the key allows: its default, else 1 for an int and 0.5 for a
+    float (below the step cap of lasso-1d)."""
+    if spec.default is None or spec.default is harness.REQUIRED:
+        return "1" if spec.item is int else "0.5"
+    return ", ".join(spec.default) if isinstance(spec.default, tuple) else str(spec.default)
+
+
+def config_where(section, key, value):
+    """MINIMAL with [section] key = value, plus every key that this requires."""
+    text = with_key(MINIMAL, section, key, value)
+    for s, k, spec in CONDITIONAL:
+        if spec.default is harness.REQUIRED and spec.when[:2] == (section, key) and value in spec.when[2]:
+            text = with_key(text, s, k, allowed_value(spec))
+    return text
+
+
+def condition_cases(holds: bool):
+    """(section, key, condition section, condition key, value) for each
+    value of the condition key that makes the condition hold or fail."""
+    for section, key, spec in CONDITIONAL:
+        on_section, on_key, values = spec.when
+        for value in harness._SCHEMA[on_section][on_key].allowed:
+            if (value in values) == holds:
+                yield pytest.param(section, key, on_section, on_key, value,
+                                   id=f"{section}-{key}-{on_key}={value}")
+
+
+def exit_code_and_stderr(tmp_path, capsys, text, kind):
+    path = write_cfg(tmp_path, text)
+    code = cli_main([kind, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected before any work
+    return code, err.splitlines()
+
+
+@pytest.mark.parametrize("section, key, on_section, on_key, value", condition_cases(holds=False))
+def test_key_set_where_its_condition_fails_exits_two(tmp_path, capsys, section, key, on_section, on_key, value):
+    spec = harness._SCHEMA[section][key]
+    text = with_key(config_where(on_section, on_key, value), section, key, allowed_value(spec))
+    kind = value if (on_section, on_key) == ("experiment", "kind") else "solve"
+    code, err = exit_code_and_stderr(tmp_path, capsys, text, kind)
+    assert code == 2
+    assert err == [f"error: [{section}] {key} applies only to {spec.scope()}, not {value!r}"]
+
+
+@pytest.mark.parametrize("section, key, on_section, on_key, value", condition_cases(holds=True))
+def test_key_set_where_its_condition_holds_loads(tmp_path, section, key, on_section, on_key, value):
+    spec = harness._SCHEMA[section][key]
+    text = with_key(config_where(on_section, on_key, value), section, key, allowed_value(spec))
+    cfg = load_config(write_cfg(tmp_path, text))
+    loaded = cfg.replications if section == "experiment" else getattr(cfg, section)[key]
+    assert loaded == harness._parse(section, key, allowed_value(spec))
+
+
+@pytest.mark.parametrize("section, key, on_section, on_key, value", [
+    case for case in condition_cases(holds=True)
+    if harness._SCHEMA[case.values[0]][case.values[1]].default is harness.REQUIRED
+])
+def test_required_key_left_out_where_its_condition_holds_exits_two(
+        tmp_path, capsys, section, key, on_section, on_key, value):
+    text = "\n".join(line for line in config_where(on_section, on_key, value).splitlines()
+                     if not line.startswith(f"{key} ="))
+    code, err = exit_code_and_stderr(tmp_path, capsys, text, "solve")
+    assert code == 2
+    assert err == [f"error: [{section}] {key} is required for {harness._SCHEMA[section][key].scope()}"]
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +754,30 @@ def test_solve_fails_when_a_replication_ends_below_the_reference(tmp_path, capsy
     first = min(r for r, gap in enumerate(gaps) if gap < -1e-9)
     assert re.fullmatch(rf"replication {first} ended below the reference value: F=\S+ < f_bar=\S+", lines[-1])
     assert len(list(out.glob("traj_*.csv"))) == 20
+
+
+def test_rate_fit_failure_prints_one_line_and_writes_no_report(tmp_path, capsys):
+    # three steps leave a fit window of four points, which once ended the run in a traceback
+    text = (ROOT / "configs" / "quad1d_rate.cfg").read_text().replace("max_iters = 60", "max_iters = 3")
+    out = tmp_path / "out"
+    assert cli_main(["rate", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["rate fit failed: fit window [0, 4) has fewer than 5 points"]
+    assert captured.err == ""
+    assert (out / "mean_gap.csv").is_file() and not (out / "rate_report.csv").exists()
+
+
+@pytest.mark.parametrize("drop, scouts", [(None, 0), ("nu", 1), ("eta", 1)])
+def test_probe_eb_scouts_only_for_a_left_out_eta_or_nu(tmp_path, monkeypatch, capsys, drop, scouts):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args: calls.append(args) or run(*args))
+    text = with_key((ROOT / "configs" / "probe_quad1d.cfg").read_text(), "probe", "samples", "200")
+    if drop is not None:
+        text = text.replace(f"\n{drop} = 1.0\n", "\n")
+    out = tmp_path / "out"
+    assert cli_main(["probe-eb", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    assert len(calls) == scouts
+    capsys.readouterr()
 
 
 def test_run_experiment_solve_writes_outputs(tmp_path):

@@ -32,7 +32,7 @@ from vbscd import (
 from vbscd import diagnostics, probes
 from vbscd.bregman import step_cap
 from vbscd.diagnostics import enumerate_expectation
-from vbscd.probes import level_margin
+from vbscd.probes import gap_floor
 from vbscd.prox import full_prox
 
 REL = 1e-14
@@ -221,7 +221,7 @@ def test_audit_memory_stays_bounded():
 def one_at_a_time(p, x_bar, eta, nu, samples, rng, max_draws):
     """The sampler as one proposal drawn and tested at a time."""
     f_bar = p.objective(x_bar)
-    margin = level_margin(f_bar)
+    margin = gap_floor(f_bar)
     pts, vals, draws = [], [], 0
     while len(pts) < samples and draws < max_draws:
         x = probes.sample_in_ball(x_bar, eta, rng)
