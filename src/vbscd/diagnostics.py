@@ -224,32 +224,23 @@ def in_neighborhood(p, x, x_bar, f_bar, radius, window, fx=None) -> bool:
     return f_bar + gap_floor(f_bar) < fx < f_bar + window
 
 
-@dataclass
-class ProximityReport:
-    hypothesis_met: bool
-    rows: list
-
-
 def check_value_proximity(
-    p: ProblemInstance, gen, eps: float, x, x_bar, constants: ConstantsRecord,
-    slack: float = 1e-9,
-) -> ProximityReport:
-    """Evaluate the five local proximity statements at x.
+    p: ProblemInstance, gen, eps: float, x, x_bar, f_bar: float, constants: ConstantsRecord,
+) -> list[CheckRow]:
+    """Rows of the five local proximity statements at x.
 
     Hypothesis: x in B(x_bar; eta/2, nu/N) for the record's neighborhood;
-    points outside get an empty report with hypothesis_met=False.  All index
-    expectations are exact enumerations.  The distance from {F <= F_bar} is
-    taken to the singleton {x_bar}, exact for strongly convex instances
-    probed at the minimizer.
+    points outside get no rows.  All index expectations are exact
+    enumerations.  The distance from {F <= F_bar} is taken to the singleton
+    {x_bar}, exact for strongly convex instances probed at the minimizer.
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    f_bar = p.objective(x_bar)
-    if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, constants.level_window):
-        return ProximityReport(False, [])
+    fx = p.objective(x)
+    if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, constants.level_window, fx=fx):
+        return []
 
     N = p.n_blocks
-    fx = p.objective(x)
     targets = coordinate_prox_all(p, gen, eps, x)
     t_full = full_prox(p, gen, eps, x)
     mean_f = float(p.objective_rows(targets).mean())
@@ -260,60 +251,39 @@ def check_value_proximity(
     mixed = N * mean_f - (N - 1) * fx
 
     c = constants
-    rows = [
-        make_check("value-proximity", "i-sublevel-vs-step", dist, c.theta1 * step_full, slack),
-        make_check("value-proximity", "ii-mixed-below-envelope", mixed - f_bar, env - f_bar, slack),
-        make_check("value-proximity", "ii-envelope-vs-distance", env - f_bar, c.theta2 * dist**2, slack),
-        make_check("value-proximity", "iii-mixed-vs-steps", mixed - f_bar, N**2 * c.kappa * mean_sq, slack),
-        make_check("value-proximity", "iv-gap-vs-decrease", fx - f_bar, c.b * (fx - mean_f), slack),
-        make_check("value-proximity", "v-one-step-contraction", mean_f - f_bar, c.beta * (fx - f_bar), slack),
-    ]
-    return ProximityReport(True, rows)
-
-
-@dataclass
-class LevelDominanceReport:
-    holds: bool
-    rows: list
+    return [make_check("value-proximity", name, lhs, rhs, 1e-9) for name, lhs, rhs in (
+        ("i-sublevel-vs-step", dist, c.theta1 * step_full),
+        ("ii-mixed-below-envelope", mixed - f_bar, env - f_bar),
+        ("ii-envelope-vs-distance", env - f_bar, c.theta2 * dist**2),
+        ("iii-mixed-vs-steps", mixed - f_bar, N**2 * c.kappa * mean_sq),
+        ("iv-gap-vs-decrease", fx - f_bar, c.b * (fx - mean_f)),
+        ("v-one-step-contraction", mean_f - f_bar, c.beta * (fx - f_bar)),
+    )]
 
 
 def check_level_dominance(
-    p: ProblemInstance, gen, eps: float, x, f_bar: float,
-    constants: ConstantsRecord | None = None, x_bar=None, slack: float = 1e-12,
-) -> LevelDominanceReport:
-    """Does every one-block target keep the objective at or above f_bar?
+    p: ProblemInstance, gen, eps: float, x, x_bar, f_bar: float, constants: ConstantsRecord,
+) -> list[CheckRow]:
+    """Rows of: every one-block target keeps the objective at or above f_bar.
 
-    When it does and the neighborhood hypothesis holds (constants and x_bar
-    supplied, x in B(x_bar; eta/2, nu/N)), the report also carries the
-    consequences: every step fits in eta/2 and every target stays inside
-    B(x_bar; eta, nu/N).
+    That row is checked at every x.  Where it passes and x meets the
+    neighborhood hypothesis (x in B(x_bar; eta/2, nu/N)), three more rows
+    carry its consequences: every step fits in eta/2 and every target stays
+    inside B(x_bar; eta, nu/N).
     """
     x = np.asarray(x, dtype=float)
+    x_bar = np.asarray(x_bar, dtype=float)
     targets = coordinate_prox_all(p, gen, eps, x)
     f_targets = p.objective_rows(targets)
-    worst = f_targets.min()
-    rows = [make_check("level-dominance", "targets-above-reference", f_bar, worst, slack)]
-    holds = rows[0].passed
-    if holds and constants is not None and x_bar is not None:
-        x_bar = np.asarray(x_bar, dtype=float)
-        window = constants.level_window
-        if in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, window):
-            max_step = np.linalg.norm(x - targets, axis=1).max()
-            max_ball = np.linalg.norm(targets - x_bar, axis=1).max()
-            rows.append(
-                make_check("level-dominance", "step-within-half-eta", max_step, constants.eta / 2.0, 1e-9)
-            )
-            rows.append(
-                make_check("level-dominance", "targets-within-ball", max_ball, constants.eta, 1e-9)
-            )
-            rows.append(
-                make_check(
-                    "level-dominance", "targets-within-level",
-                    f_targets.max() - f_bar, window, 1e-9,
-                )
-            )
-            holds = all(r.passed for r in rows)
-    return LevelDominanceReport(holds, rows)
+    rows = [make_check("level-dominance", "targets-above-reference", f_bar, f_targets.min(), 1e-12)]
+    window = constants.level_window
+    if rows[0].passed and in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, window):
+        rows += [make_check("level-dominance", name, lhs, rhs, 1e-9) for name, lhs, rhs in (
+            ("step-within-half-eta", np.linalg.norm(x - targets, axis=1).max(), constants.eta / 2.0),
+            ("targets-within-ball", np.linalg.norm(targets - x_bar, axis=1).max(), constants.eta),
+            ("targets-within-level", f_targets.max() - f_bar, window),
+        )]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +304,7 @@ class ContractionAudit:
 
 def contraction_audit(
     p: ProblemInstance, sched: BregmanSchedule, trajectories, x_bar, f_bar: float,
-    constants: ConstantsRecord, slack: float = 1e-9,
+    constants: ConstantsRecord,
 ) -> ContractionAudit:
     """At every recorded in-neighborhood point, check the exact one-step
     contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar).
@@ -380,7 +350,7 @@ def contraction_audit(
                 lhs = mean_f - f_bar
                 rhs = constants.beta * (fx[idx] - f_bar)
                 checked += len(idx)
-                violations += int(np.count_nonzero(~(lhs <= rhs + slack)))
+                violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
                 margin = rhs - lhs
                 w = int(margin.argmin())
                 if not (np.isnan(worst) or margin[w] >= worst):
@@ -441,7 +411,6 @@ class RateReport:
     r_squared: float
     window_start: int
     window_stop: int  # exclusive
-    mean_gaps: np.ndarray
     label: str = ""
     beta_theory: float | None = None
 
@@ -450,14 +419,14 @@ class RateReport:
         return self.factor < 1.0
 
 
-def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateReport:
+def fit_linear_rate(mean_gaps, f_bar: float = 0.0) -> RateReport:
     """Least-squares fit of log(gap_k) over the usable window.
 
     The window opens at the first index where the gap drops below a tenth of
     the initial gap (falling back to the full sequence when that leaves
-    fewer than ``min_window`` points) and closes just before the gap first
+    fewer than five points) and closes just before the gap first
     sinks under :func:`gap_floor`.  Raises if the window is shorter than
-    ``min_window``, or if that first gap is negative beyond the floor: the
+    five points, or if that first gap is negative beyond the floor: the
     sequence then dips below f_bar, which is no lower bound.
     """
     gaps = np.asarray(mean_gaps, dtype=float)
@@ -471,12 +440,10 @@ def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateR
                          "F fell below f_bar, which is then no lower bound")
     burn = np.nonzero(gaps[:stop] < gaps[0] / 10.0)[0] if gaps.size else np.array([])
     start = int(burn[0]) if burn.size else 0
-    if stop - start < min_window:
+    if stop - start < 5:
         start = 0
-    if stop - start < min_window:
-        raise ValueError(
-            f"fit window [{start}, {stop}) has fewer than {min_window} points"
-        )
+    if stop - start < 5:
+        raise ValueError(f"fit window [{start}, {stop}) has fewer than 5 points")
     k = np.arange(start, stop, dtype=float)
     y = np.log(gaps[start:stop])
     slope, intercept = np.polyfit(k, y, 1)
@@ -489,7 +456,7 @@ def fit_linear_rate(mean_gaps, f_bar: float = 0.0, min_window: int = 5) -> RateR
         r2 = 1.0 - ss_res / ss_tot
     return RateReport(
         factor=float(np.exp(slope)), r_squared=float(r2),
-        window_start=start, window_stop=stop, mean_gaps=gaps,
+        window_start=start, window_stop=stop,
     )
 
 

@@ -54,7 +54,7 @@ from .probes import (
     sample_level_ball,
     write_probe_csv,
 )
-from .prox import coordinate_prox_all, envelope_value, full_prox, scalar_prox
+from .prox import coordinate_prox_all, envelope_value, full_prox, full_prox_rows, scalar_prox
 from .solver import (
     SolverConfig,
     derive_seed,
@@ -86,16 +86,15 @@ class ReplicationError(RuntimeError):
 # config schema
 
 
-def _matrix_file(matrix_file, rhs_file, reg, n_blocks, lam=None, mu=None, gamma=None, a=None):
+def _matrix_file(matrix_file, rhs_file, reg, n_blocks, **params):
     A = np.loadtxt(matrix_file, ndmin=2)
     b = np.loadtxt(rhs_file, ndmin=1)
-    params = {k: v for k, v in dict(lam=lam, mu=mu, gamma=gamma, a=a).items() if v is not None}
     return _inst.matrix_instance(A, b, reg, params, n_blocks)
 
 
 # [instance] kind -> factory; a kind takes the config keys that name its
 # factory's parameters, renamed through _RENAMES, and requires those whose
-# parameter has no default
+# parameter has no default (matrix-file: also those of its reg kind's class)
 _INSTANCES = {
     "lasso-1d": _inst.lasso_1d, "quad-1d": _inst.quad_1d, "quad-l1-1d": _inst.quad_l1_1d,
     "diag-quadratic": _inst.diag_quadratic, "lasso-random": _inst.lasso_random,
@@ -120,9 +119,10 @@ class Key:
     (the key is optional) and REQUIRED makes leaving it out an error.
     ``allowed`` is an interval such as "[1, inf)" or a collection of
     choices, and holds for every element of a list.  Floats must be finite.
-    ``when = (section, key, values)`` limits the key to configs whose
-    [section] key is one of ``values``: set elsewhere it is an error, and a
-    REQUIRED key is required only there.
+    ``when = (section, key, values)`` limits the key to configs where
+    [section] key applies and is one of ``values``, or, for a list,
+    contains one of them: set elsewhere it is an error, and a REQUIRED key
+    is required only there.
     """
 
     type: object
@@ -147,7 +147,21 @@ class Key:
     def scope(self) -> str:
         """Where the key applies, in words, as error messages and configs/reference.cfg give it."""
         section, key, values = self.when
-        return f"[{section}] {key} = {' | '.join(values)}"
+        on = _SCHEMA[section][key]
+        return f"[{section}] {key} {'=' if on.item is on.type else 'includes'} {' | '.join(values)}"
+
+    def unmet(self, data: dict):
+        """The first Key, outermost first, of this one and those its
+        condition rests on, whose ``when`` fails for the loaded sections
+        ``data``; None when the key applies."""
+        if self.when is None:
+            return None
+        section, key, values = self.when
+        if (outer := _SCHEMA[section][key].unmet(data)) is not None:
+            return outer
+        on = data[section].get(key)
+        holds = any(v in values for v in on) if isinstance(on, tuple) else on in values
+        return None if holds else self
 
     def admits(self, value) -> bool:
         """Is ``value`` (one element, for a list) allowed?"""
@@ -163,19 +177,18 @@ class Key:
 _COUNT = Key(int, None, "[1, inf)")
 _SEED = Key(int, None, "[0, 2^64)")
 _NONNEGATIVE = Key(float, None, "[0, inf)")
-_POSITIVE = Key(float, None, "(0, inf)")
 
 # the Key.when of keys that only some runs read
 _REPLICATED = ("experiment", "kind", ("solve", "rate"))
 _PROBED = ("experiment", "kind", ("rate", "verify", "probe-eb"))
-_PROBE_EB = ("experiment", "kind", ("probe-eb",))
+_LT_EB = ("probe", "kinds", ("lt-eb",))
 _ALTERNATING = ("bregman", "weights", ("alternating",))
 _HARMONIC = ("bregman", "eps_rule", ("harmonic-clipped",))
 _ITERATED = ("reference", "source", ("auto", "best-found"))
 
 # section -> key -> Key: the one place a key's type, default, range and
-# scope live.  [solver] tolerance (which verify and probe-eb do not read)
-# and [probe] eta (solve reads it for the near-start stay radius) apply to every kind.
+# scope live.  [solver] tolerance, which verify and probe-eb do not read,
+# applies to every kind.
 _SCHEMA = {
     "experiment": {
         "kind": Key(str, REQUIRED, FLOWS),
@@ -220,8 +233,8 @@ _SCHEMA = {
     # eta, nu, lt_level and lt_radius default to values derived from the run
     "probe": {
         "kinds": Key(tuple[str, ...], ("ls-eb",), ("ls-eb", "kl", "bp-eb", "lt-eb"), _PROBED),
-        "eta": _POSITIVE, "nu": Key(float, None, "(0, inf)", _PROBED),
-        "lt_level": Key(float, None, None, _PROBE_EB), "lt_radius": Key(float, None, "(0, inf)", _PROBE_EB),
+        "eta": Key(float, None, "(0, inf)", _PROBED), "nu": Key(float, None, "(0, inf)", _PROBED),
+        "lt_level": Key(float, None, None, _LT_EB), "lt_radius": Key(float, None, "(0, inf)", _LT_EB),
         "samples": Key(int, 10_000, "[1, inf)", _PROBED),
     },
     "verify": {
@@ -269,9 +282,13 @@ def _parse(section: str, key: str, raw: str):
     return _checked(section, key, value)
 
 
-def _instance_params(kind: str) -> dict:
-    """[instance] key -> factory parameter, for each key that ``kind`` takes."""
-    params = inspect.signature(_INSTANCES[kind]).parameters
+def _instance_params(kind: str, reg: str | None = None) -> dict:
+    """[instance] key -> factory parameter, for each key that ``kind`` takes;
+    a factory with a ``reg`` parameter also takes the parameters of the
+    ``reg`` kind's class."""
+    params = dict(inspect.signature(_INSTANCES[kind]).parameters)
+    if "reg" in params and reg is not None:
+        params.update(inspect.signature(_REG_KINDS[reg]).parameters)
     return {key: params[name] for key in _SCHEMA["instance"] if (name := _RENAMES.get(key, key)) in params}
 
 
@@ -309,24 +326,26 @@ def load_config(path) -> ExperimentConfig:
     # set where its condition fails, a key would go unread, so it is an error
     for section, keys in _SCHEMA.items():
         for key, spec in keys.items():
-            on = data[spec.when[0]].get(spec.when[1]) if spec.when else None
-            if spec.when and on not in spec.when[2]:
+            if (unmet := spec.unmet(data)) is not None:
                 if parser.has_option(section, key):
-                    raise ConfigError(f"[{section}] {key} applies only to {spec.scope()}, not {on!r}")
+                    on = data[unmet.when[0]].get(unmet.when[1])
+                    shown = ", ".join(on) if isinstance(on, tuple) else on
+                    raise ConfigError(f"[{section}] {key} applies only to {unmet.scope()}, not {shown!r}")
             elif spec.default is REQUIRED and key not in data[section]:
                 where = f" for {spec.scope()}" if spec.when else ""
                 raise ConfigError(f"[{section}] {key} is required{where}")
 
     base_dir = path.parent.resolve()
     instance = data["instance"]
-    takes = _instance_params(kind := instance["kind"])
-    if extra := sorted(set(instance) - {"kind"} - set(takes)):
-        raise ConfigError(f"[instance] keys {extra} do not apply to kind {kind!r}")
+    takes = _instance_params(kind := instance["kind"], reg := instance.get("reg"))
+    with_reg = f" with reg {reg!r}" if reg and "reg" in takes else ""
     for key, param in takes.items():
         if param.default is param.empty and key not in instance:
-            raise ConfigError(f"[instance] {key} is required for [instance] kind = {kind}")
+            raise ConfigError(f"[instance] {key} is required for [instance] kind = {kind}{with_reg}")
         if key.endswith("_file") and not (base_dir / instance[key]).is_file():
             raise ConfigError(f"[instance] {key} does not exist: {base_dir / instance[key]}")
+    if extra := sorted(set(instance) - {"kind"} - set(takes)):
+        raise ConfigError(f"[instance] keys {extra} do not apply to kind {kind!r}{with_reg}")
 
     exp = data.pop("experiment")
     if exp["kind"] in ("rate", "verify") and data["probe"]["kinds"] != ("ls-eb",):
@@ -524,7 +543,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
             raise ReplicationError(f"replication {r} failed: {e}") from e
         trajectories.append(traj)
         if x0_mode == "near-start":
-            dmax = max(float(np.linalg.norm(pt - ref.point)) for pt in traj.points)
+            dmax = float(np.linalg.norm(traj.points - ref.point, axis=1).max())
             near_rows.append(NearStartRow(r, dmax, dmax <= stay_radius))
     mean = aggregate_gaps(trajectories, ref.value, seeds)
     return ReplicationResult(
@@ -658,12 +677,17 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     gen0, eps0 = sched.generator(0), sched.step(0)
     L, m, M, N = p.smooth.lipschitz, sched.m, sched.M, p.n_blocks
 
-    # smooth term: descent lemma and finite-difference gradient
-    descent = [
-        p.smooth.value(y) - p.smooth.value(x) - float(p.smooth.grad(x) @ d) for x, y, d in zip(X, Y, D)
-    ]
+    # smooth term: descent lemma, and central differences of f along each
+    # coordinate against the gradient, relative to 1 + max |grad|, from one
+    # (n, n) perturbation stack x +- h I per point
+    f = p.smooth
+    descent = f.value_rows(Y) - f.value_rows(X) - np.sum(f.grad_rows(X) * D, axis=1)
     rows.append(worst_check("smooth", "descent-lemma", descent, 0.5 * L * d2, 1e-9))
-    rows.append(worst_check("smooth", "gradient-fd", [_fd_gradient_error(p, x) for x in X[:25]], 0.0, 1e-5))
+    G = f.grad_rows(X[:25])
+    hI = 1e-6 * np.eye(p.n)
+    fd = np.array([(f.value_rows(x + hI) - f.value_rows(x - hI)) / 2e-6 for x in X[:25]])
+    fd_err = np.max(np.abs(fd - G), axis=1) / (1.0 + np.max(np.abs(G), axis=1))
+    rows.append(worst_check("smooth", "gradient-fd", fd_err, 0.0, 1e-5))
 
     # penalties: midpoint semi-convexity and subdifferential soundness
     h = 1e-6
@@ -687,10 +711,15 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
         "kernel", "sandwich", -np.minimum(bregman - 0.5 * m * d2, 0.5 * M * d2 - bregman), 0.0, 1e-12,
     ))
 
-    # prox layer: optimality certificate, identities, decrease, envelope
-    rows.append(worst_check(
-        "prox", "optimality-certificate", [_certificate_error(p, gen0, eps0, x) for x in X[:200]], 0.0, 1e-8,
-    ))
+    # prox layer: optimality certificate (the max-norm distance from 0 to
+    # grad f(x) + dG(y) + (q/eps)(y - x) at y = T(x), 0 for an exact prox),
+    # identities, decrease, envelope
+    Xc = X[:200]
+    Yc = full_prox_rows(p, gen0, eps0, Xc)
+    r = f.grad_rows(Xc) + (gen0.weights / eps0) * (Yc - Xc)
+    lo, hi = p.penalty_subdiff(Yc)
+    rows.append(worst_check("prox", "optimality-certificate", np.max(np.abs(r + np.clip(-r, lo, hi)), axis=1),
+                            0.0, 1e-8))
     identities = ("mean-point", "penalty-mixing", "squared-step")
     a = sufficient_decrease(m, sched.eps_hi, L)
     per_point = np.empty((n_points, 9))
@@ -734,12 +763,9 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     )
     prox_rows, dom_rows = [], []
     for x in hyp_pts:
-        report = check_value_proximity(p, gen0, eps0, x, ref.point, constants)
-        if report.hypothesis_met:
-            prox_rows.append(report.rows)
-            dom_rows += check_level_dominance(
-                p, gen0, eps0, x, f_bar, constants=constants, x_bar=ref.point
-            ).rows
+        if found := check_value_proximity(p, gen0, eps0, x, ref.point, f_bar, constants):
+            prox_rows.append(found)
+            dom_rows += check_level_dominance(p, gen0, eps0, x, ref.point, f_bar, constants)
     if not prox_rows:
         rows.append(make_check("value-proximity", "hypothesis-met", 1.0, 0.0, 0.0))
     else:
@@ -771,28 +797,6 @@ def _oracle_regs(p: ProblemInstance):
         if reg.kind not in kinds:
             out.append((reg.kind, reg))
     return sorted(out, key=lambda item: item[0])
-
-
-def _fd_gradient_error(p, x, h: float = 1e-6) -> float:
-    """Largest central-difference error of the smooth gradient at x,
-    relative to 1 + max |grad|."""
-    g = p.smooth.grad(x)
-    fd = np.empty_like(g)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        fd[j] = (p.smooth.value(x + e) - p.smooth.value(x - e)) / (2 * h)
-    return float(np.max(np.abs(fd - g))) / (1.0 + float(np.max(np.abs(g))))
-
-
-def _certificate_error(p, gen, eps, x) -> float:
-    """Max-norm distance from 0 to grad f(x) + dG(y) + (q/eps)(y - x) at
-    y = T(x), which is 0 for an exact prox."""
-    g = p.smooth.grad(x)
-    y = full_prox(p, gen, eps, x, grad=g)
-    r = g + (gen.weights / eps) * (y - x)
-    lo, hi = p.penalty_subdiff(y)
-    return float(np.max(np.abs(r + np.clip(-r, lo, hi))))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,6 @@ class SmoothTerm:
     squares and logistic keep A x, so a step costs O(rows * block width).
     """
 
-    kind = "custom"
     lipschitz: float
 
     def value(self, x: np.ndarray) -> float:
@@ -152,8 +151,6 @@ class QuadraticLeastSquares(SmoothTerm):
 
     The solver state is the residual r = A x - b.
     """
-
-    kind = "quadratic-least-squares"
 
     def __init__(self, A, b):
         A = np.asarray(A, dtype=float)
@@ -201,8 +198,6 @@ class LogisticLoss(SmoothTerm):
     margins are y * z).
     """
 
-    kind = "logistic"
-
     def __init__(self, A, y):
         A = np.asarray(A, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -245,8 +240,6 @@ class LogisticLoss(SmoothTerm):
 
 class CustomSmooth(SmoothTerm):
     """Wrap user callables; the caller vouches for the Lipschitz constant."""
-
-    kind = "custom"
 
     def __init__(self, value_fn: Callable, grad_fn: Callable, lipschitz: float, n: int):
         if lipschitz < 0:

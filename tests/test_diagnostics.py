@@ -144,19 +144,18 @@ def test_value_proximity_gates_on_hypothesis():
     p = quad_1d(0.0)
     gen = BregmanGenerator.uniform(1, 1.0)
     c = scalar_constants()
-    far = check_value_proximity(p, gen, 0.5, np.array([5.0]), np.zeros(1), c)
-    assert not far.hypothesis_met and far.rows == []
+    far = check_value_proximity(p, gen, 0.5, np.array([5.0]), np.zeros(1), 0.0, c)
+    assert far == []
 
 
 def test_value_proximity_rows_hold_on_scalar_quadratic():
     p = quad_1d(0.0)
     gen = BregmanGenerator.uniform(1, 1.0)
     c = scalar_constants()
-    rep = check_value_proximity(p, gen, 0.5, np.array([0.3]), np.zeros(1), c)
-    assert rep.hypothesis_met
-    assert len(rep.rows) == 6
-    assert all(r.passed for r in rep.rows)
-    by_name = {r.name: r for r in rep.rows}
+    rows = check_value_proximity(p, gen, 0.5, np.array([0.3]), np.zeros(1), 0.0, c)
+    assert len(rows) == 6
+    assert all(r.passed for r in rows)
+    by_name = {r.name: r for r in rows}
     # dist to the solution set is |x| = 0.3; theta1 * |T(x) - x| = 4 * 0.15
     r = by_name["i-sublevel-vs-step"]
     assert r.lhs == pytest.approx(0.3) and r.rhs == pytest.approx(0.6)
@@ -170,13 +169,11 @@ def test_level_dominance_flips_with_reference_level():
     gen = BregmanGenerator.uniform(1, 1.0)
     c = scalar_constants()
     x = np.array([0.3])
-    ok = check_level_dominance(p, gen, 0.5, x, f_bar=0.0, constants=c,
-                               x_bar=np.zeros(1))
-    assert ok.holds and all(r.passed for r in ok.rows)
+    ok = check_level_dominance(p, gen, 0.5, x, np.zeros(1), 0.0, c)
+    assert len(ok) == 4 and all(r.passed for r in ok)
     # raise the "reference level" above F(T(x)) = 0.01125 and it must fail
-    bad = check_level_dominance(p, gen, 0.5, x, f_bar=0.05, constants=c,
-                                x_bar=np.zeros(1))
-    assert not bad.holds
+    bad = check_level_dominance(p, gen, 0.5, x, np.zeros(1), 0.05, c)
+    assert not all(r.passed for r in bad)
 
 
 # ---------------------------------------------------------------------------

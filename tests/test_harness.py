@@ -167,11 +167,12 @@ def test_every_shipped_config_loads(path):
 
 
 def documented_instance_keys():
-    """[instance] kind -> its entry in the per-kind key list of
+    """[instance] kind (or "reg = <kind>" for the penalty keys of a
+    matrix-file instance) -> its entry in the per-kind key list of
     configs/reference.cfg, continuation lines joined."""
     entries, kind = {}, None
     for line in (ROOT / "configs" / "reference.cfg").read_text().splitlines():
-        if m := re.match(r"#   ([\w-]+):\s+(.*)$", line):
+        if m := re.match(r"#   ((?:reg = )?[\w-]+):\s+(.*)$", line):
             kind = m.group(1)
             entries[kind] = m.group(2)
         elif kind and (m := re.match(r"#\s{10,}(\S.*)$", line)):
@@ -183,8 +184,13 @@ def documented_instance_keys():
 
 def test_reference_catalog_gives_each_kinds_factory_defaults():
     entries = documented_instance_keys()
-    for kind in harness._INSTANCES:
-        params = harness._instance_params(kind)
+    cases = [(kind, harness._instance_params(kind)) for kind in harness._INSTANCES]
+    # a matrix-file instance also takes the parameters of its reg kind's class
+    base = harness._instance_params("matrix-file")
+    for reg in harness._REG_KINDS:
+        params = harness._instance_params("matrix-file", reg)
+        cases.append((f"reg = {reg}", {key: param for key, param in params.items() if key not in base}))
+    for kind, params in cases:
         if not params:
             continue
         # a None default passes nothing on: the key is optional, with no value of its own
@@ -239,24 +245,61 @@ def allowed_value(spec) -> str:
     return ", ".join(spec.default) if isinstance(spec.default, tuple) else str(spec.default)
 
 
+def kind_where(section, key, value) -> str:
+    """The [experiment] kind of config_where(section, key, value): a
+    [probe] condition runs as probe-eb, which reads every [probe] key."""
+    if (section, key) == ("experiment", "kind"):
+        return value
+    return "probe-eb" if section == "probe" else "solve"
+
+
 def config_where(section, key, value):
     """MINIMAL with [section] key = value, plus every key that this requires."""
-    text = with_key(MINIMAL, section, key, value)
+    text = with_key(MINIMAL.replace("kind = solve", f"kind = {kind_where(section, key, value)}"),
+                    section, key, value)
     for s, k, spec in CONDITIONAL:
         if spec.default is harness.REQUIRED and spec.when[:2] == (section, key) and value in spec.when[2]:
             text = with_key(text, s, k, allowed_value(spec))
     return text
 
 
+def holds_for(values, value) -> bool:
+    """Does a condition on ``values`` hold for ``value`` (a list: one of its items)?"""
+    return any(v in values for v in value) if isinstance(value, tuple) else value in values
+
+
 def condition_cases(holds: bool):
     """(section, key, condition section, condition key, value) for each
-    value of the condition key that makes the condition hold or fail."""
+    value of the condition key that makes the condition hold or fail.  A
+    key also fails for each value of an outer condition key (one the
+    condition key rests on) where that outer condition fails, or holds with
+    the condition key left at a default that fails."""
     for section, key, spec in CONDITIONAL:
         on_section, on_key, values = spec.when
         for value in harness._SCHEMA[on_section][on_key].allowed:
             if (value in values) == holds:
                 yield pytest.param(section, key, on_section, on_key, value,
                                    id=f"{section}-{key}-{on_key}={value}")
+        on = harness._SCHEMA[on_section][on_key]
+        if on.when is not None and not holds:
+            outer_section, outer_key, outer_values = on.when
+            for value in harness._SCHEMA[outer_section][outer_key].allowed:
+                if value not in outer_values or not holds_for(values, on.default):
+                    yield pytest.param(section, key, outer_section, outer_key, value,
+                                       id=f"{section}-{key}-{outer_key}={value}")
+
+
+def unmet_condition(section, key, on_section, on_key, value):
+    """(scope, shown value) of the first condition, outermost first, that
+    fails for [section] key where [on_section] on_key = value."""
+    spec = harness._SCHEMA[section][key]
+    if spec.when[:2] != (on_section, on_key):  # an outer case
+        on = harness._SCHEMA[spec.when[0]][spec.when[1]]
+        if value not in on.when[2]:
+            return on.scope(), value
+        default = on.default
+        return spec.scope(), ", ".join(default) if isinstance(default, tuple) else default
+    return spec.scope(), value
 
 
 def exit_code_and_stderr(tmp_path, capsys, text, kind):
@@ -272,10 +315,10 @@ def exit_code_and_stderr(tmp_path, capsys, text, kind):
 def test_key_set_where_its_condition_fails_exits_two(tmp_path, capsys, section, key, on_section, on_key, value):
     spec = harness._SCHEMA[section][key]
     text = with_key(config_where(on_section, on_key, value), section, key, allowed_value(spec))
-    kind = value if (on_section, on_key) == ("experiment", "kind") else "solve"
-    code, err = exit_code_and_stderr(tmp_path, capsys, text, kind)
+    code, err = exit_code_and_stderr(tmp_path, capsys, text, kind_where(on_section, on_key, value))
     assert code == 2
-    assert err == [f"error: [{section}] {key} applies only to {spec.scope()}, not {value!r}"]
+    scope, shown = unmet_condition(section, key, on_section, on_key, value)
+    assert err == [f"error: [{section}] {key} applies only to {scope}, not {shown!r}"]
 
 
 @pytest.mark.parametrize("section, key, on_section, on_key, value", condition_cases(holds=True))
@@ -295,7 +338,7 @@ def test_required_key_left_out_where_its_condition_holds_exits_two(
         tmp_path, capsys, section, key, on_section, on_key, value):
     text = "\n".join(line for line in config_where(on_section, on_key, value).splitlines()
                      if not line.startswith(f"{key} ="))
-    code, err = exit_code_and_stderr(tmp_path, capsys, text, "solve")
+    code, err = exit_code_and_stderr(tmp_path, capsys, text, kind_where(on_section, on_key, value))
     assert code == 2
     assert err == [f"error: [{section}] {key} is required for {harness._SCHEMA[section][key].scope()}"]
 
@@ -334,10 +377,13 @@ def test_matrix_file_config_solves(tmp_path, capsys):
     lambda text: text.replace("reg = l1\n", ""),
     lambda text: text.replace("rhs_file = b.txt", "rhs_file = missing.txt"),
     lambda text: text.replace("lam = 0.1", "lam = 0.1\nmu = 0.2"),
-], ids=["no-reg", "missing-rhs-file", "stray-mu"])
+    lambda text: text.replace("lam = 0.1\n", ""),
+], ids=["no-reg", "missing-rhs-file", "stray-mu", "no-lam"])
 def test_bad_matrix_file_config_exits_two(tmp_path, capsys, edit):
     _matrix_files(tmp_path)
     path = write_cfg(tmp_path, edit(MATRIX_FILE))
+    with pytest.raises(ConfigError, match=r"^\[instance\] "):
+        load_config(path)  # the schema rejects it, before any instance is built
     assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -843,9 +889,33 @@ def test_verify_checks_every_distinct_penalty(tmp_path, monkeypatch):
     assert all(r.passed for r in rows.values())
 
 
+def fd_gradient_error(p, x, h=1e-6):
+    """Largest central-difference error of the smooth gradient at x, relative
+    to 1 + max |grad|, one coordinate and two f calls at a time."""
+    g = p.smooth.grad(x)
+    fd = np.empty_like(g)
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        fd[j] = (p.smooth.value(x + e) - p.smooth.value(x - e)) / (2 * h)
+    return float(np.max(np.abs(fd - g))) / (1.0 + float(np.max(np.abs(g))))
+
+
+def certificate_error(p, gen, eps, x):
+    """Max-norm distance from 0 to grad f(x) + dG(y) + (q/eps)(y - x) at
+    y = T(x), one point at a time."""
+    g = p.smooth.grad(x)
+    y = harness.full_prox(p, gen, eps, x, grad=g)
+    r = g + (gen.weights / eps) * (y - x)
+    lo, hi = p.penalty_subdiff(y)
+    return float(np.max(np.abs(r + np.clip(-r, lo, hi))))
+
+
 def test_verify_groups_equal_their_per_point_loops(tmp_path, monkeypatch):
     # the penalty and kernel groups do each point's arithmetic elementwise,
-    # so their arrays hold the per-point loop's bits
+    # so their arrays hold the per-point loop's bits; the smooth and
+    # certificate groups go through matrix products on the point stack, so
+    # they agree with the loop to rounding
     groups, worst_check = {}, harness.worst_check
 
     def spy(check, name, lhs, rhs, tol):
@@ -865,6 +935,18 @@ def test_verify_groups_equal_their_per_point_loops(tmp_path, monkeypatch):
         d2, D = float(np.sum((y - x) ** 2)), 0.5 * float(np.sum(w * (y - x) ** 2))
         sandwich.append(-min(D - 0.5 * m * d2, 0.5 * M * d2 - D))
     assert np.array_equal(groups["sandwich"][0], sandwich)
+    f, gen, eps = p.smooth, sched.generator(0), sched.step(0)
+    descent = np.array([f.value(y) - f.value(x) - float(f.grad(x) @ (y - x)) for x, y in zip(pts, pts[1:] + pts[:1])])
+    lhs = groups["descent-lemma"][0]
+    assert np.all(np.abs(lhs - descent) <= 1e-12 * (1.0 + np.abs(lhs)))
+    # central differences at h = 1e-6 round to about eps |f| / h; the two
+    # forms of f differ there, and by much less elsewhere
+    fd = [fd_gradient_error(p, x) for x in pts[:25]]
+    assert len(groups["gradient-fd"][0]) == 25
+    assert np.all(np.abs(groups["gradient-fd"][0] - fd) <= 1e-8)
+    cert = [certificate_error(p, gen, eps, x) for x in pts[:200]]
+    assert len(groups["optimality-certificate"][0]) == len(pts)
+    assert np.all(np.abs(groups["optimality-certificate"][0] - cert) <= 1e-14)
     for label, reg in harness._distinct_penalties(p):
         ts = rng.standard_normal(2 * len(pts)) * 2.0
         h = lambda u: float(reg.value(u)) + 0.5 * reg.rho * u * u
@@ -883,6 +965,18 @@ class _NanBeyondL1(L1Penalty):
 
     def psi(self, u):
         return np.where(u > 3.0, np.nan, super().psi(u))
+
+
+def test_verify_report_is_byte_identical_across_runs(tmp_path, capsys):
+    # the smooth and certificate groups go through BLAS matrix products on
+    # stacks of points; two runs at one seed still write the same bytes
+    path = write_cfg(tmp_path, VERIFY_TWO_WEIGHTS)
+    for run_dir in ("a", "b"):
+        assert cli_main(["verify", "--config", str(path), "--seed", "5", "--out", str(tmp_path / run_dir)]) == 0
+    first = (tmp_path / "a" / "verify_report.csv").read_bytes()
+    assert first == (tmp_path / "b" / "verify_report.csv").read_bytes()
+    assert b"gradient-fd" in first and b"optimality-certificate" in first
+    capsys.readouterr()
 
 
 def test_verify_fails_a_group_with_a_nan_after_its_first_point(tmp_path, monkeypatch):
