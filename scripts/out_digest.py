@@ -2,11 +2,14 @@
 """Digest of every shipped config's outputs, for byte-identity checks.
 
     python3 scripts/out_digest.py > digest.txt
+    python3 scripts/out_digest.py --keep OUT > digest.txt   # also keep the files
 
 Runs each ``configs/*.cfg`` and ``perfbench/configs/*.cfg`` through the CLI
-at ``--seed 7``, one fresh process per config, into a temporary directory,
-and prints per config its exit code, its stdout lines (with the temporary
-directory replaced by ``<tmp>``), its stderr lines, and one
+at ``--seed 7``, one fresh process per config, into a temporary directory
+(or into ``--keep OUT``, which must be new or empty: one subdirectory per
+config, for ``scripts/out_drift.py`` to compare), and prints per config
+its exit code, its stdout lines (with the output directory replaced by
+``<tmp>``), its stderr lines, and one
 ``sha256  config/file`` line per output file.  Two trees give the same
 digest exactly when every config exits alike, prints alike, warns alike and
 writes the same bytes, so a refactor that must not change outputs is
@@ -14,7 +17,9 @@ checked with one ``diff``.
 """
 from __future__ import annotations
 
+import argparse
 import configparser
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -32,10 +37,20 @@ def _kind(cfg: Path) -> str:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="OUT", type=Path,
+                        help="write the output trees here and keep them")
+    args = parser.parse_args()
+    if args.keep is not None:
+        args.keep = args.keep.resolve()
+        if args.keep.exists() and any(args.keep.iterdir()):
+            parser.error(f"--keep {args.keep} is not empty")
+        args.keep.mkdir(parents=True, exist_ok=True)
     configs = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    with tempfile.TemporaryDirectory() as tmp:
+    kept = contextlib.nullcontext(str(args.keep)) if args.keep else tempfile.TemporaryDirectory()
+    with kept as tmp:
         for cfg in configs:
             label = cfg.relative_to(ROOT).as_posix()
             out = Path(tmp) / label

@@ -40,7 +40,6 @@ from .model import (
 )
 from .probes import (
     EmptyNeighborhoodError,
-    OracleMismatch,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,
@@ -57,12 +56,14 @@ from .prox import (
     scalar_prox,
 )
 from .solver import (
+    OracleMismatch,
     SolverAbort,
     SolverConfig,
     Trajectory,
     derive_seed,
     near_start_point,
     run,
+    run_lockstep,
     sample_in_ball,
     write_trajectory_csv,
 )

@@ -16,7 +16,7 @@ Over many points the expectation is evaluated on stacks
 prox give the targets of every point, and one ``objective_rows`` call
 their values.  Per-point enumeration (:func:`enumerate_expectation`) stays
 the oracle: the contraction audit recomputes a few of its points by
-enumeration on every run and raises :class:`~vbscd.probes.OracleMismatch`
+enumeration on every run and raises :class:`~vbscd.solver.OracleMismatch`
 when the two disagree.
 """
 from __future__ import annotations
@@ -315,7 +315,7 @@ def contraction_audit(
     :func:`stacked_expectation`.  Enumeration is the oracle: the first and
     last checked point of every group and the worst-margin point are
     recomputed with :func:`enumerate_expectation`, and a disagreement beyond
-    1e-12 (1 + |F|) raises :class:`~vbscd.probes.OracleMismatch`.  As in
+    1e-12 (1 + |F|) raises :class:`~vbscd.solver.OracleMismatch`.  As in
     :func:`worst_check`, a NaN margin is a violation and the worst point,
     so it reaches the oracle, where it cannot agree.
     """

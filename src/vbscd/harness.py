@@ -56,10 +56,13 @@ from .probes import (
 )
 from .prox import coordinate_prox_all, envelope_value, full_prox, full_prox_rows, scalar_prox
 from .solver import (
+    SolverAbort,
     SolverConfig,
     derive_seed,
+    match_oracle,
     near_start_point,
     run,
+    run_lockstep,
     sample_in_ball,
     write_trajectory_csv,
 )
@@ -521,28 +524,35 @@ def _setup(cfg: ExperimentConfig):
 def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
     """Run R seeded trajectories of the configured experiment.
 
-    Replication r uses the derived stream seed_r = seed XOR (r * golden);
-    any aborted replication fails the whole experiment with its id.
+    Replication r uses the derived stream seed_r = seed XOR (r * golden).
+    Replication 0 runs through :func:`run`; with R > 1, replications
+    1..R-1 run in lockstep beside a shadow row of replication 0, which
+    :func:`match_oracle` holds to replication 0's trajectory.  An aborted
+    replication fails the whole experiment with the lowest such id.
     """
     p, sched, ref = _setup(cfg)
     x0_mode = cfg.solver["x0"]
     radius = cfg.solver["near_start_radius"]
     stay_radius = cfg.probe.get("eta", 4.0 * radius) / 2.0
 
-    trajectories, seeds, near_rows = [], [], []
-    for r in range(cfg.replications):
-        seed_r = derive_seed(cfg.seed, r)
-        seeds.append(seed_r)
-        x0 = None
-        if x0_mode == "near-start":
-            x0 = near_start_point(ref.point, radius, seed_r)
-        sconf = build_solver_config(cfg, sched, seed_r)
-        try:
-            traj = run(p, sconf, x0)
-        except Exception as e:
-            raise ReplicationError(f"replication {r} failed: {e}") from e
-        trajectories.append(traj)
-        if x0_mode == "near-start":
+    seeds = [derive_seed(cfg.seed, r) for r in range(cfg.replications)]
+    x0s = [near_start_point(ref.point, radius, s) if x0_mode == "near-start" else None
+           for s in seeds]
+    confs = [build_solver_config(cfg, sched, s) for s in seeds]
+    try:
+        trajectories = [run(p, confs[0], x0s[0])]
+    except Exception as e:
+        raise ReplicationError(f"replication 0 failed: {e}") from e
+    if cfg.replications > 1:
+        rows = run_lockstep(p, confs, x0s)
+        match_oracle(trajectories[0], rows[0], confs[0].tolerance)
+        for r, traj in enumerate(rows[1:], 1):
+            if isinstance(traj, SolverAbort):
+                raise ReplicationError(f"replication {r} failed: {traj}") from traj
+        trajectories += rows[1:]
+    near_rows = []
+    if x0_mode == "near-start":
+        for r, traj in enumerate(trajectories):
             dmax = float(np.linalg.norm(traj.points - ref.point, axis=1).max())
             near_rows.append(NearStartRow(r, dmax, dmax <= stay_radius))
     mean = aggregate_gaps(trajectories, ref.value, seeds)

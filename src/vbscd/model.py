@@ -13,8 +13,8 @@ box and the full prox cost one numpy call per group.  ``objective_rows(X)``
 evaluates F on each row of a stack of points (the N one-block targets, a grid).
 
 Smooth terms also expose a state protocol (``state``, ``state_value``,
-``block_grad``, ``move``; see :class:`SmoothTerm`) through which the solver
-follows f one block at a time.
+``block_grad``, ``move``, and their row forms; see :class:`SmoothTerm`)
+through which the solver follows f one block at a time.
 """
 from __future__ import annotations
 
@@ -114,6 +114,14 @@ class SmoothTerm:
     ``sl`` of x went from ``old`` to ``new``.  The defaults keep a copy of x
     and call value/grad on it, which is the exact full-vector path; least
     squares and logistic keep A x, so a step costs O(rows * block width).
+
+    The row forms serve the lockstep solver, which advances a (k, n) stack
+    of points at once: ``state_rows(X)`` and ``state_value_rows(S)`` act on
+    the rows of X and of the state stack S; ``block_grad_rows(S, rows,
+    cols)`` and ``move_rows(S, rows, cols, old, new)`` take for each j the
+    state S[rows[j]] and the coordinates cols[j] (a (k, b) index array) and
+    do what ``block_grad`` and ``move`` do on that one state.  The defaults
+    loop over the one-state methods; least squares and logistic vectorize.
     """
 
     lipschitz: float
@@ -144,6 +152,20 @@ class SmoothTerm:
 
     def move(self, s: np.ndarray, sl: slice, old: np.ndarray, new: np.ndarray) -> None:
         s[sl] = new
+
+    def state_rows(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.state(x) for x in X], dtype=float)
+
+    def state_value_rows(self, S: np.ndarray) -> np.ndarray:
+        return np.array([self.state_value(s) for s in S], dtype=float)
+
+    def block_grad_rows(self, S: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.array([self.block_grad(S[r], c) for r, c in zip(rows, cols)], dtype=float)
+
+    def move_rows(self, S: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  old: np.ndarray, new: np.ndarray) -> None:
+        for r, c, o, v in zip(rows, cols, old, new):
+            self.move(S[r], c, o, v)
 
 
 class QuadraticLeastSquares(SmoothTerm):
@@ -189,6 +211,19 @@ class QuadraticLeastSquares(SmoothTerm):
 
     def move(self, s, sl, old, new):
         s += self.A[:, sl] @ (new - old)
+
+    def state_rows(self, X):
+        return X @ self.A.T - self.b
+
+    def state_value_rows(self, S):
+        return 0.5 * np.sum(S * S, axis=1)
+
+    def block_grad_rows(self, S, rows, cols):
+        # A.T[cols] is (k, b, m): the columns of A in each row's block
+        return np.einsum("kbm,km->kb", self.A.T[cols], S[rows])
+
+    def move_rows(self, S, rows, cols, old, new):
+        S[rows] += np.einsum("kbm,kb->km", self.A.T[cols], new - old)
 
 
 class LogisticLoss(SmoothTerm):
@@ -236,6 +271,18 @@ class LogisticLoss(SmoothTerm):
 
     def move(self, s, sl, old, new):
         s += self.A[:, sl] @ (new - old)
+
+    def state_rows(self, X):
+        return X @ self.A.T
+
+    def state_value_rows(self, S):
+        return np.sum(np.logaddexp(0.0, -(self.y * S)), axis=1)
+
+    def block_grad_rows(self, S, rows, cols):
+        sig = 0.5 * (1.0 - np.tanh(0.5 * (self.y * S[rows])))
+        return -np.einsum("kbm,km->kb", self.A.T[cols], self.y * sig)
+
+    move_rows = QuadraticLeastSquares.move_rows
 
 
 class CustomSmooth(SmoothTerm):

@@ -21,7 +21,7 @@ from .bregman import BregmanGenerator
 from .csvout import fmt, write_csv
 from .model import ProblemInstance, row_chunks
 from .prox import full_prox, full_prox_rows
-from .solver import sample_in_ball
+from .solver import OracleMismatch, sample_in_ball
 
 DENOM_CUTOFF = 1e-12
 _DRAW_BATCH = 256  # proposals tested per objective_rows call
@@ -29,10 +29,6 @@ _DRAW_BATCH = 256  # proposals tested per objective_rows call
 
 class EmptyNeighborhoodError(RuntimeError):
     """No sample satisfied the neighborhood conditions within the draw budget."""
-
-
-class OracleMismatch(RuntimeError):
-    """A stacked evaluation disagrees with its per-point oracle."""
 
 
 def cross_check(stacked: float, exact: float, what: str) -> None:

@@ -45,13 +45,14 @@ def _prep(p: ProblemInstance, gen: BregmanGenerator, eps: float, x, ndim: int = 
     return x
 
 
-def _block_target(p, gen, eps, x, grad_i, i, sl) -> np.ndarray:
-    """New values for block i, whose coordinates are ``sl`` (other
-    coordinates stay put), from block i's part ``grad_i`` of grad f(x)."""
-    q = gen.weights[sl]
+def block_target(reg: Regularizer, q, eps: float, x_block, grad_block) -> np.ndarray:
+    """New values of a block under penalty ``reg``, from its current values
+    ``x_block``, its part ``grad_block`` of grad f and its kernel weights
+    ``q``; equally (k, b) arrays holding k blocks of width b that share
+    ``reg``, row j of the result then being what row j alone gives."""
     w = q / eps
-    v = x[sl] - (eps / q) * grad_i
-    return scalar_prox(p.regularizers[i], w, v)
+    v = x_block - (eps / q) * grad_block
+    return scalar_prox(reg, w, v)
 
 
 def _full_target(p, gen, eps, x, grad) -> np.ndarray:
@@ -86,7 +87,7 @@ def coordinate_prox(p, gen, eps, x, i: int, *, block_grad=None) -> np.ndarray:
     sl = p.partition.block_slice(i)
     g = p.smooth.grad(x)[sl] if block_grad is None else block_grad
     y = x.copy()
-    y[sl] = _block_target(p, gen, eps, x, g, i, sl)
+    y[sl] = block_target(p.regularizers[i], gen.weights[sl], eps, x[sl], g)
     return y
 
 

@@ -11,9 +11,17 @@ the state is rebuilt exactly at every check period, so rounding drift does
 not accumulate past one period.  A step that breaks the sufficient decrease
 the schedule guarantees raises :class:`SolverAbort`.  Termination is by a
 periodic full-map residual check or an iteration cap.
+
+:func:`run_lockstep` advances R such runs together, one k at a time, as
+(R, n) stacks: per k one gathered block gradient, one prox call per (penalty
+group, block width) and one update of the per-block penalty totals of the
+moved blocks.  Each row draws the same blocks as :func:`run` at its seed, and
+its values agree with :func:`run` up to rounding; :func:`match_oracle` holds
+one such row to :func:`run`'s trajectory.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +29,26 @@ import numpy as np
 from .bregman import BregmanSchedule, sufficient_decrease, validate_schedule
 from .csvout import fmt, write_csv
 from .model import ProblemInstance
-from .prox import coordinate_prox, prox_residual
+from .prox import block_target, coordinate_prox, full_prox_rows, prox_residual
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 # second splitmix64 constant; keeps start-point sampling off the index stream
 _X0_STREAM = 0x94D049BB133111EB
 _DRAW_CHUNK = 4096  # block draws per rng call; bounds the buffer at any max_iters
+# steps per lockstep chunk: each row draws this many block indices at a time
+# (the doubles run draws), and the step buffers grow by whole chunks, with no
+# copy, holding at most this many steps more than the longest row takes
+_STEP_CHUNK = 256
 
 
 class SolverAbort(RuntimeError):
     """Raised when the objective stops being finite, or a step breaks the
     sufficient decrease, along a run."""
+
+
+class OracleMismatch(RuntimeError):
+    """A fast evaluation disagrees with the exact one it is checked against."""
 
 
 def derive_seed(base_seed: int, replication: int) -> int:
@@ -96,11 +112,32 @@ class Trajectory:
         return self.objectives() - f_bar
 
 
+def _draw_chunk(rng, n_blocks: int, size: int) -> np.ndarray:
+    """``size`` uniform block indices from one double each."""
+    u = rng.random(size)
+    return np.minimum((u * n_blocks).astype(np.int64), n_blocks - 1)
+
+
 def _block_draws(rng, n_blocks: int, n: int):
     """n uniform block indices, one double each, drawn in bounded chunks."""
     for start in range(0, n, _DRAW_CHUNK):
-        u = rng.random(min(_DRAW_CHUNK, n - start))
-        yield from np.minimum((u * n_blocks).astype(np.int64), n_blocks - 1).tolist()
+        yield from _draw_chunk(rng, n_blocks, min(_DRAW_CHUNK, n - start)).tolist()
+
+
+def _decreases(f, f_next, step_norm, a):
+    """F(x^{k+1}) is finite and at most F(x^k) - a ||x^k - x^{k+1}||^2 up
+    to a rounding slack; elementwise on arrays."""
+    return np.isfinite(f_next) & ~(f_next > f - a * step_norm**2 + 1e-12 * (1.0 + np.abs(f)))
+
+
+def _abort(k: int, f, f_next, step_norm, a) -> SolverAbort:
+    """The abort of a step that fails :func:`_decreases`."""
+    if not np.isfinite(f_next):
+        return SolverAbort(f"objective not finite at iteration {k} ({f_next})")
+    return SolverAbort(
+        f"sufficient decrease fails at iteration {k}: F went from {f!r} to "
+        f"{f_next!r} over a step of norm {step_norm!r} (a = {a!r})"
+    )
 
 
 def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
@@ -143,14 +180,9 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
         else:
             smooth.move(s, sl, x[sl], x_next[sl])
         f_next = smooth.state_value(s) + p.penalty_value(x_next)
-        if not np.isfinite(f_next):
-            raise SolverAbort(f"objective not finite at iteration {k} ({f_next})")
         step_norm = float(np.linalg.norm(x - x_next))
-        if f_next > f - a * step_norm**2 + 1e-12 * (1.0 + abs(f)):
-            raise SolverAbort(
-                f"sufficient decrease fails at iteration {k}: F went from {f!r} to "
-                f"{f_next!r} over a step of norm {step_norm!r} (a = {a!r})"
-            )
+        if not _decreases(f, f_next, step_norm, a):
+            raise _abort(k, f, f_next, step_norm, a)
         resid = (prox_residual(p, sched.generator(k + 1), sched.step(k + 1), x_next)
                  if check else np.nan)
         if k + 1 == len(points):
@@ -164,6 +196,180 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
     rows = len(steps) + 1
     return Trajectory(points if rows == len(points) else points[:rows].copy(),
                       np.array(steps, dtype=RECORD_DTYPE), termination, f0)
+
+
+def _block_kinds(p: ProblemInstance):
+    """Blocks grouped by (penalty of their penalty group, width): the kinds
+    as (penalty, width) pairs, and each block's kind index."""
+    kinds: dict = {}
+    kind_of = np.empty(p.n_blocks, dtype=np.intp)
+    offsets = p.partition.offsets
+    for reg, sl in p.penalty_groups:
+        for i in range(offsets.index(sl.start), offsets.index(sl.stop)):
+            kind_of[i] = kinds.setdefault((reg, p.partition.sizes[i]), len(kinds))
+    return list(kinds), kind_of
+
+
+def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
+    """:func:`run` for each config and start point (None for zeros), all
+    rows advanced one k at a time; returns per row its Trajectory or the
+    :class:`SolverAbort` that retired it.
+
+    The configs may differ only in seed.  Row r draws its blocks from its
+    own stream, one double per step as :func:`run` does, so it takes the
+    blocks :func:`run` takes; it keeps the smooth state (``state_rows``,
+    moved by ``move_rows``, rebuilt exactly at each check period) and each
+    block's penalty total, and F is the state value plus the row's totals.  A row
+    leaves the active set when its residual, from one ``full_prox_rows``
+    over the active rows at each check period, is at most ``tolerance``,
+    or when its step fails the sufficient decrease (aborted with the
+    message :func:`run` raises).  Per step only the moved block's new
+    values are kept; each row's iterates are rebuilt from them at the end.
+    """
+    base = configs[0]
+    if any(dataclasses.replace(c, seed=base.seed) != base for c in configs):
+        raise ValueError("lockstep rows differ in more than their seed")
+    sched, max_iters = base.schedule, base.max_iters
+    report = validate_schedule(sched, p)
+    if not report.ok:
+        raise ValueError(f"invalid schedule: {report.message}")
+    R, n = len(configs), p.n
+    X0 = np.array([np.zeros(n) if x0 is None else x0 for x0 in x0s], dtype=float)
+    X = X0.copy()
+    period = base.check_period if base.check_period is not None else p.n_blocks
+    rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in configs]
+    smooth = p.smooth
+    a = sufficient_decrease(sched.m, sched.eps_hi, smooth.lipschitz)
+    kinds, kind_of = _block_kinds(p)
+    starts = np.array(p.partition.offsets[:-1])
+
+    f0 = np.array([p.objective(x) for x in X])  # bit for bit what run starts from
+    aborts = {int(r): SolverAbort(f"objective not finite at the start point ({f0[r]})")
+              for r in np.flatnonzero(~np.isfinite(f0))}
+    active = np.flatnonzero(np.isfinite(f0))
+    F = f0.copy()
+    S = smooth.state_rows(X)
+    totals = np.stack([np.sum(reg.value(X[:, p.partition.block_slice(i)]), axis=1)
+                       for i, reg in enumerate(p.regularizers)], axis=1)
+    # per _STEP_CHUNK steps, a pair (records, moved): step k of row r is
+    # records[k % _STEP_CHUNK, r], and moved[k % _STEP_CHUNK, r, :width] its
+    # block's new values
+    chunks = []
+    b = max(p.partition.sizes)
+    length = np.zeros(R, dtype=np.intp)
+    stopped = np.zeros(R, dtype=bool)  # on tolerance
+    step2 = np.empty(R)
+    for k in range(max_iters):
+        if not active.size:
+            break
+        j = k % _STEP_CHUNK
+        if j == 0:
+            draws = np.stack([_draw_chunk(rng, p.n_blocks, _STEP_CHUNK) for rng in rngs])
+            chunks.append((np.empty((_STEP_CHUNK, R), RECORD_DTYPE), np.empty((_STEP_CHUNK, R, b))))
+        rec, mov = chunks[-1][0][j], chunks[-1][1][j]
+        blocks = draws[active, j]
+        gen, eps = sched.generator(k), sched.step(k)
+        check = (k + 1) % period == 0
+        for kind, (reg, width) in enumerate(kinds):
+            sel = np.flatnonzero(kind_of[blocks] == kind) if len(kinds) > 1 else slice(None)
+            rows, blk = active[sel], blocks[sel]
+            if not rows.size:
+                continue
+            cols = starts[blk][:, None] + np.arange(width)
+            old = X[rows[:, None], cols]
+            new = block_target(reg, gen.weights[cols], eps, old,
+                               smooth.block_grad_rows(S, rows, cols))
+            X[rows[:, None], cols] = mov[rows, :width] = new
+            if not check:
+                smooth.move_rows(S, rows, cols, old, new)
+            totals[rows, blk] = np.sum(reg.value(new), axis=1)
+            step2[rows] = np.sum(np.square(old - new), axis=1)
+        if check:
+            S[active] = smooth.state_rows(X[active])
+        f, f_next = F[active], smooth.state_value_rows(S[active]) + np.sum(totals[active], axis=1)
+        step_norm = np.sqrt(step2[active])
+        ok = _decreases(f, f_next, step_norm, a)
+        for t in np.flatnonzero(~ok):
+            aborts[int(active[t])] = _abort(k, f[t], f_next[t], step_norm[t], a)
+        active = active[ok]
+        F[active] = f_next[ok]
+        length[active] = k + 1
+        rec["block"][active] = blocks[ok]
+        rec["objective"][active] = f_next[ok]
+        rec["step_norm"][active] = step_norm[ok]
+        rec["prox_residual"][active] = np.nan
+        if check:
+            Xa = X[active]
+            resid = np.linalg.norm(
+                Xa - full_prox_rows(p, sched.generator(k + 1), sched.step(k + 1), Xa), axis=1)
+            rec["prox_residual"][active] = resid
+            done = resid <= base.tolerance
+            stopped[active[done]] = True
+            active = active[~done]
+    out = []
+    for r in range(R):
+        if r in aborts:
+            out.append(aborts[r])
+            continue
+        K = length[r]
+        used = list(enumerate(chunks[:-(-K // _STEP_CHUNK)]))
+        records = np.concatenate([c[:K - i * _STEP_CHUNK, r] for i, (c, _) in used])
+        values = np.concatenate([c[:K - i * _STEP_CHUNK, r] for i, (_, c) in used])
+        out.append(Trajectory(_iterates(X0[r], records["block"], values, p.partition), records,
+                              "tolerance" if stopped[r] else "max_iters", float(f0[r])))
+    return out
+
+
+def _iterates(x0, blocks, values, partition) -> np.ndarray:
+    """x^0, ..., x^K of one row as a (K+1, n) array, from its start x^0, the
+    block it moved at each step and that block's new values (row k of the
+    (K, b) ``values``, padded past the block's width): x^k_j is the value
+    last written to coordinate j by step k."""
+    (K, b), n = values.shape, x0.size
+    block_of = np.repeat(np.arange(partition.n_blocks), partition.sizes)
+    within = np.arange(n) - np.asarray(partition.offsets)[block_of]
+    held = np.concatenate((x0, values.ravel()))  # x^0, then every value written
+    # src[k, j]: where x^k_j sits in held; a later write sits further on
+    src = np.empty((K + 1, n), dtype=np.intp)
+    src[0] = np.arange(n)
+    src[1:] = np.where(blocks[:, None] == block_of, n + b * np.arange(K)[:, None] + within, 0)
+    np.maximum.accumulate(src, axis=0, out=src)
+    return held[src]
+
+
+def match_oracle(exact: Trajectory, shadow, tolerance: float) -> None:
+    """Raise :class:`OracleMismatch` unless ``shadow`` (a lockstep row, or
+    its abort) took the blocks ``exact`` (:func:`run` at the same seed and
+    start) took, with F within 1e-12 (1 + |F|) at the start and at every
+    step, and ended at the same step the same way.
+
+    The ending may differ only where the two residuals at the check that
+    ended the shorter run straddle ``tolerance`` and agree within that bound.
+    """
+    if isinstance(shadow, SolverAbort):
+        raise OracleMismatch(f"lockstep row aborted where run did not: {shadow}")
+    K = min(len(exact.records), len(shadow.records))
+    a, b = exact.records[:K], shadow.records[:K]
+    fa = np.concatenate(([exact.initial_objective], a["objective"]))
+    fb = np.concatenate(([shadow.initial_objective], b["objective"]))
+    bad = (np.concatenate(([False], a["block"] != b["block"]))
+           | ~(np.abs(fa - fb) <= 1e-12 * (1.0 + np.abs(fa))))
+    if bad.any():
+        j = int(np.argmax(bad))  # 0: the start point; j > 0: step j - 1
+        detail = f"F {fb[j]!r} against {fa[j]!r}"
+        if j:
+            detail = f"block {b['block'][j - 1]} against {a['block'][j - 1]}, {detail}"
+        where = f"iteration {j - 1}" if j else "the start point"
+        raise OracleMismatch(f"lockstep row departs from run at {where}: {detail}")
+    if len(exact.records) == len(shadow.records) and exact.termination == shadow.termination:
+        return
+    ra, rb = a["prox_residual"][K - 1], b["prox_residual"][K - 1]
+    if not (min(ra, rb) <= tolerance < max(ra, rb)
+            and abs(ra - rb) <= 1e-12 * (1.0 + abs(ra))):
+        raise OracleMismatch(
+            f"lockstep row ends differently from run at iteration {K - 1}: "
+            f"{shadow.termination} after {len(shadow.records)} steps against "
+            f"{exact.termination} after {len(exact.records)} steps (residual {rb!r} against {ra!r})")
 
 
 def sample_in_ball(center: np.ndarray, radius: float, rng) -> np.ndarray:

@@ -29,7 +29,7 @@ from vbscd import (
     make_quadratic_problem,
     run,
 )
-from vbscd.prox import _block_target
+from vbscd.prox import block_target
 
 REL = 1e-14
 
@@ -62,7 +62,7 @@ def per_block_targets(p, gen, eps, x):
     for i in range(p.n_blocks):
         y = x.copy()
         sl = p.partition.block_slice(i)
-        y[sl] = _block_target(p, gen, eps, x, g[sl], i, sl)
+        y[sl] = block_target(p.regularizers[i], gen.weights[sl], eps, x[sl], g[sl])
         out.append(y)
     return out
 
@@ -72,7 +72,7 @@ def per_block_full_prox(p, gen, eps, x):
     y = x.copy()
     for i in range(p.n_blocks):
         sl = p.partition.block_slice(i)
-        y[sl] = _block_target(p, gen, eps, x, g[sl], i, sl)
+        y[sl] = block_target(p.regularizers[i], gen.weights[sl], eps, x[sl], g[sl])
     return y
 
 
