@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Peak RSS and wall time of CLI flows, each run in a fresh process.
+
+    python3 scripts/flow_rss.py configs/lasso50_rate.cfg configs/scad20_rate.cfg
+    python3 scripts/flow_rss.py --runs 5 perfbench/configs/rate_scad20.cfg
+
+Runs each config's flow (its ``[experiment] kind``) through the CLI
+``--runs`` times (default 3), one fresh process per run, with the BLAS
+libraries pinned to one thread and ``--out`` in a temporary directory.  The
+peak RSS of a run is the child's own ``ru_maxrss`` (from ``os.wait4``);
+wall time is measured around the whole process, interpreter start included.
+Prints one line per config: the median peak RSS in MB, the median wall time
+in seconds and the exit codes.  A run that exits nonzero also prints the
+last lines of its stderr.
+"""
+from __future__ import annotations
+
+import argparse
+import configparser
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _kind(cfg: Path) -> str:
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser.read(cfg, encoding="utf-8")
+    return parser.get("experiment", "kind")
+
+
+def run_once(cfg: Path, env: dict) -> tuple[float, float, int, str]:
+    """(peak RSS in MB, wall seconds, exit code, stderr) of one run of cfg's flow."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err_path = Path(tmp) / "stderr.txt"
+        with open(err_path, "wb") as err:
+            t0 = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "vbscd.cli", _kind(cfg), "--config", str(cfg),
+                 "--out", str(Path(tmp) / "out")],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=err,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        # ru_maxrss is in kilobytes on Linux
+        return usage.ru_maxrss / 1024.0, wall, proc.returncode, err_path.read_text()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="+", type=Path, help="config files to run")
+    parser.add_argument("--runs", type=int, default=3, help="fresh processes per config (default 3)")
+    args = parser.parse_args()
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.update({name: "1" for name in _ONE_THREAD})
+    worst = 0
+    for cfg in args.configs:
+        cfg = cfg.resolve()
+        runs = [run_once(cfg, env) for _ in range(args.runs)]
+        codes = [code for _, _, code, _ in runs]
+        label = cfg.relative_to(ROOT).as_posix() if cfg.is_relative_to(ROOT) else str(cfg)
+        print(f"{label}  peak_rss_mb={statistics.median(r[0] for r in runs):.2f}  "
+              f"wall_s={statistics.median(r[1] for r in runs):.3f}  "
+              f"(median of {args.runs}; exit {','.join(map(str, codes))})")
+        for _, _, code, err in runs:
+            if code != 0:
+                for line in err.splitlines()[-5:]:
+                    print(f"  stderr: {line}")
+                break
+        worst = max(worst, *(abs(c) for c in codes))
+    return 1 if worst else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -94,6 +94,10 @@ class BregmanSchedule:
     def step(self, k: int) -> float:
         return max(self.eps_lo, self.eps_hi / (k + 1))
 
+    def at(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per k of an int array: its generator's index (0, then 1, in turn) and its step."""
+        return (k // self.period) % len(self._gens), np.maximum(self.eps_lo, self.eps_hi / (k + 1))
+
     @staticmethod
     def constant(n: int, q: float, eps) -> "BregmanSchedule":
         """Uniform weights q at every step; ``eps`` is a constant step or an

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bregman import BregmanSchedule, sufficient_decrease
 from .csvout import fmt, write_csv
-from .model import ProblemInstance, Regularizer, row_chunks
+from .model import ProblemInstance, Regularizer, chunk_rows
 from .probes import cross_check, gap_floor
 from .prox import coordinate_prox_all, coordinate_prox_all_rows, envelope_value, full_prox
 
@@ -310,10 +310,11 @@ def contraction_audit(
     contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar).
 
     Trajectories (a sequence, or one) are read one at a time, in row chunks
-    of their ``points``; the in-neighborhood points of a chunk are grouped
-    by (generator, eps) and each group is evaluated by
-    :func:`stacked_expectation`.  Enumeration is the oracle: the first and
-    last checked point of every group and the worst-margin point are
+    of their iterates (:meth:`~vbscd.solver.Trajectory.iterates`); the
+    in-neighborhood points of a chunk are grouped by (generator, eps), as
+    :meth:`~vbscd.bregman.BregmanSchedule.at` gives them, and each group is
+    evaluated by :func:`stacked_expectation`.  Enumeration is the oracle:
+    the first and last checked point of every group and the worst-margin point are
     recomputed with :func:`enumerate_expectation`, and a disagreement beyond
     1e-12 (1 + |F|) raises :class:`~vbscd.solver.OracleMismatch`.  As in
     :func:`worst_check`, a NaN margin is a violation and the worst point,
@@ -328,37 +329,41 @@ def contraction_audit(
     # first and the latest one of every (generator, eps) group
     worst_pt = None
     firsts, lasts = {}, {}
-    if hasattr(trajectories, "points"):
+    if hasattr(trajectories, "records"):
         trajectories = [trajectories]
+    step = chunk_rows(p.n_blocks * p.n)  # rows per chunk
     for traj in trajectories:
-        values = traj.objectives()
-        for rows in row_chunks(len(traj.points), p.n_blocks * p.n):
-            X = traj.points[rows]
-            fx = values[rows]
-            inside = (np.linalg.norm(X - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi)
+        values, a = traj.objectives(), 0
+        for S in traj.iterates(step):  # a whole number of chunks
+            fx = values[a:a + len(S)]
+            inside = (np.linalg.norm(S - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi)
             skipped += int(inside.size - np.count_nonzero(inside))
-            groups = {}
-            for j in np.flatnonzero(inside).tolist():
-                gen, eps = sched.generator(rows.start + j), sched.step(rows.start + j)
-                key = (id(gen), eps)
-                if key in groups:
-                    groups[key][2].append(j)
-                else:
-                    groups[key] = (gen, eps, [j])
-            for key, (gen, eps, idx) in groups.items():
-                mean_f = stacked_expectation(p, gen, eps, X[idx])
-                lhs = mean_f - f_bar
-                rhs = constants.beta * (fx[idx] - f_bar)
-                checked += len(idx)
-                violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
-                margin = rhs - lhs
-                w = int(margin.argmin())
-                if not (np.isnan(worst) or margin[w] >= worst):
-                    worst = float(margin[w])
-                    worst_pt = (gen, eps, X[idx[w]].copy(), mean_f[w])
-                if key not in firsts:
-                    firsts[key] = (gen, eps, X[idx[0]].copy(), mean_f[0])
-                lasts[key] = (gen, eps, X[idx[-1]].copy(), mean_f[-1])
+            # each k's (generator, eps); a chunk inside one run of equal keys is one group
+            g, e = sched.at(np.arange(a, a + len(S)))
+            runs = np.cumsum(np.r_[0, (g[1:] != g[:-1]) | (e[1:] != e[:-1])])
+            for c in range(0, len(S), step):
+                ins = c + np.flatnonzero(inside[c:c + step])
+                groups = [ins] if ins.size else []
+                if ins.size and runs[ins[0]] != runs[ins[-1]]:  # else sort; first-seen order
+                    order = np.lexsort((e[ins], g[ins]))
+                    gs, es = g[ins[order]], e[ins[order]]
+                    cuts = np.flatnonzero((gs[1:] != gs[:-1]) | (es[1:] != es[:-1])) + 1
+                    groups = sorted(np.split(ins[order], cuts), key=lambda m: m[0])
+                for idx in groups:
+                    gen, eps = sched.generator(a + int(idx[0])), sched.step(a + int(idx[0]))
+                    key = (id(gen), eps)
+                    mean_f = stacked_expectation(p, gen, eps, S[idx])
+                    lhs, rhs = mean_f - f_bar, constants.beta * (fx[idx] - f_bar)
+                    checked += len(idx)
+                    violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
+                    margin = rhs - lhs
+                    w = int(margin.argmin())
+                    if not (np.isnan(worst) or margin[w] >= worst):
+                        worst = float(margin[w])
+                        worst_pt = (gen, eps, S[idx[w]].copy(), mean_f[w])
+                    firsts.setdefault(key, (gen, eps, S[idx[0]].copy(), mean_f[0]))
+                    lasts[key] = (gen, eps, S[idx[-1]].copy(), mean_f[-1])
+            a += len(S)
     oracle = [*firsts.values(), *lasts.values()] + ([worst_pt] if worst_pt else [])
     for gen, eps, x, mean_f in oracle:
         exact = float(enumerate_expectation(p, gen, eps, x, p.objective_rows))
@@ -371,27 +376,26 @@ def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, points=
     hypotheses with margin and rejection sampling in B(x_bar; eta, nu) stays
     cheap (nu matched to the smooth curvature over the ball).
 
-    ``points`` is a sequence of (k, n) stacks, such as trajectories'
-    ``points``.  The reach of each point, max(||x - x_bar||,
+    ``points`` is an iterable of (k, n) stacks, such as trajectories'
+    iterates, read one at a time.  The reach of each point, max(||x - x_bar||,
     sqrt((F(x) - F_bar) / a)), is evaluated in row chunks of each stack; the
     farthest point's reach is then taken from the per-point forms.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
-    reach = 1.0
-    chunks = [S[rows] for S in points for rows in row_chunks(len(S), p.n)]
-    if chunks:
-        f_bar = p.objective(x_bar)
-        far, far_reach = None, -np.inf
-        for X in chunks:
-            r = np.linalg.norm(X - x_bar, axis=1)
-            fx = p.objective_rows(X)
-            if a > 0:
-                up = fx > f_bar
-                r[up] = np.maximum(r[up], np.sqrt((fx[up] - f_bar) / a))
-            j = int(r.argmax())
-            if r[j] > far_reach:
-                far, far_reach = X[j].copy(), r[j]
+    reach, f_bar = 1.0, p.objective(x_bar)
+    far, far_reach = None, -np.inf
+    step = chunk_rows(p.n)
+    for X in (S[i:i + step] for S in points for i in range(0, len(S), step)):
+        r = np.linalg.norm(X - x_bar, axis=1)
+        fx = p.objective_rows(X)
+        if a > 0:
+            up = fx > f_bar
+            r[up] = np.maximum(r[up], np.sqrt((fx[up] - f_bar) / a))
+        j = int(r.argmax())
+        if r[j] > far_reach:
+            far, far_reach = X[j].copy(), r[j]
+    if far is not None:
         reach = max(reach, float(np.linalg.norm(far - x_bar)))
         f_far = p.objective(far)
         if f_far > f_bar and a > 0:

@@ -43,7 +43,7 @@ from .diagnostics import (
     worst_row,
     write_report_csv,
 )
-from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, same_penalty
+from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, chunk_rows, same_penalty
 from .probes import (
     EmptyNeighborhoodError,
     gap_floor,
@@ -353,6 +353,10 @@ def load_config(path) -> ExperimentConfig:
     exp = data.pop("experiment")
     if exp["kind"] in ("rate", "verify") and data["probe"]["kinds"] != ("ls-eb",):
         raise ConfigError(f"[probe] kinds must be ls-eb for kind {exp['kind']!r}, which probes only ls-eb")
+    if (exp["kind"] in ("verify", "probe-eb") and {"eta", "nu"} <= data["probe"].keys()
+            and parser.has_option("solver", "max_iters")):
+        raise ConfigError(f"[solver] max_iters goes unread: kind {exp['kind']!r} runs no scout "
+                          "when [probe] eta and nu are both set")
     return ExperimentConfig(
         kind=exp["kind"], seed=exp["seed"], replications=exp["replications"],
         out_dir=exp["output_dir"], **data,
@@ -553,7 +557,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
     near_rows = []
     if x0_mode == "near-start":
         for r, traj in enumerate(trajectories):
-            dmax = float(np.linalg.norm(traj.points - ref.point, axis=1).max())
+            dmax = max(float(np.linalg.norm(S - ref.point, axis=1).max()) for S in traj.iterates())
             near_rows.append(NearStartRow(r, dmax, dmax <= stay_radius))
     mean = aggregate_gaps(trajectories, ref.value, seeds)
     return ReplicationResult(
@@ -598,30 +602,19 @@ def write_replication_outputs(res: ReplicationResult, out_dir) -> None:
 # probe and neighborhood assembly shared by rate / probe-eb / verify
 
 
-def _neighborhood(cfg, p, sched, ref, points=None):
-    """[probe] eta and nu; those left out are sized from ``points``, by
-    default the points of a scout run."""
+def _neighborhood(cfg, p, sched, ref, trajectories=None):
+    """[probe] eta and nu; those left out are sized from the iterates of
+    ``trajectories``, by default of a short deterministic scout run."""
     eta = cfg.probe.get("eta")
     nu = cfg.probe.get("nu")
     if eta is None or nu is None:
-        if points is None:
-            points = _scout(p, sched, cfg)
-        auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, points)
+        trajectories = trajectories or [run(p, SolverConfig(
+            sched, min(cfg.solver["max_iters"], 50 * p.n_blocks), 0.0, seed=derive_seed(cfg.seed, 0)))]
+        stacks = (X for t in trajectories for X in t.iterates(chunk_rows(p.n)))
+        auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, stacks)
         eta = auto_eta if eta is None else eta
         nu = auto_nu if nu is None else nu
     return float(eta), float(nu)
-
-
-def _scout(p, sched, cfg) -> list:
-    """A short deterministic trajectory to size the neighborhood."""
-    sconf = SolverConfig(
-        schedule=sched,
-        max_iters=min(cfg.solver["max_iters"], 50 * p.n_blocks),
-        tolerance=0.0,
-        check_period=None,
-        seed=derive_seed(cfg.seed, 0),
-    )
-    return [run(p, sconf).points]
 
 
 def probed_constants(cfg, p, sched, ref, eta: float, nu: float, rng) -> tuple[ConstantsRecord, object]:
@@ -865,7 +858,7 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
     audit = None
     if cfg.has_probe_section:
         p, sched, ref = res.instance, res.schedule, res.reference
-        eta, nu = _neighborhood(cfg, p, sched, ref, [t.points for t in res.trajectories[:10]])
+        eta, nu = _neighborhood(cfg, p, sched, ref, res.trajectories[:10])
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _PROBE_STREAM)))
         constants, est = probed_constants(cfg, p, sched, ref, eta, nu, rng)
         report.beta_theory = constants.beta

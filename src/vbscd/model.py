@@ -33,11 +33,10 @@ import numpy as np
 STACK_DOUBLES = 1 << 13
 
 
-def row_chunks(count: int, row_doubles: int):
-    """Slices covering range(count), each spanning at least one row and at
-    most STACK_DOUBLES // row_doubles rows."""
-    step = max(1, STACK_DOUBLES // max(1, row_doubles))
-    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
+def chunk_rows(row_doubles: int) -> int:
+    """Rows per chunk when each row takes ``row_doubles`` doubles of a stacked
+    temporary: STACK_DOUBLES // row_doubles, and at least one."""
+    return max(1, STACK_DOUBLES // max(1, row_doubles))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bregman import BregmanGenerator
 from .csvout import fmt, write_csv
-from .model import ProblemInstance, row_chunks
+from .model import ProblemInstance, chunk_rows
 from .prox import full_prox, full_prox_rows
 from .solver import OracleMismatch, sample_in_ball
 
@@ -46,7 +46,8 @@ def gap_floor(f_bar: float) -> float:
 
 def _rows(fn, X) -> np.ndarray:
     """fn applied to a (k, n) stack in row chunks of bounded size, joined."""
-    return np.concatenate([fn(X[sl]) for sl in row_chunks(len(X), X.shape[1])])
+    step = chunk_rows(X.shape[1])
+    return np.concatenate([fn(X[a:a + step]) for a in range(0, len(X), step)])
 
 
 @dataclass

@@ -18,6 +18,10 @@ group, block width) and one update of the per-block penalty totals of the
 moved blocks.  Each row draws the same blocks as :func:`run` at its seed, and
 its values agree with :func:`run` up to rounding; :func:`match_oracle` holds
 one such row to :func:`run`'s trajectory.
+
+Both engines return a :class:`Trajectory` that is a step log: x^0, and per step
+its record and the moved block's new values.  It holds K b values (b the widest
+block), not K n; :meth:`Trajectory.iterates` rebuilds x^k in bounded stacks.
 """
 from __future__ import annotations
 
@@ -28,17 +32,15 @@ import numpy as np
 
 from .bregman import BregmanSchedule, sufficient_decrease, validate_schedule
 from .csvout import fmt, write_csv
-from .model import ProblemInstance
+from .model import BlockPartition, ProblemInstance
 from .prox import block_target, coordinate_prox, full_prox_rows, prox_residual
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 # second splitmix64 constant; keeps start-point sampling off the index stream
 _X0_STREAM = 0x94D049BB133111EB
-_DRAW_CHUNK = 4096  # block draws per rng call; bounds the buffer at any max_iters
-# steps per lockstep chunk: each row draws this many block indices at a time
-# (the doubles run draws), and the step buffers grow by whole chunks, with no
-# copy, holding at most this many steps more than the longest row takes
+# steps per step-log chunk (each row draws a chunk's blocks in one rng call,
+# and the log grows by whole chunks, with no copy); also the iterates per stack
 _STEP_CHUNK = 256
 
 
@@ -82,18 +84,44 @@ RECORD_DTYPE = np.dtype([("block", np.int64), ("objective", float), ("step_norm"
 
 @dataclass
 class Trajectory:
-    points: np.ndarray   # (K+1, n): x^0, x^1, ..., x^K
+    x0: np.ndarray       # (n,) the start point x^0
     records: np.ndarray  # (K,) RECORD_DTYPE: block i_k, F(x^{k+1}), ||x^k - x^{k+1}||, residual
+    moved: np.ndarray    # (K, b): row k holds block i_k of x^{k+1}, padded past its width
     termination: str  # "tolerance" | "max_iters"
     initial_objective: float
+    partition: BlockPartition
+
+    def iterates(self, rows: int = 1):
+        """x^0, ..., x^K in consecutive stacks rebuilt from the step log, each
+        a whole number of ``rows`` rows near _STEP_CHUNK (the last may be
+        shorter): x^k_j is the value last written to coordinate j by step k."""
+        (K, b), n, part = self.moved.shape, self.x0.size, self.partition
+        block_of = np.repeat(np.arange(part.n_blocks), part.sizes)
+        within = np.arange(n) - np.asarray(part.offsets)[block_of]
+        x, blocks, step = self.x0, self.records["block"], rows * max(1, _STEP_CHUNK // rows)
+        for a in range(0, K + 1, step):
+            moved = self.moved[a:a + step]
+            held = np.concatenate((x, moved.ravel()))  # x^a, then every value written since
+            # src[k, j]: where x^{a+k}_j sits in held; a later write sits further on
+            src = np.empty((len(moved) + 1, n), dtype=np.intp)
+            src[0] = np.arange(n)
+            np.add(n + b * np.arange(len(moved))[:, None], within, out=src[1:])
+            src[1:] *= blocks[a:a + step, None] == block_of  # 0 where the step left x_j alone
+            np.maximum.accumulate(src, axis=0, out=src)
+            S = held[src]
+            yield S[:step]
+            x = S[-1]
 
     @property
-    def x0(self) -> np.ndarray:
-        return self.points[0]
+    def points(self) -> np.ndarray:
+        """x^0, ..., x^K as one (K+1, n) array, for tests of small runs."""
+        return np.concatenate(list(self.iterates()))
 
     @property
     def final_point(self) -> np.ndarray:
-        return self.points[-1]
+        for S in self.iterates():
+            pass
+        return S[-1]
 
     @property
     def final_objective(self) -> float:
@@ -112,16 +140,12 @@ class Trajectory:
         return self.objectives() - f_bar
 
 
-def _draw_chunk(rng, n_blocks: int, size: int) -> np.ndarray:
-    """``size`` uniform block indices from one double each."""
-    u = rng.random(size)
-    return np.minimum((u * n_blocks).astype(np.int64), n_blocks - 1)
-
-
-def _block_draws(rng, n_blocks: int, n: int):
-    """n uniform block indices, one double each, drawn in bounded chunks."""
-    for start in range(0, n, _DRAW_CHUNK):
-        yield from _draw_chunk(rng, n_blocks, min(_DRAW_CHUNK, n - start)).tolist()
+def _draw_chunk(chunks, rngs, p: ProblemInstance) -> np.ndarray:
+    """Append _STEP_CHUNK steps of len(rngs) rows to the log ``chunks``; draw their blocks."""
+    shape = (_STEP_CHUNK, len(rngs))
+    chunks.append((np.empty(shape, RECORD_DTYPE), np.empty(shape + (max(p.partition.sizes),))))
+    u = np.stack([rng.random(_STEP_CHUNK) for rng in rngs])
+    return np.minimum((u * p.n_blocks).astype(np.int64), p.n_blocks - 1)
 
 
 def _decreases(f, f_next, step_norm, a):
@@ -153,13 +177,10 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
     report = validate_schedule(sched, p)
     if not report.ok:
         raise ValueError(f"invalid schedule: {report.message}")
-    x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
+    x0 = x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
     f0 = p.objective(x)
     if not np.isfinite(f0):
         raise SolverAbort(f"objective not finite at the start point ({f0})")
-    # row k is x^k; the buffer grows by doubling and is cut to the steps taken
-    points = np.empty((min(config.max_iters, _DRAW_CHUNK) + 1, p.n))
-    points[0] = x
     period = config.check_period if config.check_period is not None else p.n_blocks
     rng = np.random.Generator(np.random.PCG64(config.seed))
     smooth = p.smooth
@@ -167,9 +188,13 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
 
     s = smooth.state(x)
     f = f0
-    steps = []  # (block, F, step_norm, residual) per step
+    chunks = []  # the step log of one row, as run_lockstep writes it
     termination = "max_iters"
-    for k, i in enumerate(_block_draws(rng, p.n_blocks, config.max_iters)):
+    for k in range(config.max_iters):
+        j = k % _STEP_CHUNK
+        if j == 0:
+            draws = _draw_chunk(chunks, [rng], p)[0].tolist()
+        i = draws[j]
         sl = p.partition.block_slice(i)
         x_next = coordinate_prox(
             p, sched.generator(k), sched.step(k), x, i, block_grad=smooth.block_grad(s, sl)
@@ -185,17 +210,22 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
             raise _abort(k, f, f_next, step_norm, a)
         resid = (prox_residual(p, sched.generator(k + 1), sched.step(k + 1), x_next)
                  if check else np.nan)
-        if k + 1 == len(points):
-            points = np.concatenate((points, np.empty((min(k + 1, config.max_iters - k), p.n))))
-        points[k + 1] = x_next
-        steps.append((i, f_next, step_norm, resid))
+        chunks[-1][0][j, 0] = (i, f_next, step_norm, resid)
+        chunks[-1][1][j, 0, :sl.stop - sl.start] = x_next[sl]
         x, f = x_next, f_next
         if check and resid <= config.tolerance:
             termination = "tolerance"
             break
-    rows = len(steps) + 1
-    return Trajectory(points if rows == len(points) else points[:rows].copy(),
-                      np.array(steps, dtype=RECORD_DTYPE), termination, f0)
+    return _logged(p, chunks, 0, k + 1, x0, termination, f0)
+
+
+def _logged(p: ProblemInstance, chunks, r: int, K: int, x0, termination: str, f0) -> Trajectory:
+    """Row r's first K steps of the step log ``chunks`` as a Trajectory from x0;
+    per _STEP_CHUNK steps of all rows the log holds a pair (records, moved)."""
+    used = list(enumerate(chunks[:-(-K // _STEP_CHUNK)]))
+    records = np.concatenate([c[:K - i * _STEP_CHUNK, r] for i, (c, _) in used])
+    moved = np.concatenate([c[:K - i * _STEP_CHUNK, r] for i, (_, c) in used])
+    return Trajectory(x0, records, moved, termination, float(f0), p.partition)
 
 
 def _block_kinds(p: ProblemInstance):
@@ -223,8 +253,8 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
     leaves the active set when its residual, from one ``full_prox_rows``
     over the active rows at each check period, is at most ``tolerance``,
     or when its step fails the sufficient decrease (aborted with the
-    message :func:`run` raises).  Per step only the moved block's new
-    values are kept; each row's iterates are rebuilt from them at the end.
+    message :func:`run` raises).  Each row's step log is the one
+    :func:`run` writes.
     """
     base = configs[0]
     if any(dataclasses.replace(c, seed=base.seed) != base for c in configs):
@@ -251,11 +281,7 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
     S = smooth.state_rows(X)
     totals = np.stack([np.sum(reg.value(X[:, p.partition.block_slice(i)]), axis=1)
                        for i, reg in enumerate(p.regularizers)], axis=1)
-    # per _STEP_CHUNK steps, a pair (records, moved): step k of row r is
-    # records[k % _STEP_CHUNK, r], and moved[k % _STEP_CHUNK, r, :width] its
-    # block's new values
-    chunks = []
-    b = max(p.partition.sizes)
+    chunks = []  # the step log, as _logged reads it
     length = np.zeros(R, dtype=np.intp)
     stopped = np.zeros(R, dtype=bool)  # on tolerance
     step2 = np.empty(R)
@@ -264,8 +290,7 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
             break
         j = k % _STEP_CHUNK
         if j == 0:
-            draws = np.stack([_draw_chunk(rng, p.n_blocks, _STEP_CHUNK) for rng in rngs])
-            chunks.append((np.empty((_STEP_CHUNK, R), RECORD_DTYPE), np.empty((_STEP_CHUNK, R, b))))
+            draws = _draw_chunk(chunks, rngs, p)
         rec, mov = chunks[-1][0][j], chunks[-1][1][j]
         blocks = draws[active, j]
         gen, eps = sched.generator(k), sched.step(k)
@@ -306,35 +331,9 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
             done = resid <= base.tolerance
             stopped[active[done]] = True
             active = active[~done]
-    out = []
-    for r in range(R):
-        if r in aborts:
-            out.append(aborts[r])
-            continue
-        K = length[r]
-        used = list(enumerate(chunks[:-(-K // _STEP_CHUNK)]))
-        records = np.concatenate([c[:K - i * _STEP_CHUNK, r] for i, (c, _) in used])
-        values = np.concatenate([c[:K - i * _STEP_CHUNK, r] for i, (_, c) in used])
-        out.append(Trajectory(_iterates(X0[r], records["block"], values, p.partition), records,
-                              "tolerance" if stopped[r] else "max_iters", float(f0[r])))
-    return out
-
-
-def _iterates(x0, blocks, values, partition) -> np.ndarray:
-    """x^0, ..., x^K of one row as a (K+1, n) array, from its start x^0, the
-    block it moved at each step and that block's new values (row k of the
-    (K, b) ``values``, padded past the block's width): x^k_j is the value
-    last written to coordinate j by step k."""
-    (K, b), n = values.shape, x0.size
-    block_of = np.repeat(np.arange(partition.n_blocks), partition.sizes)
-    within = np.arange(n) - np.asarray(partition.offsets)[block_of]
-    held = np.concatenate((x0, values.ravel()))  # x^0, then every value written
-    # src[k, j]: where x^k_j sits in held; a later write sits further on
-    src = np.empty((K + 1, n), dtype=np.intp)
-    src[0] = np.arange(n)
-    src[1:] = np.where(blocks[:, None] == block_of, n + b * np.arange(K)[:, None] + within, 0)
-    np.maximum.accumulate(src, axis=0, out=src)
-    return held[src]
+    return [aborts[r] if r in aborts else
+            _logged(p, chunks, r, length[r], X0[r], "tolerance" if stopped[r] else "max_iters", f0[r])
+            for r in range(R)]
 
 
 def match_oracle(exact: Trajectory, shadow, tolerance: float) -> None:
@@ -350,8 +349,7 @@ def match_oracle(exact: Trajectory, shadow, tolerance: float) -> None:
         raise OracleMismatch(f"lockstep row aborted where run did not: {shadow}")
     K = min(len(exact.records), len(shadow.records))
     a, b = exact.records[:K], shadow.records[:K]
-    fa = np.concatenate(([exact.initial_objective], a["objective"]))
-    fb = np.concatenate(([shadow.initial_objective], b["objective"]))
+    fa, fb = exact.objectives()[:K + 1], shadow.objectives()[:K + 1]
     bad = (np.concatenate(([False], a["block"] != b["block"]))
            | ~(np.abs(fa - fb) <= 1e-12 * (1.0 + np.abs(fa))))
     if bad.any():

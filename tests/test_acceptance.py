@@ -85,9 +85,8 @@ def rate_run():
     cfg = load_config(CONFIGS / "lasso50_rate.cfg")
     res = run_replications(cfg)
     report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
-    scout = [t.points for t in res.trajectories[:10]]
     eta, nu = harness._neighborhood(cfg, res.instance, res.schedule,
-                                    res.reference, scout)
+                                    res.reference, res.trajectories[:10])
     rng = np.random.Generator(
         np.random.PCG64(harness.derive_seed(cfg.seed, harness._PROBE_STREAM)))
     constants, _ = harness.probed_constants(cfg, res.instance, res.schedule,

@@ -107,6 +107,27 @@ def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, kind, section, key
     assert not (tmp_path / "out").exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("kind", ["verify", "probe-eb"])
+def test_unread_max_iters_exits_two(tmp_path, capsys, kind):
+    # with both [probe] eta and nu set no scout run sizes the neighborhood,
+    # so nothing reads [solver] max_iters; this was once accepted with exit 0
+    from vbscd.harness import load_config
+
+    text = {"verify": VERIFY_CFG, "probe-eb": PROBE_CFG}[kind]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_key(with_key(text, "probe", "eta", "1.0"), "probe", "nu", "1.0"))
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [solver] max_iters "), err
+    assert not (tmp_path / "out").exists()
+    # without max_iters the config loads, and with one of eta, nu the scout reads it
+    cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
+                             if not line.startswith("max_iters")))
+    assert load_config(cfg).solver["max_iters"] == 1000  # the default
+    cfg.write_text(with_key(text, "probe", "eta", "1.0"))
+    assert load_config(cfg).solver["max_iters"] == {"verify": 500, "probe-eb": 40}[kind]
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert "subcommand" in capsys.readouterr().err

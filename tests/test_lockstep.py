@@ -37,7 +37,7 @@ from vbscd import (
 )
 from vbscd.bregman import step_cap
 from vbscd.probes import gap_floor
-from vbscd.solver import _DRAW_CHUNK, match_oracle
+from vbscd.solver import _STEP_CHUNK, match_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,11 +102,13 @@ def test_lockstep_rows_match_run(name, check_period):
 
 
 def test_lockstep_crosses_the_draw_chunk_boundary():
-    # run draws 4096 doubles at a time and the lockstep 256: 8195 steps cross both
+    # both engines draw _STEP_CHUNK doubles at a time: 8195 steps cross 32 chunks
     p = INSTANCES["uneven"]()
-    confs = configs(p, 2, 2 * _DRAW_CHUNK + 3)
+    steps = 2 * 4096 + 3
+    assert steps // _STEP_CHUNK == 32
+    confs = configs(p, 2, steps)
     rows = assert_rows_match_run(p, confs, [None] * 2)
-    assert all(len(t.records) == 2 * _DRAW_CHUNK + 3 for t in rows)
+    assert all(len(t.records) == steps for t in rows)
 
 
 @pytest.mark.parametrize("name", ["lasso50", "mixed", "uneven"])

@@ -89,21 +89,21 @@ def test_one_rng_draw_per_step():
 
 
 def test_chunked_draws_equal_per_step_draws():
-    # past two chunk boundaries of the solver's batched index draws
-    from vbscd.solver import _DRAW_CHUNK
+    # past 32 chunk boundaries of the solver's batched index draws
+    from vbscd.solver import _STEP_CHUNK
 
     p = lasso_random(n=6, n_blocks=3, seed=21)
     sched = BregmanSchedule.constant(6, 1.0, 0.1)
-    steps = 2 * _DRAW_CHUNK + 3
+    steps = 2 * 4096 + 3
     traj = run(p, SolverConfig(schedule=sched, max_iters=steps, tolerance=0.0,
                                check_period=steps, seed=5))
     rng = np.random.Generator(np.random.PCG64(5))
     assert traj.records["block"].tolist() == [min(int(rng.random() * 3), 2) for _ in range(steps)]
-    # the point buffer grew past its first allocation and kept every row
-    assert traj.points.shape == (steps + 1, 6)
+    # the step log grew past its first chunk and kept every step
+    assert traj.points.shape == (steps + 1, 6) and traj.moved.shape == (steps, 2)
     assert np.array_equal(traj.points[-1], traj.final_point)
-    assert p.objective(traj.points[_DRAW_CHUNK + 1]) == pytest.approx(
-        traj.records["objective"][_DRAW_CHUNK], rel=1e-12)
+    assert p.objective(traj.points[_STEP_CHUNK + 1]) == pytest.approx(
+        traj.records["objective"][_STEP_CHUNK], rel=1e-12)
 
 
 def test_objective_monotone_along_trajectory():
@@ -157,7 +157,8 @@ def test_trajectory_helpers():
     assert traj.points.shape == (len(traj.records) + 1, 1)
     assert traj.x0 is not traj.final_point and traj.x0[0] == 0.0
     assert traj.records.dtype.names == ("block", "objective", "step_norm", "prox_residual")
-    empty = Trajectory(np.zeros((1, 1)), np.array([], dtype=RECORD_DTYPE), "max_iters", 0.5)
+    empty = Trajectory(np.zeros(1), np.array([], dtype=RECORD_DTYPE), np.zeros((0, 1)),
+                       "max_iters", 0.5, p.partition)
     assert empty.final_objective == 0.5
     assert empty.final_residual is None
     assert empty.final_point.tolist() == [0.0] and empty.objectives().tolist() == [0.5]
