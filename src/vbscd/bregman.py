@@ -84,7 +84,6 @@ class BregmanSchedule:
             raise ValueError("need 0 < eps_lo <= eps_hi")
         if self.period < 1:
             raise ValueError("period must be >= 1")
-        # one object when m == M: the audit groups points by generator id
         qs = (self.m,) if self.m == self.M else (self.m, self.M)
         object.__setattr__(self, "_gens", tuple(BregmanGenerator.uniform(self.n, q) for q in qs))
 
@@ -95,8 +94,11 @@ class BregmanSchedule:
         return max(self.eps_lo, self.eps_hi / (k + 1))
 
     def at(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per k of an int array: its generator's index (0, then 1, in turn) and its step."""
-        return (k // self.period) % len(self._gens), np.maximum(self.eps_lo, self.eps_hi / (k + 1))
+        """Per k of an int array, its uniform weight and its step, bit for bit
+        ``generator(k).weights`` and ``step(k)``, as two (len(k), 1) columns
+        that broadcast against a stack whose row j is x^{k_j}."""
+        q = np.where((k // self.period) % 2 == 1, self.M, self.m)
+        return q[:, None], np.maximum(self.eps_lo, self.eps_hi / (k + 1))[:, None]
 
     @staticmethod
     def constant(n: int, q: float, eps) -> "BregmanSchedule":

@@ -85,22 +85,18 @@ def write_report_csv(rows, path) -> None:
 # exact expectations over the uniform block index
 
 
-def enumerate_expectation(p: ProblemInstance, gen, eps: float, x, fn):
-    """mean_i fn(T_i(x)) by exact enumeration of the N one-block targets.
-
-    ``fn`` is applied once to the (N, n) stack of targets and must map it
-    row by row (``p.objective_rows``, for instance); the result is averaged
-    over the rows.
-    """
-    targets = coordinate_prox_all(p, gen, eps, x)
-    return np.asarray(fn(targets), dtype=float).mean(axis=0)
+def enumerate_expectation(p: ProblemInstance, gen, eps: float, x) -> float:
+    """mean_i F(T_i(x)) by exact enumeration of the N one-block targets."""
+    return float(p.objective_rows(coordinate_prox_all(p, gen, eps, x)).mean())
 
 
-def stacked_expectation(p: ProblemInstance, gen, eps: float, X) -> np.ndarray:
-    """mean_i F(T_i(x)) at each row x of a (k, n) stack: the k N one-block
-    targets come from one stacked gradient and one grouped full prox, and
-    their values from one ``objective_rows`` call."""
-    targets = coordinate_prox_all_rows(p, gen, eps, X)
+def stacked_expectation(p: ProblemInstance, q, eps, X) -> np.ndarray:
+    """mean_i F(T_i(x)) at each row x of a (k, n) stack, row j under the
+    geometry in row j of the (k, 1) columns ``q`` (uniform kernel weight)
+    and ``eps`` (step): the k N one-block targets come from one stacked
+    gradient and one grouped full prox, and their values from one
+    ``objective_rows`` call."""
+    targets = coordinate_prox_all_rows(p, q, eps, X)
     return p.objective_rows(targets.reshape(-1, p.n)).reshape(len(targets), p.n_blocks).mean(axis=1)
 
 
@@ -307,16 +303,18 @@ def contraction_audit(
     constants: ConstantsRecord,
 ) -> ContractionAudit:
     """At every recorded in-neighborhood point, check the exact one-step
-    contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar).
+    contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar) under
+    x^k's own geometry (h_k, eps_k).
 
-    Trajectories (a sequence, or one) are read one at a time, in row chunks
-    of their iterates (:meth:`~vbscd.solver.Trajectory.iterates`); the
-    in-neighborhood points of a chunk are grouped by (generator, eps), as
-    :meth:`~vbscd.bregman.BregmanSchedule.at` gives them, and each group is
-    evaluated by :func:`stacked_expectation`.  Enumeration is the oracle:
-    the first and last checked point of every group and the worst-margin point are
-    recomputed with :func:`enumerate_expectation`, and a disagreement beyond
-    1e-12 (1 + |F|) raises :class:`~vbscd.solver.OracleMismatch`.  As in
+    The trajectories (a sequence) are read one at a time, in row chunks of
+    their iterates (:meth:`~vbscd.solver.Trajectory.iterates`).  The
+    geometry of a stack's rows comes from one
+    :meth:`~vbscd.bregman.BregmanSchedule.at` call and travels with them, so
+    a chunk's in-neighborhood points take one :func:`stacked_expectation`
+    call.  Enumeration is the oracle: the first and last checked point of
+    each trajectory and the worst-margin point are recomputed with
+    :func:`enumerate_expectation`, and a disagreement beyond 1e-12 (1 + |F|)
+    raises :class:`~vbscd.solver.OracleMismatch`.  As in
     :func:`worst_check`, a NaN margin is a violation and the worst point,
     so it reaches the oracle, where it cannot agree.
     """
@@ -325,49 +323,41 @@ def contraction_audit(
     lo, hi = f_bar + gap_floor(f_bar), f_bar + constants.level_window
     checked = skipped = violations = 0
     worst = np.inf
-    # oracle points as (gen, eps, x, stacked mean): the worst one, and the
-    # first and the latest one of every (generator, eps) group
-    worst_pt = None
-    firsts, lasts = {}, {}
-    if hasattr(trajectories, "records"):
-        trajectories = [trajectories]
+
+    def oracle(k, x, mean_f):  # x^k's stacked mean against its enumeration
+        exact = enumerate_expectation(p, sched.generator(k), sched.step(k), x)
+        cross_check(float(mean_f), exact, "audit: mean_i F(T_i(x))")
+
+    worst_pt = None  # (k, x^k, stacked mean), as first and last below
     step = chunk_rows(p.n_blocks * p.n)  # rows per chunk
     for traj in trajectories:
-        values, a = traj.objectives(), 0
+        values, a, first, last = traj.objectives(), 0, None, None
         for S in traj.iterates(step):  # a whole number of chunks
             fx = values[a:a + len(S)]
             inside = (np.linalg.norm(S - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi)
             skipped += int(inside.size - np.count_nonzero(inside))
-            # each k's (generator, eps); a chunk inside one run of equal keys is one group
-            g, e = sched.at(np.arange(a, a + len(S)))
-            runs = np.cumsum(np.r_[0, (g[1:] != g[:-1]) | (e[1:] != e[:-1])])
+            q, e = sched.at(np.arange(a, a + len(S)))
             for c in range(0, len(S), step):
-                ins = c + np.flatnonzero(inside[c:c + step])
-                groups = [ins] if ins.size else []
-                if ins.size and runs[ins[0]] != runs[ins[-1]]:  # else sort; first-seen order
-                    order = np.lexsort((e[ins], g[ins]))
-                    gs, es = g[ins[order]], e[ins[order]]
-                    cuts = np.flatnonzero((gs[1:] != gs[:-1]) | (es[1:] != es[:-1])) + 1
-                    groups = sorted(np.split(ins[order], cuts), key=lambda m: m[0])
-                for idx in groups:
-                    gen, eps = sched.generator(a + int(idx[0])), sched.step(a + int(idx[0]))
-                    key = (id(gen), eps)
-                    mean_f = stacked_expectation(p, gen, eps, S[idx])
-                    lhs, rhs = mean_f - f_bar, constants.beta * (fx[idx] - f_bar)
-                    checked += len(idx)
-                    violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
-                    margin = rhs - lhs
-                    w = int(margin.argmin())
-                    if not (np.isnan(worst) or margin[w] >= worst):
-                        worst = float(margin[w])
-                        worst_pt = (gen, eps, S[idx[w]].copy(), mean_f[w])
-                    firsts.setdefault(key, (gen, eps, S[idx[0]].copy(), mean_f[0]))
-                    lasts[key] = (gen, eps, S[idx[-1]].copy(), mean_f[-1])
+                idx = c + np.flatnonzero(inside[c:c + step])
+                if not idx.size:
+                    continue
+                mean_f = stacked_expectation(p, q[idx], e[idx], S[idx])
+                lhs, rhs = mean_f - f_bar, constants.beta * (fx[idx] - f_bar)
+                checked += len(idx)
+                violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
+                margin = rhs - lhs
+                w = int(margin.argmin())
+                if not (np.isnan(worst) or margin[w] >= worst):
+                    worst = float(margin[w])
+                    worst_pt = (a + int(idx[w]), S[idx[w]].copy(), mean_f[w])
+                if first is None:
+                    first = (a + int(idx[0]), S[idx[0]].copy(), mean_f[0])
+                last = (a + int(idx[-1]), S[idx[-1]].copy(), mean_f[-1])
             a += len(S)
-    oracle = [*firsts.values(), *lasts.values()] + ([worst_pt] if worst_pt else [])
-    for gen, eps, x, mean_f in oracle:
-        exact = float(enumerate_expectation(p, gen, eps, x, p.objective_rows))
-        cross_check(float(mean_f), exact, "audit: mean_i F(T_i(x))")
+        for point in (first, last) if first else ():
+            oracle(*point)
+    if worst_pt:
+        oracle(*worst_pt)
     return ContractionAudit(checked, skipped, violations, float(worst))
 
 

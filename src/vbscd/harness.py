@@ -228,10 +228,11 @@ _SCHEMA = {
         "x0": Key(str, "zeros", ("zeros", "near-start"), _REPLICATED),
         "near_start_radius": Key(float, 1.0, "[0, inf)", ("solver", "x0", ("near-start",))),
     },
+    # resolve_reference_value defaults max_steps and tolerance
     "reference": {
         "source": Key(str, "auto", ("auto", "known", "best-found")),
-        "max_steps": Key(int, 100_000, "[1, inf)", _ITERATED),
-        "tolerance": Key(float, 1e-12, "[0, inf)", _ITERATED),
+        "max_steps": Key(int, None, "[1, inf)", _ITERATED),
+        "tolerance": Key(float, None, "[0, inf)", _ITERATED),
     },
     # eta, nu, lt_level and lt_radius default to values derived from the run
     "probe": {
@@ -516,13 +517,12 @@ def _setup(cfg: ExperimentConfig):
     """Instance, schedule and reference value of the configured experiment."""
     p = build_instance(cfg)
     sched = build_schedule(cfg, p)
-    ref = resolve_reference_value(
-        p, sched,
-        source=cfg.reference["source"],
-        max_steps=cfg.reference["max_steps"],
-        tolerance=cfg.reference["tolerance"],
-    )
-    return p, sched, ref
+    # whether an instance has a known optimum shows only once it is built
+    if cfg.reference["source"] == "auto" and p.known_optimum is not None:
+        if unread := sorted(cfg.reference.keys() - {"source"}):
+            raise ConfigError(f"[reference] {unread[0]} goes unread: [reference] source = auto takes "
+                              f"the known optimum of [instance] kind = {cfg.instance['kind']}")
+    return p, sched, resolve_reference_value(p, sched, **cfg.reference)
 
 
 def run_replications(cfg: ExperimentConfig) -> ReplicationResult:

@@ -55,16 +55,17 @@ def block_target(reg: Regularizer, q, eps: float, x_block, grad_block) -> np.nda
     return scalar_prox(reg, w, v)
 
 
-def _full_target(p, gen, eps, x, grad) -> np.ndarray:
+def _full_target(p, q, eps, x, grad) -> np.ndarray:
     """T(x) with one prox call per penalty group; ``x`` may also be a (k, n)
     stack of points with ``grad`` the matching stack of gradients, and row j
-    of the result is then bit for bit what x_j and its gradient give."""
-    q = gen.weights
+    of the result is then bit for bit what x_j and its gradient give.  The
+    kernel weights ``q`` are one per coordinate, shape (n,), or one per row
+    of a stack, a (k, 1) column like the steps ``eps`` then."""
     w = q / eps
     v = x - (eps / q) * grad
     y = np.empty_like(v)
     for reg, sl in p.penalty_groups:
-        y[..., sl] = scalar_prox(reg, w[sl], v[..., sl])
+        y[..., sl] = scalar_prox(reg, w[sl] if w.ndim == 1 else w, v[..., sl])
     return y
 
 
@@ -98,7 +99,7 @@ def coordinate_prox_all(p, gen, eps, x, *, grad=None) -> np.ndarray:
     one full prox gives every target.
     """
     x = _prep(p, gen, eps, x)
-    t = _full_target(p, gen, eps, x, p.smooth.grad(x) if grad is None else grad)
+    t = _full_target(p, gen.weights, eps, x, p.smooth.grad(x) if grad is None else grad)
     return np.where(_block_masks(p.partition), t, x)
 
 
@@ -106,7 +107,7 @@ def full_prox(p, gen, eps, x, *, grad=None) -> np.ndarray:
     """Full map T(x): every block moves (block-separable, so composition
     of the one-block maps in any order)."""
     x = _prep(p, gen, eps, x)
-    return _full_target(p, gen, eps, x, p.smooth.grad(x) if grad is None else grad)
+    return _full_target(p, gen.weights, eps, x, p.smooth.grad(x) if grad is None else grad)
 
 
 def full_prox_rows(p, gen, eps, X) -> np.ndarray:
@@ -114,14 +115,17 @@ def full_prox_rows(p, gen, eps, X) -> np.ndarray:
     one prox call per penalty group; row j equals ``full_prox`` at X[j]
     up to the rounding of the stacked gradient."""
     X = _prep(p, gen, eps, X, ndim=2)
-    return _full_target(p, gen, eps, X, p.smooth.grad_rows(X))
+    return _full_target(p, gen.weights, eps, X, p.smooth.grad_rows(X))
 
 
-def coordinate_prox_all_rows(p, gen, eps, X) -> np.ndarray:
+def coordinate_prox_all_rows(p, q, eps, X) -> np.ndarray:
     """The one-block targets of every row of a (k, n) stack as a (k, N, n)
-    array: entry [j, i] is T_i(X[j]), row i of ``coordinate_prox_all`` at X[j]."""
-    T = full_prox_rows(p, gen, eps, X)
-    return np.where(_block_masks(p.partition), T[:, None, :], np.asarray(X, dtype=float)[:, None, :])
+    array, row j under uniform kernel weight q[j] and step eps[j] ((k, 1)
+    columns, as :meth:`~vbscd.bregman.BregmanSchedule.at` gives them):
+    entry [j, i] is T_i(X[j]), up to the rounding of the stacked gradient."""
+    X = np.asarray(X, dtype=float)
+    T = _full_target(p, q, eps, X, p.smooth.grad_rows(X))
+    return np.where(_block_masks(p.partition), T[:, None, :], X[:, None, :])
 
 
 def envelope_value(p, gen, eps, x) -> float:

@@ -212,6 +212,20 @@ def _every_factory_form(n):
             yield BregmanSchedule.alternating(n, q_lo, q_hi, period, eps)
 
 
+def test_at_gives_each_k_its_generator_weight_and_step():
+    # constant, alternating with q_lo < q_hi and with q_lo == q_hi, each with
+    # a constant and a harmonic-clipped step (clipped from k = 9 on)
+    for sched in _every_factory_form(4):
+        for ks in (np.arange(200), np.arange(10**6 - 7, 10**6 + 40)):
+            q, e = sched.at(ks)
+            assert q.shape == e.shape == (len(ks), 1)
+            want_q = np.array([sched.generator(k).weights[0] for k in ks.tolist()])
+            want_e = np.array([sched.step(k) for k in ks.tolist()])
+            assert q.tobytes() == want_q.tobytes()
+            assert e.tobytes() == want_e.tobytes()
+        assert len(set(q.ravel().tolist())) == (1 if sched.m == sched.M else 2)
+
+
 def test_schedule_bounds_hold_by_construction(monkeypatch):
     ks = range(10**4)
     p = lasso_random(n=4, n_blocks=2, seed=2)

@@ -107,6 +107,22 @@ def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, kind, section, key
     assert not (tmp_path / "out").exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("key, value", [("max_steps", "100000"), ("tolerance", "1e-12")])
+def test_unread_reference_key_exits_two(tmp_path, capsys, key, value):
+    # lasso-1d has a known optimum, which source = auto takes without any
+    # full-map iteration; such a key was once accepted with exit 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_key(SOLVE_CFG, "reference", key, value))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: [reference] {key} goes unread"), err
+    assert not out.exists()
+    # under best-found the iteration reads it
+    cfg.write_text(with_key(with_key(SOLVE_CFG, "reference", key, value), "reference", "source", "best-found"))
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("kind", ["verify", "probe-eb"])
 def test_unread_max_iters_exits_two(tmp_path, capsys, kind):
     # with both [probe] eta and nu set no scout run sizes the neighborhood,

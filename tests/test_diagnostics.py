@@ -11,6 +11,7 @@ from vbscd import (
     compute_constants,
     contraction_audit,
     coordinate_prox,
+    coordinate_prox_all,
     fit_linear_rate,
     in_neighborhood,
     make_regularizer,
@@ -21,7 +22,6 @@ from vbscd.diagnostics import (
     check_level_dominance,
     check_value_proximity,
     constants_for_schedule,
-    enumerate_expectation,
     expectation_identities,
     make_check,
     worst_check,
@@ -73,7 +73,7 @@ def test_enumeration_with_one_block_is_the_full_update():
     gen = BregmanGenerator.uniform(1, 1.0)
     x = np.array([0.7])
     t = coordinate_prox(p, gen, 0.5, x, 0)
-    via_mean = enumerate_expectation(p, gen, 0.5, x, lambda y: y.copy())
+    via_mean = coordinate_prox_all(p, gen, 0.5, x).mean(axis=0)
     assert np.allclose(via_mean, t, atol=1e-15)
 
 

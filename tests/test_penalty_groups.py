@@ -203,7 +203,7 @@ def test_audit_matches_per_target_enumeration(name):
     # the theory's beta, and smaller ones that some points violate
     for beta in (theory.beta, 0.95, 0.9, 0.5):
         constants = dataclasses.replace(theory, beta=beta)
-        audit = contraction_audit(p, sched, traj, x_bar, f_bar, constants)
+        audit = contraction_audit(p, sched, [traj], x_bar, f_bar, constants)
         checked, violations = per_target_audit(p, sched, traj, x_bar, f_bar, constants)
         assert audit.checked == checked > 0
         assert audit.violations == violations

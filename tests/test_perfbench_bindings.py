@@ -97,7 +97,7 @@ def test_audit_and_level_ball_results_have_what_the_trace_reads():
     traj = run(p, SolverConfig(schedule=sched, max_iters=30, tolerance=0.0, seed=1))
     x_bar = traj.final_point
     constants = compute_constants(1.0, 1.0, p.smooth.lipschitz, 0.1, 0.1, 5, 0.5, 10.0, 100.0)
-    audit = contraction_audit(p, sched, traj, x_bar, p.objective(x_bar), constants)
+    audit = contraction_audit(p, sched, [traj], x_bar, p.objective(x_bar), constants)
     pts, _, _ = sample_level_ball(p, x_bar, 0.5, 1.0, 40, np.random.default_rng(0))
     tr = _Counts()
     layers = _layers()

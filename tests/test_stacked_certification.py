@@ -32,6 +32,7 @@ from vbscd import (
 from vbscd import diagnostics, probes
 from vbscd.bregman import step_cap
 from vbscd.diagnostics import enumerate_expectation
+from vbscd.model import chunk_rows
 from vbscd.probes import gap_floor
 from vbscd.prox import full_prox
 
@@ -82,8 +83,7 @@ def per_point_audit(p, sched, trajs, x_bar, f_bar, constants, slack=1e-9):
                                    constants.level_window, fx=fx):
                 skipped += 1
                 continue
-            mean_f = float(enumerate_expectation(
-                p, sched.generator(k), sched.step(k), x, p.objective_rows))
+            mean_f = enumerate_expectation(p, sched.generator(k), sched.step(k), x)
             lhs, rhs = mean_f - f_bar, constants.beta * (fx - f_bar)
             checked += 1
             worst = min(worst, rhs - lhs)
@@ -131,7 +131,7 @@ def test_audit_accepts_a_single_trajectory_and_reports_no_points():
     (traj,) = trajectories(p, sched, x_bar, count=1, steps=30)
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, 1e-9, 1e-9)
-    audit = contraction_audit(p, sched, traj, x_bar, f_bar, theory)
+    audit = contraction_audit(p, sched, [traj], x_bar, f_bar, theory)
     assert (audit.checked, audit.skipped, audit.violations) == (0, 31, 0)
     assert audit.worst_margin == np.inf and not audit.ok
 
@@ -191,6 +191,40 @@ def test_audit_oracle_raises_on_a_disagreement(monkeypatch):
         contraction_audit(*case)
 
 
+def test_audit_makes_one_stacked_call_per_chunk(monkeypatch):
+    # under alternating weights and a harmonic step every k has its own
+    # geometry, which travels with its row: still one stacked call per chunk
+    # that holds a checked point, and at most 2R + 1 enumerations
+    p = instances.lasso_random(10, 5, seed=21)
+    sched = schedule("harmonic", p)
+    x_bar, f_bar = reference_point(p, sched)
+    trajs = trajectories(p, sched, x_bar, count=3, steps=400)
+    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
+                               sched.eps_hi, p.n_blocks, 0.05, eta, nu)
+    d = np.sort([np.linalg.norm(x - x_bar) for t in trajs for x in t.points])
+    constants = dataclasses.replace(theory, eta=d[d.size // 3] + d[d.size // 3 + 1])
+    stacked, enumerate_ = diagnostics.stacked_expectation, diagnostics.enumerate_expectation
+    sizes, enumerated = [], []
+    monkeypatch.setattr(diagnostics, "stacked_expectation",
+                        lambda *a: (sizes.append(len(a[3])), stacked(*a))[1])
+    monkeypatch.setattr(diagnostics, "enumerate_expectation",
+                        lambda *a: (enumerated.append(a[3]), enumerate_(*a))[1])
+    audit = contraction_audit(p, sched, trajs, x_bar, f_bar, constants)
+    step = chunk_rows(p.n_blocks * p.n)
+    chunks = 0
+    for t in trajs:
+        fx = t.objectives()
+        inside = ((np.linalg.norm(t.points - x_bar, axis=1) <= constants.eta / 2.0)
+                  & (f_bar + gap_floor(f_bar) < fx) & (fx < f_bar + constants.level_window))
+        chunks += sum(inside[c:c + step].any() for c in range(0, inside.size, step))
+    assert audit.skipped > 0 and len(trajs[0].points) > 2 * step
+    assert len(sizes) == chunks and sum(sizes) == audit.checked
+    assert len(trajs) <= len(enumerated) <= 2 * len(trajs) + 1
+    for t in trajs:  # at least one enumeration per trajectory
+        assert any((x == t.points).all(axis=1).any() for x in enumerated)
+
+
 def test_audit_memory_stays_bounded():
     # one 20,000-step trajectory: a single stack of its one-block targets
     # would take 20,001 * 10 * 50 doubles = 80 MB
@@ -206,7 +240,7 @@ def test_audit_memory_stays_bounded():
     assert constants.level_window > 1.0 + traj.initial_objective - f_bar
     tracemalloc.start()
     try:
-        audit = contraction_audit(p, sched, traj, x_bar, f_bar - 1.0, constants)
+        audit = contraction_audit(p, sched, [traj], x_bar, f_bar - 1.0, constants)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
