@@ -7,12 +7,14 @@
 
 For each CSV under A or B (matched by relative path) prints one line: the
 row counts in A and B, whether the cells that do not read as numbers are
-equal, and over the cells that read as numbers in both trees the largest
-relative difference |a - b| / max(|a|, |b|) and the largest absolute
+equal, and over the numbers in both trees the largest relative difference |a - b| / max(|a|, |b|) and the largest absolute
 difference |a - b|, each with the column and data row where it occurs (a
 value near zero, such as a gap at the floor, can drift far in relative
 terms by rounding alone; a NaN against a number, or an infinity against
-another value, counts as an infinite difference).  Rows are compared in
+another value, counts as an infinite difference).  A cell of numbers
+joined by ``;`` (the ``extremal`` column of ``eb_report.csv``) is compared
+number by number when both cells hold equally many; otherwise, and for
+any cell that is not all numbers, as text.  Rows are compared in
 order up to the shorter file.  Exits 1 when a file is missing from one
 tree, row counts differ or a non-numeric cell differs, so that "moved by
 rounding only" is a checked statement; the size of the numeric drift is
@@ -26,9 +28,10 @@ import sys
 from pathlib import Path
 
 
-def _number(cell: str) -> float | None:
+def _numbers(cell: str) -> list[float] | None:
+    """The numbers in a cell, one or several joined by ';'; None for text."""
     try:
-        return float(cell)
+        return [float(part) for part in cell.split(";")]
     except ValueError:
         return None
 
@@ -43,20 +46,21 @@ def drift(a: Path, b: Path) -> tuple[bool, str]:
     worst = {"rel": (0.0, ""), "abs": (0.0, "")}
     for r, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:])):
         for c, (x, y) in enumerate(zip(ra, rb)):
-            fx, fy = _number(x), _number(y)
-            if fx is None or fy is None:
+            xs, ys = _numbers(x), _numbers(y)
+            if xs is None or ys is None or len(xs) != len(ys):
                 text_equal &= x == y
                 continue
-            if fx == fy or (math.isnan(fx) and math.isnan(fy)):
-                continue
-            diff = abs(fx - fy)
-            rel = diff / max(abs(fx), abs(fy))
-            if math.isnan(diff) or math.isnan(rel):
-                diff = rel = math.inf
-            for kind, value in (("rel", rel), ("abs", diff)):
-                if value > worst[kind][0]:
-                    column = header[c] if c < len(header) else str(c)
-                    worst[kind] = (value, f" ({column}, row {r})")
+            for fx, fy in zip(xs, ys):
+                if fx == fy or (math.isnan(fx) and math.isnan(fy)):
+                    continue
+                diff = abs(fx - fy)
+                rel = diff / max(abs(fx), abs(fy))
+                if math.isnan(diff) or math.isnan(rel):
+                    diff = rel = math.inf
+                for kind, value in (("rel", rel), ("abs", diff)):
+                    if value > worst[kind][0]:
+                        column = header[c] if c < len(header) else str(c)
+                        worst[kind] = (value, f" ({column}, row {r})")
     same_rows = len(rows_a) == len(rows_b)
     return same_rows and text_equal, (
         f"rows {len(rows_a) - 1}/{len(rows_b) - 1}, "

@@ -34,6 +34,7 @@ from .model import (
     ScadPenalty,
     SquaredL2Penalty,
     ZeroPenalty,
+    certified_bound,
     largest_eigenvalue_sym,
     make_quadratic_problem,
     make_regularizer,

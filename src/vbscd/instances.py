@@ -5,6 +5,15 @@ singular values, so the gram matrix A^T A has its spectrum inside
 [min_eig, max_eig] by construction; min_eig > 0 makes the least-squares
 term strongly convex, and choosing min_eig above the penalty's modulus rho
 keeps the composite objective strongly convex even for scad/mcp penalties.
+
+The instance is 0.5 ||u S v^T x - b||^2 with u, v orthogonal, but the
+design stored is S v^T with the right-hand side u^T b: an orthogonal u keeps
+the norm of every residual, so F, grad F and the gram are the same
+functions of x and u is never formed (see :func:`_design`).  This holds
+only because the loss is a function of ||A x - b||; a loss of the residual
+that is not (a Cauchy loss, say) must not reuse the rotated design.  The
+known spectrum also gives the Lipschitz candidate 1.01 * max_eig, which
+:func:`model.certified_bound` proves without an eigensolver.
 """
 from __future__ import annotations
 
@@ -67,24 +76,43 @@ def diag_quadratic(eigs=(1.0, 4.0)) -> ProblemInstance:
 
 
 def _design(n: int, min_eig: float, max_eig: float, seed: int):
-    """Square matrix with gram spectrum exactly spanning [min_eig, max_eig]."""
+    """Design S v^T and right-hand side u^T b of 0.5 ||u S v^T x - b||^2.
+
+    u and v are the orthogonal factors of seeded Gaussian matrices, S has
+    the singular values whose squares space [min_eig, max_eig] evenly, and b
+    is seeded.  ||u r - b|| = ||r - u^T b|| for every r because u is
+    orthogonal, so the rotated pair gives the same F, grad F and gram
+    v S^2 v^T (up to rounding) for a loss of ||A x - b|| only.  u is applied
+    to b as its n Householder reflectors u = H_0 H_1 ... H_{n-1} (one
+    dgeqrf; u itself and the product u S v^T are never formed).  The draws
+    come in the order z_u, z_v, b, so a seed gives the same instance as the
+    explicit product.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    # h comes back transposed: reflector k is [1, h[k, k+1:]] on entries k:
+    h, tau = np.linalg.qr(rng.standard_normal((n, n)), mode="raw")
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = rng.standard_normal(n)
+    for k in range(n):
+        s = tau[k] * (b[k] + h[k, k + 1:] @ b[k + 1:])
+        b[k] -= s
+        b[k + 1:] -= s * h[k, k + 1:]
     if n == 1:
         sv = np.array([np.sqrt(max_eig)])
     else:
         sv = np.sqrt(np.linspace(max_eig, min_eig, n))
-    A = u @ (sv[:, None] * v.T)
-    b = rng.standard_normal(n)
-    return A, b
+    return sv[:, None] * v.T, b
 
 
 def _random_least_squares(reg, n, n_blocks, min_eig, max_eig, seed) -> ProblemInstance:
-    """Least squares on a seeded design, with the penalty ``reg`` on every block."""
+    """Least squares on a seeded design, with the penalty ``reg`` on every
+    block and the certified L = 1.01 * max_eig."""
+    if not min_eig <= max_eig:
+        raise ValueError(f"need min_eig <= max_eig, got {min_eig} > {max_eig}")
     A, b = _design(n, min_eig, max_eig, seed)
     return make_quadratic_problem(A=A, b=b, regularizers=(reg,) * n_blocks,
-                                  partition=BlockPartition.even(n, n_blocks))
+                                  partition=BlockPartition.even(n, n_blocks),
+                                  lipschitz=1.01 * max_eig)
 
 
 def lasso_random(

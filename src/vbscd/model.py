@@ -103,6 +103,47 @@ def largest_eigenvalue_sym(S: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(S)[-1])
 
 
+def certified_bound(G: np.ndarray, candidate: float | None = None) -> float:
+    """An L proven to satisfy lambda_max(G) <= L, for a finite symmetric G
+    with a nonnegative diagonal (a gram matrix).
+
+    The candidate defaults to 1.01 * :func:`largest_eigenvalue_sym`; a caller
+    that knows the spectrum by construction passes its own and skips the
+    eigensolver.  The proof is one Cholesky factorization of the rounded
+    M = (L - delta) I - G.  If it runs to completion, M + E is positive
+    definite for a backward error with ||E||_2 <= gamma_{n+1} / (1 -
+    gamma_{n+1}) tr(M) <= 2 (n + 2) u n L, u the unit roundoff (Rump,
+    *Verification of positive definiteness*, BIT 46 (2006)); rounding M's
+    diagonal adds at most 4 u (L + max G_ii), and a last term covers
+    underflow.  delta is their sum, so lambda_max(G) <= L.  G = 0 gives L = 0
+    (or the candidate) without a factorization.  Raises ValueError when the
+    candidate is negative, not finite, or not certified.
+    """
+    L = 1.01 * largest_eigenvalue_sym(G) if candidate is None else float(candidate)
+    if not (np.isfinite(L) and L >= 0.0):
+        raise ValueError(f"Lipschitz candidate {L!r} must be finite and >= 0")
+    if not np.any(G):
+        return L
+    n = G.shape[0]
+    u = np.finfo(float).eps / 2
+    delta = (2 * (n + 2) * u * n * L + 4 * u * (L + float(np.max(np.diagonal(G))))
+             + 4 * (n + 2) ** 2 * np.finfo(float).smallest_subnormal)
+    M = -G
+    M[np.diag_indices(n)] += L - delta
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"L = {L!r} is not certified: lambda_max of the {n}x{n} gram may exceed it"
+        ) from None
+    return L
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has a non-finite entry (nan or inf)")
+
+
 class SmoothTerm:
     """Smooth part f of the objective; subclasses fill value/grad/lipschitz.
 
@@ -168,21 +209,32 @@ class SmoothTerm:
 
 
 class QuadraticLeastSquares(SmoothTerm):
-    """f(x) = 0.5 ||A x - b||^2 with L = 1.01 * lambda_max(A^T A).
+    """f(x) = 0.5 ||A x - b||^2 with a certified L >= lambda_max(A^T A).
+
+    L is ``lipschitz`` when given (a random design knows its spectrum),
+    else 1.01 * lambda_max(A^T A) from the eigensolver; either way
+    :func:`certified_bound` proves it for the computed gram with one
+    Cholesky factorization and raises ValueError when it fails.  A non-finite A or b, or a gram A^T A or
+    A^T b that overflows, raises ValueError too.
 
     The solver state is the residual r = A x - b.
     """
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, lipschitz: float | None = None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+        _require_finite("the matrix A", A)
+        _require_finite("the vector b", b)
         self.A = A
         self.b = b
-        self._gram = A.T @ A
-        self._atb = A.T @ b
-        self.lipschitz = 1.01 * largest_eigenvalue_sym(self._gram)
+        with np.errstate(over="ignore"):  # checked just below
+            self._gram = A.T @ A
+            self._atb = A.T @ b
+        if not (np.all(np.isfinite(self._gram)) and np.all(np.isfinite(self._atb))):
+            raise ValueError("A^T A or A^T b overflows: the data are too large to square")
+        self.lipschitz = certified_bound(self._gram, lipschitz)
 
     def value(self, x):
         return self.state_value(self.state(x))
@@ -228,7 +280,8 @@ class QuadraticLeastSquares(SmoothTerm):
 class LogisticLoss(SmoothTerm):
     """f(x) = sum_i log(1 + exp(-y_i a_i^T x)), labels y in {-1, +1}.
 
-    L = 1.01 * lambda_max(A^T A) / 4.  The solver state is z = A x (the
+    L = 1.01 * lambda_max(A^T A) / 4, certified as in
+    :class:`QuadraticLeastSquares`.  The solver state is z = A x (the
     margins are y * z).
     """
 
@@ -241,7 +294,7 @@ class LogisticLoss(SmoothTerm):
             raise ValueError("labels must be -1 or +1")
         self.A = A
         self.y = y
-        self.lipschitz = 1.01 * largest_eigenvalue_sym(A.T @ A) / 4.0
+        self.lipschitz = certified_bound(A.T @ A) / 4.0
 
     def value(self, x):
         return self.state_value(self.state(x))
@@ -652,9 +705,16 @@ def make_quadratic_problem(
     regularizers,
     partition: BlockPartition,
     known_optimum=None,
+    lipschitz: float | None = None,
 ) -> ProblemInstance:
-    """Least-squares instance 0.5||Ax-b||^2 + penalties with certified L."""
-    smooth = QuadraticLeastSquares(A, b)
+    """Least-squares instance 0.5||Ax-b||^2 + penalties with certified L.
+
+    ``lipschitz`` is the candidate L (default 1.01 * lambda_max(A^T A) from
+    the eigensolver); :class:`QuadraticLeastSquares` proves
+    lambda_max(A^T A) <= L with one Cholesky factorization or raises
+    ValueError.
+    """
+    smooth = QuadraticLeastSquares(A, b, lipschitz)
     if smooth.A.shape[1] != partition.n:
         raise ValueError(
             f"matrix has {smooth.A.shape[1]} columns, partition covers {partition.n}"

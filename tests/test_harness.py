@@ -392,6 +392,26 @@ def test_bad_matrix_file_config_exits_two(tmp_path, capsys, edit):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("rule", ["eps_rule = relative", "eps_rule = constant\neps = 0.1"],
+                         ids=["relative", "constant"])
+@pytest.mark.parametrize("entry, cause", [
+    ("nan", "the matrix A has a non-finite entry"),
+    ("1e200", r"A\^T A or A\^T b overflows"),
+], ids=["nan", "overflow"])
+def test_non_finite_matrix_file_exits_two_naming_the_cause(tmp_path, capsys, rule, entry, cause):
+    _matrix_files(tmp_path)
+    A = np.loadtxt(tmp_path / "A.txt")
+    A[2, 1] = float(entry)
+    np.savetxt(tmp_path / "A.txt", A)
+    path = write_cfg(tmp_path, MATRIX_FILE.replace("eps_rule = relative", rule))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and re.match(r"error: \[instance\] " + cause, err[0]), err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_left_out_keys_take_the_schema_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, BASE))
     assert cfg.reference == {"source": "auto"}

@@ -72,3 +72,39 @@ def test_matrix_instance_from_explicit_data():
     x = np.array([0.3, -0.7])
     direct = 0.5 * np.sum((A @ x - b) ** 2) + 0.5 * np.abs(x).sum()
     assert p.objective(x) == pytest.approx(direct)
+
+
+def _explicit_design(n, min_eig, max_eig, seed):
+    """The unrotated oracle: A = u S v^T and b from the same seeded draws."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sv = np.sqrt(np.linspace(max_eig, min_eig, n)) if n > 1 else np.array([np.sqrt(max_eig)])
+    return u @ (sv[:, None] * v.T), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 50])
+def test_rotated_design_matches_the_explicit_product(n):
+    p = lasso_random(n=n, n_blocks=1, seed=20240718)
+    A, b = _explicit_design(n, 0.5, 2.0, 20240718)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = 3.0 * rng.standard_normal(n)
+        r = A @ x - b
+        f, g = 0.5 * float(r @ r), A.T @ r
+        tol = 1e-12 * (1.0 + abs(f))
+        assert abs(p.smooth.value(x) - f) <= tol
+        assert np.max(np.abs(p.smooth.grad(x) - g)) <= tol
+
+
+@pytest.mark.parametrize("make", [lasso_random, quadratic_mcp, quadratic_scad])
+@pytest.mark.parametrize("max_eig", [2.0, 3.7])
+def test_random_designs_take_the_constructed_lipschitz(make, max_eig):
+    p = make(n=12, n_blocks=4, max_eig=max_eig)
+    assert p.smooth.lipschitz == 1.01 * max_eig
+    assert gram_extremes(p)[1] <= p.smooth.lipschitz
+
+
+def test_random_design_rejects_an_inverted_spectrum():
+    with pytest.raises(ValueError, match="min_eig <= max_eig"):
+        lasso_random(n=6, n_blocks=2, min_eig=3.0, max_eig=1.0)

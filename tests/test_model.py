@@ -12,6 +12,7 @@ from vbscd import (
     ScadPenalty,
     SquaredL2Penalty,
     ZeroPenalty,
+    certified_bound,
     largest_eigenvalue_sym,
     make_quadratic_problem,
     make_regularizer,
@@ -78,6 +79,38 @@ def test_lipschitz_is_not_underestimated():
     # the design's gram spectrum spans [0.5, 2.0] exactly, so L = 1.01 * 2.0
     p = lasso_random(n=50)
     assert p.smooth.lipschitz == pytest.approx(1.01 * 2.0, rel=1e-13)
+
+
+def test_explicit_matrices_get_the_certified_eigensolver_value():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((9, 6))
+    f = QuadraticLeastSquares(A, rng.standard_normal(9))
+    assert f.lipschitz == 1.01 * largest_eigenvalue_sym(A.T @ A)
+    assert certified_bound(A.T @ A) == f.lipschitz
+    assert QuadraticLeastSquares(np.zeros((3, 2)), np.ones(3)).lipschitz == 0.0
+
+
+def test_candidate_below_the_top_eigenvalue_is_refused():
+    A = np.diag([1.0, 2.0])
+    # lambda_max(A^T A) = 4: a bound just above it is certified, one below is not
+    assert QuadraticLeastSquares(A, np.zeros(2), lipschitz=4.0 * (1 + 1e-9)).lipschitz > 4.0
+    for L in (4.0 * (1 - 1e-9), 3.0, 0.0):
+        with pytest.raises(ValueError, match="not certified"):
+            QuadraticLeastSquares(A, np.zeros(2), lipschitz=L)
+    for L in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            certified_bound(A.T @ A, L)
+
+
+@pytest.mark.parametrize("A, b, cause", [
+    ([[1.0, np.nan], [0.0, 1.0]], [1.0, 2.0], "the matrix A has a non-finite entry"),
+    ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 2.0], "the vector b has a non-finite entry"),
+    ([[1e200, 0.0], [0.0, 1.0]], [1.0, 2.0], r"A\^T A or A\^T b overflows"),
+    ([[1e150, 0.0], [0.0, 1.0]], [1e160, 2.0], r"A\^T A or A\^T b overflows"),
+], ids=["nan-in-A", "inf-in-b", "gram-overflows", "atb-overflows"])
+def test_non_finite_least_squares_data_is_refused(A, b, cause):
+    with pytest.raises(ValueError, match=cause):
+        QuadraticLeastSquares(A, b)
 
 
 def test_descent_lemma_on_random_pairs():
