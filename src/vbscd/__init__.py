@@ -8,7 +8,6 @@ the algebraic identities and local contraction behavior numerically.
 """
 
 from .bregman import (
-    BregmanGenerator,
     BregmanSchedule,
     bregman_distance,
     validate_schedule,

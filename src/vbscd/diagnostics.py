@@ -85,14 +85,14 @@ def write_report_csv(rows, path) -> None:
 # exact expectations over the uniform block index
 
 
-def enumerate_expectation(p: ProblemInstance, gen, eps: float, x) -> float:
+def enumerate_expectation(p: ProblemInstance, q: float, eps: float, x) -> float:
     """mean_i F(T_i(x)) by exact enumeration of the N one-block targets."""
-    return float(p.objective_rows(coordinate_prox_all(p, gen, eps, x)).mean())
+    return float(p.objective_rows(coordinate_prox_all(p, q, eps, x)).mean())
 
 
 def stacked_expectation(p: ProblemInstance, q, eps, X) -> np.ndarray:
     """mean_i F(T_i(x)) at each row x of a (k, n) stack, row j under the
-    geometry in row j of the (k, 1) columns ``q`` (uniform kernel weight)
+    geometry in row j of the (k, 1) columns ``q`` (kernel weight)
     and ``eps`` (step): the k N one-block targets come from one stacked
     gradient and one grouped full prox, and their values from one
     ``objective_rows`` call."""
@@ -100,12 +100,12 @@ def stacked_expectation(p: ProblemInstance, q, eps, X) -> np.ndarray:
     return p.objective_rows(targets.reshape(-1, p.n)).reshape(len(targets), p.n_blocks).mean(axis=1)
 
 
-def expectation_identities(p: ProblemInstance, gen, eps: float, x) -> dict:
-    """Absolute deviations of the three mixing identities at x."""
+def expectation_identities(p: ProblemInstance, q: float, eps: float, x, targets) -> dict:
+    """Absolute deviations of the three mixing identities at x, whose
+    one-block targets under (q, eps) are ``targets`` (:func:`coordinate_prox_all`)."""
     x = np.asarray(x, dtype=float)
     n_blocks = p.n_blocks
-    targets = coordinate_prox_all(p, gen, eps, x)
-    t_full = full_prox(p, gen, eps, x)
+    t_full = full_prox(p, q, eps, x)
 
     mean_pt = targets.mean(axis=0)
     dev_point = float(
@@ -221,13 +221,14 @@ def in_neighborhood(p, x, x_bar, f_bar, radius, window, fx=None) -> bool:
 
 
 def check_value_proximity(
-    p: ProblemInstance, gen, eps: float, x, x_bar, f_bar: float, constants: ConstantsRecord,
+    p: ProblemInstance, q: float, eps: float, x, targets, x_bar, f_bar: float, constants: ConstantsRecord,
 ) -> list[CheckRow]:
-    """Rows of the five local proximity statements at x.
+    """Rows of the five local proximity statements at x, whose one-block
+    targets under (q, eps) are ``targets``.
 
     Hypothesis: x in B(x_bar; eta/2, nu/N) for the record's neighborhood;
     points outside get no rows.  All index expectations are exact
-    enumerations.  The distance from {F <= F_bar} is taken to the singleton
+    enumerations over ``targets``.  The distance from {F <= F_bar} is taken to the singleton
     {x_bar}, exact for strongly convex instances probed at the minimizer.
     """
     x = np.asarray(x, dtype=float)
@@ -237,11 +238,10 @@ def check_value_proximity(
         return []
 
     N = p.n_blocks
-    targets = coordinate_prox_all(p, gen, eps, x)
-    t_full = full_prox(p, gen, eps, x)
+    t_full = full_prox(p, q, eps, x)
     mean_f = float(p.objective_rows(targets).mean())
     mean_sq = float(np.sum((x - targets) ** 2, axis=1).mean())
-    env = envelope_value(p, gen, eps, x)
+    env = envelope_value(p, q, eps, x)
     dist = float(np.linalg.norm(x - x_bar))
     step_full = float(np.linalg.norm(t_full - x))
     mixed = N * mean_f - (N - 1) * fx
@@ -258,9 +258,10 @@ def check_value_proximity(
 
 
 def check_level_dominance(
-    p: ProblemInstance, gen, eps: float, x, x_bar, f_bar: float, constants: ConstantsRecord,
+    p: ProblemInstance, x, targets, x_bar, f_bar: float, constants: ConstantsRecord,
 ) -> list[CheckRow]:
-    """Rows of: every one-block target keeps the objective at or above f_bar.
+    """Rows of: every one-block target of x (the rows of ``targets``) keeps
+    the objective at or above f_bar.
 
     That row is checked at every x.  Where it passes and x meets the
     neighborhood hypothesis (x in B(x_bar; eta/2, nu/N)), three more rows
@@ -269,7 +270,6 @@ def check_level_dominance(
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    targets = coordinate_prox_all(p, gen, eps, x)
     f_targets = p.objective_rows(targets)
     rows = [make_check("level-dominance", "targets-above-reference", f_bar, f_targets.min(), 1e-12)]
     window = constants.level_window
@@ -304,7 +304,7 @@ def contraction_audit(
 ) -> ContractionAudit:
     """At every recorded in-neighborhood point, check the exact one-step
     contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar) under
-    x^k's own geometry (h_k, eps_k).
+    x^k's own geometry (q_k, eps_k).
 
     The trajectories (a sequence) are read one at a time, in row chunks of
     their iterates (:meth:`~vbscd.solver.Trajectory.iterates`).  The

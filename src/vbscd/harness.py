@@ -46,6 +46,7 @@ from .diagnostics import (
 from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, chunk_rows, same_penalty
 from .probes import (
     EmptyNeighborhoodError,
+    check_lt_eb_step,
     gap_floor,
     probe_bp_eb,
     probe_kl,
@@ -405,8 +406,8 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
         raise ConfigError(f"[bregman] eps_hi = {eps_hi} must be < min(m/L, m/rho_max) = {cap}")
     try:
         if br["weights"] == "constant":
-            return BregmanSchedule.constant(p.n, q_lo, eps)
-        return BregmanSchedule.alternating(p.n, q_lo, q_hi, br["period"], eps)
+            return BregmanSchedule.constant(q_lo, eps)
+        return BregmanSchedule.alternating(q_lo, q_hi, br["period"], eps)
     except ValueError as e:
         raise ConfigError(f"[bregman] {e}") from None
 
@@ -449,12 +450,12 @@ def resolve_reference_value(
         return Reference(np.asarray(x_star, dtype=float), float(f_star), "known")
     if source == "known":
         raise ConfigError("reference source 'known' but the instance has no known optimum")
-    gen, eps = sched.generator(0), sched.step(0)
+    q, eps = sched.generator(0), sched.step(0)
     x = np.zeros(p.n)
     f_prev = p.objective(x)
     moved = np.inf
     for _ in range(max_steps):
-        t = full_prox(p, gen, eps, x)
+        t = full_prox(p, q, eps, x)
         f_next = p.objective(t)
         if f_next > f_prev + 1e-12 * (1.0 + abs(f_prev)):
             raise DivergenceError(
@@ -677,7 +678,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     Y = np.roll(X, -1, axis=0)  # each point paired with the next, cyclically
     D = Y - X
     d2 = np.sum(D**2, axis=1)
-    gen0, eps0 = sched.generator(0), sched.step(0)
+    q0, eps0 = sched.generator(0), sched.step(0)
     L, m, M, N = p.smooth.lipschitz, sched.m, sched.M, p.n_blocks
 
     # smooth term: descent lemma, and central differences of f along each
@@ -709,7 +710,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
         rows.append(worst_check("penalty", f"{label}-subdiff", err, 0.0, 1e-5))
 
     # kernel sandwich: m/2 |d|^2 <= D_h(y, x) <= M/2 |d|^2
-    bregman = 0.5 * np.sum(gen0.weights * D**2, axis=1)
+    bregman = 0.5 * np.sum(q0 * D**2, axis=1)
     rows.append(worst_check(
         "kernel", "sandwich", -np.minimum(bregman - 0.5 * m * d2, 0.5 * M * d2 - bregman), 0.0, 1e-12,
     ))
@@ -718,8 +719,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     # grad f(x) + dG(y) + (q/eps)(y - x) at y = T(x), 0 for an exact prox),
     # identities, decrease, envelope
     Xc = X[:200]
-    Yc = full_prox_rows(p, gen0, eps0, Xc)
-    r = f.grad_rows(Xc) + (gen0.weights / eps0) * (Yc - Xc)
+    Yc = full_prox_rows(p, q0, eps0, Xc)
+    r = f.grad_rows(Xc) + (q0 / eps0) * (Yc - Xc)
     lo, hi = p.penalty_subdiff(Yc)
     rows.append(worst_check("prox", "optimality-certificate", np.max(np.abs(r + np.clip(-r, lo, hi)), axis=1),
                             0.0, 1e-8))
@@ -727,14 +728,14 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     a = sufficient_decrease(m, sched.eps_hi, L)
     per_point = np.empty((n_points, 9))
     for j, x in enumerate(X):
-        dev = expectation_identities(p, gen0, eps0, x)
+        targets = coordinate_prox_all(p, q0, eps0, x)
+        dev = expectation_identities(p, q0, eps0, x, targets)
         fx = p.objective(x)
-        targets = coordinate_prox_all(p, gen0, eps0, x)
         f_t = p.objective_rows(targets)
         sq = np.sum((x - targets) ** 2, axis=1)
         i = int(np.argmax(f_t - fx + a * sq))
         per_point[j] = (*(dev[k] for k in identities), f_t[i] - fx, -a * sq[i],
-                        envelope_value(p, gen0, eps0, x), fx, N * f_t.mean() - (N - 1) * fx, sq.mean())
+                        envelope_value(p, q0, eps0, x), fx, N * f_t.mean() - (N - 1) * fx, sq.mean())
     for k, name in enumerate(identities):
         rows.append(worst_check("expectation-identity", name, per_point[:, k], 0.0, 1e-12))
     decrease, bound, env, fx, mixed, sq_mean = per_point[:, 3:].T
@@ -765,10 +766,11 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
         min(n_points, 200), rng,
     )
     prox_rows, dom_rows = [], []
-    for x in hyp_pts:
-        if found := check_value_proximity(p, gen0, eps0, x, ref.point, f_bar, constants):
+    for x in hyp_pts:  # each point's one-block targets enumerated once
+        targets = coordinate_prox_all(p, q0, eps0, x)
+        if found := check_value_proximity(p, q0, eps0, x, targets, ref.point, f_bar, constants):
             prox_rows.append(found)
-            dom_rows += check_level_dominance(p, gen0, eps0, x, ref.point, f_bar, constants)
+            dom_rows += check_level_dominance(p, x, targets, ref.point, f_bar, constants)
     if not prox_rows:
         rows.append(make_check("value-proximity", "hypothesis-met", 1.0, 0.0, 0.0))
     else:
@@ -887,10 +889,15 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
 
 def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
     p, sched, ref = _setup(cfg)
+    q0, eps0 = sched.generator(0), sched.step(0)
+    if "lt-eb" in cfg.probe["kinds"]:
+        try:
+            check_lt_eb_step(p, eps0)
+        except ValueError as e:
+            raise ConfigError(f"[probe] kinds = lt-eb at eps_0 = {eps0}: {e}") from None
     eta, nu = _neighborhood(cfg, p, sched, ref)
     samples = cfg.probe["samples"]
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _PROBE_STREAM)))
-    gen0, eps0 = sched.generator(0), sched.step(0)
     estimates = []
     for kind in cfg.probe["kinds"]:
         if kind == "ls-eb":
@@ -898,7 +905,7 @@ def run_probe_eb(cfg: ExperimentConfig, out_dir) -> int:
         elif kind == "kl":
             est = probe_kl(p, ref.point, eta, nu, samples, rng)
         elif kind == "bp-eb":
-            est = probe_bp_eb(p, gen0, eps0, ref.point, eta, nu, samples, rng)
+            est = probe_bp_eb(p, q0, eps0, ref.point, eta, nu, samples, rng)
         else:
             level = cfg.probe.get("lt_level", ref.value + nu)
             radius = cfg.probe.get("lt_radius", eta)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import BregmanGenerator
 from .csvout import fmt, write_csv
 from .model import ProblemInstance, chunk_rows
 from .prox import full_prox, full_prox_rows
@@ -185,7 +184,7 @@ def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng
 
 
 def probe_bp_eb(
-    p: ProblemInstance, gen: BregmanGenerator, eps: float, x_bar,
+    p: ProblemInstance, q: float, eps: float, x_bar,
     eta: float, nu: float, samples: int, rng,
 ) -> ErrorBoundEstimate:
     """c1 = max over samples of ||x - x_bar|| / ||x - T(x)||, on the stacked
@@ -193,10 +192,19 @@ def probe_bp_eb(
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
     x_bar = np.asarray(x_bar, dtype=float)
     num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
-    den = _rows(lambda X: np.linalg.norm(X - full_prox_rows(p, gen, eps, X), axis=1), pts)
+    den = _rows(lambda X: np.linalg.norm(X - full_prox_rows(p, q, eps, X), axis=1), pts)
     j = _first_extremum(num, den, largest=True)
     best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
     return _finish("bp-eb", "c1", best, best_pt, len(pts), "critical-set", eta=eta, nu=nu)
+
+
+def check_lt_eb_step(p: ProblemInstance, eps: float) -> None:
+    """Raise ValueError unless lt-eb's unit-weight prox can take step eps,
+    i.e. 1/eps > rho_max; a schedule's bound eps < q/rho_max gives that
+    only for q <= 1."""
+    if not 1.0 / eps > p.rho_max:
+        raise ValueError(f"lt-eb needs 1/eps > rho_max for its unit-weight prox, "
+                         f"but eps = {eps} and rho_max = {p.rho_max}")
 
 
 def probe_lt_eb(
@@ -210,10 +218,11 @@ def probe_lt_eb(
     singleton {center}.
 
     The global condition is sampled from a ball around ``center`` of radius
-    ``sample_radius`` (default: ``radius``).
+    ``sample_radius`` (default: ``radius``).  A step the unit-weight prox
+    cannot take (:func:`check_lt_eb_step`) raises ValueError before any draw.
     """
+    check_lt_eb_step(p, eps)
     center = np.asarray(center, dtype=float)
-    gen = BregmanGenerator.uniform(p.n, 1.0)
     r_sample = radius if sample_radius is None else sample_radius
     best, best_pt, accepted = -np.inf, None, 0
     draws = 0
@@ -222,7 +231,7 @@ def probe_lt_eb(
         draws += 1
         if p.objective(x) > level:
             continue
-        denom = float(np.linalg.norm(x - full_prox(p, gen, eps, x)))
+        denom = float(np.linalg.norm(x - full_prox(p, 1.0, eps, x)))
         if denom > radius:
             continue
         accepted += 1

@@ -293,7 +293,7 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
             draws = _draw_chunk(chunks, rngs, p)
         rec, mov = chunks[-1][0][j], chunks[-1][1][j]
         blocks = draws[active, j]
-        gen, eps = sched.generator(k), sched.step(k)
+        q, eps = sched.generator(k), sched.step(k)
         check = (k + 1) % period == 0
         for kind, (reg, width) in enumerate(kinds):
             sel = np.flatnonzero(kind_of[blocks] == kind) if len(kinds) > 1 else slice(None)
@@ -302,7 +302,7 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
                 continue
             cols = starts[blk][:, None] + np.arange(width)
             old = X[rows[:, None], cols]
-            new = block_target(reg, gen.weights[cols], eps, old,
+            new = block_target(reg, q, eps, old,
                                smooth.block_grad_rows(S, rows, cols))
             X[rows[:, None], cols] = mov[rows, :width] = new
             if not check:

@@ -18,7 +18,6 @@ import pytest
 
 import vbscd.harness as harness
 from vbscd import (
-    BregmanGenerator,
     BregmanSchedule,
     SolverConfig,
     compute_constants,
@@ -71,9 +70,9 @@ def sample_sets():
         rng = np.random.Generator(np.random.PCG64(seed))
         pts = rng.standard_normal((SAMPLES, p.n))
         eps = 0.8 / p.smooth.lipschitz  # unit weights: cap is 1/L (and 1/rho is larger)
-        gen = BregmanGenerator.uniform(p.n, 1.0)
+        q = 1.0
         a = (1.0 - eps * p.smooth.lipschitz) / (2.0 * eps)
-        cases.append({"name": name, "p": p, "pts": pts, "eps": eps, "gen": gen, "a": a})
+        cases.append({"name": name, "p": p, "pts": pts, "eps": eps, "q": q, "a": a})
     return cases
 
 
@@ -108,9 +107,9 @@ def test_criterion_01_expectation_identities(sample_sets):
         t0 = time.perf_counter()
         worst = 0.0
         for case in sample_sets:
-            p, gen, eps = case["p"], case["gen"], case["eps"]
+            p, q, eps = case["p"], case["q"], case["eps"]
             for x in case["pts"]:
-                errs = expectation_identities(p, gen, eps, x)
+                errs = expectation_identities(p, q, eps, x, coordinate_prox_all(p, q, eps, x))
                 worst = max(worst, max(errs.values()))
                 assert max(errs.values()) <= 1e-12, (case["name"], errs)
         elapsed = time.perf_counter() - t0
@@ -123,10 +122,10 @@ def test_criterion_02_sufficient_decrease(sample_sets, rate_run):
     with criterion(2, "per-block sufficient decrease, samples and trajectories", notes):
         worst = -np.inf
         for case in sample_sets:
-            p, gen, eps, a = case["p"], case["gen"], case["eps"], case["a"]
+            p, q, eps, a = case["p"], case["q"], case["eps"], case["a"]
             for x in case["pts"]:
                 fx = p.objective(x)
-                for t in coordinate_prox_all(p, gen, eps, x):
+                for t in coordinate_prox_all(p, q, eps, x):
                     lhs = p.objective(t) - fx
                     rhs = -a * float(np.sum((x - t) ** 2))
                     worst = max(worst, lhs - rhs)
@@ -149,13 +148,13 @@ def test_criterion_03_envelope_chain(sample_sets):
     with criterion(3, "envelope below objective and mean-decrease bound", notes):
         worst = -np.inf
         for case in sample_sets:
-            p, gen, eps = case["p"], case["gen"], case["eps"]
+            p, q, eps = case["p"], case["q"], case["eps"]
             N, L = p.n_blocks, p.smooth.lipschitz
             for x in case["pts"]:
                 fx = p.objective(x)
-                env = envelope_value(p, gen, eps, x)
+                env = envelope_value(p, q, eps, x)
                 assert env <= fx + 1e-9
-                targets = coordinate_prox_all(p, gen, eps, x)
+                targets = coordinate_prox_all(p, q, eps, x)
                 mean_f = sum(p.objective(t) for t in targets) / N
                 mean_sq = sum(float(np.sum((x - t) ** 2)) for t in targets) / N
                 lhs = N * mean_f - (N - 1) * fx
@@ -215,7 +214,7 @@ def test_criterion_06_fixed_point_and_certificate():
     notes = []
     with criterion(6, "fixed-point termination and subgradient certificate", notes):
         p = lasso_1d()
-        sched = BregmanSchedule.constant(1, 1.0, 0.5)
+        sched = BregmanSchedule.constant(1.0, 0.5)
         point, value = p.known_optimum
         conf = SolverConfig(schedule=sched, max_iters=100, tolerance=1e-12,
                             check_period=1, seed=0)
@@ -243,14 +242,14 @@ def test_criterion_07_error_bound_probes():
     with criterion(7, "probe calibration on the scalar quadratic", notes):
         p = quad_1d(0.0)
         x_bar = np.zeros(1)
-        gen = BregmanGenerator.uniform(1, 1.0)
+        q = 1.0
 
         def rng(s):
             return np.random.Generator(np.random.PCG64(s))
 
         c0 = probe_ls_eb(p, x_bar, 1.0, 1.0, 10_000, rng(70)).value
         c2 = probe_kl(p, x_bar, 1.0, 1.0, 10_000, rng(71)).value
-        c1 = probe_bp_eb(p, gen, 0.5, x_bar, 1.0, 1.0, 10_000, rng(72)).value
+        c1 = probe_bp_eb(p, q, 0.5, x_bar, 1.0, 1.0, 10_000, rng(72)).value
         c3 = probe_lt_eb(p, 0.5, level=0.5, radius=1.0, samples=10_000, rng=rng(73),
                          center=x_bar).value
         notes.append(f"c0={c0:.6f} c1={c1:.6f} c2={c2:.6f} c3={c3:.6f}")

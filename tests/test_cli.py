@@ -144,6 +144,24 @@ def test_unread_max_iters_exits_two(tmp_path, capsys, kind):
     assert load_config(cfg).solver["max_iters"] == {"verify": 500, "probe-eb": 40}[kind]
 
 
+def test_lt_eb_without_a_unit_weight_prox_exits_two(tmp_path, capsys):
+    # q = 2 admits eps_0 = 0.8 * 2/rho_max = 2.4, but lt-eb's unit-weight
+    # prox needs 1/eps_0 > rho_max = 2/3; this once ended in a traceback, exit 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(PROBE_CFG.replace("kind = lasso-1d", "kind = quadratic-mcp\nn = 10\nblocks = 5\n"
+                                     "gamma = 1.5\nmin_eig = 0.3\nmax_eig = 0.5")
+                   .replace("q = 1.0", "q = 2.0")
+                   .replace("eps_rule = constant\neps = 0.5", "eps_rule = relative\neps_fraction = 0.8")
+                   .replace("kinds = ls-eb, kl", "kinds = lt-eb"))
+    assert main(["probe-eb", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [probe] kinds = lt-eb "), err
+    assert "eps_0 = 2.4" in err[0] and "rho_max = 0.666" in err[0]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert "subcommand" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vbscd import (
-    BregmanGenerator,
     BregmanSchedule,
     SolverConfig,
     auto_neighborhood,
@@ -33,47 +32,40 @@ from vbscd.model import SquaredL2Penalty
 from vbscd.probes import gap_floor
 
 
-def uniform_sched(n, q, eps):
-    return BregmanSchedule.constant(n, q, eps)
-
-
 # ---------------------------------------------------------------------------
 # expectation identities
 
 
 def test_identities_tight_on_random_lasso():
     p = lasso_random(n=12, n_blocks=4, seed=5)
-    gen = BregmanGenerator.uniform(12, 1.2)
+    q = 1.2
     eps = 0.5 * 0.9 / p.smooth.lipschitz
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(12)
-        errs = expectation_identities(p, gen, eps, x)
+        errs = expectation_identities(p, q, eps, x, coordinate_prox_all(p, q, eps, x))
         assert set(errs) == {"mean-point", "penalty-mixing", "squared-step"}
         for name, err in errs.items():
             assert err <= 1e-12, f"{name} error {err}"
 
 
 def test_identities_tight_with_nonuniform_weights():
+    # an m != M schedule: the weight of step k enters every identity
     p = lasso_random(n=10, n_blocks=5, seed=9)
-    per_block = [0.8, 1.0, 1.3, 2.0, 0.9]
-    weights = np.empty(10)
-    for i, q in enumerate(per_block):
-        weights[p.partition.block_slice(i)] = q
-    gen = BregmanGenerator(weights)
-    eps = 0.5 * min(per_block) / p.smooth.lipschitz
+    sched = BregmanSchedule.alternating(0.8, 2.0, 1, 0.5 * 0.8 / p.smooth.lipschitz)
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        errs = expectation_identities(p, gen, eps, rng.standard_normal(10))
+    for k in range(10):
+        q, eps, x = sched.generator(k), sched.step(k), rng.standard_normal(10)
+        errs = expectation_identities(p, q, eps, x, coordinate_prox_all(p, q, eps, x))
         assert max(errs.values()) <= 1e-12
 
 
 def test_enumeration_with_one_block_is_the_full_update():
     p = lasso_1d()
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     x = np.array([0.7])
-    t = coordinate_prox(p, gen, 0.5, x, 0)
-    via_mean = coordinate_prox_all(p, gen, 0.5, x).mean(axis=0)
+    t = coordinate_prox(p, q, 0.5, x, 0)
+    via_mean = coordinate_prox_all(p, q, 0.5, x).mean(axis=0)
     assert np.allclose(via_mean, t, atol=1e-15)
 
 
@@ -111,7 +103,7 @@ def test_constants_validation():
 
 def test_constants_for_schedule_pulls_schedule_data():
     p = lasso_random(n=8, n_blocks=4, seed=2)
-    sched = uniform_sched(8, 1.0, 0.4 / p.smooth.lipschitz)
+    sched = BregmanSchedule.constant(1.0, 0.4 / p.smooth.lipschitz)
     c = constants_for_schedule(sched, p, c0=1.5, eta=2.0, nu=3.0)
     assert c.N == 4
     assert c.L == p.smooth.lipschitz
@@ -142,17 +134,19 @@ def scalar_constants():
 
 def test_value_proximity_gates_on_hypothesis():
     p = quad_1d(0.0)
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     c = scalar_constants()
-    far = check_value_proximity(p, gen, 0.5, np.array([5.0]), np.zeros(1), 0.0, c)
+    x = np.array([5.0])
+    far = check_value_proximity(p, q, 0.5, x, coordinate_prox_all(p, q, 0.5, x), np.zeros(1), 0.0, c)
     assert far == []
 
 
 def test_value_proximity_rows_hold_on_scalar_quadratic():
     p = quad_1d(0.0)
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     c = scalar_constants()
-    rows = check_value_proximity(p, gen, 0.5, np.array([0.3]), np.zeros(1), 0.0, c)
+    x = np.array([0.3])
+    rows = check_value_proximity(p, q, 0.5, x, coordinate_prox_all(p, q, 0.5, x), np.zeros(1), 0.0, c)
     assert len(rows) == 6
     assert all(r.passed for r in rows)
     by_name = {r.name: r for r in rows}
@@ -166,13 +160,14 @@ def test_value_proximity_rows_hold_on_scalar_quadratic():
 
 def test_level_dominance_flips_with_reference_level():
     p = quad_1d(0.0)
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     c = scalar_constants()
     x = np.array([0.3])
-    ok = check_level_dominance(p, gen, 0.5, x, np.zeros(1), 0.0, c)
+    targets = coordinate_prox_all(p, q, 0.5, x)
+    ok = check_level_dominance(p, x, targets, np.zeros(1), 0.0, c)
     assert len(ok) == 4 and all(r.passed for r in ok)
     # raise the "reference level" above F(T(x)) = 0.01125 and it must fail
-    bad = check_level_dominance(p, gen, 0.5, x, np.zeros(1), 0.05, c)
+    bad = check_level_dominance(p, x, targets, np.zeros(1), 0.05, c)
     assert not all(r.passed for r in bad)
 
 
@@ -183,7 +178,7 @@ def test_level_dominance_flips_with_reference_level():
 def test_contraction_audit_on_small_lasso():
     p = lasso_random(n=6, n_blocks=3, seed=11)
     eps = 0.5 * 1.0 / p.smooth.lipschitz
-    sched = uniform_sched(6, 1.0, eps)
+    sched = BregmanSchedule.constant(1.0, eps)
     trajs = [
         run(p, SolverConfig(schedule=sched, max_iters=400, tolerance=0.0, seed=s),
             x0=0.05 * np.ones(6))
@@ -202,7 +197,7 @@ def test_contraction_audit_on_small_lasso():
 
 def test_auto_neighborhood_covers_supplied_points():
     p = lasso_random(n=6, n_blocks=3, seed=11)
-    sched = uniform_sched(6, 1.0, 0.4 / p.smooth.lipschitz)
+    sched = BregmanSchedule.constant(1.0, 0.4 / p.smooth.lipschitz)
     x_bar = np.zeros(6)
     pts = [np.full(6, 0.3), np.full(6, -0.2)]
     eta, nu = auto_neighborhood(p, sched, x_bar, points=[np.array(pts)])

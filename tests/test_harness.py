@@ -487,9 +487,9 @@ def test_build_schedule_alternating_with_harmonic_clip(tmp_path):
     sched = build_schedule(cfg, p)
     assert sched.eps_lo == 0.05 and sched.eps_hi == 0.4
     # weights flip every two iterations
-    assert sched.generator(0).weights[0] == 1.0
-    assert sched.generator(2).weights[0] == 1.5
-    assert sched.generator(4).weights[0] == 1.0
+    assert sched.generator(0) == 1.0
+    assert sched.generator(2) == 1.5
+    assert sched.generator(4) == 1.0
     # harmonic steps decay from eps_hi and never leave the clip band
     steps = [sched.step(k) for k in range(200)]
     assert steps[0] == 0.4
@@ -505,7 +505,7 @@ def test_build_schedule_constant_weights_with_harmonic_clip(tmp_path):
     cfg = load_config(write_cfg(tmp_path, text))
     sched = build_schedule(cfg, build_instance(cfg))
     assert (sched.m, sched.M, sched.eps_lo, sched.eps_hi) == (1.0, 1.0, 0.05, 0.4)
-    assert sched.generator(0).weights[0] == sched.generator(9).weights[0] == 1.0
+    assert sched.generator(0) == sched.generator(9) == 1.0
     assert [sched.step(k) for k in (0, 1, 100)] == [0.4, 0.2, 0.05]
 
 
@@ -547,7 +547,7 @@ def test_build_schedule_rejects_step_cap_violation(tmp_path):
 
 def test_reference_uses_known_optimum():
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     ref = resolve_reference_value(p, sched, source="known")
     assert ref.value == 2.5
     assert ref.source == "known"
@@ -556,7 +556,7 @@ def test_reference_uses_known_optimum():
 
 def test_reference_best_found_matches_known():
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     ref = resolve_reference_value(p, sched, source="best-found", max_steps=2000)
     assert ref.source == "best-found"
     assert ref.value == pytest.approx(2.5, abs=1e-10)
@@ -567,7 +567,7 @@ def test_reference_known_requires_a_known_optimum():
 
     p = quad_1d(0.0)
     stripped = dataclasses.replace(p, known_optimum=None)
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     with pytest.raises(ConfigError, match="known"):
         resolve_reference_value(stripped, sched, source="known")
 
@@ -577,7 +577,7 @@ def test_reference_flags_divergence():
     # T(x) - 1 = -1.5 (x - 1) for f = (x - 1)^2/2, so from the start point 0
     # F goes from 0.5 to 1.125
     p = quad_1d(1.0)
-    sched = BregmanSchedule.constant(1, 1.0, 2.5)
+    sched = BregmanSchedule.constant(1.0, 2.5)
     with pytest.raises(DivergenceError):
         resolve_reference_value(p, sched, source="best-found", max_steps=50)
 
@@ -588,7 +588,7 @@ def test_reference_flags_divergence():
 
 def test_aggregate_gaps_by_hand():
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     t1 = run(p, SolverConfig(schedule=sched, max_iters=4, tolerance=0.0, seed=0))
     t2 = run(p, SolverConfig(schedule=sched, max_iters=6, tolerance=0.0, seed=1))
     mean = aggregate_gaps([t1, t2], f_bar=2.5, seeds=[0, 1])
@@ -649,7 +649,7 @@ def test_run_replications_wraps_solver_failures(tmp_path, monkeypatch):
 
 def test_writers_golden(tmp_path):
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     t1 = run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=0))
     mean = aggregate_gaps([t1], f_bar=2.5, seeds=[0])
 
@@ -686,7 +686,7 @@ def test_writers_golden(tmp_path):
 
 def test_write_replication_outputs_layout(tmp_path):
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     trajs = [run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=s))
              for s in (0, 1)]
     res = harness.ReplicationResult(
@@ -922,12 +922,12 @@ def fd_gradient_error(p, x, h=1e-6):
     return float(np.max(np.abs(fd - g))) / (1.0 + float(np.max(np.abs(g))))
 
 
-def certificate_error(p, gen, eps, x):
+def certificate_error(p, q, eps, x):
     """Max-norm distance from 0 to grad f(x) + dG(y) + (q/eps)(y - x) at
     y = T(x), one point at a time."""
     g = p.smooth.grad(x)
-    y = harness.full_prox(p, gen, eps, x, grad=g)
-    r = g + (gen.weights / eps) * (y - x)
+    y = harness.full_prox(p, q, eps, x, grad=g)
+    r = g + (q / eps) * (y - x)
     lo, hi = p.penalty_subdiff(y)
     return float(np.max(np.abs(r + np.clip(-r, lo, hi))))
 
@@ -950,13 +950,13 @@ def test_verify_groups_equal_their_per_point_loops(tmp_path, monkeypatch):
     rng = np.random.Generator(np.random.PCG64(harness.derive_seed(cfg.seed, harness._VERIFY_STREAM)))
     spread = 3.0 * max(1.0, float(np.linalg.norm(ref.point)))
     pts = [harness.sample_in_ball(ref.point, spread, rng) for _ in range(cfg.verify["points"])]
-    m, M, w = sched.m, sched.M, sched.generator(0).weights
+    m, M, w = sched.m, sched.M, sched.generator(0)
     sandwich = []
     for x, y in zip(pts, pts[1:] + pts[:1]):
         d2, D = float(np.sum((y - x) ** 2)), 0.5 * float(np.sum(w * (y - x) ** 2))
         sandwich.append(-min(D - 0.5 * m * d2, 0.5 * M * d2 - D))
     assert np.array_equal(groups["sandwich"][0], sandwich)
-    f, gen, eps = p.smooth, sched.generator(0), sched.step(0)
+    f, q, eps = p.smooth, sched.generator(0), sched.step(0)
     descent = np.array([f.value(y) - f.value(x) - float(f.grad(x) @ (y - x)) for x, y in zip(pts, pts[1:] + pts[:1])])
     lhs = groups["descent-lemma"][0]
     assert np.all(np.abs(lhs - descent) <= 1e-12 * (1.0 + np.abs(lhs)))
@@ -965,7 +965,7 @@ def test_verify_groups_equal_their_per_point_loops(tmp_path, monkeypatch):
     fd = [fd_gradient_error(p, x) for x in pts[:25]]
     assert len(groups["gradient-fd"][0]) == 25
     assert np.all(np.abs(groups["gradient-fd"][0] - fd) <= 1e-8)
-    cert = [certificate_error(p, gen, eps, x) for x in pts[:200]]
+    cert = [certificate_error(p, q, eps, x) for x in pts[:200]]
     assert len(groups["optimality-certificate"][0]) == len(pts)
     assert np.all(np.abs(groups["optimality-certificate"][0] - cert) <= 1e-14)
     for label, reg in harness._distinct_penalties(p):
@@ -1020,3 +1020,23 @@ def test_verify_catches_a_faulty_second_penalty(tmp_path, monkeypatch):
     rows = _two_weight_rows(tmp_path, monkeypatch, _ScaledSubdiffL1(0.5))
     assert rows[("penalty", "l1-block0-subdiff")].passed
     assert not rows[("penalty", "l1-block2-subdiff")].passed
+
+
+def test_verify_enumerates_each_point_once(monkeypatch):
+    # the identities, decrease and envelope rows of a verify point, and the
+    # proximity and dominance rows of a hypothesis point, share one
+    # enumeration of its one-block targets: 500 + 200 points, 700 calls
+    import vbscd.diagnostics as diagnostics
+
+    seen, coordinate_prox_all = [], harness.coordinate_prox_all
+
+    def spy(p, q, eps, x, **kw):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return coordinate_prox_all(p, q, eps, x, **kw)
+
+    monkeypatch.setattr(harness, "coordinate_prox_all", spy)
+    monkeypatch.setattr(diagnostics, "coordinate_prox_all", spy)
+    cfg = load_config(ROOT / "configs" / "lasso50_verify.cfg")
+    rows = harness.run_verification(cfg)
+    assert all(r.passed for r in rows)
+    assert len(seen) == len(set(seen)) == 700

@@ -31,7 +31,7 @@ def exact_oracle(p):
 
 
 def schedule(p):
-    return BregmanSchedule.constant(p.n, 1.0, 0.8 * step_cap(1.0, p))
+    return BregmanSchedule.constant(1.0, 0.8 * step_cap(1.0, p))
 
 
 INSTANCES = {

@@ -68,7 +68,7 @@ INSTANCES = {
 
 
 def configs(p, rows, max_iters, tolerance=0.0, check_period=None, seed=11):
-    sched = BregmanSchedule.constant(p.n, 1.0, 0.8 * step_cap(1.0, p))
+    sched = BregmanSchedule.constant(1.0, 0.8 * step_cap(1.0, p))
     return [SolverConfig(sched, max_iters, tolerance, check_period, derive_seed(seed, r))
             for r in range(rows)]
 
@@ -98,6 +98,17 @@ def assert_rows_match_run(p, confs, x0s):
 def test_lockstep_rows_match_run(name, check_period):
     p = INSTANCES[name]()
     confs = configs(p, 4, 600, check_period=check_period)
+    assert_rows_match_run(p, confs, [None] * len(confs))
+
+
+@pytest.mark.parametrize("name", ["lasso50", "mixed", "uneven"])
+def test_lockstep_rows_match_run_on_an_alternating_schedule(name):
+    # weights m != M taking turns every 3 steps, with a harmonic step: each
+    # row's block update reads the weight of its own k
+    p = INSTANCES[name]()
+    eps_hi = 0.8 * step_cap(1.0, p)
+    sched = BregmanSchedule.alternating(1.0, 1.7, 3, (eps_hi / 20.0, eps_hi))
+    confs = [SolverConfig(sched, 600, 0.0, None, derive_seed(11, r)) for r in range(4)]
     assert_rows_match_run(p, confs, [None] * len(confs))
 
 

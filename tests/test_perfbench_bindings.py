@@ -48,7 +48,7 @@ def test_solver_run_result_has_what_the_trace_reads():
     from vbscd.instances import lasso_random
 
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    traj = run(p, SolverConfig(schedule=BregmanSchedule.constant(10, 1.0, 0.1),
+    traj = run(p, SolverConfig(schedule=BregmanSchedule.constant(1.0, 0.1),
                                max_iters=7, tolerance=0.0, seed=1))
     tr = _Counts()
     _layers()._on_solver_run(tr, (), {}, traj)
@@ -79,7 +79,7 @@ def test_schedule_generator_hook_sees_the_solver_calls(monkeypatch):
 
     monkeypatch.setattr(BregmanSchedule, "__post_init__", counted_post_init)
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    run(p, SolverConfig(schedule=BregmanSchedule.constant(10, 1.0, 0.1),
+    run(p, SolverConfig(schedule=BregmanSchedule.constant(1.0, 0.1),
                         max_iters=7, tolerance=0.0, seed=1))
     assert set(range(7)) <= set(seen)
 
@@ -93,7 +93,7 @@ def test_audit_and_level_ball_results_have_what_the_trace_reads():
     from vbscd.instances import lasso_random
 
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    sched = BregmanSchedule.constant(1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=30, tolerance=0.0, seed=1))
     x_bar = traj.final_point
     constants = compute_constants(1.0, 1.0, p.smooth.lipschitz, 0.1, 0.1, 5, 0.5, 10.0, 100.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vbscd import (
-    BregmanGenerator,
     EmptyNeighborhoodError,
     probe_bp_eb,
     probe_kl,
@@ -11,7 +10,7 @@ from vbscd import (
     sample_level_ball,
     write_probe_csv,
 )
-from vbscd.instances import diag_quadratic, quad_1d
+from vbscd.instances import diag_quadratic, quad_1d, quadratic_mcp
 from vbscd.prox import full_prox
 
 
@@ -72,8 +71,8 @@ def test_ls_eb_probe_on_diag_quadratic():
 def test_bp_eb_probe_exact_on_scalar_quadratic():
     # T(x) = x - eps*x at q=1: residual 0.5|x|, distance |x| -> ratio 2
     p = quad_1d(0.0)
-    gen = BregmanGenerator.uniform(1, 1.0)
-    est = probe_bp_eb(p, gen, 0.5, np.zeros(1), 1.0, 1.0, 2000, fresh_rng(7))
+    q = 1.0
+    est = probe_bp_eb(p, q, 0.5, np.zeros(1), 1.0, 1.0, 2000, fresh_rng(7))
     assert est.value == pytest.approx(2.0, rel=1e-12)
 
 
@@ -91,6 +90,15 @@ def test_lt_eb_empty_when_level_unreachable():
         probe_lt_eb(p, 0.5, level=-1.0, radius=1.0,
                     samples=10, rng=fresh_rng(9), center=np.zeros(1),
                     max_draws=500)
+
+
+def test_lt_eb_refuses_a_step_its_unit_weight_prox_cannot_take():
+    # MCP at gamma = 1.5 has rho = 2/3: the unit-weight prox needs eps < 1.5
+    p = quadratic_mcp(n=10, n_blocks=5, gamma=1.5, min_eig=0.3, max_eig=0.5)
+    rng = fresh_rng(10)
+    with pytest.raises(ValueError, match=r"1/eps > rho_max .* eps = 2\.4 and rho_max = 0\.666"):
+        probe_lt_eb(p, 2.4, level=10.0, radius=1.0, samples=10, rng=rng, center=np.zeros(10))
+    assert rng.bit_generator.state == fresh_rng(10).bit_generator.state  # refused before any draw
 
 
 def test_probe_determinism():
@@ -129,11 +137,11 @@ def test_residual_probes_measure_distance_to_the_reference_point():
     # the critical set of a strongly convex instance is its minimizer; the
     # probes take the distance to the point they are given, here off it
     p = diag_quadratic([1.0, 4.0])
-    gen = BregmanGenerator.uniform(2, 1.0)
+    q = 1.0
     center = np.array([0.3, -0.4])
-    bp = probe_bp_eb(p, gen, 0.1, center, 1.0, 10.0, 300, fresh_rng(14))
+    bp = probe_bp_eb(p, q, 0.1, center, 1.0, 10.0, 300, fresh_rng(14))
     lt = probe_lt_eb(p, 0.1, level=10.0, radius=10.0, samples=300, rng=fresh_rng(15), center=center)
     for est in (bp, lt):
         x = est.extremal_point
-        step = np.linalg.norm(x - full_prox(p, gen, 0.1, x))
+        step = np.linalg.norm(x - full_prox(p, q, 0.1, x))
         assert est.value == pytest.approx(np.linalg.norm(x - center) / step, rel=1e-12)

@@ -3,7 +3,6 @@ import pytest
 
 from vbscd import (
     BlockPartition,
-    BregmanGenerator,
     GridProxOracle,
     L1Penalty,
     McpPenalty,
@@ -19,6 +18,7 @@ from vbscd import (
     scalar_prox,
 )
 from vbscd.instances import lasso_1d, lasso_random, quadratic_mcp
+from vbscd.prox import coordinate_prox_all_rows, full_prox_rows
 
 
 def scalar_objective(reg, w, v, t):
@@ -105,22 +105,22 @@ def test_scalar_prox_vectorized_matches_scalar():
 
 def test_coordinate_prox_lasso_by_hand():
     p = lasso_1d()
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     # at x=0: grad=-3, v = 0 + 0.5*3 = 1.5, w = 2, shrink 0.5 -> 1.0
-    t = coordinate_prox(p, gen, 0.5, np.zeros(1), 0)
+    t = coordinate_prox(p, q, 0.5, np.zeros(1), 0)
     assert t[0] == pytest.approx(1.0)
     # the known critical point is a fixed point
-    t = coordinate_prox(p, gen, 0.5, np.array([2.0]), 0)
+    t = coordinate_prox(p, q, 0.5, np.array([2.0]), 0)
     assert t[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_coordinate_prox_changes_only_its_block():
     p = lasso_random(n=10, n_blocks=5, seed=3)
-    gen = BregmanGenerator.uniform(10, 1.0)
+    q = 1.0
     rng = np.random.default_rng(0)
     x = rng.standard_normal(10)
     for i in range(5):
-        t = coordinate_prox(p, gen, 0.3, x, i)
+        t = coordinate_prox(p, q, 0.3, x, i)
         sl = p.partition.block_slice(i)
         outside = np.ones(10, dtype=bool)
         outside[sl] = False
@@ -131,38 +131,38 @@ def test_coordinate_prox_changes_only_its_block():
 def test_full_prox_is_jacobi_composition():
     # all blocks use the gradient at the same base point
     p = lasso_random(n=8, n_blocks=4, seed=5)
-    gen = BregmanGenerator.uniform(8, 1.0)
+    q = 1.0
     x = np.random.default_rng(1).standard_normal(8)
-    t = full_prox(p, gen, 0.3, x)
+    t = full_prox(p, q, 0.3, x)
     for i in range(4):
         sl = p.partition.block_slice(i)
-        ti = coordinate_prox(p, gen, 0.3, x, i)
+        ti = coordinate_prox(p, q, 0.3, x, i)
         assert np.allclose(t[sl], ti[sl], atol=1e-15)
 
 
 def test_coordinate_prox_all_matches_individual():
     p = quadratic_mcp(n=10, n_blocks=5, seed=7)
-    gen = BregmanGenerator.uniform(10, 1.0)
+    q = 1.0
     x = np.random.default_rng(2).standard_normal(10)
     eps = 0.3
-    all_targets = coordinate_prox_all(p, gen, eps, x)
+    all_targets = coordinate_prox_all(p, q, eps, x)
     for i, t in enumerate(all_targets):
-        assert np.allclose(t, coordinate_prox(p, gen, eps, x, i), atol=1e-15)
+        assert np.allclose(t, coordinate_prox(p, q, eps, x, i), atol=1e-15)
 
 
 def test_block_optimality_certificate():
     # 0 must lie in grad f(x) + dG(t) + (q/eps)(t - x) for each block target
     p = lasso_random(n=12, n_blocks=4, seed=9)
-    gen = BregmanGenerator(np.random.default_rng(3).uniform(0.8, 1.6, 12))
+    q = 1.7
     eps = 0.25
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = rng.standard_normal(12) * 2
         g = p.smooth.grad(x)
-        t = full_prox(p, gen, eps, x)
+        t = full_prox(p, q, eps, x)
         for i, reg in enumerate(p.regularizers):
             sl = p.partition.block_slice(i)
-            r = g[sl] + (gen.weights[sl] / eps) * (t[sl] - x[sl])
+            r = g[sl] + (q / eps) * (t[sl] - x[sl])
             lo, hi = reg.subdiff(t[sl])
             xi = np.clip(-r, lo, hi)
             assert float(np.max(np.abs(r + xi))) <= 1e-8
@@ -170,44 +170,65 @@ def test_block_optimality_certificate():
 
 def test_envelope_value_by_hand():
     p = lasso_1d()
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     # at x=0: T(0)=1, E = f(0) + grad*(t-x) + |t| + (1/eps) D
     #       = 4.5 + (-3)(1) + 1 + (0.5/0.5) = 3.5
-    assert envelope_value(p, gen, 0.5, np.zeros(1)) == pytest.approx(3.5)
+    assert envelope_value(p, q, 0.5, np.zeros(1)) == pytest.approx(3.5)
 
 
 def test_envelope_below_objective_everywhere():
     p = quadratic_mcp(n=10, n_blocks=5, seed=11)
-    gen = BregmanGenerator.uniform(10, 1.0)
+    q = 1.0
     rng = np.random.default_rng(6)
     for _ in range(50):
         x = rng.standard_normal(10) * 3
-        assert envelope_value(p, gen, 0.3, x) <= p.objective(x) + 1e-12
+        assert envelope_value(p, q, 0.3, x) <= p.objective(x) + 1e-12
 
 
 def test_envelope_equals_objective_at_fixed_point():
     p = lasso_1d()
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     x_star = np.array([2.0])
-    assert envelope_value(p, gen, 0.5, x_star) == pytest.approx(2.5, abs=1e-12)
+    assert envelope_value(p, q, 0.5, x_star) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_prox_residual_by_hand():
     p = lasso_1d()
-    gen = BregmanGenerator.uniform(1, 1.0)
-    assert prox_residual(p, gen, 0.5, np.zeros(1)) == pytest.approx(1.0)
-    assert prox_residual(p, gen, 0.5, np.array([2.0])) == pytest.approx(0.0, abs=1e-15)
+    q = 1.0
+    assert prox_residual(p, q, 0.5, np.zeros(1)) == pytest.approx(1.0)
+    assert prox_residual(p, q, 0.5, np.array([2.0])) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_prox_rejects_bad_inputs():
     p = lasso_1d()
-    gen = BregmanGenerator.uniform(1, 1.0)
+    q = 1.0
     with pytest.raises(ValueError):
-        coordinate_prox(p, gen, -0.5, np.zeros(1), 0)
+        coordinate_prox(p, q, -0.5, np.zeros(1), 0)
     with pytest.raises(ValueError):
-        coordinate_prox(p, gen, 0.5, np.zeros(2), 0)
+        coordinate_prox(p, q, 0.5, np.zeros(2), 0)
     with pytest.raises(IndexError):
-        coordinate_prox(p, gen, 0.5, np.zeros(1), 1)
+        coordinate_prox(p, q, 0.5, np.zeros(1), 1)
+
+
+PROX_ENTRY_POINTS = {
+    "coordinate_prox": lambda p, q, x: coordinate_prox(p, q, 0.5, x, 0),
+    "coordinate_prox_all": lambda p, q, x: coordinate_prox_all(p, q, 0.5, x),
+    "coordinate_prox_all_rows": lambda p, q, x: coordinate_prox_all_rows(
+        p, np.full((1, 1), q), np.full((1, 1), 0.5), x[None, :]),
+    "full_prox": lambda p, q, x: full_prox(p, q, 0.5, x),
+    "full_prox_rows": lambda p, q, x: full_prox_rows(p, q, 0.5, x[None, :]),
+    "envelope_value": lambda p, q, x: envelope_value(p, q, 0.5, x),
+    "prox_residual": lambda p, q, x: prox_residual(p, q, 0.5, x),
+}
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(PROX_ENTRY_POINTS))
+def test_every_prox_entry_point_rejects_a_bad_kernel_weight(entry, q):
+    p = lasso_random(n=6, n_blocks=3, seed=2)
+    with pytest.raises(ValueError, match="kernel weight q must be finite and positive"):
+        PROX_ENTRY_POINTS[entry](p, q, np.ones(6))
+    PROX_ENTRY_POINTS[entry](p, 1.7, np.ones(6))  # a good weight passes
 
 
 def test_semiconvex_prox_unique_under_strong_weight():
@@ -228,8 +249,8 @@ def test_multi_coordinate_block_prox():
     p = make_quadratic_problem(
         A, np.array([3.0, -3.0]), [L1Penalty(1.0)], BlockPartition((2,))
     )
-    gen = BregmanGenerator.uniform(2, 1.0)
-    t = coordinate_prox(p, gen, 0.5, np.zeros(2), 0)
+    q = 1.0
+    t = coordinate_prox(p, q, 0.5, np.zeros(2), 0)
     assert np.allclose(t, [1.0, -1.0])
 
 

@@ -22,7 +22,7 @@ from vbscd.instances import lasso_1d, lasso_random, quad_1d
 def test_quadratic_iterates_by_hand():
     # x+ = x - eps*(x - 1) with eps = 0.5: 0, 0.5, 0.75, 0.875, ...
     p = quad_1d(1.0)
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     traj = run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=0))
     assert traj.points[:, 0].tolist() == [0.0, 0.5, 0.75, 0.875]
     # objectives 0.5*(x-1)^2 along the way
@@ -33,7 +33,7 @@ def test_quadratic_iterates_by_hand():
 
 def test_terminates_on_residual_tolerance():
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     traj = run(p, SolverConfig(schedule=sched, max_iters=100, tolerance=1e-6, check_period=1, seed=1))
     assert traj.termination == "tolerance"
     assert len(traj.records) <= 40
@@ -46,7 +46,7 @@ def test_terminates_on_residual_tolerance():
 
 def test_same_seed_reproduces_bitwise():
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.8 / p.smooth.lipschitz)
+    sched = BregmanSchedule.constant(1.0, 0.8 / p.smooth.lipschitz)
     conf = SolverConfig(schedule=sched, max_iters=50, tolerance=0.0, seed=99)
     t1, t2 = run(p, conf), run(p, conf)
     assert np.array_equal(t1.records["block"], t2.records["block"])
@@ -56,7 +56,7 @@ def test_same_seed_reproduces_bitwise():
 
 def test_different_seeds_draw_different_blocks():
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.8 / p.smooth.lipschitz)
+    sched = BregmanSchedule.constant(1.0, 0.8 / p.smooth.lipschitz)
     t1 = run(p, SolverConfig(schedule=sched, max_iters=30, tolerance=0.0, seed=0))
     t2 = run(p, SolverConfig(schedule=sched, max_iters=30, tolerance=0.0, seed=1))
     assert not np.array_equal(t1.records["block"], t2.records["block"])
@@ -71,7 +71,7 @@ def test_derive_seed_stream_split():
 
 def test_block_draws_are_roughly_uniform():
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    sched = BregmanSchedule.constant(1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=5000, tolerance=0.0, seed=7))
     counts = np.bincount(traj.records["block"], minlength=5) / len(traj.records)
     assert len(traj.records) >= 1000
@@ -81,7 +81,7 @@ def test_block_draws_are_roughly_uniform():
 def test_one_rng_draw_per_step():
     # reproducing the index sequence from the raw stream pins the contract
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    sched = BregmanSchedule.constant(1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=40, tolerance=0.0, seed=13))
     rng = np.random.Generator(np.random.PCG64(13))
     expected = [min(int(rng.random() * 5), 4) for _ in range(40)]
@@ -93,7 +93,7 @@ def test_chunked_draws_equal_per_step_draws():
     from vbscd.solver import _STEP_CHUNK
 
     p = lasso_random(n=6, n_blocks=3, seed=21)
-    sched = BregmanSchedule.constant(6, 1.0, 0.1)
+    sched = BregmanSchedule.constant(1.0, 0.1)
     steps = 2 * 4096 + 3
     traj = run(p, SolverConfig(schedule=sched, max_iters=steps, tolerance=0.0,
                                check_period=steps, seed=5))
@@ -108,7 +108,7 @@ def test_chunked_draws_equal_per_step_draws():
 
 def test_objective_monotone_along_trajectory():
     p = lasso_random(n=20, n_blocks=4, seed=2)
-    sched = BregmanSchedule.constant(20, 1.0, 0.8 / p.smooth.lipschitz)
+    sched = BregmanSchedule.constant(1.0, 0.8 / p.smooth.lipschitz)
     traj = run(p, SolverConfig(schedule=sched, max_iters=300, tolerance=0.0, seed=3))
     f = traj.objectives()
     assert np.all(np.diff(f) <= 1e-12 * (1.0 + np.abs(f[:-1])))
@@ -119,7 +119,7 @@ def test_abort_on_nonfinite_objective():
     # objective overflows to -inf after enough iterations
     f = CustomSmooth(lambda x: float(-0.5 * x @ x), lambda x: -x, lipschitz=1.0, n=1)
     p = ProblemInstance(smooth=f, regularizers=(ZeroPenalty(),), partition=BlockPartition((1,)))
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     with np.errstate(over="ignore"):
         with pytest.raises(SolverAbort):
             run(p, SolverConfig(schedule=sched, max_iters=4000, tolerance=0.0, seed=0),
@@ -132,14 +132,14 @@ def test_abort_on_nonfinite_objective():
 
 def test_invalid_schedule_rejected_up_front():
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.995)  # above the cap
+    sched = BregmanSchedule.constant(1.0, 0.995)  # above the cap
     with pytest.raises(ValueError, match="eps_hi"):
         run(p, SolverConfig(schedule=sched, max_iters=10))
 
 
 def test_residual_checked_only_on_period():
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    sched = BregmanSchedule.constant(1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=20, tolerance=0.0, check_period=4, seed=5))
     k = np.arange(len(traj.records))
     assert np.array_equal(np.isnan(traj.records["prox_residual"]), (k + 1) % 4 != 0)
@@ -148,7 +148,7 @@ def test_residual_checked_only_on_period():
 
 def test_trajectory_helpers():
     p = quad_1d(1.0)
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     traj = run(p, SolverConfig(schedule=sched, max_iters=5, tolerance=0.0, seed=0))
     assert traj.final_point[0] == pytest.approx(1 - 0.5**5)
     assert len(traj.objectives()) == 6
@@ -176,7 +176,7 @@ def test_traced_points_bytes_are_the_stored_steps():
     seen = {}
     tracer = type("Counts", (), {"count": lambda self, name, v: seen.__setitem__(name, v)})()
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    traj = run(p, SolverConfig(schedule=BregmanSchedule.constant(10, 1.0, 0.1),
+    traj = run(p, SolverConfig(schedule=BregmanSchedule.constant(1.0, 0.1),
                                max_iters=9, tolerance=0.0, seed=1))
     layers._on_solver_run(tracer, (), {}, traj)
     assert seen["solver.points_bytes"] == traj.points[1:].nbytes == 9 * 10 * 8
@@ -184,7 +184,7 @@ def test_traced_points_bytes_are_the_stored_steps():
 
 def test_trajectory_start_point_is_a_copy():
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    sched = BregmanSchedule.constant(1.0, 0.1)
     x0 = np.linspace(-1.0, 1.0, 10)
     traj = run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=1), x0)
     x0[:] = 7.0  # the caller reuses its start vector
@@ -196,7 +196,7 @@ def test_trajectory_start_point_is_a_copy():
 
 def test_single_step_applies_drawn_block():
     p = lasso_random(n=10, n_blocks=5, seed=21)
-    sched = BregmanSchedule.constant(10, 1.0, 0.1)
+    sched = BregmanSchedule.constant(1.0, 0.1)
     traj = run(p, SolverConfig(schedule=sched, max_iters=1, tolerance=0.0, seed=42))
     (block,) = traj.records["block"].tolist()
     rng = np.random.Generator(np.random.PCG64(42))
@@ -216,7 +216,7 @@ def test_abort_on_broken_sufficient_decrease():
                      lipschitz=1.0, n=2)
     p = ProblemInstance(smooth=f, regularizers=(ZeroPenalty(), ZeroPenalty()),
                         partition=BlockPartition((1, 1)))
-    sched = BregmanSchedule.constant(2, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     rng = np.random.Generator(np.random.PCG64(3))
     first = [min(int(rng.random() * 2), 1) for _ in range(50)].index(1)
     assert first > 0
@@ -228,7 +228,7 @@ def test_abort_on_broken_sufficient_decrease():
         smooth=CustomSmooth(f._value, f._grad, lipschitz=3.2, n=2),
         regularizers=p.regularizers, partition=p.partition,
     )
-    sched = BregmanSchedule.constant(2, 1.0, 0.25)
+    sched = BregmanSchedule.constant(1.0, 0.25)
     traj = run(honest, SolverConfig(schedule=sched, max_iters=50, tolerance=0.0, seed=3),
                x0=np.array([1.0, 1e-3]))
     assert len(traj.records) == 50
@@ -252,7 +252,7 @@ def test_sample_in_ball_radius_and_seeding():
 
 def test_trajectory_csv_format(tmp_path):
     p = lasso_1d()
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     traj = run(p, SolverConfig(schedule=sched, max_iters=4, tolerance=0.0, check_period=2, seed=0))
     path = tmp_path / "t.csv"
     write_trajectory_csv(traj, path, f_bar=2.5)
@@ -276,7 +276,7 @@ def test_trajectory_csv_format(tmp_path):
 
 
 def test_solver_config_validation():
-    sched = BregmanSchedule.constant(1, 1.0, 0.5)
+    sched = BregmanSchedule.constant(1.0, 0.5)
     with pytest.raises(ValueError):
         SolverConfig(schedule=sched, max_iters=0)
     with pytest.raises(ValueError):

@@ -49,12 +49,12 @@ INSTANCES = {
 def schedule(kind, p):
     eps_hi = 0.8 * step_cap(1.0, p)
     if kind == "constant":
-        return BregmanSchedule.constant(p.n, 1.0, eps_hi)
+        return BregmanSchedule.constant(1.0, eps_hi)
     if kind == "alternating":
-        return BregmanSchedule.alternating(p.n, 1.0, 1.25, 3, eps_hi)
+        return BregmanSchedule.alternating(1.0, 1.25, 3, eps_hi)
     # alternating weights and a harmonic step: one (generator, eps) group
     # per k until the step is clipped
-    return BregmanSchedule.alternating(p.n, 1.0, 1.25, 3, (eps_hi / 20.0, eps_hi))
+    return BregmanSchedule.alternating(1.0, 1.25, 3, (eps_hi / 20.0, eps_hi))
 
 
 def reference_point(p, sched):
@@ -361,16 +361,16 @@ def test_probes_match_their_per_point_loops():
     p = instances.lasso_random(10, 5, seed=21)
     sched = schedule("constant", p)
     x_bar, f_bar = reference_point(p, sched)
-    gen, eps = sched.generator(0), sched.step(0)
+    q, eps = sched.generator(0), sched.step(0)
     dist = lambda x: float(np.linalg.norm(x - x_bar))  # to the critical set {x_bar}
     for probe, num, den, largest in (
         (probe_ls_eb, dist, p.min_subgradient_norm, True),
         (probe_kl, p.min_subgradient_norm, lambda x: np.sqrt(p.objective(x) - f_bar), False),
-        (probe_bp_eb, dist, lambda x: float(np.linalg.norm(x - full_prox(p, gen, eps, x))), True),
+        (probe_bp_eb, dist, lambda x: float(np.linalg.norm(x - full_prox(p, q, eps, x))), True),
     ):
         pts, _, _ = sample_level_ball(p, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
         if probe is probe_bp_eb:
-            est = probe(p, gen, eps, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
+            est = probe(p, q, eps, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
         else:
             est = probe(p, x_bar, 0.5, 0.2, 600, np.random.default_rng(8))
         value, point = loop_ratio(pts, num, den, largest)

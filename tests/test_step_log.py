@@ -41,7 +41,7 @@ def assert_stacks_join_to_the_replay(traj):
 
 
 def configs(p, rows, max_iters, tolerance=0.0, seed=3):
-    sched = BregmanSchedule.constant(p.n, 1.0, 0.8 * step_cap(1.0, p))
+    sched = BregmanSchedule.constant(1.0, 0.8 * step_cap(1.0, p))
     return [SolverConfig(sched, max_iters, tolerance, None, derive_seed(seed, r)) for r in range(rows)]
 
 
