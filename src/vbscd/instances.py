@@ -13,7 +13,11 @@ functions of x and u is never formed (see :func:`_design`).  This holds
 only because the loss is a function of ||A x - b||; a loss of the residual
 that is not (a Cauchy loss, say) must not reuse the rotated design.  The
 known spectrum also gives the Lipschitz candidate 1.01 * max_eig, which
-:func:`model.certified_bound` proves without an eigensolver.
+:func:`model.certified_bound` proves without an eigensolver, factorizing
+the gram in place and restoring it.  The build peaks at about 4 n^2
+doubles, which is numpy's floor: its QR of v's draw holds an input copy, q
+and r beside the draw, and its Cholesky a work buffer and the factor beside
+A and the gram.
 """
 from __future__ import annotations
 
@@ -86,22 +90,27 @@ def _design(n: int, min_eig: float, max_eig: float, seed: int):
     to b as its n Householder reflectors u = H_0 H_1 ... H_{n-1} (one
     dgeqrf; u itself and the product u S v^T are never formed).  The draws
     come in the order z_u, z_v, b, so a seed gives the same instance as the
-    explicit product.
+    explicit product.  The reflectors are dropped before v's QR, and S v^T is
+    v's columns scaled in place, returned as v.T (F-contiguous, so every
+    block of columns is contiguous).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     # h comes back transposed: reflector k is [1, h[k, k+1:]] on entries k:
     h, tau = np.linalg.qr(rng.standard_normal((n, n)), mode="raw")
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    z_v = rng.standard_normal((n, n))
     b = rng.standard_normal(n)
     for k in range(n):
         s = tau[k] * (b[k] + h[k, k + 1:] @ b[k + 1:])
         b[k] -= s
         b[k + 1:] -= s * h[k, k + 1:]
+    del h
+    v, _ = np.linalg.qr(z_v)
     if n == 1:
         sv = np.array([np.sqrt(max_eig)])
     else:
         sv = np.sqrt(np.linspace(max_eig, min_eig, n))
-    return sv[:, None] * v.T, b
+    v *= sv
+    return v.T, b
 
 
 def _random_least_squares(reg, n, n_blocks, min_eig, max_eig, seed) -> ProblemInstance:

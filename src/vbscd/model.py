@@ -118,7 +118,13 @@ def certified_bound(G: np.ndarray, candidate: float | None = None) -> float:
     underflow.  delta is their sum, so lambda_max(G) <= L.  G = 0 gives L = 0
     (or the candidate) without a factorization.  Raises ValueError when the
     candidate is negative, not finite, or not certified.
+
+    M is formed in G's own storage, and G is restored bit for bit before the
+    call returns or raises, so no copy of G is made.  G must therefore be
+    writable: a read-only G is refused with ValueError before any write.
     """
+    if not G.flags.writeable:
+        raise ValueError("certified_bound factorizes the gram G in place: G must be writable")
     L = 1.01 * largest_eigenvalue_sym(G) if candidate is None else float(candidate)
     if not (np.isfinite(L) and L >= 0.0):
         raise ValueError(f"Lipschitz candidate {L!r} must be finite and >= 0")
@@ -126,16 +132,22 @@ def certified_bound(G: np.ndarray, candidate: float | None = None) -> float:
         return L
     n = G.shape[0]
     u = np.finfo(float).eps / 2
-    delta = (2 * (n + 2) * u * n * L + 4 * u * (L + float(np.max(np.diagonal(G))))
+    diag = np.diagonal(G).copy()
+    delta = (2 * (n + 2) * u * n * L + 4 * u * (L + float(np.max(diag)))
              + 4 * (n + 2) ** 2 * np.finfo(float).smallest_subnormal)
-    M = -G
-    M[np.diag_indices(n)] += L - delta
+    # M = (L - delta) I - G is formed in G's own storage; negation is exact,
+    # so negating back and writing the saved diagonal restores G bit for bit
+    np.negative(G, out=G)
     try:
-        np.linalg.cholesky(M)
+        G[np.diag_indices(n)] += L - delta
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"L = {L!r} is not certified: lambda_max of the {n}x{n} gram may exceed it"
         ) from None
+    finally:
+        np.negative(G, out=G)
+        G[np.diag_indices(n)] = diag
     return L
 
 
@@ -281,8 +293,9 @@ class LogisticLoss(SmoothTerm):
     """f(x) = sum_i log(1 + exp(-y_i a_i^T x)), labels y in {-1, +1}.
 
     L = 1.01 * lambda_max(A^T A) / 4, certified as in
-    :class:`QuadraticLeastSquares`.  The solver state is z = A x (the
-    margins are y * z).
+    :class:`QuadraticLeastSquares`; a non-finite A, or a gram A^T A that
+    overflows, raises ValueError.  The solver state is z = A x (the margins
+    are y * z).
     """
 
     def __init__(self, A, y):
@@ -292,9 +305,14 @@ class LogisticLoss(SmoothTerm):
             raise ValueError(f"shape mismatch: A {A.shape}, y {y.shape}")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        _require_finite("the matrix A", A)
         self.A = A
         self.y = y
-        self.lipschitz = certified_bound(A.T @ A) / 4.0
+        with np.errstate(over="ignore"):  # checked just below
+            gram = A.T @ A
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("A^T A overflows: the data are too large to square")
+        self.lipschitz = certified_bound(gram) / 4.0
 
     def value(self, x):
         return self.state_value(self.state(x))

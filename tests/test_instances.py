@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vbscd import QuadraticLeastSquares
 from vbscd.instances import (
+    _design,
     diag_quadratic,
     lasso_1d,
     lasso_random,
@@ -108,3 +112,45 @@ def test_random_designs_take_the_constructed_lipschitz(make, max_eig):
 def test_random_design_rejects_an_inverted_spectrum():
     with pytest.raises(ValueError, match="min_eig <= max_eig"):
         lasso_random(n=6, n_blocks=2, min_eig=3.0, max_eig=1.0)
+
+
+def _design_before_in_place(n, min_eig, max_eig, seed):
+    """The rotated design as first written: u's reflectors stay alive
+    through v's QR, and S v^T is a new product beside v."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    h, tau = np.linalg.qr(rng.standard_normal((n, n)), mode="raw")
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = rng.standard_normal(n)
+    for k in range(n):
+        s = tau[k] * (b[k] + h[k, k + 1:] @ b[k + 1:])
+        b[k] -= s
+        b[k + 1:] -= s * h[k, k + 1:]
+    sv = np.sqrt(np.linspace(max_eig, min_eig, n)) if n > 1 else np.array([np.sqrt(max_eig)])
+    return sv[:, None] * v.T, b
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 300])
+def test_design_is_unchanged_bit_for_bit(n):
+    A, b = _design(n, 0.5, 2.0, 20240718)
+    A0, b0 = _design_before_in_place(n, 0.5, 2.0, 20240718)
+    assert np.array_equal(A, A0) and np.array_equal(b, b0)
+    # block columns of A stay contiguous
+    assert A.flags.f_contiguous
+    p = lasso_random(n=n, n_blocks=1, seed=20240718)
+    f0 = QuadraticLeastSquares(A0, b0, lipschitz=1.01 * 2.0)
+    assert np.array_equal(p.smooth._gram, A0.T @ A0)
+    assert p.smooth.lipschitz == f0.lipschitz
+
+
+def test_build_memory_stays_bounded():
+    # A, its gram and numpy's QR (input copy, q and r beside the Gaussian
+    # draw) or Cholesky (work buffer and factor) hold 4 n^2 doubles at most;
+    # keeping u's reflectors or a second copy of v or of the gram adds one n^2
+    n = 300
+    tracemalloc.start()
+    try:
+        lasso_random(n=n, n_blocks=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * n * n, peak / (8 * n * n)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,34 @@ def test_non_finite_least_squares_data_is_refused(A, b, cause):
         QuadraticLeastSquares(A, b)
 
 
+def _gram(n, seed):
+    A = np.random.default_rng(seed).standard_normal((n + 3, n))
+    return A.T @ A
+
+
+@pytest.mark.parametrize("case", ["pass", "not-certified", "eigensolver", "zero"])
+def test_certified_bound_restores_the_gram(case):
+    G = np.zeros((4, 4)) if case == "zero" else _gram(6, 7)
+    before = G.copy()
+    top = float(np.linalg.eigvalsh(G)[-1])
+    if case == "not-certified":
+        with pytest.raises(ValueError, match="not certified"):
+            certified_bound(G, 0.9 * top)
+    else:
+        L = certified_bound(G, None if case == "eigensolver" else 1.5 * top)
+        assert L >= top
+    assert G.tobytes() == before.tobytes()
+
+
+def test_certified_bound_refuses_a_read_only_gram():
+    G = _gram(5, 8)
+    G.setflags(write=False)
+    # numpy's own refusal of the first in-place write would be a ValueError
+    # too, but one that does not name the gram
+    with pytest.raises(ValueError, match="the gram G in place: G must be writable"):
+        certified_bound(G, 100.0)
+
+
 def test_descent_lemma_on_random_pairs():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((8, 6))
@@ -123,6 +153,18 @@ def test_descent_lemma_on_random_pairs():
         y = rng.standard_normal(6) * 3
         gap = f.value(y) - f.value(x) - float(f.grad(x) @ (y - x))
         assert gap <= 0.5 * L * float(np.sum((y - x) ** 2)) + 1e-9
+
+
+@pytest.mark.parametrize("A, cause", [
+    ([[1.0, np.nan], [0.0, 1.0]], "the matrix A has a non-finite entry"),
+    ([[1.0, 0.0], [np.inf, 1.0]], "the matrix A has a non-finite entry"),
+    ([[1e200, 0.0], [0.0, 1.0]], r"A\^T A overflows"),
+], ids=["nan-in-A", "inf-in-A", "gram-overflows"])
+def test_non_finite_logistic_data_is_refused(A, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=cause):
+            LogisticLoss(A, [1.0, -1.0])
 
 
 def test_logistic_value_grad_and_lipschitz():
