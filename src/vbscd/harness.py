@@ -43,7 +43,7 @@ from .diagnostics import (
     worst_row,
     write_report_csv,
 )
-from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, chunk_rows, same_penalty
+from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, chunk_rows
 from .probes import (
     EmptyNeighborhoodError,
     check_lt_eb_step,
@@ -780,17 +780,13 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
 
 
 def _distinct_penalties(p: ProblemInstance):
-    """(label, penalty) per distinct penalty, told apart as in ``penalty_groups``.
+    """(label, penalty) per distinct penalty of the instance.
 
     The label is the kind, plus the first block carrying it when a kind repeats."""
-    firsts = []
-    for reg, sl in p.penalty_groups:
-        if not any(same_penalty(reg, r) for _, r in firsts):
-            firsts.append((p.partition.offsets.index(sl.start), reg))
-    kinds = [reg.kind for _, reg in firsts]
+    kinds = [reg.kind for reg in p.penalties]
     return [
-        (reg.kind if kinds.count(reg.kind) == 1 else f"{reg.kind}-block{i}", reg)
-        for i, reg in firsts
+        (reg.kind if kinds.count(reg.kind) == 1 else f"{reg.kind}-block{p.penalty_of.index(j)}", reg)
+        for j, reg in enumerate(p.penalties)
     ]
 
 

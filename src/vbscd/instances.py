@@ -26,6 +26,7 @@ import numpy as np
 from .model import (
     BlockPartition,
     L1Penalty,
+    LogisticLoss,
     McpPenalty,
     ProblemInstance,
     ScadPenalty,
@@ -153,8 +154,6 @@ def logistic_random(
     rows: int = 40, seed: int = 20240721,
 ) -> ProblemInstance:
     """Logistic loss with l1 penalties on seeded data."""
-    from .model import LogisticLoss
-
     rng = np.random.Generator(np.random.PCG64(seed))
     A = rng.standard_normal((rows, n))
     truth = rng.standard_normal(n)

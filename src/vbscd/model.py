@@ -14,7 +14,9 @@ evaluates F on each row of a stack of points (the N one-block targets, a grid).
 
 Smooth terms also expose a state protocol (``state``, ``state_value``,
 ``block_grad``, ``move``, and their row forms; see :class:`SmoothTerm`)
-through which the solver follows f one block at a time.
+through which the solver follows f one block at a time.  Least squares and
+logistic regression are both a loss of the residual A x - b
+(:class:`AffineLoss`), which writes that protocol once for both.
 """
 from __future__ import annotations
 
@@ -151,9 +153,12 @@ def certified_bound(G: np.ndarray, candidate: float | None = None) -> float:
     return L
 
 
-def _require_finite(name: str, a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has a non-finite entry (nan or inf)")
+def _matrix_and_vector(A, v, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A as a float matrix and v as a float vector with one entry per row of A."""
+    A, v = np.asarray(A, dtype=float), np.asarray(v, dtype=float)
+    if A.ndim != 2 or v.ndim != 1 or A.shape[0] != v.shape[0]:
+        raise ValueError(f"shape mismatch: A {A.shape}, {name} {v.shape}")
+    return A, v
 
 
 class SmoothTerm:
@@ -164,8 +169,8 @@ class SmoothTerm:
     and ``block_grad(s, sl)`` give f and the gradient on the coordinates
     ``sl``, and ``move(s, sl, old, new)`` updates s in place after block
     ``sl`` of x went from ``old`` to ``new``.  The defaults keep a copy of x
-    and call value/grad on it, which is the exact full-vector path; least
-    squares and logistic keep A x, so a step costs O(rows * block width).
+    and call value/grad on it, which is the exact full-vector path;
+    :class:`AffineLoss` keeps the residual A x - b instead.
 
     The row forms serve the lockstep solver, which advances a (k, n) stack
     of points at once: ``state_rows(X)`` and ``state_value_rows(S)`` act on
@@ -173,7 +178,7 @@ class SmoothTerm:
     cols)`` and ``move_rows(S, rows, cols, old, new)`` take for each j the
     state S[rows[j]] and the coordinates cols[j] (a (k, b) index array) and
     do what ``block_grad`` and ``move`` do on that one state.  The defaults
-    loop over the one-state methods; least squares and logistic vectorize.
+    loop over the one-state methods; :class:`AffineLoss` vectorizes them.
     """
 
     lipschitz: float
@@ -220,36 +225,80 @@ class SmoothTerm:
             self.move(S[r], c, o, v)
 
 
-class QuadraticLeastSquares(SmoothTerm):
+class AffineLoss(SmoothTerm):
+    """f(x) = loss(A x - b), with b None standing for 0.
+
+    The solver state is the residual z = A x - b, which a block move updates
+    in place (Richtarik & Takac, Math. Prog. 144 (2014)), so a step costs
+    O(rows * block width).  A subclass gives the loss of z,
+    ``state_value(z)`` and ``state_value_rows(Z)``, and its elementwise
+    derivative ``dloss(z)``; the protocol is written here once, with block
+    gradients A[:, sl]^T dloss(z) and grad f(x) = dloss(z) A.
+    """
+
+    def _set_data(self, A: np.ndarray, b: np.ndarray | None = None):
+        """Keep A and b and return A^T A and A^T b (None without b); raises
+        ValueError when A or b is not finite or a product overflows."""
+        for name, a in (("the matrix A", A), ("the vector b", b)):
+            if a is not None and not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} has a non-finite entry (nan or inf)")
+        self.A, self.b = A, b
+        with np.errstate(over="ignore"):  # checked just below
+            gram, atb = A.T @ A, (None if b is None else A.T @ b)
+        if not (np.all(np.isfinite(gram)) and (b is None or np.all(np.isfinite(atb)))):
+            products = "A^T A" if b is None else "A^T A or A^T b"
+            raise ValueError(f"{products} overflows: the data are too large to square")
+        return gram, atb
+
+    def _shift(self, Z):
+        return Z if self.b is None else Z - self.b
+
+    def value(self, x):
+        return self.state_value(self.state(x))
+
+    def value_rows(self, X):
+        return self.state_value_rows(self.state_rows(X))
+
+    def grad(self, x):
+        return self.dloss(self.state(x)) @ self.A
+
+    def grad_rows(self, X):
+        return self.dloss(self.state_rows(X)) @ self.A
+
+    def state(self, x):
+        return self._shift(self.A @ x)
+
+    def state_rows(self, X):
+        return self._shift(X @ self.A.T)
+
+    def block_grad(self, s, sl):
+        # column views of A, never a copy
+        return self.A[:, sl].T @ self.dloss(s)
+
+    def move(self, s, sl, old, new):
+        s += self.A[:, sl] @ (new - old)
+
+    def block_grad_rows(self, S, rows, cols):
+        # A.T[cols] is (k, b, m): the columns of A in each row's block
+        return np.einsum("kbm,km->kb", self.A.T[cols], self.dloss(S[rows]))
+
+    def move_rows(self, S, rows, cols, old, new):
+        S[rows] += np.einsum("kbm,kb->km", self.A.T[cols], new - old)
+
+
+class QuadraticLeastSquares(AffineLoss):
     """f(x) = 0.5 ||A x - b||^2 with a certified L >= lambda_max(A^T A).
 
     L is ``lipschitz`` when given (a random design knows its spectrum),
     else 1.01 * lambda_max(A^T A) from the eigensolver; either way
-    :func:`certified_bound` proves it for the computed gram with one
-    Cholesky factorization and raises ValueError when it fails.  A non-finite A or b, or a gram A^T A or
-    A^T b that overflows, raises ValueError too.
-
-    The solver state is the residual r = A x - b.
+    :func:`certified_bound` proves it for the computed gram G with one
+    Cholesky factorization or raises ValueError.  The gradient is
+    G x - A^T b.
     """
 
     def __init__(self, A, b, lipschitz: float | None = None):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
-            raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-        _require_finite("the matrix A", A)
-        _require_finite("the vector b", b)
-        self.A = A
-        self.b = b
-        with np.errstate(over="ignore"):  # checked just below
-            self._gram = A.T @ A
-            self._atb = A.T @ b
-        if not (np.all(np.isfinite(self._gram)) and np.all(np.isfinite(self._atb))):
-            raise ValueError("A^T A or A^T b overflows: the data are too large to square")
+        self._gram, self._atb = self._set_data(*_matrix_and_vector(A, b, "b"))
         self.lipschitz = certified_bound(self._gram, lipschitz)
-
-    def value(self, x):
-        return self.state_value(self.state(x))
 
     def grad(self, x):
         return self._gram @ x - self._atb
@@ -258,101 +307,37 @@ class QuadraticLeastSquares(SmoothTerm):
         # the gram matrix is symmetric, so row j is (G x_j)^T
         return X @ self._gram - self._atb
 
-    def value_rows(self, X):
-        r = X @ self.A.T - self.b
-        return 0.5 * np.sum(r * r, axis=1)
-
-    def state(self, x):
-        return self.A @ x - self.b
-
     def state_value(self, s):
         return 0.5 * float(s @ s)
-
-    def block_grad(self, s, sl):
-        # column views of A, never a copy
-        return self.A[:, sl].T @ s
-
-    def move(self, s, sl, old, new):
-        s += self.A[:, sl] @ (new - old)
-
-    def state_rows(self, X):
-        return X @ self.A.T - self.b
 
     def state_value_rows(self, S):
         return 0.5 * np.sum(S * S, axis=1)
 
-    def block_grad_rows(self, S, rows, cols):
-        # A.T[cols] is (k, b, m): the columns of A in each row's block
-        return np.einsum("kbm,km->kb", self.A.T[cols], S[rows])
-
-    def move_rows(self, S, rows, cols, old, new):
-        S[rows] += np.einsum("kbm,kb->km", self.A.T[cols], new - old)
+    def dloss(self, z):
+        return z
 
 
-class LogisticLoss(SmoothTerm):
-    """f(x) = sum_i log(1 + exp(-y_i a_i^T x)), labels y in {-1, +1}.
-
-    L = 1.01 * lambda_max(A^T A) / 4, certified as in
-    :class:`QuadraticLeastSquares`; a non-finite A, or a gram A^T A that
-    overflows, raises ValueError.  The solver state is z = A x (the margins
-    are y * z).
+class LogisticLoss(AffineLoss):
+    """f(x) = sum_i log(1 + exp(-y_i a_i^T x)), labels y in {-1, +1}: the
+    residual is z = A x and the margins are y * z.  L = 1.01 *
+    lambda_max(A^T A) / 4, certified as in :class:`QuadraticLeastSquares`.
     """
 
     def __init__(self, A, y):
-        A = np.asarray(A, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
-            raise ValueError(f"shape mismatch: A {A.shape}, y {y.shape}")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
+        A, self.y = _matrix_and_vector(A, y, "y")
+        if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        _require_finite("the matrix A", A)
-        self.A = A
-        self.y = y
-        with np.errstate(over="ignore"):  # checked just below
-            gram = A.T @ A
-        if not np.all(np.isfinite(gram)):
-            raise ValueError("A^T A overflows: the data are too large to square")
-        self.lipschitz = certified_bound(gram) / 4.0
-
-    def value(self, x):
-        return self.state_value(self.state(x))
-
-    def value_rows(self, X):
-        margins = (X @ self.A.T) * self.y
-        return np.sum(np.logaddexp(0.0, -margins), axis=1)
-
-    def grad(self, x):
-        return self.block_grad(self.state(x), slice(None))
-
-    def grad_rows(self, X):
-        ys = self.y * (X @ self.A.T)
-        return -((self.y * (0.5 * (1.0 - np.tanh(0.5 * ys)))) @ self.A)
-
-    def state(self, x):
-        return self.A @ x
+        self.lipschitz = certified_bound(self._set_data(A)[0]) / 4.0
 
     def state_value(self, s):
         return float(np.sum(np.logaddexp(0.0, -(self.y * s))))
 
-    def block_grad(self, s, sl):
-        # sigmoid(-m) written via tanh for overflow safety
-        sig = 0.5 * (1.0 - np.tanh(0.5 * (self.y * s)))
-        return -(self.A[:, sl].T @ (self.y * sig))
-
-    def move(self, s, sl, old, new):
-        s += self.A[:, sl] @ (new - old)
-
-    def state_rows(self, X):
-        return X @ self.A.T
-
     def state_value_rows(self, S):
         return np.sum(np.logaddexp(0.0, -(self.y * S)), axis=1)
 
-    def block_grad_rows(self, S, rows, cols):
-        sig = 0.5 * (1.0 - np.tanh(0.5 * (self.y * S[rows])))
-        return -np.einsum("kbm,km->kb", self.A.T[cols], self.y * sig)
-
-    move_rows = QuadraticLeastSquares.move_rows
+    def dloss(self, z):
+        # -y sigmoid(-y z), the sigmoid written via tanh for overflow safety
+        return -(self.y * (0.5 * (1.0 - np.tanh(0.5 * (self.y * z)))))
 
 
 class CustomSmooth(SmoothTerm):
@@ -611,12 +596,18 @@ class ProblemInstance:
     ``known_optimum`` is an optional (point, value) pair for instances whose
     critical point is available analytically; it is validated on construction
     (subgradient residual at the point must be <= 1e-9).
+
+    The block penalties are told apart once, by :func:`same_penalty`:
+    ``penalties`` holds each distinct one (its first block's object, in
+    block order) and ``penalty_of[i]`` is block i's index into it.
     """
 
     smooth: SmoothTerm
     partition: BlockPartition
     regularizers: tuple[Regularizer, ...]
     known_optimum: tuple[np.ndarray, float] | None = None
+    penalties: tuple[Regularizer, ...] = field(init=False, repr=False, compare=False)
+    penalty_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
     penalty_groups: tuple[tuple[Regularizer, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -626,14 +617,20 @@ class ProblemInstance:
             raise ValueError(
                 f"{len(regs)} penalties for {self.partition.n_blocks} blocks"
             )
-        groups: list[tuple[Regularizer, slice]] = []
-        for i, reg in enumerate(regs):
-            sl = self.partition.block_slice(i)
-            if groups and same_penalty(groups[-1][0], reg):
-                groups[-1] = (groups[-1][0], slice(groups[-1][1].start, sl.stop))
-            else:
-                groups.append((reg, sl))
-        object.__setattr__(self, "penalty_groups", tuple(groups))
+        penalties: list[Regularizer] = []
+        of: list[int] = []
+        for reg in regs:
+            j = next((j for j, seen in enumerate(penalties) if same_penalty(seen, reg)), len(penalties))
+            if j == len(penalties):
+                penalties.append(reg)
+            of.append(j)
+        # runs of equal indices are the groups
+        edges = [0, *(i for i in range(1, len(of)) if of[i] != of[i - 1]), len(of)]
+        offsets = self.partition.offsets
+        groups = tuple((penalties[of[a]], slice(offsets[a], offsets[b])) for a, b in zip(edges, edges[1:]))
+        object.__setattr__(self, "penalties", tuple(penalties))
+        object.__setattr__(self, "penalty_of", tuple(of))
+        object.__setattr__(self, "penalty_groups", groups)
         if self.known_optimum is not None:
             x_star, f_star = self.known_optimum
             x_star = np.asarray(x_star, dtype=float)

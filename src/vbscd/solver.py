@@ -229,15 +229,12 @@ def _logged(p: ProblemInstance, chunks, r: int, K: int, x0, termination: str, f0
 
 
 def _block_kinds(p: ProblemInstance):
-    """Blocks grouped by (penalty of their penalty group, width): the kinds
-    as (penalty, width) pairs, and each block's kind index."""
+    """Blocks grouped by (distinct penalty, width): the kinds as (penalty,
+    width) pairs, and each block's kind index."""
     kinds: dict = {}
-    kind_of = np.empty(p.n_blocks, dtype=np.intp)
-    offsets = p.partition.offsets
-    for reg, sl in p.penalty_groups:
-        for i in range(offsets.index(sl.start), offsets.index(sl.stop)):
-            kind_of[i] = kinds.setdefault((reg, p.partition.sizes[i]), len(kinds))
-    return list(kinds), kind_of
+    kind_of = np.array([kinds.setdefault(key, len(kinds)) for key in zip(p.penalty_of, p.partition.sizes)],
+                       dtype=np.intp)
+    return [(p.penalties[j], width) for j, width in kinds], kind_of
 
 
 def run_lockstep(p: ProblemInstance, configs, x0s) -> list:

@@ -65,7 +65,7 @@ def test_quadratic_lipschitz_known_spectra():
     assert QuadraticLeastSquares(A, np.zeros(2)).lipschitz == pytest.approx(4.04, rel=1e-6)
 
 
-def test_power_iteration_matches_eigvalsh():
+def test_largest_eigenvalue_sym_matches_eigvalsh():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((6, 6))
     S = B @ B.T
@@ -73,7 +73,7 @@ def test_power_iteration_matches_eigvalsh():
     assert lam == pytest.approx(float(np.linalg.eigvalsh(S)[-1]), rel=1e-6)
 
 
-def test_power_iteration_zero_matrix():
+def test_largest_eigenvalue_sym_zero_matrix():
     assert largest_eigenvalue_sym(np.zeros((4, 4))) == 0.0
 
 

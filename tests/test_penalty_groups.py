@@ -23,12 +23,14 @@ from vbscd import (
     contraction_audit,
     coordinate_prox_all,
     full_prox,
+    harness,
     in_neighborhood,
     instances,
     make_quadratic_problem,
     run,
 )
 from vbscd.prox import block_target
+from vbscd.solver import _block_kinds, match_oracle, run_lockstep
 
 REL = 1e-14
 
@@ -150,6 +152,28 @@ def test_array_holding_penalty_is_grouped_only_by_identity():
     twins = (ArrayWeightedL1([0.1, 0.2]), ArrayWeightedL1([0.1, 0.2]))
     p = make_quadratic_problem(np.eye(4), np.ones(4), twins, part)
     assert [sl for _, sl in p.penalty_groups] == [slice(0, 2), slice(2, 4)]
+
+
+def test_equal_penalties_in_separate_blocks_are_one_kind():
+    base = instances.lasso_random(12, 3)
+    regs = (L1Penalty(0.1), ScadPenalty(0.3), L1Penalty(0.1))
+    p = make_quadratic_problem(base.smooth.A, base.smooth.b, regs, base.partition)
+    assert p.penalties == regs[:2] and p.penalty_of == (0, 1, 0)
+    assert [sl for _, sl in p.penalty_groups] == [slice(0, 4), slice(4, 8), slice(8, 12)]
+    # the lockstep solver calls the prox once per (penalty, width) per step
+    kinds, kind_of = _block_kinds(p)
+    assert kinds == [(regs[0], 4), (regs[1], 4)] and kind_of.tolist() == [0, 1, 0]
+    assert [label for label, _ in harness._distinct_penalties(p)] == ["l1", "scad"]
+    sched = BregmanSchedule.constant(1.0, 0.4)
+    configs = [SolverConfig(schedule=sched, max_iters=200, tolerance=1e-10, check_period=3, seed=s)
+               for s in (1, 2)]
+    for conf, shadow in zip(configs, run_lockstep(p, configs, [None, None])):
+        match_oracle(run(p, conf), shadow, conf.tolerance)
+
+
+def test_repeated_kinds_are_labelled_by_their_first_block():
+    labels = [label for label, _ in harness._distinct_penalties(mixed_instance())]
+    assert labels == ["l1-block0", "scad", "l1-block3"]
 
 
 def test_parameterless_penalties_merge():
