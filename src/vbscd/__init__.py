@@ -34,7 +34,6 @@ from .model import (
     SquaredL2Penalty,
     ZeroPenalty,
     certified_bound,
-    largest_eigenvalue_sym,
     make_quadratic_problem,
     make_regularizer,
 )

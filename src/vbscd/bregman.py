@@ -98,19 +98,10 @@ def sufficient_decrease(m: float, eps_hi: float, L: float) -> float:
     return (m - eps_hi * L) / (2.0 * eps_hi)
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
-    ok: bool
-    message: str = ""
-
-
-def validate_schedule(sched: BregmanSchedule, p: ProblemInstance) -> ScheduleReport:
-    """Check a schedule against an instance: eps_hi < :func:`step_cap`.  The
-    per-step bounds hold by construction, so the work does not depend on
-    the horizon."""
+def validate_schedule(sched: BregmanSchedule, p: ProblemInstance) -> None:
+    """Check a schedule against an instance: raises ValueError naming eps_hi
+    and the cap unless eps_hi < :func:`step_cap`.  The per-step bounds hold
+    by construction, so the work does not depend on the horizon."""
     cap = step_cap(sched.m, p)
     if not sched.eps_hi < cap:
-        return ScheduleReport(
-            False, f"eps_hi = {sched.eps_hi} must be < min(m/L, m/rho_max) = {cap}",
-        )
-    return ScheduleReport(True)
+        raise ValueError(f"eps_hi = {sched.eps_hi} must be < min(m/L, m/rho_max) = {cap}")

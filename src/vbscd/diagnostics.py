@@ -197,15 +197,6 @@ def compute_constants(
     )
 
 
-def constants_for_schedule(
-    sched: BregmanSchedule, p: ProblemInstance, c0: float, eta: float, nu: float,
-) -> ConstantsRecord:
-    return compute_constants(
-        sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo, sched.eps_hi,
-        p.n_blocks, c0, eta, nu,
-    )
-
-
 # ---------------------------------------------------------------------------
 # neighborhood hypothesis and the proximity checks
 

@@ -34,7 +34,7 @@ from .diagnostics import (
     auto_neighborhood,
     check_level_dominance,
     check_value_proximity,
-    constants_for_schedule,
+    compute_constants,
     contraction_audit,
     expectation_identities,
     fit_linear_rate,
@@ -390,34 +390,23 @@ def build_schedule(cfg: ExperimentConfig, p: ProblemInstance) -> BregmanSchedule
     cap = step_cap(q_lo, p)
     rule = br["eps_rule"]
     if rule == "constant":
-        eps = eps_hi = br["eps"]
+        eps = br["eps"]
     elif rule == "relative":
         if not np.isfinite(cap):
             raise ConfigError(
                 "[bregman] eps_rule=relative needs a positive curvature bound; "
                 "set eps_rule=constant for flat instances"
             )
-        eps = eps_hi = br["eps_fraction"] * cap
+        eps = br["eps_fraction"] * cap
     else:
-        eps_hi = br["eps_hi"]
-        eps = (br["eps_lo"], eps_hi)
+        eps = (br["eps_lo"], br["eps_hi"])
 
-    if not eps_hi < cap:
-        raise ConfigError(f"[bregman] eps_hi = {eps_hi} must be < min(m/L, m/rho_max) = {cap}")
-    try:
-        if br["weights"] == "constant":
-            return BregmanSchedule.constant(q_lo, eps)
-        return BregmanSchedule.alternating(q_lo, q_hi, br["period"], eps)
+    try:  # constant weights are q_lo = q_hi, and their period keeps its default 1
+        sched = BregmanSchedule.alternating(q_lo, q_hi, br["period"], eps)
+        validate_schedule(sched, p)
+        return sched
     except ValueError as e:
         raise ConfigError(f"[bregman] {e}") from None
-
-
-def build_solver_config(cfg: ExperimentConfig, sched: BregmanSchedule, seed: int) -> SolverConfig:
-    sv = cfg.solver
-    try:
-        return SolverConfig(sched, sv["max_iters"], sv["tolerance"], sv.get("check_period"), seed)
-    except ValueError as e:
-        raise ConfigError(f"[solver] {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +465,6 @@ def resolve_reference_value(
 
 
 @dataclass
-class MeanTrajectory:
-    """Per-iteration mean and population variance of the gap, truncated to
-    the shortest replication."""
-
-    mean_gap: np.ndarray
-    var_gap: np.ndarray
-    n_replications: int
-    seeds: list
-
-
-@dataclass
 class NearStartRow:
     replication: int
     max_dist: float
@@ -499,19 +477,17 @@ class ReplicationResult:
     schedule: BregmanSchedule
     reference: Reference
     trajectories: list
-    mean: MeanTrajectory
+    mean_gap: np.ndarray
+    var_gap: np.ndarray
     near_start: list | None = None
 
 
-def aggregate_gaps(trajectories, f_bar: float, seeds=None) -> MeanTrajectory:
+def aggregate_gaps(trajectories, f_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-iteration mean and population variance of the gap, truncated to
+    the shortest replication."""
     length = min(len(t.records) for t in trajectories) + 1
     gaps = np.stack([t.gaps(f_bar)[:length] for t in trajectories])
-    return MeanTrajectory(
-        mean_gap=gaps.mean(axis=0),
-        var_gap=gaps.var(axis=0),  # population variance (ddof=0)
-        n_replications=len(trajectories),
-        seeds=list(seeds) if seeds is not None else [],
-    )
+    return gaps.mean(axis=0), gaps.var(axis=0)  # population variance (ddof=0)
 
 
 def _setup(cfg: ExperimentConfig):
@@ -543,7 +519,9 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
     seeds = [derive_seed(cfg.seed, r) for r in range(cfg.replications)]
     x0s = [near_start_point(ref.point, radius, s) if x0_mode == "near-start" else None
            for s in seeds]
-    confs = [build_solver_config(cfg, sched, s) for s in seeds]
+    sv = cfg.solver
+    confs = [SolverConfig(sched, sv["max_iters"], sv["tolerance"], sv.get("check_period"), s)
+             for s in seeds]
     try:
         trajectories = [run(p, confs[0], x0s[0])]
     except Exception as e:
@@ -560,17 +538,15 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
         for r, traj in enumerate(trajectories):
             dmax = max(float(np.linalg.norm(S - ref.point, axis=1).max()) for S in traj.iterates())
             near_rows.append(NearStartRow(r, dmax, dmax <= stay_radius))
-    mean = aggregate_gaps(trajectories, ref.value, seeds)
     return ReplicationResult(
-        instance=p, schedule=sched, reference=ref, trajectories=trajectories,
-        mean=mean, near_start=near_rows if x0_mode == "near-start" else None,
+        p, sched, ref, trajectories, *aggregate_gaps(trajectories, ref.value),
+        near_start=near_rows if x0_mode == "near-start" else None,
     )
 
 
-def write_mean_csv(mean: MeanTrajectory, path) -> None:
+def write_mean_csv(mean_gap, var_gap, path) -> None:
     write_csv(path, "k,mean_gap,var_gap", (
-        f"{k},{fmt(mg)},{fmt(vg)}"
-        for k, (mg, vg) in enumerate(zip(mean.mean_gap, mean.var_gap))
+        f"{k},{fmt(mg)},{fmt(vg)}" for k, (mg, vg) in enumerate(zip(mean_gap, var_gap))
     ))
 
 
@@ -594,7 +570,7 @@ def write_replication_outputs(res: ReplicationResult, out_dir) -> None:
     width = max(3, len(str(len(res.trajectories) - 1)))
     for r, traj in enumerate(res.trajectories):
         write_trajectory_csv(traj, out / f"traj_{r:0{width}d}.csv", f_bar=res.reference.value)
-    write_mean_csv(res.mean, out / "mean_gap.csv")
+    write_mean_csv(res.mean_gap, res.var_gap, out / "mean_gap.csv")
     if res.near_start is not None:
         write_near_start_csv(res.near_start, out / "near_start.csv")
 
@@ -622,7 +598,8 @@ def probed_constants(cfg, p, sched, ref, eta: float, nu: float, rng) -> tuple[Co
     """Constants of the schedule for the probed ls-eb constant, inflated by
     _EB_INFLATION so that sampling noise does not understate it."""
     est = probe_ls_eb(p, ref.point, eta, nu, cfg.probe["samples"], rng)
-    constants = constants_for_schedule(sched, p, _EB_INFLATION * est.value, eta, nu)
+    constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo, sched.eps_hi,
+                                  p.n_blocks, _EB_INFLATION * est.value, eta, nu)
     return constants, est
 
 
@@ -670,8 +647,8 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     n_prox = cfg.verify["prox_queries"]
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, _VERIFY_STREAM)))
 
-    rep = validate_schedule(sched, p)
-    rows = [make_check("schedule", "declared-bounds", 0.0 if rep.ok else 1.0, 0.0, 0.0)]
+    validate_schedule(sched, p)  # raises on a failure, so the row below passes
+    rows = [make_check("schedule", "declared-bounds", 0.0, 0.0, 0.0)]
 
     spread = 3.0 * max(1.0, float(np.linalg.norm(ref.point)))
     X = np.array([sample_in_ball(ref.point, spread, rng) for _ in range(n_points)])
@@ -847,7 +824,7 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
     if _ended_below_reference(res):
         return 1
     try:
-        report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
+        report = fit_linear_rate(res.mean_gap, f_bar=res.reference.value)
     except ValueError as e:
         print(f"rate fit failed: {e}")
         return 1
@@ -863,7 +840,7 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
         audit = contraction_audit(p, sched, res.trajectories, ref.point, ref.value, constants)
         write_probe_csv([est], out / "eb_report.csv")
 
-    write_rate_csv(report, res.mean.n_replications, out / "rate_report.csv")
+    write_rate_csv(report, len(res.trajectories), out / "rate_report.csv")
     print(f"reference: {res.reference.source}  value={res.reference.value:.12g}")
     print(
         f"fit window [{report.window_start}, {report.window_stop}): "
@@ -879,7 +856,7 @@ def run_rate(cfg: ExperimentConfig, out_dir) -> int:
         if not audit.ok:
             print("contraction audit FAILED")
             return 1
-    print(f"wrote rate_report.csv and {res.mean.n_replications} trajectories to {out}")
+    print(f"wrote rate_report.csv and {len(res.trajectories)} trajectories to {out}")
     return 0 if report.contracting else 1
 
 

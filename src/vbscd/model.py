@@ -50,10 +50,13 @@ class BlockPartition:
     """Contiguous partition of coordinates 0..n-1 into blocks.
 
     ``sizes[i]`` is the width of block i; offsets are the running prefix sums.
+    ``block_of[j]`` is the block holding coordinate j, a read-only (n,) int
+    array computed once and left out of comparisons.
     """
 
     sizes: tuple[int, ...]
     offsets: tuple[int, ...] = field(init=False)
+    block_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -64,6 +67,9 @@ class BlockPartition:
         object.__setattr__(self, "sizes", sizes)
         offs = np.concatenate(([0], np.cumsum(sizes)))
         object.__setattr__(self, "offsets", tuple(int(o) for o in offs))
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        block_of.flags.writeable = False  # one array serves every caller
+        object.__setattr__(self, "block_of", block_of)
 
     @property
     def n(self) -> int:
@@ -91,33 +97,19 @@ class BlockPartition:
 # smooth terms
 
 
-def largest_eigenvalue_sym(S: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix, from a dense eigensolver.
-
-    Exact to rounding, so a Lipschitz constant built on it is an upper bound
-    rather than an iterative estimate from below.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.any(S):
-        return 0.0
-    return float(np.linalg.eigvalsh(S)[-1])
-
-
 def certified_bound(G: np.ndarray, candidate: float | None = None) -> float:
     """An L proven to satisfy lambda_max(G) <= L, for a finite symmetric G
     with a nonnegative diagonal (a gram matrix).
 
-    The candidate defaults to 1.01 * :func:`largest_eigenvalue_sym`; a caller
-    that knows the spectrum by construction passes its own and skips the
-    eigensolver.  The proof is one Cholesky factorization of the rounded
-    M = (L - delta) I - G.  If it runs to completion, M + E is positive
-    definite for a backward error with ||E||_2 <= gamma_{n+1} / (1 -
-    gamma_{n+1}) tr(M) <= 2 (n + 2) u n L, u the unit roundoff (Rump,
-    *Verification of positive definiteness*, BIT 46 (2006)); rounding M's
-    diagonal adds at most 4 u (L + max G_ii), and a last term covers
-    underflow.  delta is their sum, so lambda_max(G) <= L.  G = 0 gives L = 0
+    The candidate defaults to 1.01 times the largest eigenvalue from the
+    dense eigensolver ``eigvalsh``; a caller that knows the spectrum by
+    construction passes its own and skips the eigensolver.  The proof is
+    one Cholesky factorization of the rounded M = (L - delta) I - G.  If it
+    runs to completion, M + E is positive definite for a backward error
+    with ||E||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr(M) <= 2 (n + 2) u n
+    L, u the unit roundoff (Rump, *Verification of positive definiteness*,
+    BIT 46 (2006)); rounding M's diagonal adds at most 4 u (L + max G_ii),
+    and a last term covers underflow.  delta is their sum, so lambda_max(G) <= L.  G = 0 gives L = 0
     (or the candidate) without a factorization.  Raises ValueError when the
     candidate is negative, not finite, or not certified.
 
@@ -127,7 +119,7 @@ def certified_bound(G: np.ndarray, candidate: float | None = None) -> float:
     """
     if not G.flags.writeable:
         raise ValueError("certified_bound factorizes the gram G in place: G must be writable")
-    L = 1.01 * largest_eigenvalue_sym(G) if candidate is None else float(candidate)
+    L = 1.01 * float(np.linalg.eigvalsh(G)[-1]) if candidate is None else float(candidate)
     if not (np.isfinite(L) and L >= 0.0):
         raise ValueError(f"Lipschitz candidate {L!r} must be finite and >= 0")
     if not np.any(G):
@@ -162,7 +154,9 @@ def _matrix_and_vector(A, v, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SmoothTerm:
-    """Smooth part f of the objective; subclasses fill value/grad/lipschitz.
+    """Smooth part f of the objective on R^n; subclasses fill
+    value/grad/lipschitz and the dimension ``n``, which
+    :class:`ProblemInstance` checks against its partition.
 
     The solver moves one block per step and reads f through a small state
     protocol: ``state(x)`` builds what f is computed from, ``state_value(s)``
@@ -182,6 +176,7 @@ class SmoothTerm:
     """
 
     lipschitz: float
+    n: int
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -242,7 +237,7 @@ class AffineLoss(SmoothTerm):
         for name, a in (("the matrix A", A), ("the vector b", b)):
             if a is not None and not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} has a non-finite entry (nan or inf)")
-        self.A, self.b = A, b
+        self.A, self.b, self.n = A, b, A.shape[1]
         with np.errstate(over="ignore"):  # checked just below
             gram, atb = A.T @ A, (None if b is None else A.T @ b)
         if not (np.all(np.isfinite(gram)) and (b is None or np.all(np.isfinite(atb)))):
@@ -393,10 +388,6 @@ class Regularizer:
     def prox(self, v, w):
         v = np.asarray(v, dtype=float)
         return np.sign(v) * self.prox_abs(np.abs(v), w)
-
-    def total(self, t) -> float:
-        """Sum of the coordinatewise values over an array."""
-        return float(np.sum(self.value(np.asarray(t, dtype=float))))
 
 
 def _weight(kind: str, lam) -> float:
@@ -611,6 +602,10 @@ class ProblemInstance:
     penalty_groups: tuple[tuple[Regularizer, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.smooth.n != self.partition.n:
+            raise ValueError(
+                f"smooth term has {self.smooth.n} coordinates, partition covers {self.partition.n}"
+            )
         regs = tuple(self.regularizers)
         object.__setattr__(self, "regularizers", regs)
         if len(regs) != self.partition.n_blocks:
@@ -663,7 +658,7 @@ class ProblemInstance:
 
     def penalty_value(self, x) -> float:
         x = self._check_dim(x)
-        return float(sum(reg.total(x[sl]) for reg, sl in self.penalty_groups))
+        return float(sum(np.sum(reg.value(x[sl])) for reg, sl in self.penalty_groups))
 
     def _check_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -729,13 +724,8 @@ def make_quadratic_problem(
     lambda_max(A^T A) <= L with one Cholesky factorization or raises
     ValueError.
     """
-    smooth = QuadraticLeastSquares(A, b, lipschitz)
-    if smooth.A.shape[1] != partition.n:
-        raise ValueError(
-            f"matrix has {smooth.A.shape[1]} columns, partition covers {partition.n}"
-        )
     return ProblemInstance(
-        smooth=smooth,
+        smooth=QuadraticLeastSquares(A, b, lipschitz),
         partition=partition,
         regularizers=tuple(regularizers),
         known_optimum=known_optimum,

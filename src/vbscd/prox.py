@@ -16,12 +16,10 @@ guarantees.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .bregman import bregman_distance
-from .model import BlockPartition, ProblemInstance, Regularizer
+from .model import ProblemInstance, Regularizer
 
 
 def scalar_prox(reg: Regularizer, w, v):
@@ -34,12 +32,15 @@ def scalar_prox(reg: Regularizer, w, v):
     return reg.prox(v, w)
 
 
-def _prep(p: ProblemInstance, q: float, eps: float, x, ndim: int = 1) -> np.ndarray:
+def _prep(p: ProblemInstance, q, eps, x, ndim: int = 1) -> np.ndarray:
     """x as floats, a point (ndim 1) or a (k, n) stack of points (ndim 2),
-    once the kernel weight q is finite and positive and eps is positive."""
-    if not 0 < q < np.inf:
+    once the kernel weight q is finite and positive and eps is positive;
+    q and eps are scalars, or for a stack (k, 1) columns checked per row."""
+    # scalars compare to a bool and skip np.all, which costs microseconds
+    # on the solver's per-step path; a NaN fails either comparison
+    if not ((q_ok := (0 < q) & (q < np.inf)) is True or np.all(q_ok)):
         raise ValueError(f"kernel weight q must be finite and positive, got {q}")
-    if not eps > 0:
+    if not ((eps_ok := eps > 0) is True or np.all(eps_ok)):
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=float)
     if x.ndim != ndim or x.shape[-1] != p.n:
@@ -71,13 +72,9 @@ def _full_target(p, q, eps, x, grad) -> np.ndarray:
     return y
 
 
-@functools.lru_cache(maxsize=8)
-def _block_masks(partition: BlockPartition) -> np.ndarray:
+def _block_masks(p: ProblemInstance) -> np.ndarray:
     """(N, n) boolean array whose row i marks the coordinates of block i."""
-    block_of = np.repeat(np.arange(partition.n_blocks), partition.sizes)
-    masks = block_of == np.arange(partition.n_blocks)[:, None]
-    masks.flags.writeable = False  # one array serves every caller
-    return masks
+    return p.partition.block_of == np.arange(p.n_blocks)[:, None]
 
 
 def coordinate_prox(p, q, eps, x, i: int, *, block_grad=None) -> np.ndarray:
@@ -94,15 +91,15 @@ def coordinate_prox(p, q, eps, x, i: int, *, block_grad=None) -> np.ndarray:
     return y
 
 
-def coordinate_prox_all(p, q, eps, x, *, grad=None) -> np.ndarray:
+def coordinate_prox_all(p, q, eps, x) -> np.ndarray:
     """All one-block targets T_i(x), i = 0..N-1, as the rows of an (N, n) array.
 
     The map is block-separable, so block i of T(x) equals block i of T_i(x):
     one full prox gives every target.
     """
     x = _prep(p, q, eps, x)
-    t = _full_target(p, q, eps, x, p.smooth.grad(x) if grad is None else grad)
-    return np.where(_block_masks(p.partition), t, x)
+    t = _full_target(p, q, eps, x, p.smooth.grad(x))
+    return np.where(_block_masks(p), t, x)
 
 
 def full_prox(p, q, eps, x, *, grad=None) -> np.ndarray:
@@ -125,11 +122,9 @@ def coordinate_prox_all_rows(p, q, eps, X) -> np.ndarray:
     array, row j under kernel weight q[j] and step eps[j] ((k, 1)
     columns, as :meth:`~vbscd.bregman.BregmanSchedule.at` gives them):
     entry [j, i] is T_i(X[j]), up to the rounding of the stacked gradient."""
-    if not np.all((0 < q) & (q < np.inf)):
-        raise ValueError("kernel weight q must be finite and positive in every row")
-    X = np.asarray(X, dtype=float)
+    X = _prep(p, q, eps, X, ndim=2)
     T = _full_target(p, q, eps, X, p.smooth.grad_rows(X))
-    return np.where(_block_masks(p.partition), T[:, None, :], X[:, None, :])
+    return np.where(_block_masks(p), T[:, None, :], X[:, None, :])
 
 
 def envelope_value(p, q, eps, x) -> float:

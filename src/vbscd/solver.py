@@ -95,9 +95,8 @@ class Trajectory:
         """x^0, ..., x^K in consecutive stacks rebuilt from the step log, each
         a whole number of ``rows`` rows near _STEP_CHUNK (the last may be
         shorter): x^k_j is the value last written to coordinate j by step k."""
-        (K, b), n, part = self.moved.shape, self.x0.size, self.partition
-        block_of = np.repeat(np.arange(part.n_blocks), part.sizes)
-        within = np.arange(n) - np.asarray(part.offsets)[block_of]
+        (K, b), n, block_of = self.moved.shape, self.x0.size, self.partition.block_of
+        within = np.arange(n) - np.asarray(self.partition.offsets)[block_of]
         x, blocks, step = self.x0, self.records["block"], rows * max(1, _STEP_CHUNK // rows)
         for a in range(0, K + 1, step):
             moved = self.moved[a:a + step]
@@ -174,9 +173,7 @@ def run(p: ProblemInstance, config: SolverConfig, x0=None) -> Trajectory:
     an understated Lipschitz constant shows).
     """
     sched = config.schedule
-    report = validate_schedule(sched, p)
-    if not report.ok:
-        raise ValueError(f"invalid schedule: {report.message}")
+    validate_schedule(sched, p)
     x0 = x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
     f0 = p.objective(x)
     if not np.isfinite(f0):
@@ -257,9 +254,7 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
     if any(dataclasses.replace(c, seed=base.seed) != base for c in configs):
         raise ValueError("lockstep rows differ in more than their seed")
     sched, max_iters = base.schedule, base.max_iters
-    report = validate_schedule(sched, p)
-    if not report.ok:
-        raise ValueError(f"invalid schedule: {report.message}")
+    validate_schedule(sched, p)
     R, n = len(configs), p.n
     X0 = np.array([np.zeros(n) if x0 is None else x0 for x0 in x0s], dtype=float)
     X = X0.copy()

@@ -83,7 +83,7 @@ def rate_run():
     t0 = time.perf_counter()
     cfg = load_config(CONFIGS / "lasso50_rate.cfg")
     res = run_replications(cfg)
-    report = fit_linear_rate(res.mean.mean_gap, f_bar=res.reference.value)
+    report = fit_linear_rate(res.mean_gap, f_bar=res.reference.value)
     eta, nu = harness._neighborhood(cfg, res.instance, res.schedule,
                                     res.reference, res.trajectories[:10])
     rng = np.random.Generator(

@@ -19,7 +19,7 @@ from vbscd.solver import run_lockstep
 class FormerLeastSquares(SmoothTerm):
     def __init__(self, f):
         self.A, self.b, self._gram, self._atb = f.A, f.b, f._gram, f._atb
-        self.lipschitz = f.lipschitz
+        self.lipschitz, self.n = f.lipschitz, f.n
 
     def value(self, x):
         return self.state_value(self.state(x))
@@ -61,7 +61,7 @@ class FormerLeastSquares(SmoothTerm):
 
 class FormerLogistic(SmoothTerm):
     def __init__(self, f):
-        self.A, self.y, self.lipschitz = f.A, f.y, f.lipschitz
+        self.A, self.y, self.lipschitz, self.n = f.A, f.y, f.lipschitz, f.n
 
     def value(self, x):
         return self.state_value(self.state(x))

@@ -63,16 +63,14 @@ def test_generator_validation():
 def test_constant_schedule_passes_validation():
     p = lasso_1d()  # L = 1.01, convex penalty
     sched = BregmanSchedule.constant(1.0, 0.5)
-    report = validate_schedule(sched, p)
-    assert report.ok
+    assert validate_schedule(sched, p) is None
 
 
 def test_step_cap_violation_reported_at_zero():
     p = lasso_1d()
     sched = BregmanSchedule.constant(1.0, 0.995)  # cap is 1/1.01 ~ 0.9901
-    report = validate_schedule(sched, p)
-    assert not report.ok
-    assert report.message.startswith("eps_hi = 0.995 must be <")
+    with pytest.raises(ValueError, match=r"^eps_hi = 0\.995 must be < min\(m/L, m/rho_max\) = "):
+        validate_schedule(sched, p)
 
 
 def test_cap_includes_semiconvexity_modulus():
@@ -82,9 +80,9 @@ def test_cap_includes_semiconvexity_modulus():
     p = make_quadratic_problem(
         np.zeros((1, 1)), np.zeros(1), [McpPenalty(1.0, 2.0)], BlockPartition((1,))
     )
-    ok = validate_schedule(BregmanSchedule.constant(1.0, 1.9), p)
-    bad = validate_schedule(BregmanSchedule.constant(1.0, 2.0), p)
-    assert ok.ok and not bad.ok
+    validate_schedule(BregmanSchedule.constant(1.0, 1.9), p)
+    with pytest.raises(ValueError, match=r"^eps_hi = 2\.0 must be < min\(m/L, m/rho_max\) = 2\.0$"):
+        validate_schedule(BregmanSchedule.constant(1.0, 2.0), p)
 
 
 def test_step_cap_is_the_smaller_curvature_bound():
@@ -117,7 +115,7 @@ def test_alternating_schedule_validates_on_instance():
     p = lasso_random(n=10, n_blocks=2, seed=1)
     cap = 1.0 / p.smooth.lipschitz
     sched = BregmanSchedule.alternating(1.0, 1.5, period=2, eps=0.9 * cap)
-    assert validate_schedule(sched, p).ok
+    assert validate_schedule(sched, p) is None
 
 
 def test_out_of_range_weights_detected_mid_horizon():
@@ -140,8 +138,8 @@ def test_step_outside_declared_range_detected():
             BregmanSchedule(m=1.0, M=1.0, period=1, eps_lo=eps_lo, eps_hi=eps_hi)
     p = lasso_1d()
     sched = BregmanSchedule.constant(1.0, (0.1, 0.995))  # cap ~ 0.9901
-    report = validate_schedule(sched, p)
-    assert not report.ok and report.message.startswith("eps_hi = 0.995 must be <")
+    with pytest.raises(ValueError, match=r"^eps_hi = 0\.995 must be <"):
+        validate_schedule(sched, p)
     assert all(0.1 <= sched.step(k) <= 0.995 for k in (0, 5, 9, 10**4))
 
 
@@ -212,4 +210,4 @@ def test_schedule_bounds_hold_by_construction(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(BregmanSchedule, "generator", forbidden)
             mp.setattr(BregmanSchedule, "step", forbidden)
-            assert validate_schedule(sched, p).ok
+            assert validate_schedule(sched, p) is None

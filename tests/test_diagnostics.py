@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,13 +21,13 @@ from vbscd.diagnostics import (
     GridProxOracle,
     check_level_dominance,
     check_value_proximity,
-    constants_for_schedule,
     expectation_identities,
     make_check,
     worst_check,
     worst_row,
     write_report_csv,
 )
+from vbscd.harness import probed_constants, resolve_reference_value
 from vbscd.instances import lasso_1d, lasso_random, quad_1d
 from vbscd.model import SquaredL2Penalty
 from vbscd.probes import gap_floor
@@ -101,14 +102,19 @@ def test_constants_validation():
         compute_constants(**{**good, "nu": 0.0})
 
 
-def test_constants_for_schedule_pulls_schedule_data():
+def test_probed_constants_pull_schedule_data():
+    # m, M, eps_lo and eps_hi all differ, so each is seen read from its own field
     p = lasso_random(n=8, n_blocks=4, seed=2)
-    sched = BregmanSchedule.constant(1.0, 0.4 / p.smooth.lipschitz)
-    c = constants_for_schedule(sched, p, c0=1.5, eta=2.0, nu=3.0)
+    L = p.smooth.lipschitz
+    sched = BregmanSchedule.alternating(1.0, 2.0, 3, (0.1 / L, 0.4 / L))
+    ref = resolve_reference_value(p, sched)
+    cfg = SimpleNamespace(probe={"samples": 200})
+    c, est = probed_constants(cfg, p, sched, ref, 2.0, 3.0, np.random.default_rng(0))
+    assert (c.m, c.M, c.eps_lo, c.eps_hi) == (1.0, 2.0, sched.eps_lo, sched.eps_hi)
     assert c.N == 4
-    assert c.L == p.smooth.lipschitz
-    assert c.eps_lo == c.eps_hi == sched.eps_lo
-    assert c.c0 == 1.5
+    assert c.L == L
+    assert c.c0 == 1.1 * est.value  # the probed constant, inflated
+    assert (c.eta, c.nu) == (2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,8 @@ def test_contraction_audit_on_small_lasso():
     f_bar = min(float(t.objectives().min()) for t in trajs)
     eta, nu = auto_neighborhood(p, sched, x_bar,
                                 points=[t.points[:1] for t in trajs])
-    c = constants_for_schedule(sched, p, c0=2.0, eta=eta, nu=nu)
+    c = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo, sched.eps_hi,
+                          p.n_blocks, c0=2.0, eta=eta, nu=nu)
     audit = contraction_audit(p, sched, trajs, x_bar, f_bar, c)
     assert audit.checked > 0
     assert audit.violations == 0

@@ -591,13 +591,12 @@ def test_aggregate_gaps_by_hand():
     sched = BregmanSchedule.constant(1.0, 0.5)
     t1 = run(p, SolverConfig(schedule=sched, max_iters=4, tolerance=0.0, seed=0))
     t2 = run(p, SolverConfig(schedule=sched, max_iters=6, tolerance=0.0, seed=1))
-    mean = aggregate_gaps([t1, t2], f_bar=2.5, seeds=[0, 1])
+    mean_gap, var_gap = aggregate_gaps([t1, t2], f_bar=2.5)
     # truncated to the shorter run: x0 plus four steps
-    assert mean.mean_gap.shape == (5,)
+    assert mean_gap.shape == var_gap.shape == (5,)
     g1, g2 = t1.gaps(2.5), t2.gaps(2.5)[:5]
-    assert np.allclose(mean.mean_gap, (g1 + g2) / 2)
-    assert np.allclose(mean.var_gap, ((g1 - mean.mean_gap) ** 2 + (g2 - mean.mean_gap) ** 2) / 2)
-    assert mean.n_replications == 2
+    assert np.allclose(mean_gap, (g1 + g2) / 2)
+    assert np.allclose(var_gap, ((g1 - mean_gap) ** 2 + (g2 - mean_gap) ** 2) / 2)
 
 
 def rate_config(tmp_path, extra=""):
@@ -607,16 +606,31 @@ def rate_config(tmp_path, extra=""):
     return load_config(write_cfg(tmp_path, text + extra))
 
 
-def test_run_replications_distinct_seeds_and_shapes(tmp_path):
+def test_run_replications_distinct_seeds_and_shapes(tmp_path, monkeypatch):
     cfg = rate_config(tmp_path)
+    # on a 1-d instance every seed draws the same blocks, so the seeds are
+    # read off the configs the solvers receive
+    seen, run_lockstep = {}, harness.run_lockstep
+
+    def spy_run(p, config, x0=None):
+        seen["run"] = config
+        return run(p, config, x0)
+
+    def spy_lockstep(p, configs, x0s):
+        seen["lockstep"] = list(configs)
+        return run_lockstep(p, configs, x0s)
+
+    monkeypatch.setattr(harness, "run", spy_run)
+    monkeypatch.setattr(harness, "run_lockstep", spy_lockstep)
     res = run_replications(cfg)
     assert len(res.trajectories) == 4
-    assert len(set(res.mean.seeds)) == 4
-    # different seeds draw different block sequences on a multi-step run;
-    # on a 1-d instance the iterates still coincide, so compare seeds only
+    seeds = [c.seed for c in seen["lockstep"]]
+    assert seeds == [harness.derive_seed(42, r) for r in range(4)]
+    assert len(set(seeds)) == 4
+    assert seen["run"] == seen["lockstep"][0]  # replication 0 and its shadow row
     assert res.reference.value == 2.5
-    assert res.mean.mean_gap.ndim == 1
-    assert res.mean.var_gap.shape == res.mean.mean_gap.shape
+    assert res.mean_gap.ndim == 1
+    assert res.var_gap.shape == res.mean_gap.shape
     assert res.near_start is None
 
 
@@ -651,10 +665,8 @@ def test_writers_golden(tmp_path):
     p = lasso_1d()
     sched = BregmanSchedule.constant(1.0, 0.5)
     t1 = run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=0))
-    mean = aggregate_gaps([t1], f_bar=2.5, seeds=[0])
-
     mean_path = tmp_path / "mean_gap.csv"
-    write_mean_csv(mean, mean_path)
+    write_mean_csv(*aggregate_gaps([t1], f_bar=2.5), mean_path)
     lines = mean_path.read_text().splitlines()
     assert lines[0] == "k,mean_gap,var_gap"
     assert len(lines) == 1 + 4  # x0 plus three steps
@@ -689,11 +701,12 @@ def test_write_replication_outputs_layout(tmp_path):
     sched = BregmanSchedule.constant(1.0, 0.5)
     trajs = [run(p, SolverConfig(schedule=sched, max_iters=3, tolerance=0.0, seed=s))
              for s in (0, 1)]
+    mean_gap, var_gap = aggregate_gaps(trajs, 2.5)
     res = harness.ReplicationResult(
         instance=p, schedule=sched,
         reference=harness.Reference(np.array([2.0]), 2.5, "known"),
         trajectories=trajs,
-        mean=aggregate_gaps(trajs, 2.5, seeds=[0, 1]),
+        mean_gap=mean_gap, var_gap=var_gap,
         near_start=None,
     )
     write_replication_outputs(res, tmp_path)

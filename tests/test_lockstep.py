@@ -234,6 +234,12 @@ def expanding():
     )
 
 
+def solver_config(cfg, sched, seed):
+    """The SolverConfig that run_replications gives the replication with stream ``seed``."""
+    sv = cfg.solver
+    return SolverConfig(sched, sv["max_iters"], sv["tolerance"], sv.get("check_period"), seed)
+
+
 def sequential_failure(cfg, p):
     """(replication, iteration) of the first failure of a loop over run."""
     sched = harness.build_schedule(cfg, p)
@@ -243,7 +249,7 @@ def sequential_failure(cfg, p):
         x0 = (near_start_point(ref.point, cfg.solver["near_start_radius"], seed)
               if cfg.solver["x0"] == "near-start" else None)
         try:
-            run(p, harness.build_solver_config(cfg, sched, seed), x0)
+            run(p, solver_config(cfg, sched, seed), x0)
         except SolverAbort as e:
             return r, int(re.search(r"at iteration (\d+)", str(e))[1])
     return None
@@ -299,7 +305,7 @@ def test_replication_zero_is_run_and_one_replication_never_locksteps(tmp_path, m
     monkeypatch.setattr(harness, "build_instance", lambda cfg: p)
     cfg = rate_cfg(tmp_path, max_iters=300)
     res = harness.run_replications(cfg)
-    exact = run(p, harness.build_solver_config(cfg, res.schedule, derive_seed(cfg.seed, 0)))
+    exact = run(p, solver_config(cfg, res.schedule, derive_seed(cfg.seed, 0)))
     assert np.array_equal(res.trajectories[0].points, exact.points)
     assert res.trajectories[0].records.tobytes() == exact.records.tobytes()
 

@@ -15,7 +15,6 @@ from vbscd import (
     SquaredL2Penalty,
     ZeroPenalty,
     certified_bound,
-    largest_eigenvalue_sym,
     make_quadratic_problem,
     make_regularizer,
 )
@@ -65,18 +64,6 @@ def test_quadratic_lipschitz_known_spectra():
     assert QuadraticLeastSquares(A, np.zeros(2)).lipschitz == pytest.approx(4.04, rel=1e-6)
 
 
-def test_largest_eigenvalue_sym_matches_eigvalsh():
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((6, 6))
-    S = B @ B.T
-    lam = largest_eigenvalue_sym(S)
-    assert lam == pytest.approx(float(np.linalg.eigvalsh(S)[-1]), rel=1e-6)
-
-
-def test_largest_eigenvalue_sym_zero_matrix():
-    assert largest_eigenvalue_sym(np.zeros((4, 4))) == 0.0
-
-
 def test_lipschitz_is_not_underestimated():
     # the design's gram spectrum spans [0.5, 2.0] exactly, so L = 1.01 * 2.0
     p = lasso_random(n=50)
@@ -87,8 +74,11 @@ def test_explicit_matrices_get_the_certified_eigensolver_value():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((9, 6))
     f = QuadraticLeastSquares(A, rng.standard_normal(9))
-    assert f.lipschitz == 1.01 * largest_eigenvalue_sym(A.T @ A)
+    # the default candidate is 1.01 times the eigvalsh maximum, bit for bit
+    assert f.lipschitz == 1.01 * float(np.linalg.eigvalsh(A.T @ A)[-1])
     assert certified_bound(A.T @ A) == f.lipschitz
+    # an all-zero gram gives L = 0
+    assert certified_bound(np.zeros((4, 4))) == 0.0
     assert QuadraticLeastSquares(np.zeros((3, 2)), np.ones(3)).lipschitz == 0.0
 
 
@@ -343,6 +333,23 @@ def test_block_partition_slices():
         BlockPartition.even(2, 3)
     with pytest.raises(ValueError):
         BlockPartition((2, 0))
+    assert part.block_of.tolist() == [0, 0, 1, 1, 1, 2]
+    assert not part.block_of.flags.writeable  # shared by every caller
+    # block_of stays out of comparisons, so partitions still compare and hash
+    assert part == BlockPartition((2, 3, 1)) and hash(part) == hash(BlockPartition((2, 3, 1)))
+
+
+def test_smooth_term_dimension_must_match_the_partition():
+    rng = np.random.default_rng(5)
+    A, y = rng.standard_normal((40, 10)), np.where(rng.random(40) < 0.5, -1.0, 1.0)
+    part, regs = BlockPartition.even(12, 4), (L1Penalty(0.1),) * 4
+    with pytest.raises(ValueError, match="smooth term has 10 coordinates, partition covers 12"):
+        ProblemInstance(LogisticLoss(A, y), part, regs)
+    with pytest.raises(ValueError, match="smooth term has 10 coordinates, partition covers 12"):
+        make_quadratic_problem(A, np.zeros(40), regs, part)
+    f = CustomSmooth(lambda x: 0.0, lambda x: np.zeros_like(x), lipschitz=0.0, n=5)
+    with pytest.raises(ValueError, match="smooth term has 5 coordinates, partition covers 12"):
+        ProblemInstance(f, part, regs)
 
 
 def test_min_subgradient_norm_lasso_by_hand():

@@ -78,7 +78,7 @@ def per_block_full_prox(p, q, eps, x):
 
 
 def per_block_penalty(p, x):
-    return sum(r.total(x[p.partition.block_slice(i)]) for i, r in enumerate(p.regularizers))
+    return sum(float(np.sum(r.value(x[p.partition.block_slice(i)]))) for i, r in enumerate(p.regularizers))
 
 
 def per_block_min_subgradient_norm(p, x):

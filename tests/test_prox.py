@@ -210,15 +210,17 @@ def test_prox_rejects_bad_inputs():
         coordinate_prox(p, q, 0.5, np.zeros(1), 1)
 
 
+# each takes a point x; the stacked ones get it as a one-row stack, and
+# coordinate_prox_all_rows gets q and eps as (1, 1) columns
 PROX_ENTRY_POINTS = {
-    "coordinate_prox": lambda p, q, x: coordinate_prox(p, q, 0.5, x, 0),
-    "coordinate_prox_all": lambda p, q, x: coordinate_prox_all(p, q, 0.5, x),
-    "coordinate_prox_all_rows": lambda p, q, x: coordinate_prox_all_rows(
-        p, np.full((1, 1), q), np.full((1, 1), 0.5), x[None, :]),
-    "full_prox": lambda p, q, x: full_prox(p, q, 0.5, x),
-    "full_prox_rows": lambda p, q, x: full_prox_rows(p, q, 0.5, x[None, :]),
-    "envelope_value": lambda p, q, x: envelope_value(p, q, 0.5, x),
-    "prox_residual": lambda p, q, x: prox_residual(p, q, 0.5, x),
+    "coordinate_prox": lambda p, q, x, eps=0.5: coordinate_prox(p, q, eps, x, 0),
+    "coordinate_prox_all": lambda p, q, x, eps=0.5: coordinate_prox_all(p, q, eps, x),
+    "coordinate_prox_all_rows": lambda p, q, x, eps=0.5: coordinate_prox_all_rows(
+        p, np.full((1, 1), q), np.full((1, 1), eps), x[None, :]),
+    "full_prox": lambda p, q, x, eps=0.5: full_prox(p, q, eps, x),
+    "full_prox_rows": lambda p, q, x, eps=0.5: full_prox_rows(p, q, eps, x[None, :]),
+    "envelope_value": lambda p, q, x, eps=0.5: envelope_value(p, q, eps, x),
+    "prox_residual": lambda p, q, x, eps=0.5: prox_residual(p, q, eps, x),
 }
 
 
@@ -229,6 +231,23 @@ def test_every_prox_entry_point_rejects_a_bad_kernel_weight(entry, q):
     with pytest.raises(ValueError, match="kernel weight q must be finite and positive"):
         PROX_ENTRY_POINTS[entry](p, q, np.ones(6))
     PROX_ENTRY_POINTS[entry](p, 1.7, np.ones(6))  # a good weight passes
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+@pytest.mark.parametrize("entry", sorted(PROX_ENTRY_POINTS))
+def test_every_prox_entry_point_rejects_a_bad_step(entry, eps):
+    # eps = 0 would divide by zero (q / eps) and return every point unchanged
+    p = lasso_random(n=6, n_blocks=3, seed=2)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        PROX_ENTRY_POINTS[entry](p, 1.0, np.ones(6), eps)
+
+
+@pytest.mark.parametrize("width", [5, 7])
+@pytest.mark.parametrize("entry", sorted(PROX_ENTRY_POINTS))
+def test_every_prox_entry_point_rejects_a_wrong_width(entry, width):
+    p = lasso_random(n=6, n_blocks=3, seed=2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        PROX_ENTRY_POINTS[entry](p, 1.0, np.ones(width))
 
 
 def test_semiconvex_prox_unique_under_strong_weight():
