@@ -23,7 +23,7 @@ from .prox import full_prox, full_prox_rows
 from .solver import OracleMismatch, sample_in_ball
 
 DENOM_CUTOFF = 1e-12
-_DRAW_BATCH = 256  # proposals tested per objective_rows call
+_DRAW_BATCH = 256  # proposals per call of a sampler's batched test
 
 
 class EmptyNeighborhoodError(RuntimeError):
@@ -75,77 +75,84 @@ def write_probe_csv(estimates, path) -> None:
     write_csv(path, header, map(row, estimates))
 
 
+def _draw_accepted(center, radius: float, test, samples: int, rng, max_draws: int, empty: str):
+    """The proposals that ``test`` accepts, as the rows of an (accepted, n)
+    array, with the values it gives them: ``test`` maps a (k, n) batch to a
+    (k,) accept mask and (k,) values.
+
+    Draws uniformly from the ball of ``radius`` about ``center`` until
+    ``samples`` proposals are accepted or ``max_draws`` are spent; raises
+    :class:`EmptyNeighborhoodError` with message ``empty`` if nothing is
+    accepted at all.  Each proposal is drawn by ``sample_in_ball``; they
+    are tested in batches of at most ``_DRAW_BATCH`` that never hold more
+    proposals than could still be accepted, so the rng stream and the draw
+    count equal those of testing each proposal as it is drawn.
+    """
+    # filled in order and grown by doubling; never past ``samples`` rows
+    pts = np.empty((min(samples, max_draws, 8 * _DRAW_BATCH), center.size))
+    vals = np.empty(len(pts))
+    accepted = draws = 0
+    while accepted < samples and draws < max_draws:
+        size = min(samples - accepted, max_draws - draws, _DRAW_BATCH)
+        batch = np.array([sample_in_ball(center, radius, rng) for _ in range(size)])
+        draws += size
+        keep, values = test(batch)
+        stop = accepted + int(np.count_nonzero(keep))
+        if stop > len(pts):
+            rows = min(max(2 * len(pts), stop), samples)
+            pts.resize((rows, center.size), refcheck=False)
+            vals.resize(rows, refcheck=False)
+        pts[accepted:stop] = batch[keep]
+        vals[accepted:stop] = values[keep]
+        accepted = stop
+    if not accepted:
+        raise EmptyNeighborhoodError(empty)
+    pts.resize((accepted, center.size), refcheck=False)
+    vals.resize(accepted, refcheck=False)
+    return pts, vals
+
+
 def sample_level_ball(
     p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng,
     max_draws: int = 10**6,
 ):
     """Accepted points from B(x_bar; eta, nu), as the rows of an
-    (accepted, n) array, with their objective values and F(x_bar).
-
-    Draws uniformly from the ball until ``samples`` points are accepted or
-    ``max_draws`` proposals are spent; raises
-    :class:`EmptyNeighborhoodError` if nothing is accepted at all.  Each
-    proposal is drawn by ``sample_in_ball``; they are tested with
-    ``objective_rows`` in batches of at most ``_DRAW_BATCH`` that never hold
-    more proposals than could still be accepted, so the rng stream and the
-    draw count equal those of testing each proposal as it is drawn.
-    """
+    (accepted, n) array, with their objective values and F(x_bar): at most
+    ``samples`` points from at most ``max_draws`` proposals, tested with
+    ``objective_rows`` by :func:`_draw_accepted`."""
     x_bar = np.asarray(x_bar, dtype=float)
     f_bar = p.objective(x_bar)
     lo, hi = f_bar + gap_floor(f_bar), f_bar + nu
-    # filled in order and grown by doubling; never past ``samples`` rows
-    pts = np.empty((min(samples, max_draws, 8 * _DRAW_BATCH), x_bar.size))
-    vals = np.empty(len(pts))
-    accepted = draws = 0
-    while accepted < samples and draws < max_draws:
-        size = min(samples - accepted, max_draws - draws, _DRAW_BATCH)
-        batch = np.array([sample_in_ball(x_bar, eta, rng) for _ in range(size)])
-        draws += size
-        fx = p.objective_rows(batch)
-        keep = (lo < fx) & (fx < hi)
-        stop = accepted + int(np.count_nonzero(keep))
-        if stop > len(pts):
-            rows = min(max(2 * len(pts), stop), samples)
-            pts.resize((rows, x_bar.size), refcheck=False)
-            vals.resize(rows, refcheck=False)
-        pts[accepted:stop] = batch[keep]
-        vals[accepted:stop] = fx[keep]
-        accepted = stop
-    if not accepted:
-        raise EmptyNeighborhoodError(
-            f"no sample landed in the level-restricted ball after {max_draws} draws"
-        )
-    pts.resize((accepted, x_bar.size), refcheck=False)
-    vals.resize(accepted, refcheck=False)
-    return pts, vals, f_bar
+
+    def in_level(X):
+        fx = p.objective_rows(X)
+        return (lo < fx) & (fx < hi), fx
+
+    empty = f"no sample landed in the level-restricted ball after {max_draws} draws"
+    return (*_draw_accepted(x_bar, eta, in_level, samples, rng, max_draws, empty), f_bar)
 
 
 # ---------------------------------------------------------------------------
 # the four probes
 
 
-def _finish(kind, cname, best_val, best_pt, count, oracle, **geo):
-    if best_pt is None:
-        raise EmptyNeighborhoodError(
-            f"{kind} probe: every accepted sample fell below the denominator cutoff"
-        )
-    return ErrorBoundEstimate(
-        kind=kind, constant_name=cname, value=float(best_val), samples=count,
-        oracle=oracle, extremal_point=best_pt, **geo,
-    )
-
-
-def _first_extremum(num, den, largest: bool):
-    """Row of the largest (or smallest) ratio num/den over the rows whose
-    denominator is not below DENOM_CUTOFF, the first of equal ones, as a
-    loop with a strict comparison picks it; None when no finite ratio
-    qualifies."""
+def _extremum(kind, cname, pts, num, den, largest: bool, oracle, exact=None, **geo):
+    """The estimate at the row of the largest (or smallest) ratio num/den
+    over the rows whose denominator is not below DENOM_CUTOFF, the first of
+    equal ones, as a loop with a strict comparison picks it.  Its value is
+    the stacked ratio there or, given the per-point ratio ``exact``, exact
+    at that row, which must agree with the stacked one (:func:`cross_check`).
+    Raises :class:`EmptyNeighborhoodError` when no finite ratio qualifies."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r = num / den
     skip = -np.inf if largest else np.inf
     r[(den < DENOM_CUTOFF) | np.isnan(r)] = skip
     j = int(r.argmax() if largest else r.argmin())
-    return None if r[j] == skip else j
+    if r[j] == skip:
+        raise EmptyNeighborhoodError(f"{kind} probe: every accepted sample fell below the denominator cutoff")
+    value = r[j] if exact is None else exact(pts[j])
+    cross_check(r[j], value, f"{kind} ratio at the extremal sample")
+    return ErrorBoundEstimate(kind, cname, float(value), len(pts), oracle, pts[j].copy(), **geo)
 
 
 def probe_ls_eb(
@@ -163,13 +170,8 @@ def probe_ls_eb(
     x_bar = np.asarray(x_bar, dtype=float)
     num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
     den = _rows(p.min_subgradient_norm_rows, pts)
-    j = _first_extremum(num, den, largest=True)
-    best = best_pt = None
-    if j is not None:
-        best_pt = pts[j].copy()
-        best = float(np.linalg.norm(best_pt - x_bar)) / p.min_subgradient_norm(best_pt)
-        cross_check(num[j] / den[j], best, "ls-eb ratio at the extremal sample")
-    return _finish("ls-eb", "c0", best, best_pt, len(pts), "singleton(x_bar)", eta=eta, nu=nu)
+    exact = lambda x: float(np.linalg.norm(x - x_bar)) / p.min_subgradient_norm(x)
+    return _extremum("ls-eb", "c0", pts, num, den, True, "singleton(x_bar)", exact, eta=eta, nu=nu)
 
 
 def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng) -> ErrorBoundEstimate:
@@ -177,10 +179,7 @@ def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng
     stacked sample."""
     pts, vals, f_bar = sample_level_ball(p, x_bar, eta, nu, samples, rng)
     num = _rows(p.min_subgradient_norm_rows, pts)
-    den = np.sqrt(vals - f_bar)
-    j = _first_extremum(num, den, largest=False)
-    best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
-    return _finish("kl", "c2", best, best_pt, len(pts), "level-gap", eta=eta, nu=nu)
+    return _extremum("kl", "c2", pts, num, np.sqrt(vals - f_bar), False, "level-gap", eta=eta, nu=nu)
 
 
 def probe_bp_eb(
@@ -193,9 +192,7 @@ def probe_bp_eb(
     x_bar = np.asarray(x_bar, dtype=float)
     num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
     den = _rows(lambda X: np.linalg.norm(X - full_prox_rows(p, q, eps, X), axis=1), pts)
-    j = _first_extremum(num, den, largest=True)
-    best, best_pt = (None, None) if j is None else (num[j] / den[j], pts[j].copy())
-    return _finish("bp-eb", "c1", best, best_pt, len(pts), "critical-set", eta=eta, nu=nu)
+    return _extremum("bp-eb", "c1", pts, num, den, True, "critical-set", eta=eta, nu=nu)
 
 
 def check_lt_eb_step(p: ProblemInstance, eps: float) -> None:
@@ -209,42 +206,30 @@ def check_lt_eb_step(p: ProblemInstance, eps: float) -> None:
 
 def probe_lt_eb(
     p: ProblemInstance, eps: float, level: float, radius: float,
-    samples: int, rng, *, center, sample_radius: float | None = None,
-    max_draws: int = 10**6,
+    samples: int, rng, *, center, max_draws: int = 10**6,
 ) -> ErrorBoundEstimate:
     """c3 = max ||x - center|| / ||x - T_e(x)|| over points with
     F(x) <= level and ||x - T_e(x)|| <= radius, where T_e is the euclidean
     (unit-weight) prox map at step eps: the critical set is taken as the
-    singleton {center}.
+    singleton {center}.  The probe-eb flow passes level F_bar + nu and
+    radius eta.
 
-    The global condition is sampled from a ball around ``center`` of radius
-    ``sample_radius`` (default: ``radius``).  A step the unit-weight prox
-    cannot take (:func:`check_lt_eb_step`) raises ValueError before any draw.
+    The global condition is sampled from the ball of ``radius`` about
+    ``center`` by :func:`_draw_accepted`; the reported value is the
+    per-point ratio at the extremal sample, which must agree with the
+    stacked one (:func:`cross_check`).  A step the unit-weight prox cannot
+    take (:func:`check_lt_eb_step`) raises ValueError before any draw.
     """
     check_lt_eb_step(p, eps)
     center = np.asarray(center, dtype=float)
-    r_sample = radius if sample_radius is None else sample_radius
-    best, best_pt, accepted = -np.inf, None, 0
-    draws = 0
-    while accepted < samples and draws < max_draws:
-        x = sample_in_ball(center, r_sample, rng)
-        draws += 1
-        if p.objective(x) > level:
-            continue
-        denom = float(np.linalg.norm(x - full_prox(p, 1.0, eps, x)))
-        if denom > radius:
-            continue
-        accepted += 1
-        if denom < DENOM_CUTOFF:
-            continue
-        ratio = float(np.linalg.norm(x - center)) / denom
-        if ratio > best:
-            best, best_pt = ratio, x
-    if accepted == 0:
-        raise EmptyNeighborhoodError(
-            f"lt-eb probe: no sample met the level/residual conditions after {max_draws} draws"
-        )
-    return _finish(
-        "lt-eb", "c3", best, best_pt, accepted, "critical-set",
-        level=level, radius=radius,
-    )
+
+    def in_reach(X):  # negated: only a value known to exceed its cutoff rejects, so NaN passes
+        res = np.linalg.norm(X - full_prox_rows(p, 1.0, eps, X), axis=1)
+        return ~(p.objective_rows(X) > level) & ~(res > radius), res
+
+    empty = f"lt-eb probe: no sample met the level/residual conditions after {max_draws} draws"
+    pts, res = _draw_accepted(center, radius, in_reach, samples, rng, max_draws, empty)
+    num = _rows(lambda X: np.linalg.norm(X - center, axis=1), pts)
+    exact = lambda x: (float(np.linalg.norm(x - center))
+                       / float(np.linalg.norm(x - full_prox(p, 1.0, eps, x))))
+    return _extremum("lt-eb", "c3", pts, num, res, True, "critical-set", exact, level=level, radius=radius)

@@ -26,12 +26,14 @@ from vbscd import (
     probe_bp_eb,
     probe_kl,
     probe_ls_eb,
+    probe_lt_eb,
     run,
     sample_level_ball,
 )
 from vbscd import diagnostics, probes
 from vbscd.bregman import step_cap
 from vbscd.diagnostics import enumerate_expectation
+from vbscd.instances import diag_quadratic
 from vbscd.model import chunk_rows
 from vbscd.probes import gap_floor
 from vbscd.prox import full_prox
@@ -337,12 +339,18 @@ def test_row_forms_match_the_per_point_forms(name):
 
 
 def test_extremum_keeps_the_first_of_equal_ratios():
-    pick = probes._first_extremum
+    def pick(num, den, largest):
+        pts = np.arange(len(num), dtype=float)[:, None]  # row j holds j
+        est = probes._extremum("kl", "c2", pts, num, den, largest, "level-gap")
+        assert est.samples == len(num) and est.value == num[int(est.extremal_point[0])]
+        return int(est.extremal_point[0])
+
     num = np.array([1.0, 2.0, 2.0, np.nan, 3.0])
     den = np.array([1.0, 1.0, 1.0, 1.0, 0.0])  # the 3.0 sits on a zero denominator
     assert pick(num, den, largest=True) == 1
     assert pick(num[[0, 1, 2]][::-1].copy(), den[:3].copy(), largest=False) == 2
-    assert pick(num[3:].copy(), den[3:].copy(), largest=True) is None
+    with pytest.raises(EmptyNeighborhoodError, match="^kl probe: every accepted sample fell below"):
+        pick(num[3:].copy(), den[3:].copy(), largest=True)
 
 
 def loop_ratio(pts, num, den, largest):
@@ -355,6 +363,31 @@ def loop_ratio(pts, num, den, largest):
         if (r > best) if largest else (r < best):
             best, best_pt = r, x
     return best, best_pt
+
+
+def lt_eb_one_at_a_time(p, eps, level, radius, samples, rng, center, max_draws=10**6):
+    """probe_lt_eb as one proposal drawn and tested at a time: the
+    accepted count, the largest ratio and its point, and the proposals
+    rejected by the level and by the residual."""
+    best, best_pt, accepted, draws = -np.inf, None, 0, 0
+    over_level = over_radius = 0
+    while accepted < samples and draws < max_draws:
+        x = probes.sample_in_ball(center, radius, rng)
+        draws += 1
+        if p.objective(x) > level:
+            over_level += 1
+            continue
+        denom = float(np.linalg.norm(x - full_prox(p, 1.0, eps, x)))
+        if denom > radius:
+            over_radius += 1
+            continue
+        accepted += 1
+        if denom < probes.DENOM_CUTOFF:
+            continue
+        ratio = float(np.linalg.norm(x - center)) / denom
+        if ratio > best:
+            best, best_pt = ratio, x
+    return accepted, best, best_pt, over_level, over_radius
 
 
 def test_probes_match_their_per_point_loops():
@@ -378,6 +411,36 @@ def test_probes_match_their_per_point_loops():
         assert np.array_equal(est.extremal_point, point), probe.__name__
         assert est.samples == len(pts) == 600
 
+    # lt-eb draws its own sample: on the unit ball the residual
+    # 0.4 ||(x1, 4 x2)|| reaches 1.6 and F reaches 2, so both cutoffs reject
+    p, center = diag_quadratic([1.0, 4.0]), np.zeros(2)
+    for max_draws in (10**6, 700):  # stopped by the sample count, then by the draw cap
+        want_rng = np.random.default_rng(8)
+        accepted, value, point, over_level, over_radius = lt_eb_one_at_a_time(
+            p, 0.4, 0.8, 1.0, 600, want_rng, center, max_draws)
+        assert over_level > 0 and over_radius > 0 and (accepted < 600) == (max_draws == 700)
+        rng = np.random.default_rng(8)
+        est = probe_lt_eb(p, 0.4, 0.8, 1.0, 600, rng, center=center, max_draws=max_draws)
+        assert est.samples == accepted
+        assert np.array_equal(est.extremal_point, point)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_lt_eb_lets_a_nan_objective_through_as_its_loop_did():
+    # F is NaN on x1 > 0.5: neither "F > level" nor "residual > radius" holds
+    base = diag_quadratic([1.0, 4.0])
+    f = lambda x: np.nan if x[0] > 0.5 else base.smooth.value(x)
+    smooth = CustomSmooth(f, base.smooth.grad, base.smooth.lipschitz, 2)
+    p = ProblemInstance(smooth, base.partition, base.regularizers)
+    want_rng = np.random.default_rng(5)
+    accepted, value, point, _, _ = lt_eb_one_at_a_time(p, 0.2, 0.3, 1.0, 400, want_rng, np.zeros(2))
+    rng = np.random.default_rng(5)
+    est = probe_lt_eb(p, 0.2, 0.3, 1.0, 400, rng, center=np.zeros(2))
+    assert est.samples == accepted == 400
+    assert np.array_equal(est.extremal_point, point) and est.value == pytest.approx(value, rel=1e-12)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
 
 def test_ls_eb_reports_the_first_of_equal_ratios():
     # on 0.5 x^2 every ratio |x| / |x| is exactly 1
@@ -396,3 +459,12 @@ def test_ls_eb_oracle_raises_on_a_disagreement(monkeypatch):
                         lambda self, x: exact(self, x) * (1.0 + 1e-9))
     with pytest.raises(OracleMismatch):
         probe_ls_eb(p, x_bar, 0.5, 0.2, 200, np.random.default_rng(1))
+
+
+def test_lt_eb_oracle_raises_on_a_disagreement(monkeypatch):
+    p = instances.lasso_random(10, 5, seed=21)
+    sched = schedule("constant", p)
+    x_bar, f_bar = reference_point(p, sched)
+    monkeypatch.setattr(probes, "full_prox", lambda *args: full_prox(*args) * (1.0 + 1e-9))
+    with pytest.raises(OracleMismatch, match="^lt-eb ratio at the extremal sample"):
+        probe_lt_eb(p, sched.step(0), f_bar + 0.2, 0.5, 200, np.random.default_rng(1), center=x_bar)
