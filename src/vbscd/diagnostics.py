@@ -217,8 +217,8 @@ def check_value_proximity(
     """Rows of the five local proximity statements at x, whose one-block
     targets under (q, eps) are ``targets``.
 
-    Hypothesis: x in B(x_bar; eta/2, nu/N) for the record's neighborhood;
-    points outside get no rows.  All index expectations are exact
+    Hypothesis: x in B(x_bar; eta/2, nu / max(n_min, 1)), the record's
+    eta and level window; points outside get no rows.  All index expectations are exact
     enumerations over ``targets``.  The distance from {F <= F_bar} is taken to the singleton
     {x_bar}, exact for strongly convex instances probed at the minimizer.
     """
@@ -255,9 +255,9 @@ def check_level_dominance(
     the objective at or above f_bar.
 
     That row is checked at every x.  Where it passes and x meets the
-    neighborhood hypothesis (x in B(x_bar; eta/2, nu/N)), three more rows
-    carry its consequences: every step fits in eta/2 and every target stays
-    inside B(x_bar; eta, nu/N).
+    neighborhood hypothesis (x in B(x_bar; eta/2, nu / max(n_min, 1)), with
+    the record's level window), three more rows carry its consequences: every
+    step fits in eta/2 and every target stays inside B(x_bar; eta, nu / max(n_min, 1)).
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
@@ -472,13 +472,11 @@ class GridProxOracle:
     result is the first grid point np.argmin would return over the whole
     grid, bit for bit.
 
-    Every chunk is scanned in order instead, as one np.argmin would, when
-    the bound cannot be trusted: v or w not finite, w < 0, v so far from
-    the grid that a square overflows (0 * inf would be NaN), or a NaN bound
-    (a NaN penalty value, say).  Otherwise a scanned value is NaN only as
-    inf + (-inf), where phi = -inf; such chunks have lb_c = -inf, so they
-    are visited first and in index order, and the first NaN found is the
-    one np.argmin returns.
+    A query whose quadratic terms could be non-finite (w or v not finite,
+    w < 0, or (w/2)(t - v)^2 overflowing at the far end of the grid) raises
+    ValueError.  A NaN value then comes from phi alone, so a query on a
+    penalty with NaNs scans only the first chunk whose least penalty is NaN
+    (np.min keeps a NaN) and returns its first NaN, as np.argmin does.
     """
 
     CHUNK = 1 << 12  # scan unit of a query
@@ -496,78 +494,53 @@ class GridProxOracle:
         self.step = step
         self.count = count = int(round((hi - lo) / step)) + 1
         self.g_min = np.empty(-(-count // self.CHUNK))
-        j = np.arange(self.CHUNK, dtype=float)
-        buf = np.empty_like(j)
+        j, buf = np.arange(self.CHUNK, dtype=float), np.empty(self.CHUNK)
         for c in range(self.g_min.size):
             self.g_min[c] = self._penalty(c, j, buf)[1].min()
+        self.nan_scan = np.flatnonzero(np.isnan(self.g_min))[:1].tolist()  # [first NaN chunk], or []
         starts = np.arange(0, count, self.CHUNK)
         self.t_first = starts * step + lo
         self.t_last = np.minimum(starts + (self.CHUNK - 1), count - 1) * step + lo
 
-    def _points(self, a: int, j: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Grid points a, a+1, ... written into ``out``: the same doubles as
-        ``lo + step * np.arange(count)``, since a + j is an exact integer."""
-        np.add(j[:out.size], a, out=out)
-        out *= self.step
-        out += self.lo
-        return out
-
     def _penalty(self, c: int, j: np.ndarray, buf: np.ndarray):
-        """The points of chunk c, written into ``buf``, and phi on them."""
+        """The points of chunk c, written into ``buf``, and phi on them.  The
+        points are the same doubles as ``lo + step * np.arange(count)``,
+        since c * CHUNK + j is an exact integer."""
         a = c * self.CHUNK
-        t = self._points(a, j, buf[:min(self.count - a, self.CHUNK)])
+        t = buf[:min(self.count - a, self.CHUNK)]
+        np.add(j[:t.size], a, out=t)
+        t *= self.step
+        t += self.lo
         return t, np.asarray(self.reg.value(t), dtype=float)
 
-    def _chunk_values(self, c: int, hw: float, v: float, j: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """phi(t) + hw (t - v)^2 on the points of chunk c.  phi is evaluated
-        first and the sum goes to a new array: phi's values may share
-        memory with ``buf``."""
-        t, g = self._penalty(c, j, buf)
-        vals = t - v
-        np.square(vals, out=vals)
-        vals *= hw
-        vals += g
-        return vals
-
-    def lower_bounds(self, hw: float, v: float):
-        """lb_c of every chunk for weight w = 2 hw, or None when the bound
-        cannot be trusted (see the class docstring)."""
-        if not (np.isfinite(v) and np.isfinite(hw) and hw >= 0):
-            return None
-        far = float(max(abs(self.t_first[0] - v), abs(self.t_last[-1] - v)))
-        if not np.isfinite(far * far):
-            return None
-        lb = np.clip(v, self.t_first, self.t_last)
-        lb -= v
-        np.square(lb, out=lb)
-        lb *= hw
-        lb += self.g_min
-        return None if np.isnan(lb).any() else lb
-
-    def _scan(self, chunks, hw: float, v: float, lb=None) -> tuple[int, float]:
-        """(index, value) of the first least value over ``chunks``; with
-        bounds ``lb``, stops at the first chunk whose bound exceeds the best
-        value.  A NaN beats a number, as in np.argmin."""
-        j = np.arange(self.CHUNK, dtype=float)
-        buf = np.empty_like(j)
-        best_i, best = self.count, np.inf
-        for c in chunks:
-            if lb is not None and lb[c] > best:
-                break
-            vals = self._chunk_values(c, hw, v, j, buf)
-            k = int(vals.argmin())
-            i, val = c * self.CHUNK + k, vals[k]
-            if val < best or (val == best and i < best_i) or (np.isnan(val) and not np.isnan(best)):
-                best_i, best = i, val
-        return best_i, best
+    def lower_bounds(self, hw: float, v: float) -> np.ndarray:
+        """lb_c of every chunk for weight w = 2 hw.  Raises ValueError when a
+        quadratic term could be non-finite (see the class docstring)."""
+        hw, v = float(hw), float(v)  # Python floats: an overflow here is silent
+        far = max(abs(float(self.t_first[0]) - v), abs(float(self.t_last[-1]) - v))
+        if not (hw >= 0 and np.isfinite(far * far * hw)):
+            raise ValueError(f"grid query w = {2 * hw}, v = {v} needs w >= 0 and a finite (w/2)(t - v)^2")
+        return np.square(np.clip(v, self.t_first, self.t_last) - v) * hw + self.g_min
 
     def query(self, w: float, v: float) -> tuple[float, float]:
         """(argmin, objective value) of phi(t) + (w/2)(t - v)^2 on the grid;
         of equal values the first grid point wins, as in one np.argmin."""
         hw = 0.5 * w
         lb = self.lower_bounds(hw, v)
-        if lb is None:
-            best_i, best = self._scan(range(self.g_min.size), hw, v)
-        else:
-            best_i, best = self._scan(np.argsort(lb, kind="stable").tolist(), hw, v, lb.tolist())
+        chunks = self.nan_scan or np.argsort(lb, kind="stable").tolist()
+        lb = lb.tolist()
+        j, buf = np.arange(self.CHUNK, dtype=float), np.empty(self.CHUNK)
+        best_i, best = self.count, np.inf
+        for c in chunks:
+            if lb[c] > best:
+                break
+            t, g = self._penalty(c, j, buf)
+            vals = t - v  # a new array: phi's values may share memory with buf
+            np.square(vals, out=vals)
+            vals *= hw
+            vals += g
+            k = int(vals.argmin())
+            i, val = c * self.CHUNK + k, vals[k]
+            if not (val > best or (val == best and i > best_i)):  # the first chunk scanned wins, NaN or not
+                best_i, best = i, val
         return float(self.lo + self.step * best_i), float(best)

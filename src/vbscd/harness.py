@@ -517,7 +517,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
              for s in seeds]
     try:
         trajectories = [run(p, confs[0], x0s[0])]
-    except Exception as e:
+    except SolverAbort as e:
         raise ReplicationError(f"replication 0 failed: {e}") from e
     if cfg.replications > 1:
         rows = run_lockstep(p, confs, x0s)

@@ -87,6 +87,8 @@ class BlockPartition:
     @staticmethod
     def even(n: int, n_blocks: int) -> "BlockPartition":
         """Split n coordinates into n_blocks near-even contiguous blocks."""
+        if n_blocks < 1:
+            raise ValueError("need at least one block")
         if n < n_blocks:
             raise ValueError("need at least one coordinate per block")
         base, extra = divmod(n, n_blocks)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -309,8 +310,8 @@ def test_chunked_grid_oracle_equals_one_shot_scan(kind, params):
     oracle = GridProxOracle(reg)
     for w, v in ((reg.rho + 0.7, 2.3), (reg.rho + 2.9, -9.99)):
         assert oracle.query(w, v) == grid_argmin_one_shot(reg, w, v)
-    t, val = oracle.query(np.nan, 1.0)
-    assert (t, np.isnan(val)) == (-10.0, True)
+    with pytest.raises(ValueError, match="w = nan, v = 1.0"):
+        oracle.query(np.nan, 1.0)
 
 
 def test_grid_oracle_tie_across_chunks_goes_to_the_earlier_point():
@@ -395,24 +396,56 @@ class _StubPenalty:
         self.value = fn
 
 
-def test_grid_oracle_fallbacks_equal_the_one_shot_scan():
+def test_grid_oracle_edge_penalties_equal_the_one_shot_scan():
     def nan_and_inf(t):
         g = np.abs(t - 0.3)
         g[np.isin(np.round(t / SMALL_GRID["step"]), (-9000, 1234, 5000))] = np.nan
         g[(t > 0.5) & (t < 0.9)] = np.inf
         return g
 
+    def minus_inf(t):  # -inf at points 1 and 1000 of chunk 0, and at point 18000 in chunk 4
+        return np.where(np.isin(np.round(t / SMALL_GRID["step"]), (-14999, -14000, 3000)), -np.inf, np.abs(t))
+
     regs = [make_regularizer("l1", lam=1.3), make_regularizer("scad", lam=0.9, a=3.7),
-            _StubPenalty(nan_and_inf), _StubPenalty(lambda t: np.where((t > -1.0) & (t < 0.0), np.inf, t * t))]
-    queries = [(0.0, 0.4), (0.0, -7.0), (-1.0, 0.4), (-2.5, 9.0), (1.0, np.inf), (1.0, -np.inf),
-               (np.nan, 0.4), (1.0, np.nan), (np.inf, 0.4), (2.0, 1e200), (0.0, 1e200), (3.0, -0.5)]
+            _StubPenalty(nan_and_inf), _StubPenalty(lambda t: np.where((t > -1.0) & (t < 0.0), np.inf, t * t)),
+            _StubPenalty(minus_inf)]
+    queries = [(0.0, 0.4), (0.0, -7.0), (3.0, -0.5), (1.0, 0.4), (2.0, 9.0), (5e3, 0.55)]
     for reg in regs:
         oracle = GridProxOracle(reg, **SMALL_GRID)
         for w, v in queries:
-            with np.errstate(over="ignore", invalid="ignore"):  # 1e200^2, 0 * inf
-                assert same_bits(oracle.query(w, v), grid_argmin_one_shot(reg, w, v, **SMALL_GRID)), (w, v)
-    # a NaN penalty value gives a NaN bound, so that query takes the full scan
-    assert GridProxOracle(regs[2], **SMALL_GRID).lower_bounds(1.0, 0.4) is None
+            assert same_bits(oracle.query(w, v), grid_argmin_one_shot(reg, w, v, **SMALL_GRID)), (w, v)
+    # a NaN penalty value gives a NaN bound; the query scans the first such chunk alone
+    oracle = GridProxOracle(regs[2], **SMALL_GRID)
+    assert np.isnan(oracle.lower_bounds(1.0, 0.4)).tolist() == [False, True, False, True, True, False]
+    assert oracle.nan_scan == [1] and GridProxOracle(regs[4], **SMALL_GRID).nan_scan == []
+    t, val = oracle.query(1.0, 0.4)
+    assert np.isnan(val) and t == SMALL_GRID["lo"] + SMALL_GRID["step"] * (15000 - 9000)
+
+
+_UNIT_GRID = {"lo": 0.0, "hi": 3.0 * GridProxOracle.CHUNK - 1, "step": 1.0}
+_WIDE_GRID = {"lo": 0.0, "hi": (2.0 * GridProxOracle.CHUNK - 1) * 2e150, "step": 2e150}
+
+
+@pytest.mark.parametrize("grid, w, v", [
+    (SMALL_GRID, np.nan, 0.4),
+    (SMALL_GRID, np.inf, 0.4),
+    (SMALL_GRID, -np.inf, 0.4),
+    (SMALL_GRID, -1.0, 0.4),
+    (SMALL_GRID, 1.0, np.nan),
+    (SMALL_GRID, 1.0, np.inf),
+    (SMALL_GRID, 0.0, -np.inf),
+    (_UNIT_GRID, 2e302, 2.0 * GridProxOracle.CHUNK + 100),  # (w/2) d^2 overflows at the far end
+    (SMALL_GRID, 0.0, 1e200),  # d^2 overflows, and 0 * inf is NaN
+    (_WIDE_GRID, 0.0, 0.0),  # d^2 overflows at the far end though v is on the grid
+], ids=["w-nan", "w-inf", "w-minus-inf", "w-negative", "v-nan", "v-inf", "v-minus-inf",
+        "square-times-w-overflows", "square-overflows-at-w-0", "square-overflows-on-the-grid"])
+def test_grid_oracle_rejects_queries_its_bound_cannot_prune(grid, w, v):
+    oracle = GridProxOracle(make_regularizer("l1", lam=1.0), **grid)
+    named = re.escape(f"w = {float(w)}, v = {float(v)}")
+    with pytest.raises(ValueError, match=named):
+        oracle.lower_bounds(0.5 * w, v)
+    with pytest.raises(ValueError, match=named):
+        oracle.query(w, v)
 
 
 def test_grid_oracle_penalty_may_return_its_argument():
@@ -421,28 +454,6 @@ def test_grid_oracle_penalty_may_return_its_argument():
     oracle = GridProxOracle(reg, **SMALL_GRID)
     for w, v in ((1.0, 0.4), (3.0, -2.0), (0.5, 9.0)):
         assert same_bits(oracle.query(w, v), grid_argmin_one_shot(reg, w, v, **SMALL_GRID))
-
-
-def test_grid_oracle_nan_values_on_the_pruned_path_match_the_one_shot_scan():
-    chunk = GridProxOracle.CHUNK
-    with np.errstate(over="ignore", invalid="ignore"):
-        # inf + (-inf) = NaN at t = chunk + 7; chunk 2 holds v and a -inf
-        # that stays -inf, and chunk 0 (all +inf) is visited last
-        grid = {"lo": 0.0, "hi": 3.0 * chunk - 1, "step": 1.0}
-        reg = _StubPenalty(lambda t: np.where((t == chunk + 7) | (t == 2 * chunk + 5), -np.inf, 0.0))
-        w, v = 2e302, 2.0 * chunk + 100
-        lb = GridProxOracle(reg, **grid).lower_bounds(0.5 * w, v)
-        assert lb.tolist() == [np.inf, -np.inf, -np.inf]
-        t, val = GridProxOracle(reg, **grid).query(w, v)
-        assert (t, np.isnan(val)) == (chunk + 7.0, True)
-        assert same_bits((t, val), grid_argmin_one_shot(reg, w, v, **grid))
-        # w = 0 where squares overflow inside chunk 1 though not at its ends:
-        # 0 * inf = NaN there, so the bound's lb_1 = 1 must not skip it
-        grid = {"lo": 0.0, "hi": (2.0 * chunk - 1) * 2e150, "step": 2e150}
-        reg = _StubPenalty(lambda t: np.where(t > (chunk - 0.5) * 2e150, 1.0, 0.0))
-        t, val = GridProxOracle(reg, **grid).query(0.0, 0.0)
-        assert np.isnan(val)
-        assert same_bits((t, val), grid_argmin_one_shot(reg, 0.0, 0.0, **grid))
 
 
 def test_grid_oracle_tie_found_out_of_order_goes_to_the_earlier_point():
@@ -466,13 +477,13 @@ def test_grid_oracle_scans_few_chunks_on_verify_queries(reg, monkeypatch):
     oracle = GridProxOracle(reg)
     assert oracle.g_min.size == 489
     scanned = []
-    chunk_values = GridProxOracle._chunk_values
+    penalty = GridProxOracle._penalty  # once per chunk a query scans
 
     def spy(self, *args):
         scanned[-1] += 1
-        return chunk_values(self, *args)
+        return penalty(self, *args)
 
-    monkeypatch.setattr(GridProxOracle, "_chunk_values", spy)
+    monkeypatch.setattr(GridProxOracle, "_penalty", spy)
     rng = np.random.default_rng(41)
     for _ in range(48):  # the verify suite's query distribution
         w = reg.rho + 0.1 + 4.9 * rng.random()

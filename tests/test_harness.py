@@ -652,6 +652,18 @@ def test_run_replications_wraps_solver_failures(tmp_path, monkeypatch):
         run_replications(cfg)
 
 
+def test_run_replications_lets_programming_errors_through(tmp_path, monkeypatch):
+    # only a solver abort is a failed replication; anything else is a bug
+    cfg = rate_config(tmp_path)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("not a solver abort")
+
+    monkeypatch.setattr(harness, "run", boom)
+    with pytest.raises(RuntimeError, match="not a solver abort"):
+        run_replications(cfg)
+
+
 # ---------------------------------------------------------------------------
 # output files
 

@@ -329,8 +329,11 @@ def test_block_partition_slices():
     assert part.block_slice(1) == slice(2, 5)
     assert BlockPartition.even(6, 3).sizes == (2, 2, 2)
     assert BlockPartition.even(7, 3).sizes == (3, 2, 2)  # remainder spread left
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coordinate per block"):
         BlockPartition.even(2, 3)
+    for n_blocks in (0, -1):
+        with pytest.raises(ValueError, match="need at least one block"):
+            BlockPartition.even(5, n_blocks)
     with pytest.raises(ValueError):
         BlockPartition((2, 0))
     assert part.block_of.tolist() == [0, 0, 1, 1, 1, 2]
