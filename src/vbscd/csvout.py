@@ -1,7 +1,9 @@
 """The one CSV format every output file shares.
 
 Floats carry 17 significant digits so they read back exactly; files are
-UTF-8 with LF line endings and a trailing newline.
+UTF-8 with LF line endings and a trailing newline.  ``"%.17g" % x`` gives
+``fmt(x)`` for a Python float x, so writers of long files format a whole
+row with one ``%`` call.
 """
 from __future__ import annotations
 

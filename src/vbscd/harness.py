@@ -538,9 +538,8 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
 
 
 def write_mean_csv(mean_gap, var_gap, path) -> None:
-    write_csv(path, "k,mean_gap,var_gap", (
-        f"{k},{fmt(mg)},{fmt(vg)}" for k, (mg, vg) in enumerate(zip(mean_gap, var_gap))
-    ))
+    write_csv(path, "k,mean_gap,var_gap", map(
+        "%d,%.17g,%.17g".__mod__, zip(range(len(mean_gap)), mean_gap.tolist(), var_gap.tolist())))
 
 
 def write_rate_csv(report: RateReport, n_replications: int, path) -> None:

@@ -172,9 +172,10 @@ class SmoothTerm:
     of points at once: ``state_rows(X)`` and ``state_value_rows(S)`` act on
     the rows of X and of the state stack S; ``block_grad_rows(S, rows,
     cols)`` and ``move_rows(S, rows, cols, old, new)`` take for each j the
-    state S[rows[j]] and the coordinates cols[j] (a (k, b) index array) and
-    do what ``block_grad`` and ``move`` do on that one state.  The defaults
-    loop over the one-state methods; :class:`AffineLoss` vectorizes them.
+    j-th state of S[rows] (``rows`` an index array or a slice) and the
+    coordinates cols[j] (a (k, b) index array) and do what ``block_grad``
+    and ``move`` do on that one state.  The defaults loop over the
+    one-state methods; :class:`AffineLoss` vectorizes them.
     """
 
     lipschitz: float
@@ -213,12 +214,13 @@ class SmoothTerm:
     def state_value_rows(self, S: np.ndarray) -> np.ndarray:
         return np.array([self.state_value(s) for s in S], dtype=float)
 
-    def block_grad_rows(self, S: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return np.array([self.block_grad(S[r], c) for r, c in zip(rows, cols)], dtype=float)
+    def block_grad_rows(self, S: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
+        return np.array([self.block_grad(S[r], c) for r, c in zip(np.arange(len(S))[rows], cols)],
+                        dtype=float)
 
-    def move_rows(self, S: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    def move_rows(self, S: np.ndarray, rows, cols: np.ndarray,
                   old: np.ndarray, new: np.ndarray) -> None:
-        for r, c, o, v in zip(rows, cols, old, new):
+        for r, c, o, v in zip(np.arange(len(S))[rows], cols, old, new):
             self.move(S[r], c, o, v)
 
 
@@ -359,6 +361,12 @@ class CustomSmooth(SmoothTerm):
 # penalties (applied coordinatewise inside a block)
 
 
+def as_weight(w):
+    """A prox weight as the kernels take it: a float as it is (it compares
+    to a bool), anything else as a float array."""
+    return w if isinstance(w, float) else np.asarray(w, dtype=float)
+
+
 class Regularizer:
     """Even scalar penalty phi(t) = psi(|t|), applied coordinatewise;
     semi-convex with modulus rho.
@@ -369,9 +377,10 @@ class Regularizer:
     ``prox_abs(u, w)`` the prox on u = |v|, so that ``prox(v, w)`` =
     sign(v) * prox_abs(|v|, w) = argmin_t  phi(t) + (w/2)(t - v)^2.  The
     prox is only defined for w > rho (strongly convex subproblem, unique
-    minimizer); ``prox.scalar_prox`` checks that bound once per call and
-    ``prox`` itself does not check it again.  A penalty that is not even
-    overrides ``value``, ``subdiff`` and ``prox`` instead.
+    minimizer); ``prox.scalar_prox`` and ``prox.block_target`` check that
+    bound once per call and ``prox`` itself does not check it again.  A
+    penalty that is not even overrides ``value``, ``subdiff`` and ``prox``
+    instead; ``prox_value`` then follows from ``prox`` and ``value``.
     """
 
     kind = "custom"
@@ -389,7 +398,13 @@ class Regularizer:
 
     def prox(self, v, w):
         v = np.asarray(v, dtype=float)
-        return np.sign(v) * self.prox_abs(np.abs(v), w)
+        return np.sign(v) * self.prox_abs(np.abs(v), as_weight(w))
+
+    def prox_value(self, v, w):
+        """The pair (prox(v, w), phi at it), elementwise; a kind whose prox
+        already evaluates phi at its result returns that evaluation."""
+        t = self.prox(v, w)
+        return t, self.value(t)
 
 
 def _weight(kind: str, lam) -> float:
@@ -465,14 +480,32 @@ def _clip_into(out, lo, hi) -> None:
     np.minimum(hi, out, out=out)
 
 
-def _best_candidate(reg, cand, u, w) -> np.ndarray:
-    """Per coordinate, the candidate with the least prox objective
-    phi(t) + (w/2)(t - u)^2; ties go to the earlier candidate."""
-    obj = reg.value(cand) + 0.5 * w * np.square(cand - u)
-    return obj.argmin(axis=0).choose(cand)  # np.choose without its dispatch
+def _best_candidate(reg, cand, u, w):
+    """Per coordinate, the index of the candidate with the least prox
+    objective phi(t) + (w/2)(t - u)^2 (ties go to the earlier candidate),
+    the candidates, and phi at each of them."""
+    phi = reg.value(cand)
+    return (phi + 0.5 * w * np.square(cand - u)).argmin(axis=0), cand, phi
 
 
-class ScadPenalty(Regularizer):
+class _CandidatePenalty(Regularizer):
+    """An even penalty whose prox on u = |v| is the best of a few
+    closed-form candidates: ``_prox_pass(u, w)`` is the kind's one kernel,
+    returning what :func:`_best_candidate` returns.  Every candidate is
+    >= 0 or NaN, so phi at the winner is phi at sign(v) * winner, and
+    ``prox_value`` reads it off the pass bit for bit."""
+
+    def prox_abs(self, u, w):
+        best, cand, _ = self._prox_pass(u, w)
+        return best.choose(cand)  # np.choose without its dispatch
+
+    def prox_value(self, v, w):
+        v = np.asarray(v, dtype=float)
+        best, cand, phi = self._prox_pass(np.abs(v), as_weight(w))
+        return np.sign(v) * best.choose(cand), best.choose(phi)
+
+
+class ScadPenalty(_CandidatePenalty):
     """Smoothly clipped absolute deviation penalty.
 
     Three pieces (Fan & Li 2001): linear lam*|t| up to lam, a quadratic blend
@@ -501,8 +534,7 @@ class ScadPenalty(Regularizer):
         lam, a = self.lam, self.a
         return np.where(u <= lam, lam, np.where(u <= a * lam, (a * lam - u) / (a - 1), 0.0))
 
-    def prox_abs(self, u, w):
-        w = np.asarray(w, dtype=float)
+    def _prox_pass(self, u, w):
         lam, a = self.lam, self.a
         cand, (c1, c2, c3) = _candidates(3, u, w)
         np.subtract(u, lam / w, out=c1)
@@ -514,7 +546,7 @@ class ScadPenalty(Regularizer):
         return _best_candidate(self, cand, u, w)
 
 
-class McpPenalty(Regularizer):
+class McpPenalty(_CandidatePenalty):
     """Minimax concave penalty (Zhang 2010).
 
     phi(t) = lam|t| - t^2/(2 gamma) for |t| <= gamma*lam, constant beyond;
@@ -539,8 +571,7 @@ class McpPenalty(Regularizer):
         lam, g = self.lam, self.gamma
         return np.where(u <= g * lam, lam - u / g, 0.0)
 
-    def prox_abs(self, u, w):
-        w = np.asarray(w, dtype=float)
+    def _prox_pass(self, u, w):
         lam, g = self.lam, self.gamma
         cand, (c1, c2) = _candidates(2, u, w)
         np.divide(g * (w * u - lam), g * w - 1.0, out=c1)

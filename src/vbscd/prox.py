@@ -19,17 +19,24 @@ from __future__ import annotations
 import numpy as np
 
 from .bregman import bregman_distance
-from .model import ProblemInstance, Regularizer
+from .model import ProblemInstance, Regularizer, as_weight
+
+
+def _checked_weight(reg: Regularizer, w):
+    """w (as :func:`~vbscd.model.as_weight` gives it) once it exceeds rho;
+    a float weight compares to a bool, as in :func:`_prep`, and a NaN
+    weight fails the comparison."""
+    w = as_weight(w)
+    if not ((ok := w > reg.rho) is True or np.all(ok)):
+        raise ValueError(
+            f"prox weight must exceed the semi-convexity modulus rho={reg.rho}"
+        )
+    return w
 
 
 def scalar_prox(reg: Regularizer, w, v):
     """Closed-form minimizer of phi(t) + (w/2)(t - v)^2; needs w > rho."""
-    w = np.asarray(w, dtype=float)
-    if not (w > reg.rho).all():  # also rejects a NaN weight
-        raise ValueError(
-            f"prox weight must exceed the semi-convexity modulus rho={reg.rho}"
-        )
-    return reg.prox(v, w)
+    return reg.prox(v, _checked_weight(reg, w))
 
 
 def _prep(p: ProblemInstance, q, eps, x, ndim: int = 1) -> np.ndarray:
@@ -48,14 +55,16 @@ def _prep(p: ProblemInstance, q, eps, x, ndim: int = 1) -> np.ndarray:
     return x
 
 
-def block_target(reg: Regularizer, q, eps: float, x_block, grad_block) -> np.ndarray:
+def block_target(reg: Regularizer, q, eps: float, x_block, grad_block, *, with_value=False):
     """New values of a block under penalty ``reg``, from its current values
     ``x_block``, its part ``grad_block`` of grad f and the kernel weight
     ``q``; equally (k, b) arrays holding k blocks of width b that share
-    ``reg``, row j of the result then being what row j alone gives."""
-    w = q / eps
+    ``reg``, row j of the result then being what row j alone gives.  With
+    ``with_value``, the pair (new values, phi at each) from
+    :meth:`~vbscd.model.Regularizer.prox_value`."""
+    w = _checked_weight(reg, q / eps)
     v = x_block - (eps / q) * grad_block
-    return scalar_prox(reg, w, v)
+    return reg.prox_value(v, w) if with_value else reg.prox(v, w)
 
 
 def _full_target(p, q, eps, x, grad) -> np.ndarray:

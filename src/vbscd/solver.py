@@ -13,11 +13,13 @@ the schedule guarantees raises :class:`SolverAbort`.  Termination is by a
 periodic full-map residual check or an iteration cap.
 
 :func:`run_lockstep` advances R such runs together, one k at a time, as
-(R, n) stacks: per k one gathered block gradient, one prox call per (penalty
-group, block width) and one update of the per-block penalty totals of the
-moved blocks.  Each row draws the same blocks as :func:`run` at its seed, and
-its values agree with :func:`run` up to rounding; :func:`match_oracle` holds
-one such row to :func:`run`'s trajectory.
+(R, n) stacks packed over the rows still active: per k one gathered block
+gradient and one prox call per (penalty group, block width), which also
+returns phi at the new values, so the per-block penalty totals of the moved
+blocks are set without a second penalty pass.  Each row draws the same
+blocks as :func:`run` at its seed, and its values agree with :func:`run` up
+to rounding; :func:`match_oracle` holds one such row to :func:`run`'s
+trajectory.
 
 Both engines return a :class:`Trajectory` that is a step log: x^0, and per step
 its record and the moved block's new values.  It holds K b values (b the widest
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import BregmanSchedule, sufficient_decrease, validate_schedule
-from .csvout import fmt, write_csv
+from .csvout import write_csv
 from .model import BlockPartition, ProblemInstance
 from .prox import block_target, coordinate_prox, full_prox_rows, prox_residual
 
@@ -239,90 +241,104 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
     rows advanced one k at a time; returns per row its Trajectory or the
     :class:`SolverAbort` that retired it.
 
-    The configs may differ only in seed.  Row r draws its blocks from its
-    own stream, one double per step as :func:`run` does, so it takes the
-    blocks :func:`run` takes; it keeps the smooth state (``state_rows``,
-    moved by ``move_rows``, rebuilt exactly at each check period) and each
-    block's penalty total, and F is the state value plus the row's totals.  A row
-    leaves the active set when its residual, from one ``full_prox_rows``
-    over the active rows at each check period, is at most ``tolerance``,
-    or when its step fails the sufficient decrease (aborted with the
-    message :func:`run` raises).  Each row's step log is the one
-    :func:`run` writes.
+    The configs may differ only in seed, and there is one start point per
+    config.  Row r draws its blocks from its own stream, one double per
+    step as :func:`run` does, so it takes the blocks :func:`run` takes; it
+    keeps the smooth state (``state_rows``, moved by ``move_rows``, rebuilt
+    exactly at each check period) and each block's penalty total, set from
+    the phi that the prox pass returns with its result, and F is the state
+    value plus the row's totals.  The iterates, states, values and totals
+    of the active rows are kept packed, with their row ids, so a step
+    uses them whole, with no gather through an active-row index, and
+    writes the step log at the ids; they are compacted once each time rows
+    leave.
+    A row leaves when its residual, from one ``full_prox_rows`` over the
+    active rows at each check period, is at most ``tolerance``, or when its
+    step fails the sufficient decrease (aborted with the message
+    :func:`run` raises).  Each row's step log is the one :func:`run` writes.
     """
     base = configs[0]
     if any(dataclasses.replace(c, seed=base.seed) != base for c in configs):
         raise ValueError("lockstep rows differ in more than their seed")
+    if len(x0s) != len(configs):
+        raise ValueError(f"{len(x0s)} start points for {len(configs)} configs")
+    for r, x0 in enumerate(x0s):
+        if x0 is not None and np.shape(x0) != (p.n,):
+            raise ValueError(f"start point {r} has shape {np.shape(x0)}, expected ({p.n},)")
     sched, max_iters = base.schedule, base.max_iters
     validate_schedule(sched, p)
     R, n = len(configs), p.n
     X0 = np.array([np.zeros(n) if x0 is None else x0 for x0 in x0s], dtype=float)
-    X = X0.copy()
     period = base.check_period if base.check_period is not None else p.n_blocks
     rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in configs]
     smooth = p.smooth
     a = sufficient_decrease(sched.m, sched.eps_hi, smooth.lipschitz)
     kinds, kind_of = _block_kinds(p)
-    starts = np.array(p.partition.offsets[:-1])
+    # per kind, row i of its (N, width) table holds block i's columns
+    starts = np.array(p.partition.offsets[:-1])[:, None]
+    kinds = [(reg, starts + np.arange(width)) for reg, width in kinds]
 
-    f0 = np.array([p.objective(x) for x in X])  # bit for bit what run starts from
+    f0 = np.array([p.objective(x) for x in X0])  # bit for bit what run starts from
     aborts = {int(r): SolverAbort(f"objective not finite at the start point ({f0[r]})")
               for r in np.flatnonzero(~np.isfinite(f0))}
-    active = np.flatnonzero(np.isfinite(f0))
-    F = f0.copy()
-    S = smooth.state_rows(X)
-    totals = np.stack([np.sum(reg.value(X[:, p.partition.block_slice(i)]), axis=1)
+    totals = np.stack([np.sum(reg.value(X0[:, p.partition.block_slice(i)]), axis=1)
                        for i, reg in enumerate(p.regularizers)], axis=1)
+    # packed: row t of X, S, F, totals (and of draws) is row ids[t]
+    ids = np.flatnonzero(np.isfinite(f0))
+    X, S, F, totals = X0[ids], smooth.state_rows(X0)[ids], f0[ids], totals[ids]
     chunks = []  # the step log, as _logged reads it
     length = np.zeros(R, dtype=np.intp)
     stopped = np.zeros(R, dtype=bool)  # on tolerance
-    step2 = np.empty(R)
     for k in range(max_iters):
-        if not active.size:
+        if not ids.size:
             break
         j = k % _STEP_CHUNK
         if j == 0:
-            draws = _draw_chunk(chunks, rngs, p)
+            draws = _draw_chunk(chunks, rngs, p)[ids]
         rec, mov = chunks[-1][0][j], chunks[-1][1][j]
-        blocks = draws[active, j]
+        blocks = draws[:, j]
         q, eps = sched.generator(k), sched.step(k)
         check = (k + 1) % period == 0
-        for kind, (reg, width) in enumerate(kinds):
-            sel = np.flatnonzero(kind_of[blocks] == kind) if len(kinds) > 1 else slice(None)
-            rows, blk = active[sel], blocks[sel]
-            if not rows.size:
-                continue
-            cols = starts[blk][:, None] + np.arange(width)
+        pos = np.arange(ids.size)
+        step2 = np.empty(ids.size)
+        for kind, (reg, table) in enumerate(kinds):
+            if len(kinds) == 1:
+                sel = slice(None)
+            else:
+                sel = np.flatnonzero(kind_of[blocks] == kind)
+                if not sel.size:
+                    continue
+            rows, blk = pos[sel], blocks[sel]
+            cols = table[blk]
             old = X[rows[:, None], cols]
-            new = block_target(reg, q, eps, old,
-                               smooth.block_grad_rows(S, rows, cols))
-            X[rows[:, None], cols] = mov[rows, :width] = new
+            new, phi = block_target(reg, q, eps, old, smooth.block_grad_rows(S, sel, cols),
+                                    with_value=True)
+            X[rows[:, None], cols] = mov[ids[sel], :cols.shape[1]] = new
             if not check:
-                smooth.move_rows(S, rows, cols, old, new)
-            totals[rows, blk] = np.sum(reg.value(new), axis=1)
-            step2[rows] = np.sum(np.square(old - new), axis=1)
+                smooth.move_rows(S, sel, cols, old, new)
+            totals[rows, blk] = phi.sum(axis=1)
+            step2[sel] = np.square(old - new).sum(axis=1)
         if check:
-            S[active] = smooth.state_rows(X[active])
-        f, f_next = F[active], smooth.state_value_rows(S[active]) + np.sum(totals[active], axis=1)
-        step_norm = np.sqrt(step2[active])
-        ok = _decreases(f, f_next, step_norm, a)
-        for t in np.flatnonzero(~ok):
-            aborts[int(active[t])] = _abort(k, f[t], f_next[t], step_norm[t], a)
-        active = active[ok]
-        F[active] = f_next[ok]
-        length[active] = k + 1
-        rec["block"][active] = blocks[ok]
-        rec["objective"][active] = f_next[ok]
-        rec["step_norm"][active] = step_norm[ok]
-        rec["prox_residual"][active] = np.nan
-        if check:
-            Xa = X[active]
-            resid = np.linalg.norm(
-                Xa - full_prox_rows(p, sched.generator(k + 1), sched.step(k + 1), Xa), axis=1)
-            rec["prox_residual"][active] = resid
-            done = resid <= base.tolerance
-            stopped[active[done]] = True
-            active = active[~done]
+            S = smooth.state_rows(X)
+        f, F = F, smooth.state_value_rows(S) + totals.sum(axis=1)
+        step_norm = np.sqrt(step2)
+        rec["block"][ids], rec["objective"][ids], rec["step_norm"][ids] = blocks, F, step_norm
+        ok = _decreases(f, F, step_norm, a)
+        if not ok.all():
+            for t in np.flatnonzero(~ok):
+                aborts[int(ids[t])] = _abort(k, f[t], F[t], step_norm[t], a)
+            ids, X, S, F, totals, draws = (v[ok] for v in (ids, X, S, F, totals, draws))
+        if not check:
+            rec["prox_residual"][ids] = np.nan
+            continue
+        resid = np.linalg.norm(
+            X - full_prox_rows(p, sched.generator(k + 1), sched.step(k + 1), X), axis=1)
+        rec["prox_residual"][ids] = resid
+        done = resid <= base.tolerance
+        if done.any():
+            length[ids[done]], stopped[ids[done]] = k + 1, True
+            ids, X, S, F, totals, draws = (v[~done] for v in (ids, X, S, F, totals, draws))
+    length[ids] = max_iters  # the rows still active ran every step
     return [aborts[r] if r in aborts else
             _logged(p, chunks, r, length[r], X0[r], "tolerance" if stopped[r] else "max_iters", f0[r])
             for r in range(R)]
@@ -386,9 +402,10 @@ def write_trajectory_csv(traj: Trajectory, path, f_bar: float | None = None) -> 
     gap is left empty when no reference value is known; prox_residual is
     empty on iterations where it was not measured (NaN in the records).
     """
-    def row(k, block, f, step_norm, resid):
-        gap = "" if f_bar is None else fmt(f - f_bar)
-        resid = "" if np.isnan(resid) else fmt(resid)
-        return f"{k},{block},{fmt(f)},{gap},{fmt(step_norm)},{resid}"
-    write_csv(path, "k,i_k,F,gap,step_norm,prox_residual",
-              (row(k, *rec) for k, rec in enumerate(traj.records.tolist())))
+    rec = traj.records
+    f = rec["objective"]
+    gap = [""] * len(rec) if f_bar is None else map("%.17g".__mod__, (f - f_bar).tolist())
+    resid = ["" if r != r else "%.17g" % r for r in rec["prox_residual"].tolist()]
+    write_csv(path, "k,i_k,F,gap,step_norm,prox_residual", map(
+        "%d,%d,%.17g,%s,%.17g,%s".__mod__,
+        zip(range(len(rec)), rec["block"].tolist(), f.tolist(), gap, rec["step_norm"].tolist(), resid)))

@@ -6,6 +6,7 @@ from vbscd import (
     GridProxOracle,
     L1Penalty,
     McpPenalty,
+    Regularizer,
     ScadPenalty,
     SquaredL2Penalty,
     ZeroPenalty,
@@ -14,11 +15,13 @@ from vbscd import (
     envelope_value,
     full_prox,
     make_quadratic_problem,
+    make_regularizer,
     prox_residual,
     scalar_prox,
 )
 from vbscd.instances import lasso_1d, lasso_random, quadratic_mcp
-from vbscd.prox import coordinate_prox_all_rows, full_prox_rows
+from vbscd.model import _REG_KINDS
+from vbscd.prox import block_target, coordinate_prox_all_rows, full_prox_rows
 
 
 def scalar_objective(reg, w, v, t):
@@ -351,3 +354,85 @@ def test_nan_prox_weight_is_rejected(reg):
         scalar_prox(reg, np.nan, 2.0)
     with pytest.raises(ValueError):
         scalar_prox(reg, np.array([reg.rho + 1.0, np.nan]), np.array([2.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# prox_value: the prox and phi at it from one call
+
+
+class OneSided(Regularizer):
+    """A custom penalty that is not even: phi(t) = lam * max(t, 0)."""
+
+    lam = 0.6
+
+    def value(self, t):
+        return self.lam * np.maximum(np.asarray(t, dtype=float), 0.0)
+
+    def prox(self, v, w):
+        v = np.asarray(v, dtype=float)
+        return np.where(v > self.lam / w, v - self.lam / w, np.minimum(v, 0.0))
+
+
+def _special_stack(reg, w):
+    """(k, b) stack of the values where the prox kinks or breaks, plus
+    random fill; row j is built for the weight w[j]."""
+    lam = getattr(reg, "lam", 1.0)
+    shape = getattr(reg, "a", getattr(reg, "gamma", 2.0))
+    rng = np.random.default_rng(17)
+    rows = []
+    for wj in np.ravel(w):
+        knots = [0.0, -0.0, lam, -lam, shape * lam, -shape * lam,
+                 lam * (1.0 + 1.0 / wj), -lam * (1.0 + 1.0 / wj), np.inf, -np.inf, np.nan]
+        rows.append(np.concatenate((knots, rng.uniform(-3.0, 3.0, 5) * lam)))
+    return np.array(rows)
+
+
+KIND_PARAMS = {"zero": {}, "l1": {"lam": 0.7}, "squared-l2": {"mu": 1.3},
+               "scad": {"lam": 0.7, "a": 3.7}, "mcp": {"lam": 0.7, "gamma": 2.5}}
+
+
+def test_every_penalty_kind_has_prox_value_parameters():
+    assert KIND_PARAMS.keys() == _REG_KINDS.keys()
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [*(make_regularizer(kind, **params) for kind, params in KIND_PARAMS.items()), OneSided()],
+    ids=[*KIND_PARAMS, "one-sided"],
+)
+def test_prox_value_is_the_prox_and_its_value_bit_for_bit(reg):
+    for w in (reg.rho + 0.9, reg.rho + np.array([[1e-6], [0.5], [2.0], [40.0]])):
+        v = _special_stack(reg, np.broadcast_to(w, (4, 1)))
+        with np.errstate(invalid="ignore"):  # the +-inf entries make inf - inf
+            t, phi = reg.prox_value(v, w)
+            t_ref = reg.prox(v, w)
+            phi_ref = reg.value(t_ref)
+        for got, want in ((t, t_ref), (phi, phi_ref)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_block_target_with_value_checks_the_weight_like_scalar_prox():
+    reg = ScadPenalty(1.0, 3.0)  # rho = 0.5
+    x, g = np.array([[0.3, -2.0]]), np.array([[0.1, 0.2]])
+    t, phi = block_target(reg, 1.0, 0.5, x, g, with_value=True)
+    assert np.array_equal(t, block_target(reg, 1.0, 0.5, x, g))
+    assert np.array_equal(phi, reg.value(t))
+    for with_value in (False, True):
+        with pytest.raises(ValueError, match="semi-convexity"):
+            block_target(reg, 1.0, 2.0, x, g, with_value=with_value)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+def test_prox_takes_a_list_or_int_weight_like_its_array(kind):
+    reg = make_regularizer(kind, **KIND_PARAMS[kind])
+    w, v = [reg.rho + 0.9, reg.rho + 2.0], [0.3, -2.5]
+    want = scalar_prox(reg, np.array(w), np.array(v))
+    assert np.array_equal(scalar_prox(reg, w, v), want)
+    assert np.array_equal(reg.prox(v, w), want)
+    t, phi = reg.prox_value(v, w)
+    assert np.array_equal(t, want) and np.array_equal(phi, reg.value(want))
+    assert np.array_equal(scalar_prox(reg, 3, v), scalar_prox(reg, 3.0, v))
+    with pytest.raises(ValueError, match="semi-convexity"):
+        scalar_prox(reg, [reg.rho + 1.0, reg.rho], v)
