@@ -183,11 +183,10 @@ _REPLICATED = ("experiment", "kind", ("solve", "rate"))
 _PROBED = ("experiment", "kind", ("rate", "verify", "probe-eb"))
 _ALTERNATING = ("bregman", "weights", ("alternating",))
 _HARMONIC = ("bregman", "eps_rule", ("harmonic-clipped",))
-_ITERATED = ("reference", "source", ("auto", "best-found"))
+_ITERATED = ("reference", "source", ("best-found",))
 
 # section -> key -> Key: the one place a key's type, default, range and
-# scope live.  [solver] tolerance, which verify and probe-eb do not read,
-# applies to every kind.
+# scope live
 _SCHEMA = {
     "experiment": {
         "kind": Key(str, REQUIRED, FLOWS),
@@ -348,10 +347,10 @@ def load_config(path) -> ExperimentConfig:
     exp = data.pop("experiment")
     if exp["kind"] in ("rate", "verify") and data["probe"]["kinds"] != ("ls-eb",):
         raise ConfigError(f"[probe] kinds must be ls-eb for kind {exp['kind']!r}, which probes only ls-eb")
-    if (exp["kind"] in ("verify", "probe-eb") and {"eta", "nu"} <= data["probe"].keys()
-            and parser.has_option("solver", "max_iters")):
-        raise ConfigError(f"[solver] max_iters goes unread: kind {exp['kind']!r} runs no scout "
-                          "when [probe] eta and nu are both set")
+    if exp["kind"] in ("verify", "probe-eb") and {"eta", "nu"} <= data["probe"].keys():
+        if unread := [key for key in ("max_iters", "tolerance") if parser.has_option("solver", key)]:
+            raise ConfigError(f"[solver] {unread[0]} goes unread: kind {exp['kind']!r} runs no scout "
+                              "when [probe] eta and nu are both set")
     return ExperimentConfig(
         kind=exp["kind"], seed=exp["seed"], replications=exp["replications"],
         out_dir=exp["output_dir"], **data,
@@ -487,11 +486,6 @@ def _setup(cfg: ExperimentConfig):
     """Instance, schedule and reference value of the configured experiment."""
     p = build_instance(cfg)
     sched = build_schedule(cfg, p)
-    # whether an instance has a known optimum shows only once it is built
-    if cfg.reference["source"] == "auto" and p.known_optimum is not None:
-        if unread := sorted(cfg.reference.keys() - {"source"}):
-            raise ConfigError(f"[reference] {unread[0]} goes unread: [reference] source = auto takes "
-                              f"the known optimum of [instance] kind = {cfg.instance['kind']}")
     return p, sched, resolve_reference_value(p, sched, **cfg.reference)
 
 
@@ -573,12 +567,14 @@ def write_replication_outputs(res: ReplicationResult, out_dir) -> None:
 
 def _neighborhood(cfg, p, sched, ref, trajectories=None):
     """[probe] eta and nu; those left out are sized from the iterates of
-    ``trajectories``, by default of a short deterministic scout run."""
+    ``trajectories``, by default of a short deterministic scout run that
+    stops at [solver] tolerance."""
     eta = cfg.probe.get("eta")
     nu = cfg.probe.get("nu")
     if eta is None or nu is None:
         trajectories = trajectories or [run(p, SolverConfig(
-            sched, min(cfg.solver["max_iters"], 50 * p.n_blocks), 0.0, seed=derive_seed(cfg.seed, 0)))]
+            sched, min(cfg.solver["max_iters"], 50 * p.n_blocks), cfg.solver["tolerance"],
+            seed=derive_seed(cfg.seed, 0)))]
         stacks = (X for t in trajectories for X in t.iterates(chunk_rows(p.n)))
         auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, stacks)
         eta = auto_eta if eta is None else eta

@@ -33,7 +33,7 @@ class EmptyNeighborhoodError(RuntimeError):
 def cross_check(stacked: float, exact: float, what: str) -> None:
     """Raise :class:`OracleMismatch` unless |stacked - exact| <= 1e-12 (1 + |exact|)."""
     if not abs(stacked - exact) <= 1e-12 * (1.0 + abs(exact)):
-        raise OracleMismatch(f"{what}: stacked {stacked!r}, per point {exact!r}")
+        raise OracleMismatch(f"{what}: stacked {float(stacked)!r}, per point {float(exact)!r}")
 
 
 def gap_floor(f_bar: float) -> float:

@@ -59,7 +59,8 @@ def block_target(reg: Regularizer, q, eps: float, x_block, grad_block, *, with_v
     """New values of a block under penalty ``reg``, from its current values
     ``x_block``, its part ``grad_block`` of grad f and the kernel weight
     ``q``; equally (k, b) arrays holding k blocks of width b that share
-    ``reg``, row j of the result then being what row j alone gives.  With
+    ``reg``, with ``q`` and ``eps`` scalars or (k, 1) columns, row j of the
+    result then being what row j alone gives.  With
     ``with_value``, the pair (new values, phi at each) from
     :meth:`~vbscd.model.Regularizer.prox_value`."""
     w = _checked_weight(reg, q / eps)
@@ -68,16 +69,14 @@ def block_target(reg: Regularizer, q, eps: float, x_block, grad_block, *, with_v
 
 
 def _full_target(p, q, eps, x, grad) -> np.ndarray:
-    """T(x) with one prox call per penalty group; ``x`` may also be a (k, n)
-    stack of points with ``grad`` the matching stack of gradients, and row j
-    of the result is then bit for bit what x_j and its gradient give.  The
-    kernel weight ``q`` and step ``eps`` are scalars, or for a stack one
-    per row as two (k, 1) columns."""
-    w = q / eps
-    v = x - (eps / q) * grad
-    y = np.empty_like(v)
+    """T(x) with one :func:`block_target` per penalty group; ``x`` may also
+    be a (k, n) stack of points with ``grad`` the matching stack of
+    gradients, and row j of the result is then bit for bit what x_j and its
+    gradient give.  The kernel weight ``q`` and step ``eps`` are scalars, or
+    for a stack one per row as two (k, 1) columns."""
+    y = np.empty_like(x)
     for reg, sl in p.penalty_groups:
-        y[..., sl] = scalar_prox(reg, w, v[..., sl])
+        y[..., sl] = block_target(reg, q, eps, x[..., sl], grad[..., sl])
     return y
 
 

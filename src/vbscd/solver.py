@@ -156,7 +156,8 @@ def _decreases(f, f_next, step_norm, a):
 
 
 def _abort(k: int, f, f_next, step_norm, a) -> SolverAbort:
-    """The abort of a step that fails :func:`_decreases`."""
+    """The abort of a step that fails :func:`_decreases`, its numbers as Python floats."""
+    f, f_next, step_norm, a = map(float, (f, f_next, step_norm, a))
     if not np.isfinite(f_next):
         return SolverAbort(f"objective not finite at iteration {k} ({f_next})")
     return SolverAbort(
@@ -362,14 +363,14 @@ def match_oracle(exact: Trajectory, shadow, tolerance: float) -> None:
            | ~(np.abs(fa - fb) <= 1e-12 * (1.0 + np.abs(fa))))
     if bad.any():
         j = int(np.argmax(bad))  # 0: the start point; j > 0: step j - 1
-        detail = f"F {fb[j]!r} against {fa[j]!r}"
+        detail = f"F {float(fb[j])!r} against {float(fa[j])!r}"
         if j:
             detail = f"block {b['block'][j - 1]} against {a['block'][j - 1]}, {detail}"
         where = f"iteration {j - 1}" if j else "the start point"
         raise OracleMismatch(f"lockstep row departs from run at {where}: {detail}")
     if len(exact.records) == len(shadow.records) and exact.termination == shadow.termination:
         return
-    ra, rb = a["prox_residual"][K - 1], b["prox_residual"][K - 1]
+    ra, rb = float(a["prox_residual"][K - 1]), float(b["prox_residual"][K - 1])
     if not (min(ra, rb) <= tolerance < max(ra, rb)
             and abs(ra - rb) <= 1e-12 * (1.0 + abs(ra))):
         raise OracleMismatch(

@@ -108,40 +108,50 @@ def test_bad_value_exits_two_naming_the_key(tmp_path, capsys, kind, section, key
 
 
 @pytest.mark.parametrize("key, value", [("max_steps", "100000"), ("tolerance", "1e-12")])
-def test_unread_reference_key_exits_two(tmp_path, capsys, key, value):
-    # lasso-1d has a known optimum, which source = auto takes without any
-    # full-map iteration; such a key was once accepted with exit 0
+def test_unread_reference_key_exits_two(tmp_path, capsys, monkeypatch, key, value):
+    # source = auto takes a known optimum without any full-map iteration, so
+    # the schema refuses such a key at load, before the instance is built
+    from vbscd import harness
+
+    built = []
+    build = harness.build_instance
+    monkeypatch.setattr(harness, "build_instance", lambda cfg: built.append(cfg) or build(cfg))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(with_key(SOLVE_CFG, "reference", key, value))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: [reference] {key} goes unread"), err
-    assert not out.exists()
+    assert err == [f"error: [reference] {key} applies only to [reference] source = best-found, not 'auto'"]
+    assert not out.exists() and not built
     # under best-found the iteration reads it
     cfg.write_text(with_key(with_key(SOLVE_CFG, "reference", key, value), "reference", "source", "best-found"))
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("kind", ["verify", "probe-eb"])
 def test_unread_max_iters_exits_two(tmp_path, capsys, kind):
     # with both [probe] eta and nu set no scout run sizes the neighborhood,
-    # so nothing reads [solver] max_iters; this was once accepted with exit 0
+    # so nothing reads [solver] max_iters or tolerance; max_iters was once
+    # accepted there with exit 0, and tolerance once accepted everywhere
     from vbscd.harness import load_config
 
-    text = {"verify": VERIFY_CFG, "probe-eb": PROBE_CFG}[kind]
+    text = "\n".join(line for line in {"verify": VERIFY_CFG, "probe-eb": PROBE_CFG}[kind].splitlines()
+                     if not line.startswith(("max_iters =", "tolerance ="))) + "\n"
+    both = with_key(with_key(text, "probe", "eta", "1.0"), "probe", "nu", "1.0")
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(with_key(with_key(text, "probe", "eta", "1.0"), "probe", "nu", "1.0"))
-    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: [solver] max_iters "), err
-    assert not (tmp_path / "out").exists()
-    # without max_iters the config loads, and with one of eta, nu the scout reads it
-    cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
-                             if not line.startswith("max_iters")))
-    assert load_config(cfg).solver["max_iters"] == 1000  # the default
-    cfg.write_text(with_key(text, "probe", "eta", "1.0"))
-    assert load_config(cfg).solver["max_iters"] == {"verify": 500, "probe-eb": 40}[kind]
+    cfg.write_text(both)
+    assert {"max_iters", "tolerance"} <= load_config(cfg).solver.keys()  # the defaults
+    for key, value in (("max_iters", "500"), ("tolerance", "1e-10")):
+        cfg.write_text(with_key(both, "solver", key, value))
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [solver] {key} goes unread: kind {kind!r} runs no scout "
+                       "when [probe] eta and nu are both set"]
+        assert not (tmp_path / "out").exists()
+        # with one of eta, nu the scout reads it
+        cfg.write_text(with_key(with_key(text, "probe", "eta", "1.0"), "solver", key, value))
+        assert load_config(cfg).solver[key] == float(value)
 
 
 def test_lt_eb_without_a_unit_weight_prox_exits_two(tmp_path, capsys):

@@ -867,6 +867,29 @@ def test_probe_eb_scouts_only_for_a_left_out_eta_or_nu(tmp_path, monkeypatch, ca
     capsys.readouterr()
 
 
+class _ScoutReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("drop", ["eta", "nu"])
+@pytest.mark.parametrize("kind", ["verify", "probe-eb"])
+def test_scout_stops_at_the_solver_tolerance(tmp_path, monkeypatch, kind, drop):
+    seen = []
+
+    def spy(p, conf, x0=None):
+        seen.append((conf.max_iters, conf.tolerance))
+        raise _ScoutReached
+
+    monkeypatch.setattr(harness, "run", spy)
+    text = with_key(BASE.replace("kind = solve", f"kind = {kind}"), "solver", "tolerance", "1e-7")
+    text = with_key(text, "probe", "nu" if drop == "eta" else "eta", "1.0")
+    if kind == "verify":  # a small suite ahead of the scout
+        text = with_key(with_key(text, "verify", "points", "20"), "verify", "prox_queries", "20")
+    with pytest.raises(_ScoutReached):
+        harness.run_experiment(write_cfg(tmp_path, text), kind, out_dir=tmp_path / "out")
+    assert seen == [(50, 1e-7)]  # max_iters = min(50, 50 * one block)
+
+
 def test_run_experiment_solve_writes_outputs(tmp_path):
     path = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"

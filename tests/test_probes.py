@@ -3,6 +3,7 @@ import pytest
 
 from vbscd import (
     EmptyNeighborhoodError,
+    OracleMismatch,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,
@@ -11,6 +12,7 @@ from vbscd import (
     write_probe_csv,
 )
 from vbscd.instances import diag_quadratic, quad_1d, quadratic_mcp
+from vbscd.probes import cross_check
 from vbscd.prox import full_prox
 
 
@@ -145,3 +147,10 @@ def test_residual_probes_measure_distance_to_the_reference_point():
         x = est.extremal_point
         step = np.linalg.norm(x - full_prox(p, q, 0.1, x))
         assert est.value == pytest.approx(np.linalg.norm(x - center) / step, rel=1e-12)
+
+
+def test_cross_check_prints_plain_floats():
+    # _extremum passes it an element of a numpy array, whose repr under
+    # numpy 2 is np.float64(...)
+    with pytest.raises(OracleMismatch, match=r"^x: stacked 1\.0, per point 2\.0$"):
+        cross_check(np.float64(1.0), 2.0, "x")
