@@ -13,7 +13,9 @@ its exit code, its stdout lines (with the output directory replaced by
 ``sha256  config/file`` line per output file.  Two trees give the same
 digest exactly when every config exits alike, prints alike, warns alike and
 writes the same bytes, so a refactor that must not change outputs is
-checked with one ``diff``.
+checked with one ``diff``.  The flows run with BLAS on one thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
+to 1), so the digest does not depend on the machine's core count.
 """
 from __future__ import annotations
 
@@ -28,12 +30,20 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _kind(cfg: Path) -> str:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     parser.read(cfg, encoding="utf-8")
     return parser.get("experiment", "kind")
+
+
+def child_env() -> dict:
+    """The flows' environment: this one, with src/ on PYTHONPATH and BLAS on
+    one thread."""
+    return dict(os.environ, **dict.fromkeys(_ONE_THREAD, "1"), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def main() -> int:
@@ -47,8 +57,7 @@ def main() -> int:
             parser.error(f"--keep {args.keep} is not empty")
         args.keep.mkdir(parents=True, exist_ok=True)
     configs = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/configs/*.cfg"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = child_env()
     kept = contextlib.nullcontext(str(args.keep)) if args.keep else tempfile.TemporaryDirectory()
     with kept as tmp:
         for cfg in configs:

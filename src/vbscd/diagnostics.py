@@ -27,7 +27,7 @@ import numpy as np
 
 from .bregman import BregmanSchedule, sufficient_decrease
 from .csvout import fmt, write_csv
-from .model import ProblemInstance, Regularizer, chunk_rows
+from .model import ProblemInstance, Regularizer, in_chunks
 from .probes import cross_check, gap_floor
 from .prox import coordinate_prox_all, coordinate_prox_all_rows, envelope_value, full_prox
 
@@ -93,11 +93,13 @@ def enumerate_expectation(p: ProblemInstance, q: float, eps: float, x) -> float:
 def stacked_expectation(p: ProblemInstance, q, eps, X) -> np.ndarray:
     """mean_i F(T_i(x)) at each row x of a (k, n) stack, row j under the
     geometry in row j of the (k, 1) columns ``q`` (kernel weight)
-    and ``eps`` (step): the k N one-block targets come from one stacked
-    gradient and one grouped full prox, and their values from one
-    ``objective_rows`` call."""
-    targets = coordinate_prox_all_rows(p, q, eps, X)
-    return p.objective_rows(targets.reshape(-1, p.n)).reshape(len(targets), p.n_blocks).mean(axis=1)
+    and ``eps`` (step), for any k through :func:`~vbscd.model.in_chunks`: a
+    chunk's one-block targets come from one stacked gradient and one grouped
+    full prox, and their values from one ``objective_rows`` call."""
+    def mean_f(q, eps, X):
+        targets = coordinate_prox_all_rows(p, q, eps, X)
+        return p.objective_rows(targets.reshape(-1, p.n)).reshape(len(X), p.n_blocks).mean(axis=1)
+    return in_chunks(mean_f, p.n_blocks * p.n, q, eps, X)
 
 
 def expectation_identities(p: ProblemInstance, q: float, eps: float, x, targets) -> dict:
@@ -297,13 +299,13 @@ def contraction_audit(
     contraction mean_i F(T_i(x^k)) - F_bar <= beta (F(x^k) - F_bar) under
     x^k's own geometry (q_k, eps_k).
 
-    The trajectories (a sequence) are read one at a time, in row chunks of
-    their iterates (:meth:`~vbscd.solver.Trajectory.iterates`).  The
-    geometry of a stack's rows comes from one
+    The trajectories (a sequence) are read one at a time, one stack of
+    their iterates (:meth:`~vbscd.solver.Trajectory.iterates`) at a time.
+    The geometry of a stack's in-neighborhood rows comes from one
     :meth:`~vbscd.bregman.BregmanSchedule.at` call and travels with them, so
-    a chunk's in-neighborhood points take one :func:`stacked_expectation`
-    call.  Enumeration is the oracle: the first and last checked point of
-    each trajectory and the worst-margin point are recomputed with
+    they take one :func:`stacked_expectation` call.  Enumeration is the
+    oracle: the first and last checked point of each trajectory and the
+    worst-margin point are recomputed with
     :func:`enumerate_expectation`, and a disagreement beyond 1e-12 (1 + |F|)
     raises :class:`~vbscd.solver.OracleMismatch`.  As in
     :func:`worst_check`, a NaN margin is a violation and the worst point,
@@ -320,31 +322,27 @@ def contraction_audit(
         cross_check(float(mean_f), exact, "audit: mean_i F(T_i(x))")
 
     worst_pt = None  # (k, x^k, stacked mean), as first and last below
-    step = chunk_rows(p.n_blocks * p.n)  # rows per chunk
     for traj in trajectories:
         values, a, first, last = traj.objectives(), 0, None, None
-        for S in traj.iterates(step):  # a whole number of chunks
+        for S in traj.iterates():
             fx = values[a:a + len(S)]
-            inside = (np.linalg.norm(S - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi)
-            skipped += int(inside.size - np.count_nonzero(inside))
-            q, e = sched.at(np.arange(a, a + len(S)))
-            for c in range(0, len(S), step):
-                idx = c + np.flatnonzero(inside[c:c + step])
-                if not idx.size:
-                    continue
-                mean_f = stacked_expectation(p, q[idx], e[idx], S[idx])
-                lhs, rhs = mean_f - f_bar, constants.beta * (fx[idx] - f_bar)
-                checked += len(idx)
-                violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
-                margin = rhs - lhs
-                w = int(margin.argmin())
-                if not (np.isnan(worst) or margin[w] >= worst):
-                    worst = float(margin[w])
-                    worst_pt = (a + int(idx[w]), S[idx[w]].copy(), mean_f[w])
-                if first is None:
-                    first = (a + int(idx[0]), S[idx[0]].copy(), mean_f[0])
-                last = (a + int(idx[-1]), S[idx[-1]].copy(), mean_f[-1])
-            a += len(S)
+            idx = np.flatnonzero((np.linalg.norm(S - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi))
+            k, a = a + idx, a + len(S)
+            skipped += len(S) - idx.size
+            if not idx.size:
+                continue
+            mean_f = stacked_expectation(p, *sched.at(k), S[idx])
+            lhs, rhs = mean_f - f_bar, constants.beta * (fx[idx] - f_bar)
+            checked += idx.size
+            violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
+            margin = rhs - lhs
+            w = int(margin.argmin())
+            if not (np.isnan(worst) or margin[w] >= worst):
+                worst = float(margin[w])
+                worst_pt = (int(k[w]), S[idx[w]].copy(), mean_f[w])
+            if first is None:
+                first = (int(k[0]), S[idx[0]].copy(), mean_f[0])
+            last = (int(k[-1]), S[idx[-1]].copy(), mean_f[-1])
         for point in (first, last) if first else ():
             oracle(*point)
     if worst_pt:
@@ -358,24 +356,28 @@ def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, points=
     cheap (nu matched to the smooth curvature over the ball).
 
     ``points`` is an iterable of (k, n) stacks, such as trajectories'
-    iterates, read one at a time.  The reach of each point, max(||x - x_bar||,
-    sqrt((F(x) - F_bar) / a)), is evaluated in row chunks of each stack; the
-    farthest point's reach is then taken from the per-point forms.
+    iterates, read one at a time through :func:`~vbscd.model.in_chunks`.
+    The reach of each point is max(||x - x_bar||, sqrt((F(x) - F_bar) / a));
+    the farthest point's reach is then taken from the per-point forms.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
     reach, f_bar = 1.0, p.objective(x_bar)
     far, far_reach = None, -np.inf
-    step = chunk_rows(p.n)
-    for X in (S[i:i + step] for S in points for i in range(0, len(S), step)):
+
+    def reach_rows(X):
         r = np.linalg.norm(X - x_bar, axis=1)
         fx = p.objective_rows(X)
         if a > 0:
             up = fx > f_bar
             r[up] = np.maximum(r[up], np.sqrt((fx[up] - f_bar) / a))
+        return r
+
+    for S in (S for S in points if len(S)):
+        r = in_chunks(reach_rows, p.n, S)
         j = int(r.argmax())
         if r[j] > far_reach:
-            far, far_reach = X[j].copy(), r[j]
+            far, far_reach = S[j].copy(), r[j]
     if far is not None:
         reach = max(reach, float(np.linalg.norm(far - x_bar)))
         f_far = p.objective(far)

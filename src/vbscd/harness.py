@@ -43,7 +43,7 @@ from .diagnostics import (
     worst_row,
     write_report_csv,
 )
-from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty, chunk_rows
+from .model import _REG_KINDS, L1Penalty, McpPenalty, ProblemInstance, ScadPenalty
 from .probes import (
     EmptyNeighborhoodError,
     check_lt_eb_step,
@@ -575,7 +575,7 @@ def _neighborhood(cfg, p, sched, ref, trajectories=None):
         trajectories = trajectories or [run(p, SolverConfig(
             sched, min(cfg.solver["max_iters"], 50 * p.n_blocks), cfg.solver["tolerance"],
             seed=derive_seed(cfg.seed, 0)))]
-        stacks = (X for t in trajectories for X in t.iterates(chunk_rows(p.n)))
+        stacks = (X for t in trajectories for X in t.iterates())
         auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, stacks)
         eta = auto_eta if eta is None else eta
         nu = auto_nu if nu is None else nu
@@ -903,11 +903,15 @@ FLOWS.update({
 
 
 def run_experiment(config_path, subcommand: str, seed=None, out_dir=None) -> int:
-    """Load a config, apply CLI overrides, and dispatch on the subcommand."""
+    """Load a config, apply CLI overrides, and dispatch on the subcommand; an
+    output directory that is, or lies below, a file raises ConfigError."""
     cfg = load_config(config_path)
     if cfg.kind != subcommand:
         raise ConfigError(f"config declares kind={cfg.kind!r} but was run as {subcommand!r}")
     if seed is not None:
         cfg.seed = _checked("experiment", "seed", seed)
     out = out_dir if out_dir is not None else cfg.base_dir / cfg.out_dir
+    held = next(d for d in (Path(out), *Path(out).parents) if d.exists())
+    if not held.is_dir():
+        raise ConfigError(f"output directory {out}: {held} exists and is not a directory")
     return FLOWS[subcommand](cfg, out)

@@ -41,6 +41,13 @@ def chunk_rows(row_doubles: int) -> int:
     return max(1, STACK_DOUBLES // max(1, row_doubles))
 
 
+def in_chunks(fn, row_doubles: int, *stacks) -> np.ndarray:
+    """fn on equally long stacks, :func:`chunk_rows` rows at a time, joined."""
+    step = chunk_rows(row_doubles)
+    return np.concatenate([fn(*(S[a:a + step] for S in stacks))
+                           for a in range(0, len(stacks[0]) or 1, step)])
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -157,16 +164,16 @@ def _matrix_and_vector(A, v, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 class SmoothTerm:
     """Smooth part f of the objective on R^n; subclasses fill
-    value/grad/lipschitz and the dimension ``n``, which
+    state_value/grad/lipschitz and the dimension ``n``, which
     :class:`ProblemInstance` checks against its partition.
 
     The solver moves one block per step and reads f through a small state
     protocol: ``state(x)`` builds what f is computed from, ``state_value(s)``
     and ``block_grad(s, sl)`` give f and the gradient on the coordinates
     ``sl``, and ``move(s, sl, old, new)`` updates s in place after block
-    ``sl`` of x went from ``old`` to ``new``.  The defaults keep a copy of x
-    and call value/grad on it, which is the exact full-vector path;
-    :class:`AffineLoss` keeps the residual A x - b instead.
+    ``sl`` of x went from ``old`` to ``new``; f(x) is ``state_value(state(x))``.
+    The defaults keep a copy of x and call grad on it, the exact full-vector
+    path; :class:`AffineLoss` keeps the residual A x - b instead.
 
     The row forms serve the lockstep solver, which advances a (k, n) stack
     of points at once: ``state_rows(X)`` and ``state_value_rows(S)`` act on
@@ -182,14 +189,13 @@ class SmoothTerm:
     n: int
 
     def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+        return self.state_value(self.state(x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def value_rows(self, X: np.ndarray) -> np.ndarray:
-        """f on each row of X; subclasses with a matrix form vectorize it."""
-        return np.array([self.value(row) for row in X], dtype=float)
+        return self.state_value_rows(self.state_rows(X))
 
     def grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f on each row of X, as the rows of an array of X's shape;
@@ -200,7 +206,7 @@ class SmoothTerm:
         return np.array(x, dtype=float)
 
     def state_value(self, s: np.ndarray) -> float:
-        return self.value(s)
+        raise NotImplementedError
 
     def block_grad(self, s: np.ndarray, sl: slice) -> np.ndarray:
         return self.grad(s)[sl]
@@ -251,12 +257,6 @@ class AffineLoss(SmoothTerm):
 
     def _shift(self, Z):
         return Z if self.b is None else Z - self.b
-
-    def value(self, x):
-        return self.state_value(self.state(x))
-
-    def value_rows(self, X):
-        return self.state_value_rows(self.state_rows(X))
 
     def grad(self, x):
         return self.dloss(self.state(x)) @ self.A
@@ -350,8 +350,8 @@ class CustomSmooth(SmoothTerm):
         self.lipschitz = float(lipschitz)
         self.n = int(n)
 
-    def value(self, x):
-        return float(self._value(x))
+    def state_value(self, s):
+        return float(self._value(s))
 
     def grad(self, x):
         return np.asarray(self._grad(x), dtype=float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvout import fmt, write_csv
-from .model import ProblemInstance, chunk_rows
+from .model import ProblemInstance, in_chunks
 from .prox import full_prox, full_prox_rows
 from .solver import OracleMismatch, sample_in_ball
 
@@ -41,12 +41,6 @@ def gap_floor(f_bar: float) -> float:
     f_bar is f_bar up to rounding, so a gap below it is not progress and a
     point with it is not strictly above the level f_bar."""
     return 1e2 * np.finfo(float).eps * abs(f_bar) + 1e-14
-
-
-def _rows(fn, X) -> np.ndarray:
-    """fn applied to a (k, n) stack in row chunks of bounded size, joined."""
-    step = chunk_rows(X.shape[1])
-    return np.concatenate([fn(X[a:a + step]) for a in range(0, len(X), step)])
 
 
 @dataclass
@@ -168,8 +162,8 @@ def probe_ls_eb(
     """
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
     x_bar = np.asarray(x_bar, dtype=float)
-    num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
-    den = _rows(p.min_subgradient_norm_rows, pts)
+    num = in_chunks(lambda X: np.linalg.norm(X - x_bar, axis=1), p.n, pts)
+    den = in_chunks(p.min_subgradient_norm_rows, p.n, pts)
     exact = lambda x: float(np.linalg.norm(x - x_bar)) / p.min_subgradient_norm(x)
     return _extremum("ls-eb", "c0", pts, num, den, True, "singleton(x_bar)", exact, eta=eta, nu=nu)
 
@@ -178,7 +172,7 @@ def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng
     """c2 = min over samples of dist(0, dF(x)) / sqrt(F(x) - F_bar), on the
     stacked sample."""
     pts, vals, f_bar = sample_level_ball(p, x_bar, eta, nu, samples, rng)
-    num = _rows(p.min_subgradient_norm_rows, pts)
+    num = in_chunks(p.min_subgradient_norm_rows, p.n, pts)
     return _extremum("kl", "c2", pts, num, np.sqrt(vals - f_bar), False, "level-gap", eta=eta, nu=nu)
 
 
@@ -190,8 +184,8 @@ def probe_bp_eb(
     sample: the critical set is taken as the singleton {x_bar}."""
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
     x_bar = np.asarray(x_bar, dtype=float)
-    num = _rows(lambda X: np.linalg.norm(X - x_bar, axis=1), pts)
-    den = _rows(lambda X: np.linalg.norm(X - full_prox_rows(p, q, eps, X), axis=1), pts)
+    num = in_chunks(lambda X: np.linalg.norm(X - x_bar, axis=1), p.n, pts)
+    den = in_chunks(lambda X: np.linalg.norm(X - full_prox_rows(p, q, eps, X), axis=1), p.n, pts)
     return _extremum("bp-eb", "c1", pts, num, den, True, "critical-set", eta=eta, nu=nu)
 
 
@@ -229,7 +223,7 @@ def probe_lt_eb(
 
     empty = f"lt-eb probe: no sample met the level/residual conditions after {max_draws} draws"
     pts, res = _draw_accepted(center, radius, in_reach, samples, rng, max_draws, empty)
-    num = _rows(lambda X: np.linalg.norm(X - center, axis=1), pts)
+    num = in_chunks(lambda X: np.linalg.norm(X - center, axis=1), p.n, pts)
     exact = lambda x: (float(np.linalg.norm(x - center))
                        / float(np.linalg.norm(x - full_prox(p, 1.0, eps, x))))
     return _extremum("lt-eb", "c3", pts, num, res, True, "critical-set", exact, level=level, radius=radius)

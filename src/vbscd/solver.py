@@ -93,13 +93,13 @@ class Trajectory:
     initial_objective: float
     partition: BlockPartition
 
-    def iterates(self, rows: int = 1):
-        """x^0, ..., x^K in consecutive stacks rebuilt from the step log, each
-        a whole number of ``rows`` rows near _STEP_CHUNK (the last may be
-        shorter): x^k_j is the value last written to coordinate j by step k."""
+    def iterates(self):
+        """x^0, ..., x^K in consecutive stacks of _STEP_CHUNK rows rebuilt
+        from the step log (the last may be shorter): x^k_j is the value last
+        written to coordinate j by step k."""
         (K, b), n, block_of = self.moved.shape, self.x0.size, self.partition.block_of
         within = np.arange(n) - np.asarray(self.partition.offsets)[block_of]
-        x, blocks, step = self.x0, self.records["block"], rows * max(1, _STEP_CHUNK // rows)
+        x, blocks, step = self.x0, self.records["block"], _STEP_CHUNK
         for a in range(0, K + 1, step):
             moved = self.moved[a:a + step]
             held = np.concatenate((x, moved.ravel()))  # x^a, then every value written since

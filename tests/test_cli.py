@@ -243,6 +243,23 @@ def test_verify_suite_passes_on_small_instance(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_is_or_lies_below_a_file_exits_two(tmp_path, capsys, monkeypatch, below):
+    # refused before the instance is built, not after the whole flow
+    from vbscd import harness
+
+    built = []
+    monkeypatch.setattr(harness, "build_instance", lambda cfg: built.append(cfg))
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_CFG)
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / below
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: output directory {out}: {tmp_path / 'taken'} exists and is not a directory"]
+    assert not built
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

@@ -18,6 +18,7 @@ from vbscd import (
     make_quadratic_problem,
     make_regularizer,
 )
+from vbscd import model
 from vbscd.instances import lasso_1d, lasso_random, matrix_instance
 from vbscd.model import _REG_KINDS
 
@@ -180,8 +181,21 @@ def test_custom_smooth_passthrough():
     f = CustomSmooth(lambda x: float(x @ x), lambda x: 2 * x, lipschitz=2.0, n=3)
     x = np.array([1.0, 2.0, -1.0])
     assert f.value(x) == 6.0
+    assert f.value_rows(np.stack([x, 2 * x])).tolist() == [6.0, 24.0]
     assert np.allclose(f.grad(x), [2.0, 4.0, -2.0])
     assert f.lipschitz == 2.0
+
+
+def test_in_chunks_joins_to_one_unchunked_call(monkeypatch):
+    rng = np.random.default_rng(4)
+    X, Y, w = rng.standard_normal((10, 4)), rng.standard_normal((10, 4)), rng.random((10, 1))
+    fn = lambda X, Y, w: np.linalg.norm(X - w * Y, axis=1)
+    seen = []
+    monkeypatch.setattr(model, "STACK_DOUBLES", 3 * 4)  # 3 rows of 4 doubles: 3 + 3 + 3 + 1
+    got = model.in_chunks(lambda *a: (seen.append(len(a[0])), fn(*a))[1], 4, X, Y, w)
+    assert seen == [3, 3, 3, 1]
+    assert got.tobytes() == fn(X, Y, w).tobytes()
+    assert model.in_chunks(fn, 4, X[:0], Y[:0], w[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

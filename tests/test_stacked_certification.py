@@ -37,6 +37,7 @@ from vbscd.instances import diag_quadratic
 from vbscd.model import chunk_rows
 from vbscd.probes import gap_floor
 from vbscd.prox import full_prox
+from vbscd.solver import _STEP_CHUNK
 
 REL = 1e-14
 
@@ -195,33 +196,39 @@ def test_audit_oracle_raises_on_a_disagreement(monkeypatch):
 
 def test_audit_makes_one_stacked_call_per_chunk(monkeypatch):
     # under alternating weights and a harmonic step every k has its own
-    # geometry, which travels with its row: still one stacked call per chunk
-    # that holds a checked point, and at most 2R + 1 enumerations
+    # geometry, which travels with its row: still one stacked call per stack
+    # of iterates that holds a checked point, evaluated in chunks of at most
+    # chunk_rows(N n) rows, and at most 2R + 1 enumerations
     p = instances.lasso_random(10, 5, seed=21)
     sched = schedule("harmonic", p)
     x_bar, f_bar = reference_point(p, sched)
-    trajs = trajectories(p, sched, x_bar, count=3, steps=400)
+    trajs = trajectories(p, sched, x_bar, count=3, steps=600)
     eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     d = np.sort([np.linalg.norm(x - x_bar) for t in trajs for x in t.points])
-    constants = dataclasses.replace(theory, eta=d[d.size // 3] + d[d.size // 3 + 1])
+    # two thirds of the points inside: more checked points in a stack than in a chunk
+    constants = dataclasses.replace(theory, eta=d[2 * d.size // 3] + d[2 * d.size // 3 + 1])
     stacked, enumerate_ = diagnostics.stacked_expectation, diagnostics.enumerate_expectation
-    sizes, enumerated = [], []
+    targets = diagnostics.coordinate_prox_all_rows
+    sizes, chunks, enumerated = [], [], []
     monkeypatch.setattr(diagnostics, "stacked_expectation",
                         lambda *a: (sizes.append(len(a[3])), stacked(*a))[1])
+    monkeypatch.setattr(diagnostics, "coordinate_prox_all_rows",
+                        lambda *a: (chunks.append(len(a[3])), targets(*a))[1])
     monkeypatch.setattr(diagnostics, "enumerate_expectation",
                         lambda *a: (enumerated.append(a[3]), enumerate_(*a))[1])
     audit = contraction_audit(p, sched, trajs, x_bar, f_bar, constants)
-    step = chunk_rows(p.n_blocks * p.n)
-    chunks = 0
+    stacks = 0
     for t in trajs:
         fx = t.objectives()
         inside = ((np.linalg.norm(t.points - x_bar, axis=1) <= constants.eta / 2.0)
                   & (f_bar + gap_floor(f_bar) < fx) & (fx < f_bar + constants.level_window))
-        chunks += sum(inside[c:c + step].any() for c in range(0, inside.size, step))
-    assert audit.skipped > 0 and len(trajs[0].points) > 2 * step
-    assert len(sizes) == chunks and sum(sizes) == audit.checked
+        stacks += sum(inside[c:c + _STEP_CHUNK].any() for c in range(0, inside.size, _STEP_CHUNK))
+    assert audit.skipped > 0 and len(trajs[0].points) > _STEP_CHUNK
+    assert len(sizes) == stacks and sum(sizes) == audit.checked
+    step = chunk_rows(p.n_blocks * p.n)
+    assert sum(chunks) == audit.checked and max(chunks) <= step < max(sizes)
     assert len(trajs) <= len(enumerated) <= 2 * len(trajs) + 1
     for t in trajs:  # at least one enumeration per trajectory
         assert any((x == t.points).all(axis=1).any() for x in enumerated)

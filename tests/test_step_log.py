@@ -1,6 +1,6 @@
 """Trajectories as step logs: the start point, and per step its record and
 the moved block's new values.  Iterates are rebuilt from the log in bounded
-stacks; joined, the stacks of any size must give the same doubles as
+stacks of _STEP_CHUNK rows; joined, they must give the same doubles as
 replaying the log one step at a time."""
 import tracemalloc
 from pathlib import Path
@@ -29,14 +29,13 @@ def replayed(traj):
 def assert_stacks_join_to_the_replay(traj):
     expected = replayed(traj)
     K = len(traj.records)
-    for rows in (1, 7, _STEP_CHUNK, K + 1):
-        # stacks of whole multiples of rows, near _STEP_CHUNK
-        stacks = list(traj.iterates(rows))
-        size = rows * max(1, _STEP_CHUNK // rows)
-        assert all(len(S) == size for S in stacks[:-1]) and 1 <= len(stacks[-1]) <= size
-        joined = np.concatenate(stacks)
-        assert joined.shape == (K + 1, traj.x0.size)
-        assert joined.tobytes() == expected.tobytes(), rows
+    # stacks of _STEP_CHUNK rows, the last one 1.._STEP_CHUNK rows
+    stacks = list(traj.iterates())
+    assert len(stacks) == K // _STEP_CHUNK + 1
+    assert all(len(S) == _STEP_CHUNK for S in stacks[:-1]) and 1 <= len(stacks[-1]) <= _STEP_CHUNK
+    joined = np.concatenate(stacks)
+    assert joined.shape == (K + 1, traj.x0.size)
+    assert joined.tobytes() == expected.tobytes()
     assert np.array_equal(traj.final_point, expected[-1])
 
 
@@ -45,7 +44,7 @@ def configs(p, rows, max_iters, tolerance=0.0, seed=3):
     return [SolverConfig(sched, max_iters, tolerance, None, derive_seed(seed, r)) for r in range(rows)]
 
 
-@pytest.mark.parametrize("steps", [1, 40, 2 * _STEP_CHUNK + 3])
+@pytest.mark.parametrize("steps", [1, 40, _STEP_CHUNK - 1, 2 * _STEP_CHUNK + 3])
 def test_run_iterates_join_to_the_replay(steps):
     p = instances.lasso_random(11, 3)  # blocks of 4, 4 and 3 coordinates
     traj = run(p, configs(p, 1, steps)[0], x0=np.linspace(-1.0, 1.0, 11))
