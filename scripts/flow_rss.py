@@ -16,7 +16,6 @@ last lines of its stderr.
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import statistics
 import subprocess
@@ -25,14 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _kind(cfg: Path) -> str:
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    parser.read(cfg, encoding="utf-8")
-    return parser.get("experiment", "kind")
+from out_digest import ROOT, _kind, child_env
 
 
 def run_once(cfg: Path, env: dict) -> tuple[float, float, int, str]:
@@ -60,9 +52,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be >= 1")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    env.update({name: "1" for name in _ONE_THREAD})
+    env = child_env()
     worst = 0
     for cfg in args.configs:
         cfg = cfg.resolve()

@@ -18,7 +18,6 @@ from .diagnostics import (
     compute_constants,
     contraction_audit,
     fit_linear_rate,
-    in_neighborhood,
 )
 from .harness import ConfigError, DivergenceError, ReplicationError
 from .model import (
@@ -39,6 +38,7 @@ from .model import (
 )
 from .probes import (
     EmptyNeighborhoodError,
+    in_neighborhood,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,

@@ -21,14 +21,14 @@ when the two disagree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .bregman import BregmanSchedule, sufficient_decrease
-from .csvout import fmt, write_csv
+from .csvout import write_csv
 from .model import ProblemInstance, Regularizer, in_chunks
-from .probes import cross_check, gap_floor
+from .probes import cross_check, gap_floor, in_neighborhood
 from .prox import coordinate_prox_all, coordinate_prox_all_rows, envelope_value, full_prox
 
 
@@ -74,11 +74,7 @@ def worst_row(rows) -> CheckRow:
 
 
 def write_report_csv(rows, path) -> None:
-    write_csv(path, "check,name,lhs,rhs,slack,pass", (
-        f"{r.check},{r.name},{fmt(r.lhs)},{fmt(r.rhs)},{fmt(r.slack)},"
-        f"{'true' if r.passed else 'false'}"
-        for r in rows
-    ))
+    write_csv(path, "check,name,lhs,rhs,slack,pass", map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +156,14 @@ class ConstantsRecord:
     n_min: float
 
     @property
-    def level_window(self) -> float:
-        """nu / max(n_min, 1): width of the admissible band above F_bar.
+    def hypothesis(self) -> tuple[float, float]:
+        """(eta/2, nu / max(n_min, 1)): the radius and level window of the
+        hypothesis set B(x_bar; eta/2, nu / max(n_min, 1)).
 
         Clamping the divisor at one keeps the hypothesis set inside
         B(x_bar; eta, nu) even when n_min < 1.
         """
-        return self.nu / max(self.n_min, 1.0)
+        return self.eta / 2.0, self.nu / max(self.n_min, 1.0)
 
 
 def compute_constants(
@@ -203,31 +200,22 @@ def compute_constants(
 # neighborhood hypothesis and the proximity checks
 
 
-def in_neighborhood(p, x, x_bar, f_bar, radius, window, fx=None) -> bool:
-    """||x - x_bar|| <= radius and F_bar < F(x) < F_bar + window, with the
-    lower strict inequality enforced up to floating precision."""
-    x = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(x - x_bar)) > radius:
-        return False
-    fx = p.objective(x) if fx is None else fx
-    return f_bar + gap_floor(f_bar) < fx < f_bar + window
-
-
 def check_value_proximity(
     p: ProblemInstance, q: float, eps: float, x, targets, x_bar, f_bar: float, constants: ConstantsRecord,
 ) -> list[CheckRow]:
     """Rows of the five local proximity statements at x, whose one-block
     targets under (q, eps) are ``targets``.
 
-    Hypothesis: x in B(x_bar; eta/2, nu / max(n_min, 1)), the record's
-    eta and level window; points outside get no rows.  All index expectations are exact
-    enumerations over ``targets``.  The distance from {F <= F_bar} is taken to the singleton
-    {x_bar}, exact for strongly convex instances probed at the minimizer.
+    Hypothesis: x in the record's hypothesis set (:attr:`ConstantsRecord.hypothesis`,
+    tested by :func:`~vbscd.probes.in_neighborhood`); points outside get no
+    rows.  All index expectations are exact enumerations over ``targets``.
+    The distance from {F <= F_bar} is taken to the singleton {x_bar}, exact
+    for strongly convex instances probed at the minimizer.
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     fx = p.objective(x)
-    if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, constants.level_window, fx=fx):
+    if not in_neighborhood(x, fx, x_bar, f_bar, *constants.hypothesis):
         return []
 
     N = p.n_blocks
@@ -256,19 +244,19 @@ def check_level_dominance(
     """Rows of: every one-block target of x (the rows of ``targets``) keeps
     the objective at or above f_bar.
 
-    That row is checked at every x.  Where it passes and x meets the
-    neighborhood hypothesis (x in B(x_bar; eta/2, nu / max(n_min, 1)), with
-    the record's level window), three more rows carry its consequences: every
-    step fits in eta/2 and every target stays inside B(x_bar; eta, nu / max(n_min, 1)).
+    That row is checked at every x.  Where it passes and x lies in the
+    record's hypothesis set B(x_bar; r, w) (:attr:`ConstantsRecord.hypothesis`),
+    three more rows carry its consequences: every step fits in r = eta/2 and
+    every target stays inside B(x_bar; eta, w).
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     f_targets = p.objective_rows(targets)
     rows = [make_check("level-dominance", "targets-above-reference", f_bar, f_targets.min(), 1e-12)]
-    window = constants.level_window
-    if rows[0].passed and in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0, window):
+    radius, window = constants.hypothesis
+    if rows[0].passed and in_neighborhood(x, p.objective(x), x_bar, f_bar, radius, window):
         rows += [make_check("level-dominance", name, lhs, rhs, 1e-9) for name, lhs, rhs in (
-            ("step-within-half-eta", np.linalg.norm(x - targets, axis=1).max(), constants.eta / 2.0),
+            ("step-within-half-eta", np.linalg.norm(x - targets, axis=1).max(), radius),
             ("targets-within-ball", np.linalg.norm(targets - x_bar, axis=1).max(), constants.eta),
             ("targets-within-level", f_targets.max() - f_bar, window),
         )]
@@ -312,8 +300,6 @@ def contraction_audit(
     so it reaches the oracle, where it cannot agree.
     """
     x_bar = np.asarray(x_bar, dtype=float)
-    radius = constants.eta / 2.0
-    lo, hi = f_bar + gap_floor(f_bar), f_bar + constants.level_window
     checked = skipped = violations = 0
     worst = np.inf
 
@@ -326,7 +312,7 @@ def contraction_audit(
         values, a, first, last = traj.objectives(), 0, None, None
         for S in traj.iterates():
             fx = values[a:a + len(S)]
-            idx = np.flatnonzero((np.linalg.norm(S - x_bar, axis=1) <= radius) & (lo < fx) & (fx < hi))
+            idx = np.flatnonzero(in_neighborhood(S, fx, x_bar, f_bar, *constants.hypothesis))
             k, a = a + idx, a + len(S)
             skipped += len(S) - idx.size
             if not idx.size:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .bregman import (
     sufficient_decrease,
     validate_schedule,
 )
-from .csvout import fmt, write_csv
+from .csvout import write_csv
 from .diagnostics import (
     CheckRow,
     ConstantsRecord,
@@ -537,18 +537,14 @@ def write_mean_csv(mean_gap, var_gap, path) -> None:
 
 
 def write_rate_csv(report: RateReport, n_replications: int, path) -> None:
-    beta = "" if report.beta_theory is None else fmt(report.beta_theory)
-    header = "factor,r_squared,window_start,window_stop,n_replications,label,beta_theory"
-    write_csv(path, header, [
-        f"{fmt(report.factor)},{fmt(report.r_squared)},{report.window_start},"
-        f"{report.window_stop},{n_replications},{report.label},{beta}",
+    r = report
+    write_csv(path, "factor,r_squared,window_start,window_stop,n_replications,label,beta_theory", [
+        (r.factor, r.r_squared, r.window_start, r.window_stop, n_replications, r.label, r.beta_theory),
     ])
 
 
 def write_near_start_csv(rows, path) -> None:
-    write_csv(path, "replication,max_dist,stayed", (
-        f"{r.replication},{fmt(r.max_dist)},{'true' if r.stayed else 'false'}" for r in rows
-    ))
+    write_csv(path, "replication,max_dist,stayed", map(astuple, rows))
 
 
 def write_replication_outputs(res: ReplicationResult, out_dir) -> None:
@@ -728,10 +724,7 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     eta, nu = _neighborhood(cfg, p, sched, ref)
     constants, _ = probed_constants(cfg, p, sched, ref, eta, nu, rng)
     f_bar = p.objective(ref.point)
-    hyp_pts = hypothesis_points(
-        p, ref.point, constants.eta / 2.0, constants.level_window,
-        min(n_points, 200), rng,
-    )
+    hyp_pts = hypothesis_points(p, ref.point, *constants.hypothesis, min(n_points, 200), rng)
     prox_rows, dom_rows = [], []
     for x in hyp_pts:  # each point's one-block targets enumerated once
         targets = coordinate_prox_all(p, q0, eps0, x)

@@ -4,12 +4,13 @@ All probes sample a level-restricted ball
 
     B(x_bar; eta, nu) = { x : ||x - x_bar|| <= eta,  F_bar < F(x) < F_bar + nu }
 
-by rejection and report an extremal ratio over the accepted points.  Strict
-level membership is enforced with the floating-point margin
-:func:`gap_floor`: points closer to the reference value than that are
-critical up to precision and excluded, as are ratios whose
-denominator falls below 1e-12.  Probed constants are empirical estimates;
-consumers are expected to inflate them before use.
+by rejection and report an extremal ratio over the accepted points.
+Membership is the one test :func:`in_neighborhood`, which the diagnostics'
+audit and proximity checks share; it enforces the strict level with the
+floating-point margin :func:`gap_floor`: points closer to the reference
+value than that are critical up to precision and excluded, as are ratios
+whose denominator falls below 1e-12.  Probed constants are empirical
+estimates; consumers are expected to inflate them before use.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvout import fmt, write_csv
+from .csvout import write_csv
 from .model import ProblemInstance, in_chunks
 from .prox import full_prox, full_prox_rows
 from .solver import OracleMismatch, sample_in_ball
@@ -43,6 +44,16 @@ def gap_floor(f_bar: float) -> float:
     return 1e2 * np.finfo(float).eps * abs(f_bar) + 1e-14
 
 
+def in_neighborhood(X, fx, x_bar, f_bar: float, radius: float, window: float):
+    """Whether x lies in B(x_bar; radius, window): ||x - x_bar|| <= radius
+    and F_bar < F(x) < F_bar + window, the lower strict inequality enforced
+    up to :func:`gap_floor`.  ``X`` is one point with its value ``fx``
+    (a bool), or a (k, n) stack with the (k,) values of its rows (a mask);
+    a NaN distance or value is outside."""
+    return ((np.linalg.norm(X - x_bar, axis=-1) <= radius)
+            & (f_bar + gap_floor(f_bar) < fx) & (fx < f_bar + window))
+
+
 @dataclass
 class ErrorBoundEstimate:
     kind: str           # ls-eb | kl | bp-eb | lt-eb
@@ -58,15 +69,9 @@ class ErrorBoundEstimate:
 
 
 def write_probe_csv(estimates, path) -> None:
-    def row(e):
-        opt = [("" if v is None else fmt(v)) for v in (e.eta, e.nu, e.level, e.radius)]
-        extremal = ";".join(fmt(v) for v in np.asarray(e.extremal_point).ravel())
-        return (
-            f"{e.kind},{e.constant_name},{fmt(e.value)},{e.samples},"
-            f"{opt[0]},{opt[1]},{opt[2]},{opt[3]},{e.oracle},{extremal}"
-        )
-    header = "kind,constant,value,samples,eta,nu,level,radius,oracle,extremal"
-    write_csv(path, header, map(row, estimates))
+    write_csv(path, "kind,constant,value,samples,eta,nu,level,radius,oracle,extremal", (
+        (e.kind, e.constant_name, e.value, e.samples, e.eta, e.nu, e.level, e.radius, e.oracle,
+         np.asarray(e.extremal_point)) for e in estimates))
 
 
 def _draw_accepted(center, radius: float, test, samples: int, rng, max_draws: int, empty: str):
@@ -113,17 +118,16 @@ def sample_level_ball(
     """Accepted points from B(x_bar; eta, nu), as the rows of an
     (accepted, n) array, with their objective values and F(x_bar): at most
     ``samples`` points from at most ``max_draws`` proposals, tested with
-    ``objective_rows`` by :func:`_draw_accepted`."""
+    ``objective_rows`` and :func:`in_neighborhood` by :func:`_draw_accepted`."""
     x_bar = np.asarray(x_bar, dtype=float)
     f_bar = p.objective(x_bar)
-    lo, hi = f_bar + gap_floor(f_bar), f_bar + nu
 
-    def in_level(X):
+    def inside(X):
         fx = p.objective_rows(X)
-        return (lo < fx) & (fx < hi), fx
+        return in_neighborhood(X, fx, x_bar, f_bar, eta, nu), fx
 
     empty = f"no sample landed in the level-restricted ball after {max_draws} draws"
-    return (*_draw_accepted(x_bar, eta, in_level, samples, rng, max_draws, empty), f_bar)
+    return (*_draw_accepted(x_bar, eta, inside, samples, rng, max_draws, empty), f_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ from vbscd import (
     contraction_audit,
     coordinate_prox,
     coordinate_prox_all,
+    diagnostics,
     fit_linear_rate,
     in_neighborhood,
     make_regularizer,
+    probes,
     run,
+    sample_level_ball,
 )
 from vbscd.diagnostics import (
     GridProxOracle,
@@ -85,7 +88,7 @@ def test_constants_worked_example():
     assert c.b == 322.0
     assert c.beta == 321.0 / 322.0
     assert c.n_min == 8.0
-    assert c.level_window == 1.0 / 8.0
+    assert c.hypothesis == (0.5, 1.0 / 8.0)
 
 
 def test_constants_validation():
@@ -126,17 +129,46 @@ def test_in_neighborhood_uses_strict_value_window():
     p = quad_1d(0.0)
     x_bar = np.zeros(1)
     # the reference point itself fails the strict lower bound F(x) > f_bar
-    assert not in_neighborhood(p, x_bar, x_bar, 0.0, radius=1.0, window=0.5)
-    assert in_neighborhood(p, np.array([0.3]), x_bar, 0.0, radius=1.0, window=0.5)
+    assert not in_neighborhood(x_bar, p.objective(x_bar), x_bar, 0.0, radius=1.0, window=0.5)
+    x = np.array([0.3])
+    assert in_neighborhood(x, p.objective(x), x_bar, 0.0, radius=1.0, window=0.5)
     # outside the ball
-    assert not in_neighborhood(p, np.array([1.5]), x_bar, 0.0, radius=1.0, window=9.0)
+    x = np.array([1.5])
+    assert not in_neighborhood(x, p.objective(x), x_bar, 0.0, radius=1.0, window=9.0)
     # above the window
-    assert not in_neighborhood(p, np.array([0.9]), x_bar, 0.0, radius=1.0, window=0.1)
+    x = np.array([0.9])
+    assert not in_neighborhood(x, p.objective(x), x_bar, 0.0, radius=1.0, window=0.1)
 
 
 def scalar_constants():
     return compute_constants(m=1.0, M=1.0, L=1.0, eps_lo=0.5, eps_hi=0.5,
                              N=1, c0=1.0, eta=1.0, nu=1.0)
+
+
+def test_every_level_set_membership_test_is_in_neighborhood(monkeypatch):
+    # one rule for B(x_bar; r, w): the audit, the proximity checks and the
+    # sampler all reach probes.in_neighborhood, with the (r, w) they certify
+    real, seen = probes.in_neighborhood, []
+
+    def spy(X, fx, x_bar, f_bar, radius, window):
+        seen.append((radius, window))
+        return real(X, fx, x_bar, f_bar, radius, window)
+
+    monkeypatch.setattr(probes, "in_neighborhood", spy)
+    monkeypatch.setattr(diagnostics, "in_neighborhood", spy)
+    p, c, x, x_bar = quad_1d(0.0), scalar_constants(), np.array([0.3]), np.zeros(1)
+    targets = coordinate_prox_all(p, 1.0, 0.5, x)
+    sched = BregmanSchedule.constant(1.0, 0.5)
+    traj = run(p, SolverConfig(sched, max_iters=5, tolerance=0.0, seed=0), x0=x)
+    for caller, expected in (
+        (lambda: check_value_proximity(p, 1.0, 0.5, x, targets, x_bar, 0.0, c), c.hypothesis),
+        (lambda: check_level_dominance(p, x, targets, x_bar, 0.0, c), c.hypothesis),
+        (lambda: contraction_audit(p, sched, [traj], x_bar, 0.0, c), c.hypothesis),
+        (lambda: sample_level_ball(p, x_bar, 1.0, 0.3, 10, np.random.default_rng(0)), (1.0, 0.3)),
+    ):
+        seen.clear()
+        caller()
+        assert seen and set(seen) == {expected}
 
 
 def test_value_proximity_gates_on_hypothesis():

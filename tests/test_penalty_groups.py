@@ -96,8 +96,7 @@ def per_target_audit(p, sched, traj, x_bar, f_bar, constants, slack=1e-9):
     of p.objective."""
     checked = violations = 0
     for k, (x, fx) in enumerate(zip(traj.points, traj.objectives())):
-        if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0,
-                               constants.level_window, fx=fx):
+        if not in_neighborhood(x, fx, x_bar, f_bar, *constants.hypothesis):
             continue
         targets = per_block_targets(p, sched.generator(k), sched.step(k), x)
         mean_f = sum(p.objective(t) for t in targets) / p.n_blocks

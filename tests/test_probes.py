@@ -4,6 +4,7 @@ import pytest
 from vbscd import (
     EmptyNeighborhoodError,
     OracleMismatch,
+    in_neighborhood,
     probe_bp_eb,
     probe_kl,
     probe_lt_eb,
@@ -12,12 +13,37 @@ from vbscd import (
     write_probe_csv,
 )
 from vbscd.instances import diag_quadratic, quad_1d, quadratic_mcp
-from vbscd.probes import cross_check
+from vbscd.probes import cross_check, gap_floor
 from vbscd.prox import full_prox
 
 
 def fresh_rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def test_in_neighborhood_stack_equals_its_rows_and_rejects_each_boundary():
+    x_bar, f_bar, radius, window = np.zeros(3), 1.0, 1.0, 0.5
+    lo, hi, out = f_bar + gap_floor(f_bar), f_bar + window, np.nextafter(radius, 2.0)
+    cases = [  # (x_1, F, inside?)
+        (0.5, 1.2, True),
+        (radius, 1.2, True),                  # on the sphere
+        (0.5, np.nextafter(lo, 2.0), True),   # just above the floor
+        (0.5, np.nextafter(hi, 0.0), True),   # just below the window
+        (0.5, lo, False),                     # at F_bar + gap_floor(F_bar)
+        (0.5, hi, False),                     # at F_bar + window
+        (out, 1.2, False),                    # just over the radius
+        (np.nan, 1.2, False),
+        (0.5, np.nan, False),
+    ]
+    X = np.zeros((len(cases), 3))
+    X[:, 0] = [c[0] for c in cases]
+    fx = np.array([c[1] for c in cases])
+    mask = in_neighborhood(X, fx, x_bar, f_bar, radius, window)
+    assert mask.shape == (len(cases),)
+    assert mask.tolist() == [c[2] for c in cases]
+    rows = [in_neighborhood(x, v, x_bar, f_bar, radius, window) for x, v in zip(X, fx)]
+    assert all(isinstance(r, (bool, np.bool_)) for r in rows)
+    assert rows == mask.tolist()
 
 
 def test_sample_level_ball_respects_window():

@@ -82,8 +82,7 @@ def per_point_audit(p, sched, trajs, x_bar, f_bar, constants, slack=1e-9):
     worst = np.inf
     for traj in trajs:
         for k, (x, fx) in enumerate(zip(traj.points, traj.objectives())):
-            if not in_neighborhood(p, x, x_bar, f_bar, constants.eta / 2.0,
-                                   constants.level_window, fx=fx):
+            if not in_neighborhood(x, fx, x_bar, f_bar, *constants.hypothesis):
                 skipped += 1
                 continue
             mean_f = enumerate_expectation(p, sched.generator(k), sched.step(k), x)
@@ -223,7 +222,7 @@ def test_audit_makes_one_stacked_call_per_chunk(monkeypatch):
     for t in trajs:
         fx = t.objectives()
         inside = ((np.linalg.norm(t.points - x_bar, axis=1) <= constants.eta / 2.0)
-                  & (f_bar + gap_floor(f_bar) < fx) & (fx < f_bar + constants.level_window))
+                  & (f_bar + gap_floor(f_bar) < fx) & (fx < f_bar + constants.hypothesis[1]))
         stacks += sum(inside[c:c + _STEP_CHUNK].any() for c in range(0, inside.size, _STEP_CHUNK))
     assert audit.skipped > 0 and len(trajs[0].points) > _STEP_CHUNK
     assert len(sizes) == stacks and sum(sizes) == audit.checked
@@ -246,7 +245,7 @@ def test_audit_memory_stays_bounded():
     # point is checked
     constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                   sched.eps_hi, p.n_blocks, 0.05, 20.0, 1e3)
-    assert constants.level_window > 1.0 + traj.initial_objective - f_bar
+    assert constants.hypothesis[1] > 1.0 + traj.initial_objective - f_bar
     tracemalloc.start()
     try:
         audit = contraction_audit(p, sched, [traj], x_bar, f_bar - 1.0, constants)
