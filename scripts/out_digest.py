@@ -13,9 +13,9 @@ its exit code, its stdout lines (with the output directory replaced by
 ``sha256  config/file`` line per output file.  Two trees give the same
 digest exactly when every config exits alike, prints alike, warns alike and
 writes the same bytes, so a refactor that must not change outputs is
-checked with one ``diff``.  The flows run with BLAS on one thread
-(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
-to 1), so the digest does not depend on the machine's core count.
+checked with one ``diff``.  The CLI runs BLAS on one thread whatever the
+caller sets, so the digest does not depend on the machine's core count or
+on ``OPENBLAS_NUM_THREADS``; the flows inherit this script's environment.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _kind(cfg: Path) -> str:
@@ -40,9 +39,8 @@ def _kind(cfg: Path) -> str:
 
 
 def child_env() -> dict:
-    """The flows' environment: this one, with src/ on PYTHONPATH and BLAS on
-    one thread."""
-    return dict(os.environ, **dict.fromkeys(_ONE_THREAD, "1"), PYTHONPATH=os.pathsep.join(
+    """The flows' environment: this one, with src/ on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 

@@ -12,14 +12,23 @@ Config values (and --seed) are checked against the config schema when the
 file is loaded, before any work starts; a bad value prints one
 ``error: [section] key ...`` line and exits 2.  Exit status is 0 on
 success, 1 on a failed check/audit, 2 on bad usage or a config problem.
+
+BLAS runs on one thread whatever the caller sets: at n ~ 1000 numpy's QR,
+Cholesky and matrix products round differently on more threads, so the
+outputs would depend on the thread count.  The pin is set when this module
+loads, before it imports numpy (the package itself imports numpy lazily);
+a process that loaded numpy earlier keeps its own setting.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .harness import FLOWS, ConfigError, DivergenceError, ReplicationError, run_experiment
-from .probes import EmptyNeighborhoodError
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+from .harness import FLOWS, ConfigError, DivergenceError, ReplicationError, run_experiment  # noqa: E402
+from .probes import EmptyNeighborhoodError  # noqa: E402
 
 _HELP = {
     "solve": "run replicated trajectories and write them as CSV",

@@ -175,6 +175,11 @@ class SmoothTerm:
     The defaults keep a copy of x and call grad on it, the exact full-vector
     path; :class:`AffineLoss` keeps the residual A x - b instead.
 
+    ``step_value(x, t, f_x, grad_x, grad_t)`` gives f(t) for a caller that
+    holds f and grad f at both ends of a step from x to t.  The default
+    evaluates ``value(t)``; :class:`QuadraticLeastSquares` reads it off the
+    two gradients with no pass over A.
+
     The row forms serve the lockstep solver, which advances a (k, n) stack
     of points at once: ``state_rows(X)`` and ``state_value_rows(S)`` act on
     the rows of X and of the state stack S; ``block_grad_rows(S, rows,
@@ -193,6 +198,10 @@ class SmoothTerm:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def step_value(self, x: np.ndarray, t: np.ndarray, f_x: float,
+                   grad_x: np.ndarray, grad_t: np.ndarray) -> float:
+        return self.value(t)
 
     def value_rows(self, X: np.ndarray) -> np.ndarray:
         return self.state_value_rows(self.state_rows(X))
@@ -305,6 +314,12 @@ class QuadraticLeastSquares(AffineLoss):
     def grad_rows(self, X):
         # the gram matrix is symmetric, so row j is (G x_j)^T
         return X @ self._gram - self._atb
+
+    def step_value(self, x, t, f_x, grad_x, grad_t):
+        # exact for a quadratic: f(t) - f(x) = <grad f(x) + grad f(t), t - x> / 2;
+        # unlike the gram form x^T G x / 2 - b^T A x + |b|^2 / 2 it does not
+        # cancel when |b|^2 is far above f
+        return f_x + 0.5 * float((grad_x + grad_t) @ (t - x))
 
     def state_value(self, s):
         return 0.5 * float(s @ s)

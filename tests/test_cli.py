@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -265,3 +270,64 @@ def test_parser_lists_all_subcommands():
     text = parser.format_help()
     for name in ("solve", "verify", "rate", "probe-eb"):
         assert name in text
+
+
+# perfbench/configs/solve_lasso1000.cfg cut to n = 500: numpy's QR of a
+# 500 x 500 draw already rounds differently on two BLAS threads
+SOLVE500_CFG = """\
+[experiment]
+kind = solve
+seed = 20240805
+replications = 1
+
+[instance]
+kind = lasso-random
+n = 500
+blocks = 50
+l1_weight = 0.1
+min_eig = 0.5
+max_eig = 2.0
+design_seed = 20240718
+
+[bregman]
+weights = constant
+q = 1.0
+eps_rule = relative
+eps_fraction = 0.8
+
+[solver]
+max_iters = 50
+tolerance = 1e-14
+check_period = 50
+
+[reference]
+source = best-found
+"""
+
+
+def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # the CLI runs BLAS on one thread whatever the caller sets
+    cfg = tmp_path / "solve500.cfg"
+    cfg.write_text(SOLVE500_CFG)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        out = tmp_path / f"out{threads}"
+        subprocess.run([sys.executable, "-m", "vbscd.cli", "solve", "--config", str(cfg),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert "traj_000.csv" in outputs["1"]
+    assert outputs["1"] == outputs["2"]
+
+
+def test_importing_the_package_does_not_load_numpy():
+    # the pin must be in place before numpy loads, so the package exports
+    # its names lazily; ``from vbscd import X`` then loads X's module
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, vbscd; assert 'numpy' not in sys.modules; "
+            "from vbscd import run, instances; print(run.__module__, instances.__name__)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True)
+    assert proc.stdout.split() == ["vbscd.solver", "vbscd.instances"]
