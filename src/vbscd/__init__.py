@@ -17,7 +17,7 @@ _EXPORTS = {
     "bregman": ("BregmanSchedule", "bregman_distance", "validate_schedule"),
     "diagnostics": ("GridProxOracle", "auto_neighborhood", "compute_constants",
                     "contraction_audit", "fit_linear_rate"),
-    "harness": ("ConfigError", "DivergenceError", "ReplicationError"),
+    "harness": ("ConfigError",),
     "model": ("BlockPartition", "CustomSmooth", "L1Penalty", "LogisticLoss", "McpPenalty",
               "ProblemInstance", "QuadraticLeastSquares", "Regularizer", "ScadPenalty",
               "SquaredL2Penalty", "ZeroPenalty", "certified_bound", "make_quadratic_problem",

@@ -12,6 +12,9 @@ Config values (and --seed) are checked against the config schema when the
 file is loaded, before any work starts; a bad value prints one
 ``error: [section] key ...`` line and exits 2.  Exit status is 0 on
 success, 1 on a failed check/audit, 2 on bad usage or a config problem.
+A step refused in the reference, a replication or the scout run (SolverAbort)
+or an empty probe neighborhood also exits 2, and a fast path that disagrees
+with its oracle (OracleMismatch) exits 1, each with one ``error:`` line.
 
 BLAS runs on one thread whatever the caller sets: at n ~ 1000 numpy's QR,
 Cholesky and matrix products round differently on more threads, so the
@@ -27,8 +30,9 @@ import sys
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from .harness import FLOWS, ConfigError, DivergenceError, ReplicationError, run_experiment  # noqa: E402
+from .harness import FLOWS, ConfigError, run_experiment  # noqa: E402
 from .probes import EmptyNeighborhoodError  # noqa: E402
+from .solver import OracleMismatch, SolverAbort  # noqa: E402
 
 _HELP = {
     "solve": "run replicated trajectories and write them as CSV",
@@ -61,9 +65,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run_experiment(args.config, args.command, seed=args.seed, out_dir=args.out)
-    except (ConfigError, DivergenceError, ReplicationError, EmptyNeighborhoodError) as e:
+    except (ConfigError, SolverAbort, EmptyNeighborhoodError, OracleMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, OracleMismatch) else 2
 
 
 def entry() -> None:

@@ -55,11 +55,12 @@ from .probes import (
     sample_level_ball,
     write_probe_csv,
 )
-from .prox import coordinate_prox_all, envelope_value, full_prox, full_prox_rows, scalar_prox
+from .prox import coordinate_prox_all, envelope_value, full_prox_rows, scalar_prox
 from .solver import (
     SolverAbort,
     SolverConfig,
     derive_seed,
+    fixed_point,
     match_oracle,
     near_start_point,
     run,
@@ -75,14 +76,6 @@ _EB_INFLATION = 1.1  # factor on a probed error-bound constant before use
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class DivergenceError(RuntimeError):
-    pass
-
-
-class ReplicationError(RuntimeError):
     pass
 
 
@@ -418,17 +411,10 @@ def resolve_reference_value(
 ) -> Reference:
     """Known optimum verbatim, or a deterministic full-map iteration.
 
-    The best-found path runs x <- T(x) from 0 with the schedule's k=0
-    geometry held fixed, stopping at ``tolerance`` residual or
-    ``max_steps``; an increase of the objective beyond 1e-12 * (1 + |F|)
-    raises DivergenceError.  A run that reaches ``max_steps`` with its last
-    move still above ``tolerance`` writes a one-line warning to stderr.
-
-    Each step's gradient at T(x) is carried into the next step, and the
-    guard reads f's change from the step's two gradients
-    (:meth:`~vbscd.model.SmoothTerm.step_value`), so for a quadratic f a
-    step makes one pass over the data, the gradient; other smooth terms
-    also evaluate f at T(x).  The returned value is F at the last point.
+    The best-found path is :func:`~vbscd.solver.fixed_point`, whose refusals
+    pass through (ValueError for a schedule over the step cap, SolverAbort
+    for a step without sufficient decrease); one whose last move is still
+    above ``tolerance`` warns on stderr.  The value is F at the last point.
     """
     if source not in ("auto", "known", "best-found"):
         raise ConfigError(f"reference source must be auto|known|best-found, got {source!r}")
@@ -437,27 +423,8 @@ def resolve_reference_value(
         return Reference(np.asarray(x_star, dtype=float), float(f_star), "known")
     if source == "known":
         raise ConfigError("reference source 'known' but the instance has no known optimum")
-    q, eps = sched.generator(0), sched.step(0)
-    smooth = p.smooth
-    x = np.zeros(p.n)
-    s_prev, grad = smooth.value(x), smooth.grad(x)
-    f_prev = s_prev + p.penalty_value(x)
-    moved = np.inf
-    for _ in range(max_steps):
-        t = full_prox(p, q, eps, x, grad=grad)
-        grad_t = smooth.grad(t)
-        s_next = smooth.step_value(x, t, s_prev, grad, grad_t)
-        f_next = s_next + p.penalty_value(t)
-        if f_next > f_prev + 1e-12 * (1.0 + abs(f_prev)):
-            raise DivergenceError(
-                "objective increased during reference iteration "
-                f"({p.objective(x)} -> {p.objective(t)})"
-            )
-        moved = float(np.linalg.norm(t - x))
-        x, s_prev, f_prev, grad = t, s_next, f_next, grad_t
-        if moved <= tolerance:
-            break
-    else:
+    x, moved = fixed_point(p, sched, max_steps, tolerance)
+    if moved > tolerance:
         print(f"warning: reference iteration stopped at max_steps = {max_steps} "
               f"with last move {moved:.3g} > tolerance {tolerance:.3g}", file=sys.stderr)
     return Reference(x, p.objective(x), "best-found")
@@ -523,13 +490,13 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
     try:
         trajectories = [run(p, confs[0], x0s[0])]
     except SolverAbort as e:
-        raise ReplicationError(f"replication 0 failed: {e}") from e
+        raise SolverAbort(f"replication 0 failed: {e}") from e
     if cfg.replications > 1:
         rows = run_lockstep(p, confs, x0s)
         match_oracle(trajectories[0], rows[0], confs[0].tolerance)
         for r, traj in enumerate(rows[1:], 1):
             if isinstance(traj, SolverAbort):
-                raise ReplicationError(f"replication {r} failed: {traj}") from traj
+                raise SolverAbort(f"replication {r} failed: {traj}") from traj
         trajectories += rows[1:]
     near_rows = []
     if x0_mode == "near-start":

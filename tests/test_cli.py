@@ -265,6 +265,26 @@ def test_out_that_is_or_lies_below_a_file_exits_two(tmp_path, capsys, monkeypatc
     assert not built
 
 
+def test_oracle_mismatch_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    # the audit's per-point oracle disagrees with its stacked evaluation:
+    # the run stops as a failed check, not with a traceback
+    from vbscd import diagnostics
+
+    exact = diagnostics.enumerate_expectation
+    monkeypatch.setattr(diagnostics, "enumerate_expectation", lambda *args: exact(*args) + 1e-6)
+    text = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+            / "rate_lasso50_audit.cfg").read_text()
+    for section, key, value in [("experiment", "replications", "2"), ("solver", "max_iters", "100"),
+                                ("solver", "check_period", "100"), ("probe", "samples", "500")]:
+        text = with_key(text, section, key, value)
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(text)
+    assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "stacked" in err[0]
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

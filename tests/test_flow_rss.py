@@ -14,3 +14,4 @@ def test_flow_rss_runs_a_config_once():
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and lines[0].startswith("configs/quad1d_rate.cfg  ")
     assert lines[0].count("peak_rss_mb=") == 1
+    assert "wall_s=" not in proc.stdout

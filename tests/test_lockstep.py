@@ -22,7 +22,6 @@ from vbscd import (
     L1Penalty,
     OracleMismatch,
     ProblemInstance,
-    ReplicationError,
     ScadPenalty,
     SolverAbort,
     SolverConfig,
@@ -268,7 +267,7 @@ def sequential_failure(cfg, p):
 def harness_failure(cfg):
     try:
         harness.run_replications(cfg)
-    except ReplicationError as e:
+    except SolverAbort as e:
         m = re.fullmatch(r"replication (\d+) failed: .* at iteration (\d+)\b.*", str(e))
         assert m and "np.float64(" not in str(e), str(e)
         return int(m[1]), int(m[2])

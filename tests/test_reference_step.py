@@ -1,14 +1,17 @@
 """The best-found reference carries each step's gradient into the next step
 and reads F's change from the two gradients; the plain loop, which
-evaluates F afresh at every point, stays its oracle."""
+evaluates F afresh at every point, stays its oracle.  Both refuse a step by
+the solver's sufficient-decrease rule."""
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vbscd.harness as harness
-from vbscd import BregmanSchedule, DivergenceError
-from vbscd.bregman import step_cap
+import vbscd.solver as solver
+from vbscd import BregmanSchedule, SolverAbort
+from vbscd.bregman import step_cap, sufficient_decrease
 from vbscd.cli import main as cli_main
 from vbscd.harness import build_instance, build_schedule, load_config, resolve_reference_value
 from vbscd.instances import lasso_random, logistic_random, quadratic_mcp, quadratic_scad
@@ -22,18 +25,18 @@ LASSO50_RATE = str(Path(__file__).resolve().parent.parent / "configs" / "lasso50
 
 def slow_reference(p, sched, max_steps=100_000, tolerance=1e-12):
     """The reference iteration with no carried state: ``full_prox`` computes
-    grad f at x, and F is evaluated at every new point."""
+    grad f at x, F is evaluated at every new point, and a step that fails
+    ``solver._decreases`` raises the solver's abort."""
     q, eps = sched.generator(0), sched.step(0)
+    a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
     x = np.zeros(p.n)
     f_prev = p.objective(x)
-    for _ in range(max_steps):
+    for k in range(max_steps):
         t = full_prox(p, q, eps, x)
         f_next = p.objective(t)
-        if f_next > f_prev + 1e-12 * (1.0 + abs(f_prev)):
-            raise DivergenceError(
-                f"objective increased during reference iteration ({f_prev} -> {f_next})"
-            )
         moved = float(np.linalg.norm(x - t))
+        if not solver._decreases(f_prev, f_next, moved, a):
+            raise solver._abort(k, f_prev, f_next, moved, a)
         x, f_prev = t, f_next
         if moved <= tolerance:
             break
@@ -121,7 +124,7 @@ def test_reference_makes_one_gradient_and_no_residual_per_step(monkeypatch):
 
     monkeypatch.setattr(p.smooth, "state", spy("state", p.smooth.state))
     monkeypatch.setattr(p.smooth, "grad", spy("grad", p.smooth.grad))
-    monkeypatch.setattr(harness, "full_prox", spy("full_prox", harness.full_prox))
+    monkeypatch.setattr(solver, "full_prox", spy("full_prox", solver.full_prox))
     ref = resolve_reference_value(p, relative_schedule(p), source="best-found")
     assert calls["full_prox"] > 10
     assert calls["state"] == 2
@@ -147,7 +150,7 @@ def test_default_step_value_evaluates_f_at_the_new_point():
 
 
 # ---------------------------------------------------------------------------
-# a wrong prox is refused by the reference's divergence guard
+# a wrong prox is refused by the reference's sufficient-decrease test
 
 
 @pytest.fixture
@@ -158,13 +161,19 @@ def wide_l1_threshold(monkeypatch):
 
 
 def test_wrong_l1_threshold_diverges_in_the_reference(wide_l1_threshold, tmp_path, capsys):
+    # refused at iteration 11, where F still falls, but by less than
+    # a ||x - T(x)||^2; tests/test_fooling.py holds the solver's mutations
     cfg = load_config(LASSO50_RATE)
     p = build_instance(cfg)
-    with pytest.raises(DivergenceError) as oracle:
+    refusal = r"sufficient decrease fails at iteration 11: F went from (\S+) to (\S+) over a step of norm (\S+) "
+    with pytest.raises(SolverAbort, match="^" + refusal) as oracle:
         slow_reference(p, build_schedule(cfg, p))
-    with pytest.raises(DivergenceError) as refused:
+    with pytest.raises(SolverAbort, match="^reference iteration: " + refusal) as refused:
         harness.run_experiment(LASSO50_RATE, "rate", out_dir=tmp_path / "lib")
-    # the message gives F at both points as the objective evaluates it
-    assert str(refused.value) == str(oracle.value)
+    f, f_next, step = map(float, re.search(refusal, str(refused.value)).groups())
+    assert f_next < f
+    # the same step; F read from the step's two gradients agrees to rounding
+    expected = map(float, re.search(refusal, str(oracle.value)).groups())
+    assert [f, f_next, step] == pytest.approx(list(expected), rel=1e-14, abs=0)
     assert cli_main(["rate", "--config", LASSO50_RATE, "--out", str(tmp_path / "cli")]) == 2
-    assert capsys.readouterr().err == f"error: {oracle.value}\n"
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
