@@ -12,12 +12,20 @@ targets T_i(x) satisfy three algebraic identities
 (block separability), which double as self-tests of the prox layer.
 
 Over many points the expectation is evaluated on stacks
-(:func:`stacked_expectation`): one stacked gradient and one grouped full
-prox give the targets of every point, and one ``objective_rows`` call
-their values.  Per-point enumeration (:func:`enumerate_expectation`) stays
-the oracle: the contraction audit recomputes a few of its points by
-enumeration on every run and raises :class:`~vbscd.solver.OracleMismatch`
-when the two disagree.
+(:func:`stacked_expectation`).  T_i(x) moves block i of x by d_i, d = T(x) - x,
+so one stacked gradient and one grouped full prox give every point's step,
+and
+
+    mean_i F(T_i(x)) = F(x) + (sum_i [f(x + E_i d_i) - f(x)] + g(T(x)) - g(x)) / N.
+
+The smooth sum is :meth:`~vbscd.model.SmoothTerm.one_block_change_rows`.  For
+least squares it has the closed form <grad f(x), d> + sum_i d_i^T G_ii d_i / 2,
+G_ii the diagonal blocks of the gram A^T A, so a point costs one gradient and
+no row beyond x and T(x).  Any other smooth term takes the exact default,
+f at the N one-block targets.  Per-point enumeration
+(:func:`enumerate_expectation`) stays the oracle: the contraction audit
+recomputes a few of its points by enumeration on every run and raises
+:class:`~vbscd.solver.OracleMismatch` when the two disagree.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from .bregman import BregmanSchedule, sufficient_decrease
 from .csvout import write_csv
 from .model import ProblemInstance, Regularizer, in_chunks
 from .probes import cross_check, gap_floor, in_neighborhood
-from .prox import coordinate_prox_all, coordinate_prox_all_rows, envelope_value, full_prox
+from .prox import coordinate_prox_all, envelope_value, full_prox, full_prox_rows
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +97,24 @@ def enumerate_expectation(p: ProblemInstance, q: float, eps: float, x) -> float:
 def stacked_expectation(p: ProblemInstance, q, eps, X) -> np.ndarray:
     """mean_i F(T_i(x)) at each row x of a (k, n) stack, row j under the
     geometry in row j of the (k, 1) columns ``q`` (kernel weight)
-    and ``eps`` (step), for any k through :func:`~vbscd.model.in_chunks`: a
-    chunk's one-block targets come from one stacked gradient and one grouped
-    full prox, and their values from one ``objective_rows`` call."""
+    and ``eps`` (step), for any k through :func:`~vbscd.model.in_chunks`.
+
+    T_i(x) differs from x in block i alone, so with d = T(x) - x
+
+        mean_i F(T_i(x)) = F(x) + (sum_i [f(x + E_i d_i) - f(x)] + g(T(x)) - g(x)) / N
+
+    (g is block-separable).  A chunk takes one stacked gradient, one grouped
+    full prox and the smooth term's
+    :meth:`~vbscd.model.SmoothTerm.one_block_change_rows`: closed form on
+    least squares, f at the N one-block targets otherwise."""
     def mean_f(q, eps, X):
-        targets = coordinate_prox_all_rows(p, q, eps, X)
-        return p.objective_rows(targets.reshape(-1, p.n)).reshape(len(X), p.n_blocks).mean(axis=1)
-    return in_chunks(mean_f, p.n_blocks * p.n, q, eps, X)
+        grad = p.smooth.grad_rows(X)
+        T = full_prox_rows(p, q, eps, X, grad=grad)
+        g_x = p.penalty_rows(X)
+        # g(T(x)) - g(x) first: two values of the size of g, whose difference is small
+        change = p.smooth.one_block_change_rows(X, T, grad, p.partition) + (p.penalty_rows(T) - g_x)
+        return p.smooth.value_rows(X) + g_x + change / p.n_blocks
+    return in_chunks(mean_f, p.n, q, eps, X)
 
 
 def expectation_identities(p: ProblemInstance, q: float, eps: float, x, targets) -> dict:

@@ -542,13 +542,17 @@ def write_replication_outputs(res: ReplicationResult, out_dir) -> None:
 def _neighborhood(cfg, p, sched, ref, trajectories=None):
     """[probe] eta and nu; those left out are sized from the iterates of
     ``trajectories``, by default of a short deterministic scout run that
-    stops at [solver] tolerance."""
+    stops at [solver] tolerance; its abort reads ``scout run: ...``."""
     eta = cfg.probe.get("eta")
     nu = cfg.probe.get("nu")
     if eta is None or nu is None:
-        trajectories = trajectories or [run(p, SolverConfig(
-            sched, min(cfg.solver["max_iters"], 50 * p.n_blocks), cfg.solver["tolerance"],
-            seed=derive_seed(cfg.seed, 0)))]
+        if not trajectories:
+            try:
+                trajectories = [run(p, SolverConfig(
+                    sched, min(cfg.solver["max_iters"], 50 * p.n_blocks), cfg.solver["tolerance"],
+                    seed=derive_seed(cfg.seed, 0)))]
+            except SolverAbort as e:
+                raise SolverAbort(f"scout run: {e}") from e
         stacks = (X for t in trajectories for X in t.iterates())
         auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, stacks)
         eta = auto_eta if eta is None else eta

@@ -21,10 +21,12 @@ logistic regression are both a loss of the residual A x - b
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 # Row-wise evaluations over stacks of points run in chunks whose largest
@@ -58,12 +60,16 @@ class BlockPartition:
 
     ``sizes[i]`` is the width of block i; offsets are the running prefix sums.
     ``block_of[j]`` is the block holding coordinate j, a read-only (n,) int
-    array computed once and left out of comparisons.
+    array computed once and left out of comparisons.  ``runs`` lists the
+    maximal runs of equally wide consecutive blocks as (offset, count,
+    width) triples: one run for an even split of n into N blocks, two when
+    N does not divide n.
     """
 
     sizes: tuple[int, ...]
     offsets: tuple[int, ...] = field(init=False)
     block_of: np.ndarray = field(init=False, repr=False, compare=False)
+    runs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -77,6 +83,12 @@ class BlockPartition:
         block_of = np.repeat(np.arange(len(sizes)), sizes)
         block_of.flags.writeable = False  # one array serves every caller
         object.__setattr__(self, "block_of", block_of)
+        runs, o = [], 0
+        for width, group in itertools.groupby(sizes):
+            count = len(list(group))
+            runs.append((o, count, width))
+            o += count * width
+        object.__setattr__(self, "runs", tuple(runs))
 
     @property
     def n(self) -> int:
@@ -85,6 +97,12 @@ class BlockPartition:
     @property
     def n_blocks(self) -> int:
         return len(self.sizes)
+
+    def one_block_targets(self, X, T) -> np.ndarray:
+        """For each block i, the point that takes block i from T and every
+        other coordinate from X: an (N, n) array for points X and T, a
+        (k, N, n) array for (k, n) stacks, entry [j, i] from rows X[j], T[j]."""
+        return np.where(self.block_of == np.arange(self.n_blocks)[:, None], T[..., None, :], X[..., None, :])
 
     def block_slice(self, i: int) -> slice:
         if not 0 <= i < self.n_blocks:
@@ -188,6 +206,14 @@ class SmoothTerm:
     coordinates cols[j] (a (k, b) index array) and do what ``block_grad``
     and ``move`` do on that one state.  The defaults loop over the
     one-state methods; :class:`AffineLoss` vectorizes them.
+
+    ``one_block_change_rows(X, T, grad, partition)`` serves the contraction
+    audit: at each row x of X, with t the matching row of T (the full map
+    T(x)), ``grad`` the matching row of grad f(x) and d = t - x, it gives
+    sum_i [f(x + E_i d_i) - f(x)], E_i d_i being d on block i and zero
+    elsewhere.  The default evaluates f at the N one-block targets, exact for
+    any f; :class:`QuadraticLeastSquares` reads the sum off the gradient and
+    its gram's diagonal blocks.
     """
 
     lipschitz: float
@@ -205,6 +231,16 @@ class SmoothTerm:
 
     def value_rows(self, X: np.ndarray) -> np.ndarray:
         return self.state_value_rows(self.state_rows(X))
+
+    def one_block_change_rows(self, X: np.ndarray, T: np.ndarray, grad: np.ndarray,
+                              partition: BlockPartition) -> np.ndarray:
+        # the (k, N, n) stack of one-block targets, in chunks of N n doubles per row
+        N = partition.n_blocks
+
+        def change(X, T):
+            f_targets = self.value_rows(partition.one_block_targets(X, T).reshape(-1, self.n))
+            return (f_targets.reshape(len(X), N) - self.value_rows(X)[:, None]).sum(axis=1)
+        return in_chunks(change, N * self.n, X, T)
 
     def grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f on each row of X, as the rows of an array of X's shape;
@@ -320,6 +356,21 @@ class QuadraticLeastSquares(AffineLoss):
         # unlike the gram form x^T G x / 2 - b^T A x + |b|^2 / 2 it does not
         # cancel when |b|^2 is far above f
         return f_x + 0.5 * float((grad_x + grad_t) @ (t - x))
+
+    def one_block_change_rows(self, X, T, grad, partition):
+        # exact for a quadratic: f(x + E_i d_i) - f(x) = <grad_i f(x), d_i> + d_i^T G_ii d_i / 2
+        # (Richtarik & Takac, Math. Prog. 144 (2014)), which sums over i to
+        # <grad f(x), d> + sum_i d_i^T G_ii d_i / 2
+        D = T - X
+        quad = np.zeros(len(X))
+        s0, s1 = self._gram.strides
+        for o, count, width in partition.runs:
+            # the run's diagonal blocks G_ii as a (count, width, width) view of the gram
+            blocks = as_strided(self._gram[o:, o:], (count, width, width),
+                                (width * (s0 + s1), s0, s1), writeable=False)
+            Dr = D[:, o:o + count * width].reshape(len(X), count, width).transpose(1, 0, 2)
+            quad += np.einsum("ikc,ikc->k", Dr @ blocks, Dr)
+        return np.einsum("kj,kj->k", grad, D) + 0.5 * quad
 
     def state_value(self, s):
         return 0.5 * float(s @ s)

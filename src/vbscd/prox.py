@@ -80,11 +80,6 @@ def _full_target(p, q, eps, x, grad) -> np.ndarray:
     return y
 
 
-def _block_masks(p: ProblemInstance) -> np.ndarray:
-    """(N, n) boolean array whose row i marks the coordinates of block i."""
-    return p.partition.block_of == np.arange(p.n_blocks)[:, None]
-
-
 def coordinate_prox(p, q, eps, x, i: int, *, block_grad=None) -> np.ndarray:
     """One-block map T_i(x): minimize over block i only.
 
@@ -106,8 +101,7 @@ def coordinate_prox_all(p, q, eps, x) -> np.ndarray:
     one full prox gives every target.
     """
     x = _prep(p, q, eps, x)
-    t = _full_target(p, q, eps, x, p.smooth.grad(x))
-    return np.where(_block_masks(p), t, x)
+    return p.partition.one_block_targets(x, _full_target(p, q, eps, x, p.smooth.grad(x)))
 
 
 def full_prox(p, q, eps, x, *, grad=None) -> np.ndarray:
@@ -117,12 +111,12 @@ def full_prox(p, q, eps, x, *, grad=None) -> np.ndarray:
     return _full_target(p, q, eps, x, p.smooth.grad(x) if grad is None else grad)
 
 
-def full_prox_rows(p, q, eps, X) -> np.ndarray:
-    """T(x) at each row x of a (k, n) stack, from one stacked gradient and
-    one prox call per penalty group; row j equals ``full_prox`` at X[j]
-    up to the rounding of the stacked gradient."""
+def full_prox_rows(p, q, eps, X, *, grad=None) -> np.ndarray:
+    """T(x) at each row x of a (k, n) stack, from one stacked gradient (or
+    ``grad``, the caller's) and one prox call per penalty group; row j
+    equals ``full_prox`` at X[j] up to the rounding of the stacked gradient."""
     X = _prep(p, q, eps, X, ndim=2)
-    return _full_target(p, q, eps, X, p.smooth.grad_rows(X))
+    return _full_target(p, q, eps, X, p.smooth.grad_rows(X) if grad is None else grad)
 
 
 def coordinate_prox_all_rows(p, q, eps, X) -> np.ndarray:
@@ -131,8 +125,7 @@ def coordinate_prox_all_rows(p, q, eps, X) -> np.ndarray:
     columns, as :meth:`~vbscd.bregman.BregmanSchedule.at` gives them):
     entry [j, i] is T_i(X[j]), up to the rounding of the stacked gradient."""
     X = _prep(p, q, eps, X, ndim=2)
-    T = _full_target(p, q, eps, X, p.smooth.grad_rows(X))
-    return np.where(_block_masks(p), T[:, None, :], X[:, None, :])
+    return p.partition.one_block_targets(X, _full_target(p, q, eps, X, p.smooth.grad_rows(X)))
 
 
 def envelope_value(p, q, eps, x) -> float:

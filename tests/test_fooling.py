@@ -67,6 +67,6 @@ def test_state_rounded_to_float32_is_refused(monkeypatch, tmp_path, capsys):
 
 def test_refused_scout_run_exits_two(monkeypatch, tmp_path, capsys):
     # verify sizes its neighborhood from a scout run, which the same
-    # mutation breaks; the abort reaches the CLI as one line
+    # mutation breaks; the abort reaches the CLI as one line that names it
     msg = refusal(monkeypatch, tmp_path, capsys, skip_every_7th_move, LASSO50_VERIFY, "verify")
-    assert msg.startswith("sufficient decrease fails at iteration 6: ")
+    assert msg.startswith("scout run: sufficient decrease fails at iteration 6: ")

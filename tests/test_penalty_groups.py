@@ -13,7 +13,9 @@ import pytest
 from vbscd import (
     BlockPartition,
     BregmanSchedule,
+    CustomSmooth,
     L1Penalty,
+    ProblemInstance,
     Regularizer,
     ScadPenalty,
     SolverConfig,
@@ -29,6 +31,7 @@ from vbscd import (
     make_quadratic_problem,
     run,
 )
+from vbscd.diagnostics import stacked_expectation
 from vbscd.prox import block_target
 from vbscd.solver import _block_kinds, match_oracle, run_lockstep
 
@@ -43,9 +46,20 @@ def mixed_instance():
     return make_quadratic_problem(base.smooth.A, base.smooth.b, regs, base.partition)
 
 
+def custom_scad():
+    """quadratic_scad with its smooth term behind the generic CustomSmooth path."""
+    base = instances.quadratic_scad()
+    A, b = base.smooth.A, base.smooth.b
+    smooth = CustomSmooth(lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
+                          lambda x: A.T @ (A @ x - b), base.smooth.lipschitz, base.n)
+    return ProblemInstance(smooth, base.partition, base.regularizers)
+
+
 CASES = {
     "lasso_1d": instances.lasso_1d,
     "lasso_random50": lambda: instances.lasso_random(50),
+    "lasso_uneven23": lambda: instances.lasso_random(23, 5),  # blocks 5, 5, 5, 4, 4
+    "custom_scad": custom_scad,
     "quadratic_mcp": instances.quadratic_mcp,
     "quadratic_scad": instances.quadratic_scad,
     "logistic_random": instances.logistic_random,
@@ -207,7 +221,8 @@ def test_grouped_paths_match_per_block_oracle(name):
         assert rows == pytest.approx(want, rel=REL)
 
 
-@pytest.mark.parametrize("name", ["lasso_random50", "mixed"])
+@pytest.mark.parametrize("name", ["lasso_random50", "lasso_uneven23", "mixed", "quadratic_scad",
+                                  "quadratic_mcp", "logistic_random", "custom_scad"])
 def test_audit_matches_per_target_enumeration(name):
     p = CASES[name]()
     sched = BregmanSchedule.constant(1.0, 0.9 / p.smooth.lipschitz)
@@ -217,12 +232,19 @@ def test_audit_matches_per_target_enumeration(name):
     f_bar = p.objective(x_bar)
     traj = run(p, SolverConfig(sched, max_iters=300, tolerance=0.0, seed=5),
                x0=x_bar + 0.5 * np.random.default_rng(1).standard_normal(p.n))
+    # the stacked means themselves, against N calls of p.objective per point
+    k = np.arange(len(traj.points))
+    want = np.array([sum(map(p.objective, per_block_targets(p, sched.generator(j), sched.step(j), x)))
+                     for j, x in zip(k, traj.points)]) / p.n_blocks
+    got = stacked_expectation(p, *sched.at(k), traj.points)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     eta, nu = auto_neighborhood(p, sched, x_bar, [traj.points[:1]])
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     seen = set()
-    # the theory's beta, and smaller ones that some points violate
-    for beta in (theory.beta, 0.95, 0.9, 0.5):
+    # the theory's beta, and smaller ones that some points violate (logistic's
+    # one-step ratios lie between 0.97 and 0.994)
+    for beta in (theory.beta, 0.99, 0.95, 0.9, 0.5):
         constants = dataclasses.replace(theory, beta=beta)
         audit = contraction_audit(p, sched, [traj], x_bar, f_bar, constants)
         checked, violations = per_target_audit(p, sched, traj, x_bar, f_bar, constants)

@@ -32,9 +32,9 @@ from vbscd import (
 )
 from vbscd import diagnostics, probes
 from vbscd.bregman import step_cap
-from vbscd.diagnostics import enumerate_expectation
+from vbscd.diagnostics import enumerate_expectation, stacked_expectation
 from vbscd.instances import diag_quadratic
-from vbscd.model import chunk_rows
+from vbscd.model import BlockPartition, chunk_rows
 from vbscd.probes import gap_floor
 from vbscd.prox import full_prox
 from vbscd.solver import _STEP_CHUNK
@@ -46,6 +46,14 @@ INSTANCES = {
     "quadratic_scad": instances.quadratic_scad,
     "quadratic_mcp": instances.quadratic_mcp,
     "logistic_random": instances.logistic_random,
+}
+
+# the audit's cases add uneven blocks (n = 23 in 5 blocks: 5, 5, 5, 4, 4) to
+# the closed form, and a CustomSmooth to logistic on the exact default path
+AUDIT_INSTANCES = {
+    **INSTANCES,
+    "lasso_uneven23": lambda: instances.lasso_random(23, 5),
+    "custom": lambda: custom_lasso(),
 }
 
 
@@ -98,9 +106,24 @@ def per_point_audit(p, sched, trajs, x_bar, f_bar, constants, slack=1e-9):
 
 
 @pytest.mark.parametrize("sched_kind", ["constant", "alternating", "harmonic"])
-@pytest.mark.parametrize("name", sorted(INSTANCES))
+@pytest.mark.parametrize("name", sorted(AUDIT_INSTANCES))
+def test_stacked_expectation_equals_enumeration(name, sched_kind):
+    # trajectory points and scattered ones, row j under k = j's geometry
+    p = AUDIT_INSTANCES[name]()
+    sched = schedule(sched_kind, p)
+    (traj,) = trajectories(p, sched, np.zeros(p.n), count=1, steps=200)
+    X = np.vstack([traj.points, 2.0 * np.random.default_rng(3).standard_normal((100, p.n))])
+    X[-10:, ::2] = 0.0  # exact zeros on the penalty kinks
+    k = np.arange(len(X))
+    got = stacked_expectation(p, *sched.at(k), X)
+    want = np.array([enumerate_expectation(p, sched.generator(j), sched.step(j), x) for j, x in zip(k, X)])
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("sched_kind", ["constant", "alternating", "harmonic"])
+@pytest.mark.parametrize("name", sorted(AUDIT_INSTANCES))
 def test_stacked_audit_equals_per_point_enumeration(name, sched_kind):
-    p = INSTANCES[name]()
+    p = AUDIT_INSTANCES[name]()
     sched = schedule(sched_kind, p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar)
@@ -193,12 +216,13 @@ def test_audit_oracle_raises_on_a_disagreement(monkeypatch):
         contraction_audit(*case)
 
 
-def test_audit_makes_one_stacked_call_per_chunk(monkeypatch):
-    # under alternating weights and a harmonic step every k has its own
-    # geometry, which travels with its row: still one stacked call per stack
-    # of iterates that holds a checked point, evaluated in chunks of at most
-    # chunk_rows(N n) rows, and at most 2R + 1 enumerations
-    p = instances.lasso_random(10, 5, seed=21)
+def audit_calls(monkeypatch, p):
+    """Audit three 600-step trajectories under alternating weights and a
+    harmonic step, where every k has its own geometry, check the calls that
+    every smooth term makes, and return the audit and the rows of each
+    stacked_expectation call, of each one-block change call and of each
+    stack of one-block targets.  Two thirds of the points lie inside the
+    ball, so a stack holds more checked points than a chunk."""
     sched = schedule("harmonic", p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar, count=3, steps=600)
@@ -206,15 +230,17 @@ def test_audit_makes_one_stacked_call_per_chunk(monkeypatch):
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     d = np.sort([np.linalg.norm(x - x_bar) for t in trajs for x in t.points])
-    # two thirds of the points inside: more checked points in a stack than in a chunk
     constants = dataclasses.replace(theory, eta=d[2 * d.size // 3] + d[2 * d.size // 3 + 1])
     stacked, enumerate_ = diagnostics.stacked_expectation, diagnostics.enumerate_expectation
-    targets = diagnostics.coordinate_prox_all_rows
-    sizes, chunks, enumerated = [], [], []
+    change, targets = p.smooth.one_block_change_rows, BlockPartition.one_block_targets
+    sizes, changes, chunks, enumerated = [], [], [], []
     monkeypatch.setattr(diagnostics, "stacked_expectation",
                         lambda *a: (sizes.append(len(a[3])), stacked(*a))[1])
-    monkeypatch.setattr(diagnostics, "coordinate_prox_all_rows",
-                        lambda *a: (chunks.append(len(a[3])), targets(*a))[1])
+    monkeypatch.setattr(p.smooth, "one_block_change_rows",
+                        lambda *a: (changes.append(len(a[0])), change(*a))[1])
+    # stacks of targets only: an enumeration builds the (N, n) targets of one point
+    monkeypatch.setattr(BlockPartition, "one_block_targets",
+                        lambda self, X, T: (X.ndim == 2 and chunks.append(len(X)), targets(self, X, T))[1])
     monkeypatch.setattr(diagnostics, "enumerate_expectation",
                         lambda *a: (enumerated.append(a[3]), enumerate_(*a))[1])
     audit = contraction_audit(p, sched, trajs, x_bar, f_bar, constants)
@@ -225,12 +251,54 @@ def test_audit_makes_one_stacked_call_per_chunk(monkeypatch):
                   & (f_bar + gap_floor(f_bar) < fx) & (fx < f_bar + constants.hypothesis[1]))
         stacks += sum(inside[c:c + _STEP_CHUNK].any() for c in range(0, inside.size, _STEP_CHUNK))
     assert audit.skipped > 0 and len(trajs[0].points) > _STEP_CHUNK
+    # one stacked call per stack of iterates that holds a checked point, one
+    # change call per chunk, and at most 2R + 1 enumerations, at least one
+    # per trajectory
     assert len(sizes) == stacks and sum(sizes) == audit.checked
-    step = chunk_rows(p.n_blocks * p.n)
-    assert sum(chunks) == audit.checked and max(chunks) <= step < max(sizes)
+    assert sum(changes) == audit.checked and max(changes) <= chunk_rows(p.n)
     assert len(trajs) <= len(enumerated) <= 2 * len(trajs) + 1
-    for t in trajs:  # at least one enumeration per trajectory
+    for t in trajs:
         assert any((x == t.points).all(axis=1).any() for x in enumerated)
+    return audit, sizes, changes, chunks
+
+
+def test_audit_makes_one_stacked_call_per_chunk(monkeypatch):
+    # least squares: one closed-form change per chunk of at most
+    # chunk_rows(n) rows, and no stack of one-block targets
+    p = instances.lasso_random(50)
+    audit, sizes, changes, chunks = audit_calls(monkeypatch, p)
+    assert chunk_rows(p.n) < max(sizes) and len(changes) > len(sizes)
+    assert not chunks
+
+
+def test_audit_default_path_builds_targets_per_chunk(monkeypatch):
+    # the exact default path (CustomSmooth) builds the one-block targets of
+    # every checked point in chunks of at most chunk_rows(N n) rows
+    p = custom_lasso()
+    audit, sizes, changes, chunks = audit_calls(monkeypatch, p)
+    assert sum(chunks) == audit.checked and max(chunks) <= chunk_rows(p.n_blocks * p.n) < max(sizes)
+
+
+def test_audit_evaluates_f_on_a_few_rows_per_point(monkeypatch):
+    # on least squares a checked point costs F at three rows (x's f and g,
+    # and g at T(x)), not at its N one-block targets; each enumeration by the
+    # oracle evaluates F at the N targets of one point
+    p = instances.lasso_random(50)
+    sched = schedule("harmonic", p)
+    x_bar, f_bar = reference_point(p, sched)
+    trajs = trajectories(p, sched, x_bar, count=2, steps=300)
+    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
+                                  sched.eps_hi, p.n_blocks, 0.05, eta, nu)
+    rows = []
+    value_rows, penalty_rows = p.smooth.value_rows, ProblemInstance.penalty_rows
+    monkeypatch.setattr(p.smooth, "value_rows", lambda X: (rows.append(len(X)), value_rows(X))[1])
+    monkeypatch.setattr(ProblemInstance, "penalty_rows",
+                        lambda self, X: (rows.append(len(X)), penalty_rows(self, X))[1])
+    audit = contraction_audit(p, sched, trajs, x_bar, f_bar, constants)
+    assert audit.checked > 100
+    # f and g at the N targets of each checked point would be 2 N rows per point
+    assert sum(rows) <= 3 * audit.checked + 2 * p.n_blocks * (2 * len(trajs) + 1)
 
 
 def test_audit_memory_stays_bounded():
