@@ -94,27 +94,26 @@ def enumerate_expectation(p: ProblemInstance, q: float, eps: float, x) -> float:
     return float(p.objective_rows(coordinate_prox_all(p, q, eps, x)).mean())
 
 
-def stacked_expectation(p: ProblemInstance, q, eps, X) -> np.ndarray:
-    """mean_i F(T_i(x)) at each row x of a (k, n) stack, row j under the
-    geometry in row j of the (k, 1) columns ``q`` (kernel weight)
-    and ``eps`` (step), for any k through :func:`~vbscd.model.in_chunks`.
+def stacked_expectation(p: ProblemInstance, q, eps, X, fx) -> np.ndarray:
+    """mean_i F(T_i(x)) at each row x of a (k, n) stack with F(x) in ``fx``,
+    row j under the geometry in row j of the (k, 1) columns ``q`` (kernel
+    weight) and ``eps`` (step), for any k through :func:`~vbscd.model.in_chunks`.
 
     T_i(x) differs from x in block i alone, so with d = T(x) - x
 
         mean_i F(T_i(x)) = F(x) + (sum_i [f(x + E_i d_i) - f(x)] + g(T(x)) - g(x)) / N
 
     (g is block-separable).  A chunk takes one stacked gradient, one grouped
-    full prox and the smooth term's
+    full prox, g at x and T(x) (not f at x) and the smooth term's
     :meth:`~vbscd.model.SmoothTerm.one_block_change_rows`: closed form on
     least squares, f at the N one-block targets otherwise."""
-    def mean_f(q, eps, X):
+    def mean_f(q, eps, X, fx):
         grad = p.smooth.grad_rows(X)
         T = full_prox_rows(p, q, eps, X, grad=grad)
-        g_x = p.penalty_rows(X)
         # g(T(x)) - g(x) first: two values of the size of g, whose difference is small
-        change = p.smooth.one_block_change_rows(X, T, grad, p.partition) + (p.penalty_rows(T) - g_x)
-        return p.smooth.value_rows(X) + g_x + change / p.n_blocks
-    return in_chunks(mean_f, p.n, q, eps, X)
+        change = p.penalty_rows(T) - p.penalty_rows(X)
+        return fx + (p.smooth.one_block_change_rows(X, T, grad, p.partition) + change) / p.n_blocks
+    return in_chunks(mean_f, p.n, q, eps, X, fx)
 
 
 def expectation_identities(p: ProblemInstance, q: float, eps: float, x, targets) -> dict:
@@ -307,14 +306,15 @@ def contraction_audit(
     x^k's own geometry (q_k, eps_k).
 
     The trajectories (a sequence) are read one at a time, one stack of
-    their iterates (:meth:`~vbscd.solver.Trajectory.iterates`) at a time.
-    The geometry of a stack's in-neighborhood rows comes from one
+    their iterates (:meth:`~vbscd.solver.Trajectory.iterates`) at a time,
+    with the logged F(x^k), the only F(x^k) the audit uses.  The geometry
+    of a stack's in-neighborhood rows comes from one
     :meth:`~vbscd.bregman.BregmanSchedule.at` call and travels with them, so
     they take one :func:`stacked_expectation` call.  Enumeration is the
     oracle: the first and last checked point of each trajectory and the
-    worst-margin point are recomputed with
-    :func:`enumerate_expectation`, and a disagreement beyond 1e-12 (1 + |F|)
-    raises :class:`~vbscd.solver.OracleMismatch`.  As in
+    worst-margin point are recomputed with :func:`enumerate_expectation`,
+    and a disagreement (:func:`~vbscd.solver.agrees`), such as from a wrong
+    logged F, raises :class:`~vbscd.solver.OracleMismatch`.  As in
     :func:`worst_check`, a NaN margin is a violation and the worst point,
     so it reaches the oracle, where it cannot agree.
     """
@@ -328,15 +328,14 @@ def contraction_audit(
 
     worst_pt = None  # (k, x^k, stacked mean), as first and last below
     for traj in trajectories:
-        values, a, first, last = traj.objectives(), 0, None, None
-        for S in traj.iterates():
-            fx = values[a:a + len(S)]
+        a, first, last = 0, None, None
+        for S, fx in traj.iterates():
             idx = np.flatnonzero(in_neighborhood(S, fx, x_bar, f_bar, *constants.hypothesis))
             k, a = a + idx, a + len(S)
             skipped += len(S) - idx.size
             if not idx.size:
                 continue
-            mean_f = stacked_expectation(p, *sched.at(k), S[idx])
+            mean_f = stacked_expectation(p, *sched.at(k), S[idx], fx[idx])
             lhs, rhs = mean_f - f_bar, constants.beta * (fx[idx] - f_bar)
             checked += idx.size
             violations += int(np.count_nonzero(~(lhs <= rhs + 1e-9)))
@@ -355,31 +354,27 @@ def contraction_audit(
     return ContractionAudit(checked, skipped, violations, float(worst))
 
 
-def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, points=()):
+def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, stacks):
     """Pick (eta, nu) so the supplied points satisfy the ball and level
     hypotheses with margin and rejection sampling in B(x_bar; eta, nu) stays
     cheap (nu matched to the smooth curvature over the ball).
 
-    ``points`` is an iterable of (k, n) stacks, such as trajectories'
-    iterates, read one at a time through :func:`~vbscd.model.in_chunks`.
-    The reach of each point is max(||x - x_bar||, sqrt((F(x) - F_bar) / a));
+    ``stacks`` is an iterable of pairs (X, fx): a (k, n) stack of points and
+    F at its rows, such as :meth:`~vbscd.solver.Trajectory.iterates`, read
+    one at a time.  The reach of each point is max(||x - x_bar||, sqrt((F(x) - F_bar) / a));
     the farthest point's reach is then taken from the per-point forms.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
     reach, f_bar = 1.0, p.objective(x_bar)
     far, far_reach = None, -np.inf
-
-    def reach_rows(X):
-        r = np.linalg.norm(X - x_bar, axis=1)
-        fx = p.objective_rows(X)
+    for S, fx in stacks:
+        if not len(S):
+            continue
+        r = np.linalg.norm(S - x_bar, axis=1)
         if a > 0:
             up = fx > f_bar
             r[up] = np.maximum(r[up], np.sqrt((fx[up] - f_bar) / a))
-        return r
-
-    for S in (S for S in points if len(S)):
-        r = in_chunks(reach_rows, p.n, S)
         j = int(r.argmax())
         if r[j] > far_reach:
             far, far_reach = S[j].copy(), r[j]

@@ -501,7 +501,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationResult:
     near_rows = []
     if x0_mode == "near-start":
         for r, traj in enumerate(trajectories):
-            dmax = max(float(np.linalg.norm(S - ref.point, axis=1).max()) for S in traj.iterates())
+            dmax = max(float(np.linalg.norm(S - ref.point, axis=1).max()) for S, _ in traj.iterates())
             near_rows.append(NearStartRow(r, dmax, dmax <= stay_radius))
     return ReplicationResult(
         p, sched, ref, trajectories, *aggregate_gaps(trajectories, ref.value),
@@ -553,7 +553,7 @@ def _neighborhood(cfg, p, sched, ref, trajectories=None):
                     seed=derive_seed(cfg.seed, 0)))]
             except SolverAbort as e:
                 raise SolverAbort(f"scout run: {e}") from e
-        stacks = (X for t in trajectories for X in t.iterates())
+        stacks = (pair for t in trajectories for pair in t.iterates())
         auto_eta, auto_nu = auto_neighborhood(p, sched, ref.point, stacks)
         eta = auto_eta if eta is None else eta
         nu = auto_nu if nu is None else nu

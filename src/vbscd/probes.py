@@ -21,7 +21,7 @@ import numpy as np
 from .csvout import write_csv
 from .model import ProblemInstance, in_chunks
 from .prox import full_prox, full_prox_rows
-from .solver import OracleMismatch, sample_in_ball
+from .solver import OracleMismatch, agrees, sample_in_ball
 
 DENOM_CUTOFF = 1e-12
 _DRAW_BATCH = 256  # proposals per call of a sampler's batched test
@@ -32,8 +32,8 @@ class EmptyNeighborhoodError(RuntimeError):
 
 
 def cross_check(stacked: float, exact: float, what: str) -> None:
-    """Raise :class:`OracleMismatch` unless |stacked - exact| <= 1e-12 (1 + |exact|)."""
-    if not abs(stacked - exact) <= 1e-12 * (1.0 + abs(exact)):
+    """Raise :class:`OracleMismatch` unless the two :func:`~vbscd.solver.agrees`."""
+    if not agrees(stacked, exact):
         raise OracleMismatch(f"{what}: stacked {float(stacked)!r}, per point {float(exact)!r}")
 
 

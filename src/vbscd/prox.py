@@ -119,15 +119,6 @@ def full_prox_rows(p, q, eps, X, *, grad=None) -> np.ndarray:
     return _full_target(p, q, eps, X, p.smooth.grad_rows(X) if grad is None else grad)
 
 
-def coordinate_prox_all_rows(p, q, eps, X) -> np.ndarray:
-    """The one-block targets of every row of a (k, n) stack as a (k, N, n)
-    array, row j under kernel weight q[j] and step eps[j] ((k, 1)
-    columns, as :meth:`~vbscd.bregman.BregmanSchedule.at` gives them):
-    entry [j, i] is T_i(X[j]), up to the rounding of the stacked gradient."""
-    X = _prep(p, q, eps, X, ndim=2)
-    return p.partition.one_block_targets(X, _full_target(p, q, eps, X, p.smooth.grad_rows(X)))
-
-
 def envelope_value(p, q, eps, x) -> float:
     """Value of the linearized model at its minimizer T(x):
 

@@ -23,7 +23,8 @@ trajectory.
 
 Both engines return a :class:`Trajectory` that is a step log: x^0, and per step
 its record and the moved block's new values.  It holds K b values (b the widest
-block), not K n; :meth:`Trajectory.iterates` rebuilds x^k in bounded stacks.
+block), not K n; :meth:`Trajectory.iterates` rebuilds x^k in bounded stacks,
+each with its logged F, the one source of F(x^k) for the certification.
 """
 from __future__ import annotations
 
@@ -55,6 +56,11 @@ class SolverAbort(RuntimeError):
 
 class OracleMismatch(RuntimeError):
     """A fast evaluation disagrees with the exact one it is checked against."""
+
+
+def agrees(value, exact):
+    """|value - exact| <= 1e-12 (1 + |exact|), elementwise; a NaN never agrees."""
+    return np.abs(value - exact) <= 1e-12 * (1.0 + np.abs(exact))
 
 
 def derive_seed(base_seed: int, replication: int) -> int:
@@ -97,11 +103,12 @@ class Trajectory:
 
     def iterates(self):
         """x^0, ..., x^K in consecutive stacks of _STEP_CHUNK rows rebuilt
-        from the step log (the last may be shorter): x^k_j is the value last
-        written to coordinate j by step k."""
+        from the step log (the last may be shorter), each paired with the
+        logged F of its rows (the matching slice of :meth:`objectives`):
+        x^k_j is the value last written to coordinate j by step k."""
         (K, b), n, block_of = self.moved.shape, self.x0.size, self.partition.block_of
         within = np.arange(n) - np.asarray(self.partition.offsets)[block_of]
-        x, blocks, step = self.x0, self.records["block"], _STEP_CHUNK
+        x, blocks, step, values = self.x0, self.records["block"], _STEP_CHUNK, self.objectives()
         for a in range(0, K + 1, step):
             moved = self.moved[a:a + step]
             held = np.concatenate((x, moved.ravel()))  # x^a, then every value written since
@@ -112,17 +119,17 @@ class Trajectory:
             src[1:] *= blocks[a:a + step, None] == block_of  # 0 where the step left x_j alone
             np.maximum.accumulate(src, axis=0, out=src)
             S = held[src]
-            yield S[:step]
+            yield S[:step], values[a:a + step]
             x = S[-1]
 
     @property
     def points(self) -> np.ndarray:
         """x^0, ..., x^K as one (K+1, n) array, for tests of small runs."""
-        return np.concatenate(list(self.iterates()))
+        return np.concatenate([S for S, _ in self.iterates()])
 
     @property
     def final_point(self) -> np.ndarray:
-        for S in self.iterates():
+        for S, _ in self.iterates():
             pass
         return S[-1]
 
@@ -376,19 +383,18 @@ def run_lockstep(p: ProblemInstance, configs, x0s) -> list:
 def match_oracle(exact: Trajectory, shadow, tolerance: float) -> None:
     """Raise :class:`OracleMismatch` unless ``shadow`` (a lockstep row, or
     its abort) took the blocks ``exact`` (:func:`run` at the same seed and
-    start) took, with F within 1e-12 (1 + |F|) at the start and at every
-    step, and ended at the same step the same way.
+    start) took, with F in :func:`agrees` at the start and at every step,
+    and ended at the same step the same way.
 
     The ending may differ only where the two residuals at the check that
-    ended the shorter run straddle ``tolerance`` and agree within that bound.
+    ended the shorter run straddle ``tolerance`` and agree.
     """
     if isinstance(shadow, SolverAbort):
         raise OracleMismatch(f"lockstep row aborted where run did not: {shadow}")
     K = min(len(exact.records), len(shadow.records))
     a, b = exact.records[:K], shadow.records[:K]
     fa, fb = exact.objectives()[:K + 1], shadow.objectives()[:K + 1]
-    bad = (np.concatenate(([False], a["block"] != b["block"]))
-           | ~(np.abs(fa - fb) <= 1e-12 * (1.0 + np.abs(fa))))
+    bad = np.concatenate(([False], a["block"] != b["block"])) | ~agrees(fb, fa)
     if bad.any():
         j = int(np.argmax(bad))  # 0: the start point; j > 0: step j - 1
         detail = f"F {float(fb[j])!r} against {float(fa[j])!r}"
@@ -399,8 +405,7 @@ def match_oracle(exact: Trajectory, shadow, tolerance: float) -> None:
     if len(exact.records) == len(shadow.records) and exact.termination == shadow.termination:
         return
     ra, rb = float(a["prox_residual"][K - 1]), float(b["prox_residual"][K - 1])
-    if not (min(ra, rb) <= tolerance < max(ra, rb)
-            and abs(ra - rb) <= 1e-12 * (1.0 + abs(ra))):
+    if not (min(ra, rb) <= tolerance < max(ra, rb) and agrees(rb, ra)):
         raise OracleMismatch(
             f"lockstep row ends differently from run at iteration {K - 1}: "
             f"{shadow.termination} after {len(shadow.records)} steps against "

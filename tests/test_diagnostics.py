@@ -226,7 +226,7 @@ def test_contraction_audit_on_small_lasso():
     x_bar = trajs[0].final_point
     f_bar = min(float(t.objectives().min()) for t in trajs)
     eta, nu = auto_neighborhood(p, sched, x_bar,
-                                points=[t.points[:1] for t in trajs])
+                                stacks=[(t.points[:1], t.objectives()[:1]) for t in trajs])
     c = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo, sched.eps_hi,
                           p.n_blocks, c0=2.0, eta=eta, nu=nu)
     audit = contraction_audit(p, sched, trajs, x_bar, f_bar, c)
@@ -240,10 +240,11 @@ def test_auto_neighborhood_covers_supplied_points():
     sched = BregmanSchedule.constant(1.0, 0.4 / p.smooth.lipschitz)
     x_bar = np.zeros(6)
     pts = [np.full(6, 0.3), np.full(6, -0.2)]
-    eta, nu = auto_neighborhood(p, sched, x_bar, points=[np.array(pts)])
+    eta, nu = auto_neighborhood(p, sched, x_bar, stacks=[(np.array(pts), p.objective_rows(pts))])
     # the same points split over stacks, one of them empty
-    split = [np.array(pts[:1]), np.empty((0, 6)), np.array(pts[1:])]
-    assert auto_neighborhood(p, sched, x_bar, points=split) == (eta, nu)
+    split = [(np.array(pts[:1]), p.objective_rows(pts[:1])), (np.empty((0, 6)), np.empty(0)),
+             (np.array(pts[1:]), p.objective_rows(pts[1:]))]
+    assert auto_neighborhood(p, sched, x_bar, stacks=split) == (eta, nu)
     f_bar = p.objective(x_bar)
     for x in pts:
         assert np.linalg.norm(x - x_bar) <= eta / 2

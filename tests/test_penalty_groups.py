@@ -236,9 +236,9 @@ def test_audit_matches_per_target_enumeration(name):
     k = np.arange(len(traj.points))
     want = np.array([sum(map(p.objective, per_block_targets(p, sched.generator(j), sched.step(j), x)))
                      for j, x in zip(k, traj.points)]) / p.n_blocks
-    got = stacked_expectation(p, *sched.at(k), traj.points)
+    got = stacked_expectation(p, *sched.at(k), traj.points, traj.objectives())
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
-    eta, nu = auto_neighborhood(p, sched, x_bar, [traj.points[:1]])
+    eta, nu = auto_neighborhood(p, sched, x_bar, [(traj.points[:1], traj.objectives()[:1])])
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     seen = set()

@@ -21,7 +21,7 @@ from vbscd import (
 )
 from vbscd.instances import lasso_1d, lasso_random, quadratic_mcp
 from vbscd.model import _REG_KINDS
-from vbscd.prox import block_target, coordinate_prox_all_rows, full_prox_rows
+from vbscd.prox import block_target, full_prox_rows
 
 
 def scalar_objective(reg, w, v, t):
@@ -213,13 +213,10 @@ def test_prox_rejects_bad_inputs():
         coordinate_prox(p, q, 0.5, np.zeros(1), 1)
 
 
-# each takes a point x; the stacked ones get it as a one-row stack, and
-# coordinate_prox_all_rows gets q and eps as (1, 1) columns
+# each takes a point x; the stacked one gets it as a one-row stack
 PROX_ENTRY_POINTS = {
     "coordinate_prox": lambda p, q, x, eps=0.5: coordinate_prox(p, q, eps, x, 0),
     "coordinate_prox_all": lambda p, q, x, eps=0.5: coordinate_prox_all(p, q, eps, x),
-    "coordinate_prox_all_rows": lambda p, q, x, eps=0.5: coordinate_prox_all_rows(
-        p, np.full((1, 1), q), np.full((1, 1), eps), x[None, :]),
     "full_prox": lambda p, q, x, eps=0.5: full_prox(p, q, eps, x),
     "full_prox_rows": lambda p, q, x, eps=0.5: full_prox_rows(p, q, eps, x[None, :]),
     "envelope_value": lambda p, q, x, eps=0.5: envelope_value(p, q, eps, x),

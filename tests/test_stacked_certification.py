@@ -84,6 +84,11 @@ def trajectories(p, sched, x_bar, count=3, steps=120):
     ]
 
 
+def starts(trajs):
+    """Each trajectory's start point with its logged F, as auto_neighborhood reads them."""
+    return [(t.points[:1], t.objectives()[:1]) for t in trajs]
+
+
 def per_point_audit(p, sched, trajs, x_bar, f_bar, constants, slack=1e-9):
     """The audit as one enumeration per point."""
     checked = skipped = violations = 0
@@ -114,8 +119,10 @@ def test_stacked_expectation_equals_enumeration(name, sched_kind):
     (traj,) = trajectories(p, sched, np.zeros(p.n), count=1, steps=200)
     X = np.vstack([traj.points, 2.0 * np.random.default_rng(3).standard_normal((100, p.n))])
     X[-10:, ::2] = 0.0  # exact zeros on the penalty kinks
+    # F: the step log's on the trajectory, evaluated on the scattered points
+    fx = np.concatenate([traj.objectives(), p.objective_rows(X[-100:])])
     k = np.arange(len(X))
-    got = stacked_expectation(p, *sched.at(k), X)
+    got = stacked_expectation(p, *sched.at(k), X, fx)
     want = np.array([enumerate_expectation(p, sched.generator(j), sched.step(j), x) for j, x in zip(k, X)])
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
@@ -127,7 +134,7 @@ def test_stacked_audit_equals_per_point_enumeration(name, sched_kind):
     sched = schedule(sched_kind, p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar)
-    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    eta, nu = auto_neighborhood(p, sched, x_bar, starts(trajs))
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     # a ball that leaves out about half of the points, its radius halfway
@@ -166,7 +173,7 @@ def _audit_case():
     sched = schedule("harmonic", p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar, count=2, steps=60)
-    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    eta, nu = auto_neighborhood(p, sched, x_bar, starts(trajs))
     constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                   sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     return p, sched, trajs, x_bar, f_bar, constants
@@ -179,7 +186,7 @@ def test_audit_sends_a_nan_at_a_middle_point_to_the_oracle(monkeypatch):
     sched = schedule("constant", p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar, count=2, steps=60)
-    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    eta, nu = auto_neighborhood(p, sched, x_bar, starts(trajs))
     constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                   sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     assert contraction_audit(p, sched, trajs, x_bar, f_bar, constants).ok
@@ -226,7 +233,7 @@ def audit_calls(monkeypatch, p):
     sched = schedule("harmonic", p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar, count=3, steps=600)
-    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    eta, nu = auto_neighborhood(p, sched, x_bar, starts(trajs))
     theory = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     d = np.sort([np.linalg.norm(x - x_bar) for t in trajs for x in t.points])
@@ -280,14 +287,14 @@ def test_audit_default_path_builds_targets_per_chunk(monkeypatch):
 
 
 def test_audit_evaluates_f_on_a_few_rows_per_point(monkeypatch):
-    # on least squares a checked point costs F at three rows (x's f and g,
-    # and g at T(x)), not at its N one-block targets; each enumeration by the
-    # oracle evaluates F at the N targets of one point
+    # on least squares a checked point costs two rows (g at x and at T(x));
+    # F(x) comes from the step log, and f is at no one-block target; each
+    # enumeration by the oracle evaluates F at the N targets of one point
     p = instances.lasso_random(50)
     sched = schedule("harmonic", p)
     x_bar, f_bar = reference_point(p, sched)
     trajs = trajectories(p, sched, x_bar, count=2, steps=300)
-    eta, nu = auto_neighborhood(p, sched, x_bar, [t.points[:1] for t in trajs])
+    eta, nu = auto_neighborhood(p, sched, x_bar, starts(trajs))
     constants = compute_constants(sched.m, sched.M, p.smooth.lipschitz, sched.eps_lo,
                                   sched.eps_hi, p.n_blocks, 0.05, eta, nu)
     rows = []
@@ -298,7 +305,40 @@ def test_audit_evaluates_f_on_a_few_rows_per_point(monkeypatch):
     audit = contraction_audit(p, sched, trajs, x_bar, f_bar, constants)
     assert audit.checked > 100
     # f and g at the N targets of each checked point would be 2 N rows per point
-    assert sum(rows) <= 3 * audit.checked + 2 * p.n_blocks * (2 * len(trajs) + 1)
+    assert sum(rows) <= 2 * audit.checked + 2 * p.n_blocks * (2 * len(trajs) + 1)
+
+
+def test_audit_refuses_a_wrong_logged_objective():
+    # the stacked mean carries the logged F(x), so the oracle's enumeration
+    # certifies the log: F raised by 1e-9 (1 + |F|) at the first audited point
+    p, sched, trajs, x_bar, f_bar, constants = _audit_case()
+    assert contraction_audit(p, sched, trajs, x_bar, f_bar, constants).ok
+    traj = trajs[0]
+    fx = traj.objectives()
+    k = int(np.flatnonzero(in_neighborhood(traj.points, fx, x_bar, f_bar, *constants.hypothesis))[0])
+    wrong = dataclasses.replace(traj, records=traj.records.copy())
+    raised = fx[k] + 1e-9 * (1.0 + abs(fx[k]))
+    if k:
+        wrong.records["objective"][k - 1] = raised
+    else:
+        wrong.initial_objective = raised
+    assert in_neighborhood(wrong.points[k], raised, x_bar, f_bar, *constants.hypothesis)
+    with pytest.raises(OracleMismatch, match="^audit: mean_i F"):
+        contraction_audit(p, sched, [wrong, *trajs[1:]], x_bar, f_bar, constants)
+
+
+def test_auto_neighborhood_reads_f_from_the_step_log(monkeypatch):
+    # sizing from iterates evaluates F at the farthest point alone
+    p, sched, trajs, x_bar, _, _ = _audit_case()
+    want = auto_neighborhood(p, sched, x_bar, [(t.points, t.objectives()) for t in trajs])
+    calls = []
+    objective_rows, value_rows = ProblemInstance.objective_rows, p.smooth.value_rows
+    monkeypatch.setattr(ProblemInstance, "objective_rows",
+                        lambda self, X: (calls.append(len(X)), objective_rows(self, X))[1])
+    monkeypatch.setattr(p.smooth, "value_rows", lambda X: (calls.append(len(X)), value_rows(X))[1])
+    stacks = (pair for t in trajs for pair in t.iterates())
+    assert auto_neighborhood(p, sched, x_bar, stacks) == want
+    assert calls == []
 
 
 def test_audit_memory_stays_bounded():

@@ -29,8 +29,12 @@ def replayed(traj):
 def assert_stacks_join_to_the_replay(traj):
     expected = replayed(traj)
     K = len(traj.records)
-    # stacks of _STEP_CHUNK rows, the last one 1.._STEP_CHUNK rows
-    stacks = list(traj.iterates())
+    # stacks of _STEP_CHUNK rows, the last one 1.._STEP_CHUNK rows, each
+    # with the logged F of its rows
+    pairs = list(traj.iterates())
+    stacks = [S for S, _ in pairs]
+    assert all(len(f) == len(S) for S, f in pairs)
+    assert np.concatenate([f for _, f in pairs]).tobytes() == traj.objectives().tobytes()
     assert len(stacks) == K // _STEP_CHUNK + 1
     assert all(len(S) == _STEP_CHUNK for S in stacks[:-1]) and 1 <= len(stacks[-1]) <= _STEP_CHUNK
     joined = np.concatenate(stacks)
