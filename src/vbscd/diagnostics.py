@@ -219,10 +219,12 @@ def compute_constants(
 
 
 def check_value_proximity(
-    p: ProblemInstance, q: float, eps: float, x, targets, x_bar, f_bar: float, constants: ConstantsRecord,
+    p: ProblemInstance, q: float, eps: float, x, fx: float, targets, f_targets,
+    x_bar, f_bar: float, constants: ConstantsRecord,
 ) -> list[CheckRow]:
     """Rows of the five local proximity statements at x, whose one-block
-    targets under (q, eps) are ``targets``.
+    targets under (q, eps) are ``targets``; ``fx`` and ``f_targets`` are F
+    at x and at the targets' rows, so F is evaluated nowhere here.
 
     Hypothesis: x in the record's hypothesis set (:attr:`ConstantsRecord.hypothesis`,
     tested by :func:`~vbscd.probes.in_neighborhood`); points outside get no
@@ -232,13 +234,12 @@ def check_value_proximity(
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    fx = p.objective(x)
     if not in_neighborhood(x, fx, x_bar, f_bar, *constants.hypothesis):
         return []
 
     N = p.n_blocks
     t_full = full_prox(p, q, eps, x)
-    mean_f = float(p.objective_rows(targets).mean())
+    mean_f = float(f_targets.mean())
     mean_sq = float(np.sum((x - targets) ** 2, axis=1).mean())
     env = envelope_value(p, q, eps, x)
     dist = float(np.linalg.norm(x - x_bar))
@@ -257,10 +258,10 @@ def check_value_proximity(
 
 
 def check_level_dominance(
-    p: ProblemInstance, x, targets, x_bar, f_bar: float, constants: ConstantsRecord,
+    x, fx: float, targets, f_targets, x_bar, f_bar: float, constants: ConstantsRecord,
 ) -> list[CheckRow]:
-    """Rows of: every one-block target of x (the rows of ``targets``) keeps
-    the objective at or above f_bar.
+    """Rows of: every one-block target of x (the rows of ``targets``, F at
+    them ``f_targets``) keeps the objective at or above f_bar; ``fx`` = F(x).
 
     That row is checked at every x.  Where it passes and x lies in the
     record's hypothesis set B(x_bar; r, w) (:attr:`ConstantsRecord.hypothesis`),
@@ -269,10 +270,9 @@ def check_level_dominance(
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    f_targets = p.objective_rows(targets)
     rows = [make_check("level-dominance", "targets-above-reference", f_bar, f_targets.min(), 1e-12)]
     radius, window = constants.hypothesis
-    if rows[0].passed and in_neighborhood(x, p.objective(x), x_bar, f_bar, radius, window):
+    if rows[0].passed and in_neighborhood(x, fx, x_bar, f_bar, radius, window):
         rows += [make_check("level-dominance", name, lhs, rhs, 1e-9) for name, lhs, rhs in (
             ("step-within-half-eta", np.linalg.norm(x - targets, axis=1).max(), radius),
             ("targets-within-ball", np.linalg.norm(targets - x_bar, axis=1).max(), constants.eta),
@@ -361,13 +361,13 @@ def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, stacks)
 
     ``stacks`` is an iterable of pairs (X, fx): a (k, n) stack of points and
     F at its rows, such as :meth:`~vbscd.solver.Trajectory.iterates`, read
-    one at a time.  The reach of each point is max(||x - x_bar||, sqrt((F(x) - F_bar) / a));
-    the farthest point's reach is then taken from the per-point forms.
+    one at a time.  The reach is the largest, over every row, of
+    max(||x - x_bar||, sqrt((F(x) - F_bar) / a)) with F(x) the supplied
+    value, and at least one; F is evaluated only at x_bar.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     a = sufficient_decrease(sched.m, sched.eps_hi, p.smooth.lipschitz)
     reach, f_bar = 1.0, p.objective(x_bar)
-    far, far_reach = None, -np.inf
     for S, fx in stacks:
         if not len(S):
             continue
@@ -375,14 +375,7 @@ def auto_neighborhood(p: ProblemInstance, sched: BregmanSchedule, x_bar, stacks)
         if a > 0:
             up = fx > f_bar
             r[up] = np.maximum(r[up], np.sqrt((fx[up] - f_bar) / a))
-        j = int(r.argmax())
-        if r[j] > far_reach:
-            far, far_reach = S[j].copy(), r[j]
-    if far is not None:
-        reach = max(reach, float(np.linalg.norm(far - x_bar)))
-        f_far = p.objective(far)
-        if f_far > f_bar and a > 0:
-            reach = max(reach, float(np.sqrt((f_far - f_bar) / a)))
+        reach = max(reach, float(r.max()))
     eta = 2.2 * reach
     nu = max(p.smooth.lipschitz, 1.0) * eta**2
     return eta, nu

@@ -708,11 +708,12 @@ def run_verification(cfg: ExperimentConfig) -> list[CheckRow]:
     f_bar = p.objective(ref.point)
     hyp_pts = hypothesis_points(p, ref.point, *constants.hypothesis, min(n_points, 200), rng)
     prox_rows, dom_rows = [], []
-    for x in hyp_pts:  # each point's one-block targets enumerated once
+    for x in hyp_pts:  # each point's one-block targets, F(x) and F(T_i x) evaluated once
         targets = coordinate_prox_all(p, q0, eps0, x)
-        if found := check_value_proximity(p, q0, eps0, x, targets, ref.point, f_bar, constants):
+        fx, f_t = p.objective(x), p.objective_rows(targets)
+        if found := check_value_proximity(p, q0, eps0, x, fx, targets, f_t, ref.point, f_bar, constants):
             prox_rows.append(found)
-            dom_rows += check_level_dominance(p, x, targets, ref.point, f_bar, constants)
+            dom_rows += check_level_dominance(x, fx, targets, f_t, ref.point, f_bar, constants)
     if not prox_rows:
         rows.append(make_check("value-proximity", "hypothesis-met", 1.0, 0.0, 0.0))
     else:

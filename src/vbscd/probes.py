@@ -134,13 +134,13 @@ def sample_level_ball(
 # the four probes
 
 
-def _extremum(kind, cname, pts, num, den, largest: bool, oracle, exact=None, **geo):
+def _extremum(kind, cname, pts, num, den, largest: bool, oracle, exact, **geo):
     """The estimate at the row of the largest (or smallest) ratio num/den
     over the rows whose denominator is not below DENOM_CUTOFF, the first of
     equal ones, as a loop with a strict comparison picks it.  Its value is
-    the stacked ratio there or, given the per-point ratio ``exact``, exact
-    at that row, which must agree with the stacked one (:func:`cross_check`).
-    Raises :class:`EmptyNeighborhoodError` when no finite ratio qualifies."""
+    ``exact(x)``, the ratio recomputed at that one point, which must agree
+    with the stacked one (:func:`cross_check`).  Raises
+    :class:`EmptyNeighborhoodError` when no finite ratio qualifies."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r = num / den
     skip = -np.inf if largest else np.inf
@@ -148,7 +148,7 @@ def _extremum(kind, cname, pts, num, den, largest: bool, oracle, exact=None, **g
     j = int(r.argmax() if largest else r.argmin())
     if r[j] == skip:
         raise EmptyNeighborhoodError(f"{kind} probe: every accepted sample fell below the denominator cutoff")
-    value = r[j] if exact is None else exact(pts[j])
+    value = exact(pts[j])
     cross_check(r[j], value, f"{kind} ratio at the extremal sample")
     return ErrorBoundEstimate(kind, cname, float(value), len(pts), oracle, pts[j].copy(), **geo)
 
@@ -174,10 +174,11 @@ def probe_ls_eb(
 
 def probe_kl(p: ProblemInstance, x_bar, eta: float, nu: float, samples: int, rng) -> ErrorBoundEstimate:
     """c2 = min over samples of dist(0, dF(x)) / sqrt(F(x) - F_bar), on the
-    stacked sample."""
+    stacked sample and recomputed at the extremal one (:func:`_extremum`)."""
     pts, vals, f_bar = sample_level_ball(p, x_bar, eta, nu, samples, rng)
     num = in_chunks(p.min_subgradient_norm_rows, p.n, pts)
-    return _extremum("kl", "c2", pts, num, np.sqrt(vals - f_bar), False, "level-gap", eta=eta, nu=nu)
+    exact = lambda x: p.min_subgradient_norm(x) / np.sqrt(p.objective(x) - f_bar)
+    return _extremum("kl", "c2", pts, num, np.sqrt(vals - f_bar), False, "level-gap", exact, eta=eta, nu=nu)
 
 
 def probe_bp_eb(
@@ -185,12 +186,14 @@ def probe_bp_eb(
     eta: float, nu: float, samples: int, rng,
 ) -> ErrorBoundEstimate:
     """c1 = max over samples of ||x - x_bar|| / ||x - T(x)||, on the stacked
-    sample: the critical set is taken as the singleton {x_bar}."""
+    sample and recomputed at the extremal one (:func:`_extremum`): the
+    critical set is taken as the singleton {x_bar}."""
     pts, _, _ = sample_level_ball(p, x_bar, eta, nu, samples, rng)
     x_bar = np.asarray(x_bar, dtype=float)
     num = in_chunks(lambda X: np.linalg.norm(X - x_bar, axis=1), p.n, pts)
     den = in_chunks(lambda X: np.linalg.norm(X - full_prox_rows(p, q, eps, X), axis=1), p.n, pts)
-    return _extremum("bp-eb", "c1", pts, num, den, True, "critical-set", eta=eta, nu=nu)
+    exact = lambda x: float(np.linalg.norm(x - x_bar)) / float(np.linalg.norm(x - full_prox(p, q, eps, x)))
+    return _extremum("bp-eb", "c1", pts, num, den, True, "critical-set", exact, eta=eta, nu=nu)
 
 
 def check_lt_eb_step(p: ProblemInstance, eps: float) -> None:

@@ -33,7 +33,7 @@ from vbscd.diagnostics import (
 )
 from vbscd.harness import probed_constants, resolve_reference_value
 from vbscd.instances import lasso_1d, lasso_random, quad_1d
-from vbscd.model import SquaredL2Penalty
+from vbscd.model import ProblemInstance, SquaredL2Penalty
 from vbscd.probes import gap_floor
 
 
@@ -158,11 +158,12 @@ def test_every_level_set_membership_test_is_in_neighborhood(monkeypatch):
     monkeypatch.setattr(diagnostics, "in_neighborhood", spy)
     p, c, x, x_bar = quad_1d(0.0), scalar_constants(), np.array([0.3]), np.zeros(1)
     targets = coordinate_prox_all(p, 1.0, 0.5, x)
+    fx, f_targets = p.objective(x), p.objective_rows(targets)
     sched = BregmanSchedule.constant(1.0, 0.5)
     traj = run(p, SolverConfig(sched, max_iters=5, tolerance=0.0, seed=0), x0=x)
     for caller, expected in (
-        (lambda: check_value_proximity(p, 1.0, 0.5, x, targets, x_bar, 0.0, c), c.hypothesis),
-        (lambda: check_level_dominance(p, x, targets, x_bar, 0.0, c), c.hypothesis),
+        (lambda: check_value_proximity(p, 1.0, 0.5, x, fx, targets, f_targets, x_bar, 0.0, c), c.hypothesis),
+        (lambda: check_level_dominance(x, fx, targets, f_targets, x_bar, 0.0, c), c.hypothesis),
         (lambda: contraction_audit(p, sched, [traj], x_bar, 0.0, c), c.hypothesis),
         (lambda: sample_level_ball(p, x_bar, 1.0, 0.3, 10, np.random.default_rng(0)), (1.0, 0.3)),
     ):
@@ -176,7 +177,9 @@ def test_value_proximity_gates_on_hypothesis():
     q = 1.0
     c = scalar_constants()
     x = np.array([5.0])
-    far = check_value_proximity(p, q, 0.5, x, coordinate_prox_all(p, q, 0.5, x), np.zeros(1), 0.0, c)
+    targets = coordinate_prox_all(p, q, 0.5, x)
+    far = check_value_proximity(p, q, 0.5, x, p.objective(x), targets, p.objective_rows(targets),
+                                np.zeros(1), 0.0, c)
     assert far == []
 
 
@@ -185,7 +188,9 @@ def test_value_proximity_rows_hold_on_scalar_quadratic():
     q = 1.0
     c = scalar_constants()
     x = np.array([0.3])
-    rows = check_value_proximity(p, q, 0.5, x, coordinate_prox_all(p, q, 0.5, x), np.zeros(1), 0.0, c)
+    targets = coordinate_prox_all(p, q, 0.5, x)
+    rows = check_value_proximity(p, q, 0.5, x, p.objective(x), targets, p.objective_rows(targets),
+                                 np.zeros(1), 0.0, c)
     assert len(rows) == 6
     assert all(r.passed for r in rows)
     by_name = {r.name: r for r in rows}
@@ -203,11 +208,29 @@ def test_level_dominance_flips_with_reference_level():
     c = scalar_constants()
     x = np.array([0.3])
     targets = coordinate_prox_all(p, q, 0.5, x)
-    ok = check_level_dominance(p, x, targets, np.zeros(1), 0.0, c)
+    fx, f_targets = p.objective(x), p.objective_rows(targets)
+    ok = check_level_dominance(x, fx, targets, f_targets, np.zeros(1), 0.0, c)
     assert len(ok) == 4 and all(r.passed for r in ok)
     # raise the "reference level" above F(T(x)) = 0.01125 and it must fail
-    bad = check_level_dominance(p, x, targets, np.zeros(1), 0.05, c)
+    bad = check_level_dominance(x, fx, targets, f_targets, np.zeros(1), 0.05, c)
     assert not all(r.passed for r in bad)
+
+
+def test_proximity_checks_take_f_from_the_caller(monkeypatch):
+    # the verify loop evaluates F(x) and F(T_i x) once per point and hands
+    # both checks the values: neither evaluates F again
+    p, q, c, x = quad_1d(0.0), 1.0, scalar_constants(), np.array([0.3])
+    targets = coordinate_prox_all(p, q, 0.5, x)
+    fx, f_targets = p.objective(x), p.objective_rows(targets)
+    calls = []
+    for name in ("objective", "objective_rows"):
+        real = getattr(ProblemInstance, name)
+        monkeypatch.setattr(ProblemInstance, name,
+                            lambda self, X, name=name, real=real: (calls.append(name), real(self, X))[1])
+    rows = check_value_proximity(p, q, 0.5, x, fx, targets, f_targets, np.zeros(1), 0.0, c)
+    dom = check_level_dominance(x, fx, targets, f_targets, np.zeros(1), 0.0, c)
+    assert len(rows) == 6 and len(dom) == 4  # x lies in the hypothesis set
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

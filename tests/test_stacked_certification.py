@@ -328,17 +328,20 @@ def test_audit_refuses_a_wrong_logged_objective():
 
 
 def test_auto_neighborhood_reads_f_from_the_step_log(monkeypatch):
-    # sizing from iterates evaluates F at the farthest point alone
+    # sizing from iterates evaluates F at x_bar alone
     p, sched, trajs, x_bar, _, _ = _audit_case()
     want = auto_neighborhood(p, sched, x_bar, [(t.points, t.objectives()) for t in trajs])
-    calls = []
-    objective_rows, value_rows = ProblemInstance.objective_rows, p.smooth.value_rows
+    calls, at = [], []
+    objective, objective_rows = ProblemInstance.objective, ProblemInstance.objective_rows
+    value_rows = p.smooth.value_rows
+    monkeypatch.setattr(ProblemInstance, "objective", lambda self, x: (at.append(x.copy()), objective(self, x))[1])
     monkeypatch.setattr(ProblemInstance, "objective_rows",
                         lambda self, X: (calls.append(len(X)), objective_rows(self, X))[1])
     monkeypatch.setattr(p.smooth, "value_rows", lambda X: (calls.append(len(X)), value_rows(X))[1])
     stacks = (pair for t in trajs for pair in t.iterates())
     assert auto_neighborhood(p, sched, x_bar, stacks) == want
     assert calls == []
+    assert len(at) == 1 and np.array_equal(at[0], x_bar)
 
 
 def test_audit_memory_stays_bounded():
@@ -455,7 +458,8 @@ def test_row_forms_match_the_per_point_forms(name):
 def test_extremum_keeps_the_first_of_equal_ratios():
     def pick(num, den, largest):
         pts = np.arange(len(num), dtype=float)[:, None]  # row j holds j
-        est = probes._extremum("kl", "c2", pts, num, den, largest, "level-gap")
+        exact = lambda x: num[int(x[0])] / den[int(x[0])]
+        est = probes._extremum("kl", "c2", pts, num, den, largest, "level-gap", exact)
         assert est.samples == len(num) and est.value == num[int(est.extremal_point[0])]
         return int(est.extremal_point[0])
 
@@ -573,6 +577,24 @@ def test_ls_eb_oracle_raises_on_a_disagreement(monkeypatch):
                         lambda self, x: exact(self, x) * (1.0 + 1e-9))
     with pytest.raises(OracleMismatch):
         probe_ls_eb(p, x_bar, 0.5, 0.2, 200, np.random.default_rng(1))
+
+
+def test_kl_and_bp_eb_oracles_raise_on_a_disagreement(monkeypatch):
+    # each reports its per-point ratio at the extremal sample, checked
+    # against the stacked one: a stacked path off by 1e-9 raises
+    p = instances.lasso_random(10, 5, seed=21)
+    sched = schedule("constant", p)
+    x_bar, _ = reference_point(p, sched)
+    q, eps = sched.generator(0), sched.step(0)
+    stacked = ProblemInstance.min_subgradient_norm_rows
+    with monkeypatch.context() as m:
+        m.setattr(ProblemInstance, "min_subgradient_norm_rows", lambda self, X: stacked(self, X) * (1.0 + 1e-9))
+        with pytest.raises(OracleMismatch, match="^kl ratio at the extremal sample"):
+            probe_kl(p, x_bar, 0.5, 0.2, 200, np.random.default_rng(1))
+    full_prox_rows = probes.full_prox_rows
+    monkeypatch.setattr(probes, "full_prox_rows", lambda *args: full_prox_rows(*args) * (1.0 + 1e-9))
+    with pytest.raises(OracleMismatch, match="^bp-eb ratio at the extremal sample"):
+        probe_bp_eb(p, q, eps, x_bar, 0.5, 0.2, 200, np.random.default_rng(1))
 
 
 def test_lt_eb_oracle_raises_on_a_disagreement(monkeypatch):
